@@ -46,8 +46,8 @@ class RunConfig:
             lo, hi = RANK_RANGE[family]
             if hi is None:
                 hi = DEFAULT_RANK_CAP
-            lo = max(lo, self.rank_min) if self.rank_min else lo
-            hi = min(hi, self.rank_max) if self.rank_max else hi
+            lo = max(lo, self.rank_min) if self.rank_min is not None else lo
+            hi = min(hi, self.rank_max) if self.rank_max is not None else hi
             for rank in range(lo, hi + 1):
                 out.append(build(RootSystemId(family, rank)))
         return out
@@ -87,10 +87,8 @@ def cmd_table(args) -> int:
     for i, root in enumerate(system.simple_roots, start=1):
         lines.append(f"  alpha_{i} = ({', '.join(str(x) for x in root)})")
     lines.append("positive roots (by height):")
-    for root in system.positive_roots:
-        lines.append(
-            f"  height {system.height(root):2d}: ({', '.join(str(x) for x in root)})"
-        )
+    for height, root in zip(system.heights, system.positive_roots):
+        lines.append(f"  height {height:2d}: ({', '.join(str(x) for x in root)})")
     _emit("\n".join(lines), None)
     return EXIT_OK
 
@@ -130,7 +128,7 @@ def cmd_relations(args) -> int:
 
 def cmd_verify(args) -> int:
     families = tuple(dict.fromkeys(args.family)) if args.family else FAMILIES
-    if args.rank is not None and (args.rank_min or args.rank_max):
+    if args.rank is not None and (args.rank_min is not None or args.rank_max is not None):
         raise ValueError("--rank excludes --rank-min/--rank-max")
     rank_min = args.rank if args.rank is not None else args.rank_min
     rank_max = args.rank if args.rank is not None else args.rank_max
@@ -146,6 +144,11 @@ def cmd_verify(args) -> int:
     )
     ctx = PrecisionContext.for_digits(config.digits)
     summary = fateev.verify_all(config.systems(), config.variants, config.mode, ctx)
+    if not summary.reports:
+        raise ValueError(
+            "nothing to verify: the selected families, ranks and variants "
+            "hold no admissible case"
+        )
     if config.fmt == "json":
         payload = summary.to_json_obj()
         payload["mode"] = config.mode

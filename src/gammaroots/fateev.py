@@ -19,10 +19,10 @@ comparison, or both.
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from itertools import repeat
 from typing import Iterable, Optional, Sequence, Tuple
 
 import mpmath
@@ -31,7 +31,7 @@ from .exact import ONE, FactoredConstant, const_ln, const_mul, const_pow, factor
 from .gammaword import GammaWord, brace_str, word_from_terms
 from .numeric import PrecisionContext, eval_word_ln
 from .prover import Certificate, prove_constant
-from .rootsys import RootSystem, RootSystemId, coroot, inner
+from .rootsys import RootSystem, RootSystemId
 
 F = "F"
 F_PRIME = "Fprime"
@@ -71,30 +71,32 @@ def admissible(system: RootSystem, variant: str) -> bool:
 def lhs_word(system: RootSystem, index: int, variant: str) -> GammaWord:
     """The definitional product over positive roots, merged on its lcm grid.
 
-    The grid denominator comes from every factor's argument, including those
-    whose exponents merge to zero.  No reflection folding is applied; the
-    returned word is the product exactly as defined.
+    Read off the system's integer tables: with p = 2(alpha_i|a), the
+    exponents are -p/2 (F), -2p / 2(a|a) (Fprime) and -2p / 2(alpha_i|alpha_i)
+    (Fsecond), and the arguments are 4(a|rho) / 4h, ht(a) / h and
+    4(a|rho) / 4h'.  The grid denominator comes from every factor's
+    argument, including those whose exponents merge to zero.  No reflection
+    folding is applied; the returned word is the product exactly as defined.
     """
     _check_case(system, index, variant)
-    alpha_i = system.simple_roots[index - 1]
-    if variant == F_SECOND:
-        alpha_i = coroot(alpha_i)
+    i = index - 1
+    if variant == F_PRIME:
+        numerators, denominator, divisors = system.heights, system.coxeter_number, system.norms
+    elif variant == F:
+        numerators, denominator = system.rho_pairings, 4 * system.coxeter_number
+        divisors = repeat(4)
+    else:
+        numerators, denominator = system.rho_pairings, int(4 * system.comark_sum)
+        divisors = repeat(system.gram[i][i])
     terms = []
-    for alpha in system.positive_roots:
-        if variant == F:
-            argument = inner(alpha, system.rho) / system.coxeter_number
-            exponent = -inner(alpha_i, alpha)
-        elif variant == F_PRIME:
-            argument = inner(alpha, system.rho_check) / system.coxeter_number
-            exponent = -inner(alpha_i, coroot(alpha))
-        else:
-            argument = inner(alpha, system.rho) / system.comark_sum
-            exponent = -inner(alpha_i, alpha)
-        assert exponent.denominator == 1, "root/coroot pairings must be integral"
-        if not 0 < argument < 1:
-            raise ValueError(f"argument {argument} outside (0,1)")
-        terms.append((argument, int(exponent)))
-    return word_from_terms(terms)
+    for numerator, row, divisor in zip(numerators, system.pairings, divisors):
+        exponent, rest = divmod(-2 * row[i], divisor)
+        if rest:
+            raise ValueError(
+                f"{system.ident}: pairing {-2 * row[i]}/{divisor} of alpha_{index} is not integral"
+            )
+        terms.append((numerator, exponent))
+    return word_from_terms(terms, denominator)
 
 
 def k_constant(system: RootSystem, variant: str) -> FactoredConstant:
@@ -112,18 +114,24 @@ def k_constant(system: RootSystem, variant: str) -> FactoredConstant:
     return out
 
 
-def rhs_constant(system: RootSystem, index: int, variant: str) -> FactoredConstant:
-    """Closed form for one simple root: its node factor times a root of k."""
+def rhs_constant(
+    system: RootSystem, index: int, variant: str, k: Optional[FactoredConstant] = None
+) -> FactoredConstant:
+    """Closed form for one simple root: its node factor times a root of k.
+
+    k, when given, must be k_constant(system, variant); callers that check
+    every index of one (system, variant) compute it once and pass it in.
+    """
     _check_case(system, index, variant)
+    if k is None:
+        k = k_constant(system, variant)
     if variant == F:
         node, grid = Q(system.marks[index]), Q(system.coxeter_number)
     elif variant == F_PRIME:
         node, grid = system.comarks[index], Q(system.coxeter_number)
     else:
         node, grid = system.double_comarks[index], system.comark_sum
-    return const_mul(
-        factor_power(node, 1), const_pow(k_constant(system, variant), -1 / grid)
-    )
+    return const_mul(factor_power(node, 1), const_pow(k, -1 / grid))
 
 
 @dataclass(frozen=True)
@@ -139,7 +147,6 @@ class VerificationReport:
     rhs: FactoredConstant
     certificate: Optional[Certificate]
     numeric_residual: Optional[str]
-    wall_time_ms: float
 
     @property
     def passed(self) -> bool:
@@ -160,14 +167,13 @@ class VerificationReport:
             "rhs_constant": self.rhs.to_json_obj(),
             "certificate": None if self.certificate is None else self.certificate.to_json_obj(),
             "numeric_residual": self.numeric_residual,
-            "wall_time_ms": self.wall_time_ms,
         }
 
     def text_line(self) -> str:
         extra = f" residual={self.numeric_residual}" if self.numeric_residual else ""
         return (
             f"{self.ident} alpha_{self.index} {self.variant}: {self.status} "
-            f"{brace_str(self.lhs)} = {self.rhs}{extra} [{self.wall_time_ms:.1f} ms]"
+            f"{brace_str(self.lhs)} = {self.rhs}{extra}"
         )
 
 
@@ -177,20 +183,21 @@ def verify(
     variant: str,
     mode: str = "both",
     ctx: Optional[PrecisionContext] = None,
+    k: Optional[FactoredConstant] = None,
 ) -> VerificationReport:
     """Check one identity instance by exact proof, numeric comparison, or both.
 
     Numeric comparisons accept |ln lhs - ln rhs| <= 10^(10 - decimal_digits).
     In both mode the numeric route runs as a cross-check of an exact proof
     and as a fallback diagnostic when the word is outside the lattice; the
-    report only counts as passed with a proof.
+    report only counts as passed with a proof.  k is passed on to
+    rhs_constant.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
     ctx = ctx or PrecisionContext.for_digits()
-    start = time.perf_counter()
     lhs = lhs_word(system, index, variant)
-    rhs = rhs_constant(system, index, variant)
+    rhs = rhs_constant(system, index, variant, k)
     certificate = None
     residual_str = None
     status = None
@@ -211,9 +218,8 @@ def verify(
             status = NUMERIC_ONLY if numeric_ok else MISMATCH
         elif not numeric_ok:
             status = MISMATCH
-    wall = (time.perf_counter() - start) * 1000.0
     return VerificationReport(
-        system.ident, index, variant, mode, status, lhs, rhs, certificate, residual_str, wall
+        system.ident, index, variant, mode, status, lhs, rhs, certificate, residual_str
     )
 
 
@@ -254,7 +260,8 @@ def verify_all(
         for variant in chosen:
             if not admissible(system, variant):
                 continue
+            k = k_constant(system, variant)
             for index in range(1, system.rank + 1):
-                reports.append(verify(system, index, variant, mode, ctx))
+                reports.append(verify(system, index, variant, mode, ctx, k))
     reports.sort(key=lambda r: (r.ident, r.index, VARIANTS.index(r.variant)))
     return VerificationSummary(tuple(reports))

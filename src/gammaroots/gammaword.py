@@ -66,21 +66,26 @@ def _collect(pairs: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted((j, e) for j, e in agg.items() if e))
 
 
-def word_from_terms(terms: Iterable[Tuple[RationalLike, int]]) -> GammaWord:
-    """Merge gamma(argument)^exponent factors onto one grid.
+def word_from_terms(
+    terms: Iterable[Tuple[RationalLike, int]], denominator: int = 1
+) -> GammaWord:
+    """Merge gamma(argument / denominator)^exponent factors onto one grid.
 
-    The grid denominator is the lcm of every term's argument denominator,
-    including terms whose exponents later cancel or are zero.
+    Integer arguments over a shared denominator need no Fraction arithmetic.
+    The grid denominator is the lcm of every term's reduced argument
+    denominator, including terms whose exponents later cancel or are zero.
     """
-    items = [(Q(a), int(e)) for a, e in terms]
+    items = [(a if isinstance(a, int) else Q(a), int(e)) for a, e in terms]
     for a, _ in items:
-        if not 0 < a < 1:
-            raise ValueError(f"argument {a} outside (0,1)")
+        if not 0 < a < denominator:
+            raise ValueError(f"argument {Q(a) / denominator} outside (0,1)")
     if not items:
         return GammaWord(1)
-    n = math.lcm(*(a.denominator for a, _ in items))
-    pairs = [(a.numerator * (n // a.denominator), e) for a, e in items]
-    return GammaWord(n, _collect(pairs))
+    lcm = math.lcm(*(a.denominator for a, _ in items))
+    scaled = [(a.numerator * (lcm // a.denominator), e) for a, e in items]
+    # The lcm of the reduced denominators of x_k / m is m / gcd(m, x_1, x_2, ...).
+    g = math.gcd(lcm * denominator, *(x for x, _ in scaled))
+    return GammaWord(lcm * denominator // g, _collect((x // g, e) for x, e in scaled))
 
 
 def word_mul(a: GammaWord, b: GammaWord) -> GammaWord:

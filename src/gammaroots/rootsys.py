@@ -1,21 +1,31 @@
-"""Irreducible root systems realized in classical (Bourbaki planche) coordinates.
+"""Irreducible root systems, computed on integers in the simple-root basis.
 
-Vectors are tuples of Fractions in the ambient coordinate space, whose
-dimension may exceed the rank (families A and G).  All pairings below are the
-raw coordinate dot product; marks are normalization free, but comarks, double
-comarks and the comark sum depend on this realization and are kept as exact
-rationals rather than rescaled.
+Every positive root is kept as its integer coefficient vector c in the basis
+of simple roots alpha_1..alpha_r.  The Gram matrix G_ij = 2(alpha_i|alpha_j)
+is integral for all of A-G in the Bourbaki planche coordinates used here, so
+every quantity the identities need is an integer read off c and G: heights
+are coefficient sums, the pairings 2(alpha_i|a) are the rows of c G, the
+norms 2(a|a) are c G c, and the marks are the coefficients of the highest
+root.  Ambient coordinates (tuples of Fractions, whose dimension may exceed
+the rank for families A and G) are produced once, at the edge, for the
+simple roots, positive roots, alpha0 and the Weyl vectors.  All pairings
+are the raw coordinate dot product; marks are normalization free, but
+comarks, double comarks and the comark sum depend on this realization and
+are kept as exact rationals rather than rescaled.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from itertools import chain
+from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
-from . import linalg
-
 Vector = Tuple[Q, ...]
+Coeffs = Tuple[int, ...]
+Matrix = Tuple[Tuple[int, ...], ...]
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 
@@ -62,23 +72,6 @@ class RootSystemId:
         return f"{self.family}{self.rank}"
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c, u: Vector) -> Vector:
-    c = Q(c)
-    return tuple(c * a for a in u)
-
-
 def inner(u: Vector, v: Vector) -> Q:
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
@@ -87,11 +80,12 @@ def inner(u: Vector, v: Vector) -> Q:
 
 def coroot(v: Vector) -> Vector:
     """2 v / (v|v)."""
-    return vec_scale(Q(2) / inner(v, v), v)
+    scale = Q(2) / inner(v, v)
+    return tuple(scale * a for a in v)
 
 
-def _unit(i: int, dim: int) -> Vector:
-    return tuple(Q(1) if k == i else Q(0) for k in range(dim))
+def _vec(dim: int, entries: Dict[int, int]) -> Vector:
+    return tuple(Q(entries.get(k, 0)) for k in range(dim))
 
 
 # Simple roots of E8; E6 and E7 take the first six and seven of them,
@@ -124,17 +118,11 @@ def simple_roots(ident: RootSystemId) -> List[Vector]:
     """Simple roots of the system in its classical coordinate realization."""
     family, n = ident.family, ident.rank
     if family == "A":
-        dim = n + 1
-        return [vec_sub(_unit(i, dim), _unit(i + 1, dim)) for i in range(n)]
+        return [_vec(n + 1, {i: 1, i + 1: -1}) for i in range(n)]
     if family in ("B", "C", "D"):
-        chain = [vec_sub(_unit(i, n), _unit(i + 1, n)) for i in range(n - 1)]
-        if family == "B":
-            chain.append(_unit(n - 1, n))
-        elif family == "C":
-            chain.append(vec_scale(2, _unit(n - 1, n)))
-        else:
-            chain.append(vec_add(_unit(n - 2, n), _unit(n - 1, n)))
-        return chain
+        chain = [_vec(n, {i: 1, i + 1: -1}) for i in range(n - 1)]
+        last = {"B": {n - 1: 1}, "C": {n - 1: 2}, "D": {n - 2: 1, n - 1: 1}}[family]
+        return chain + [_vec(n, last)]
     if family == "E":
         return list(_E8_SIMPLE[:n])
     if family == "F":
@@ -142,12 +130,26 @@ def simple_roots(ident: RootSystemId) -> List[Vector]:
     return list(_G2_SIMPLE)
 
 
-def generate_positive_roots(simple: Sequence[Vector], max_height: int = 1000) -> List[Vector]:
-    """Close the simple roots under root addition, sorted by (height, coordinates).
+def _scaled(simple: Sequence[Vector]) -> Tuple[int, List[Tuple[int, ...]]]:
+    """The lcm d of all coordinate denominators, and d times each simple root, as ints."""
+    d = math.lcm(*(x.denominator for a in simple for x in a))
+    return d, [tuple(x.numerator * (d // x.denominator) for x in a) for a in simple]
 
-    Level by level: beta + alpha is a root iff the alpha-string through beta
-    extends upward, i.e. p - <beta, alpha_check> >= 1 where p counts how far
-    the string descends from beta through known roots.
+
+def _gram(scaled: Sequence[Tuple[int, ...]]) -> Matrix:
+    """2(u|v) over the given integer vectors."""
+    return tuple(tuple(2 * sum(map(mul, u, v)) for v in scaled) for u in scaled)
+
+
+def generate_positive_roots(simple: Sequence[Vector], max_height: int = 1000) -> List[Coeffs]:
+    """Close the simple roots under root strings; coefficient vectors, level by level.
+
+    Only the Cartan integers <alpha_i, alpha_j^> = 2(alpha_i|alpha_j)/(alpha_j|alpha_j)
+    enter, so the input may be scaled freely; they must all be integers.
+    beta + alpha_i is a root iff p - <beta, alpha_i^> >= 1, where p counts
+    how far the alpha_i-string descends from beta through known roots.  Each
+    root carries its Cartan integers, extended by a row of the Cartan matrix
+    per step, and a new root must have positive length.
     """
     base = [tuple(Q(x) for x in a) for a in simple]
     if not base:
@@ -161,8 +163,22 @@ def generate_positive_roots(simple: Sequence[Vector], max_height: int = 1000) ->
     if len(set(base)) != len(base):
         raise ValueError("duplicate simple roots")
 
-    heights: Dict[Vector, int] = {a: 1 for a in base}
-    current = list(base)
+    gram = _gram(_scaled(base)[1])
+    r = len(gram)
+    cartan = []
+    for i, row in enumerate(gram):
+        if any(2 * g % gram[j][j] for j, g in enumerate(row)):
+            raise ClosureError(
+                f"non-integral Cartan integer at alpha_{i + 1}; input is not crystallographic"
+            )
+        cartan.append(tuple(2 * g // gram[j][j] for j, g in enumerate(row)))
+    diag = [gram[j][j] for j in range(r)]
+
+    # root -> its Cartan integers <root, alpha_j^>, j = 1..r
+    known: Dict[Coeffs, Tuple[int, ...]] = {}
+    for i in range(r):
+        known[tuple(int(k == i) for k in range(r))] = cartan[i]
+    current = list(known)
     height = 1
     while current:
         if height >= max_height:
@@ -170,69 +186,63 @@ def generate_positive_roots(simple: Sequence[Vector], max_height: int = 1000) ->
                 f"no closure below height {max_height}; "
                 "the simple roots do not generate a finite system"
             )
-        found: List[Vector] = []
+        found: List[Coeffs] = []
         for beta in current:
-            for alpha in base:
-                cand = vec_add(beta, alpha)
-                if cand in heights:
+            pairs = known[beta]
+            for i in range(r):
+                head, c, tail = beta[:i], beta[i], beta[i + 1:]
+                cand = head + (c + 1,) + tail
+                if cand in known:
                     continue
                 p = 0
-                down = vec_sub(beta, alpha)
-                while down in heights:
+                while head + (c - p - 1,) + tail in known:
                     p += 1
-                    down = vec_sub(down, alpha)
-                cartan = 2 * inner(beta, alpha) / inner(alpha, alpha)
-                if cartan.denominator != 1:
-                    raise ClosureError(
-                        f"non-integral string number {cartan}; "
-                        "input is not crystallographic"
-                    )
-                if p - cartan >= 1:
-                    if not any(cand):
+                if p - pairs[i] >= 1:
+                    cand_pairs = tuple(map(sum, zip(pairs, cartan[i])))
+                    if sum(x * y * g for x, y, g in zip(cand, cand_pairs, diag)) <= 0:
                         raise ClosureError(
-                            "closure reached the zero vector; "
+                            "closure reached a vector of length zero; "
                             "input is not a finite root base"
                         )
-                    heights[cand] = height + 1
+                    known[cand] = cand_pairs
                     found.append(cand)
         current = found
         height += 1
-    return sorted(heights, key=lambda v: (heights[v], v))
+    return list(known)
 
 
-def highest_root(simple: Sequence[Vector], positive: Sequence[Vector]) -> tuple[Vector, Tuple[int, ...]]:
-    """The unique maximal positive root and its coordinates in the simple basis."""
-    rootset = set(positive)
-    maximal = [
-        b for b in positive
-        if all(vec_add(b, a) not in rootset for a in simple)
-    ]
-    if len(maximal) != 1:
+def highest_root(positive: Sequence[Coeffs]) -> Coeffs:
+    """The unique maximal positive root; its coefficients are the marks n_1..n_r.
+
+    The root of greatest height lies in one irreducible component, so it has
+    a zero coefficient exactly when the system is reducible.
+    """
+    theta = max(positive, key=sum)
+    if not all(theta):
         raise ValueError(
-            f"expected a unique highest root, found {len(maximal)}; "
-            "the system is not irreducible"
+            "the highest root misses a simple root; the system is not irreducible"
         )
-    theta = maximal[0]
-    solution = linalg.solve([list(a) for a in simple], list(theta))
-    if solution is None:
-        raise ValueError("highest root is outside the span of the simple roots")
-    marks = []
-    for c in solution:
-        if c.denominator != 1 or c <= 0:
-            raise ValueError(f"mark {c} is not a positive integer")
-        marks.append(int(c))
-    return theta, tuple(marks)
+    return theta
 
 
-def weyl_vectors(positive: Sequence[Vector]) -> tuple[Vector, Vector]:
-    """Half-sum of the positive roots and half-sum of the positive coroots."""
-    dim = len(positive[0])
-    total = tuple(Q(0) for _ in range(dim))
-    total_check = total
-    for a in positive:
-        total = vec_add(total, a)
-        total_check = vec_add(total_check, coroot(a))
-    return vec_scale(Q(1, 2), total), vec_scale(Q(1, 2), total_check)
+def weyl_vectors(positive: Sequence[Coeffs], norms: Sequence[int]) -> Tuple[Vector, Vector]:
+    """rho and rho_check in the simple basis, from integer sums grouped by root length.
+
+    rho is half the sum of the positive roots.  The coroot of a is
+    4a / 2(a|a), so rho_check sums the roots of each norm 2(a|a) = n and
+    scales that integer sum by 2/n.
+    """
+    by_norm: Dict[int, List[Coeffs]] = {}
+    for c, n in zip(positive, norms):
+        by_norm.setdefault(n, []).append(c)
+    r = len(positive[0])
+    two_rho = [0] * r
+    rho_check = [Q(0)] * r
+    for n, roots in by_norm.items():
+        for k, total in enumerate(map(sum, zip(*roots))):
+            two_rho[k] += total
+            rho_check[k] += Q(2 * total, n)
+    return tuple(Q(x, 2) for x in two_rho), tuple(rho_check)
 
 
 @dataclass(frozen=True)
@@ -245,6 +255,12 @@ class RootSystem:
     coordinate normalization.  coxeter_number is the mark sum; comark_sum is
     its analogue on the comark side and need not match the textbook dual
     Coxeter number when the highest root is not normalized to length 2.
+
+    The integer tables follow positive_roots entry for entry: root_coeffs
+    holds each root's coefficients c in the simple basis, pairings the row
+    2(alpha_j|a) = (c G)_j for j = 1..r, norms 2(a|a), heights the coefficient
+    sums, which are (a|rho_check), and rho_pairings 4(a|rho) = sum_k c_k G_kk.
+    gram is G_ij = 2(alpha_i|alpha_j).
     """
 
     ident: RootSystemId
@@ -259,6 +275,12 @@ class RootSystem:
     rho: Vector
     rho_check: Vector
     simply_laced: bool
+    gram: Matrix = field(repr=False)
+    root_coeffs: Tuple[Coeffs, ...] = field(repr=False)
+    pairings: Matrix = field(repr=False)
+    norms: Tuple[int, ...] = field(repr=False)
+    heights: Tuple[int, ...] = field(repr=False)
+    rho_pairings: Tuple[int, ...] = field(repr=False)
 
     @property
     def family(self) -> str:
@@ -269,9 +291,10 @@ class RootSystem:
         return self.ident.rank
 
     def height(self, root: Vector) -> int:
-        """Sum of the simple-basis coordinates, computed as (root|rho_check)."""
+        """Sum of the simple-basis coordinates of an ambient root, as (root|rho_check)."""
         t = inner(root, self.rho_check)
-        assert t.denominator == 1
+        if t.denominator != 1:
+            raise ValueError(f"{root} is not in the root lattice: height {t}")
         return int(t)
 
     def to_json_obj(self) -> dict:
@@ -297,39 +320,91 @@ class RootSystem:
         }
 
 
+def _combine(coeffs: Sequence[int], scaled: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
+    """sum_k coeffs_k scaled_k, over the nonzero coefficients."""
+    out = [0] * len(scaled[0])
+    for c, s in zip(coeffs, scaled):
+        if c:
+            for d, x in enumerate(s):
+                out[d] += c * x
+    return tuple(out)
+
+
+def _to_ambient(v: Sequence[Q], scale: int, scaled: Sequence[Tuple[int, ...]]) -> Vector:
+    """sum_k v_k alpha_k for rational simple-basis coordinates v."""
+    den = math.lcm(*(x.denominator for x in v))
+    ints = [x.numerator * (den // x.denominator) for x in v]
+    return tuple(Q(x, den * scale) for x in _combine(ints, scaled))
+
+
 def build(ident: RootSystemId) -> RootSystem:
     """Construct and cross-validate the full system for an admissible id."""
     simple = simple_roots(ident)
-    positive = generate_positive_roots(simple)
-    theta, node_marks = highest_root(simple, positive)
-    marks = (1,) + node_marks
-    nodes = (theta,) + tuple(simple)
-    comarks = tuple(inner(a, a) * n / 2 for a, n in zip(nodes, marks))
-    double_comarks = tuple(inner(a, a) * c / 2 for a, c in zip(nodes, comarks))
-    rho, rho_check = weyl_vectors(positive)
-    lengths = {inner(a, a) for a in positive}
+    scale, scaled = _scaled(simple)
+    scaled_gram = _gram(scaled)
+    if any(g % (scale * scale) for row in scaled_gram for g in row):
+        raise ClosureError(f"{ident}: 2(alpha_i|alpha_j) is not integral")
+    gram = tuple(tuple(g // (scale * scale) for g in row) for row in scaled_gram)
+
+    found = generate_positive_roots(simple)
+    # Order as the ambient coordinates sort: by height, then lexicographically.
+    ambient_ints = [_combine(c, scaled) for c in found]
+    order = sorted(range(len(found)), key=lambda k: (sum(found[k]), ambient_ints[k]))
+    coeffs = tuple(found[k] for k in order)
+    fraction = {x: Q(x, scale) for x in set(chain.from_iterable(ambient_ints))}
+    positive = tuple(tuple(fraction[x] for x in ambient_ints[k]) for k in order)
+
+    pairings = tuple(tuple(sum(map(mul, c, col)) for col in gram) for c in coeffs)
+    norms = tuple(sum(map(mul, c, p)) for c, p in zip(coeffs, pairings))
+    diag = [row[j] for j, row in enumerate(gram)]
+    theta = highest_root(coeffs)
+    top = coeffs.index(theta)
+    marks = (1,) + theta
+    node_norms = (norms[top],) + tuple(diag)
+    comarks = tuple(Q(g * n, 4) for g, n in zip(node_norms, marks))
+    double_comarks = tuple(Q(g * g * n, 16) for g, n in zip(node_norms, marks))
+    rho, rho_check = weyl_vectors(coeffs, norms)
     system = RootSystem(
         ident=ident,
         simple_roots=tuple(simple),
-        positive_roots=tuple(positive),
-        alpha0=vec_scale(-1, theta),
+        positive_roots=positive,
+        alpha0=tuple(-x for x in positive[top]),
         marks=marks,
         comarks=comarks,
         double_comarks=double_comarks,
         coxeter_number=sum(marks),
-        comark_sum=sum(comarks, Q(0)),
-        rho=rho,
-        rho_check=rho_check,
-        simply_laced=len(lengths) == 1,
+        comark_sum=Q(sum(map(mul, node_norms, marks)), 4),
+        rho=_to_ambient(rho, scale, scaled),
+        rho_check=_to_ambient(rho_check, scale, scaled),
+        simply_laced=len(set(norms)) == 1,
+        gram=gram,
+        root_coeffs=coeffs,
+        pairings=pairings,
+        norms=norms,
+        heights=tuple(map(sum, coeffs)),
+        rho_pairings=tuple(sum(map(mul, c, diag)) for c in coeffs),
     )
     _validate(system)
     return system
 
 
 def _validate(system: RootSystem) -> None:
-    """Internal consistency ties between the generated pieces."""
+    """Internal consistency ties between the generated pieces.
+
+    The last tie checks the Weyl vectors against the integer tables: every
+    simple root has height (alpha_k|rho_check) = 1 and 4(alpha_k|rho) = G_kk,
+    which is what makes heights and rho_pairings the word arguments.
+    """
     r, h = system.rank, system.coxeter_number
-    assert 2 * len(system.positive_roots) == r * h, "root count must equal rank * h / 2"
-    heights = sorted(system.height(a) for a in system.positive_roots)
-    assert heights[0] == 1 and heights[-1] == h - 1, "heights must span [1, h-1]"
-    assert set(heights) == set(range(1, h)), "every height in [1, h-1] must occur"
+    count = len(system.positive_roots)
+    if 2 * count != r * h or len(system.root_coeffs) != count:
+        raise ClosureError(
+            f"{system.ident}: {count} positive roots; the count must equal rank * h / 2"
+        )
+    if set(map(sum, system.root_coeffs)) != set(range(1, h)):
+        raise ClosureError(f"{system.ident}: root heights must fill [1, h-1]")
+    for k, alpha in enumerate(system.simple_roots):
+        if inner(alpha, system.rho_check) != 1 or 4 * inner(alpha, system.rho) != system.gram[k][k]:
+            raise ClosureError(
+                f"{system.ident}: rho and rho_check disagree with alpha_{k + 1}"
+            )

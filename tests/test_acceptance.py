@@ -14,6 +14,7 @@ from gammaroots.fateev import (
     F,
     F_PRIME,
     F_SECOND,
+    admissible,
     lhs_word,
     rhs_constant,
     verify,
@@ -34,6 +35,9 @@ TWO_LENGTH = (
     + [("C", n) for n in range(2, 13)]
     + [("F", 4), ("G", 2)]
 )
+# The largest grid denominator among the words of the default verify sweep;
+# criteria 5 and 6 cover every grid up to it.
+SWEEP_GRID_MAX = 46
 
 
 def _report(number: int, label: str, ok: bool, detail: str = "") -> None:
@@ -144,7 +148,7 @@ def test_criterion_5_relation_validity():
     tolerance = mpmath.mpf(10) ** -40
     worst = mpmath.mpf(0)
     count = 0
-    for n in range(2, 31):
+    for n in range(2, SWEEP_GRID_MAX + 1):
         for relation in relations_for(n):
             word = relation_word(relation, n)
             residual = abs(eval_ln(word, ctx.decimal_digits) - const_ln(relation.value, ctx.decimal_digits))
@@ -155,9 +159,19 @@ def test_criterion_5_relation_validity():
             f"{count} relations, worst residual {mpmath.nstr(worst, 3)}")
 
 
-def test_criterion_6_kernel_consistency():
-    ok = all(kernel_consistency(n) == (True, None) for n in range(2, 31))
-    _report(6, "relation kernel forces value 1 on every grid", ok, "N = 2..30")
+def test_criterion_6_kernel_consistency(systems):
+    grids = {
+        lhs_word(system, index, variant).denominator
+        for system in systems.values()
+        for variant in (F, F_PRIME, F_SECOND)
+        if admissible(system, variant)
+        for index in range(1, system.rank + 1)
+    }
+    ok = max(grids) <= SWEEP_GRID_MAX and all(
+        kernel_consistency(n) == (True, None) for n in range(2, SWEEP_GRID_MAX + 1)
+    )
+    _report(6, "relation kernel forces value 1 on every grid", ok,
+            f"N = 2..{SWEEP_GRID_MAX}, sweep grids up to {max(grids)}")
 
 
 def _closed_form_positive(family, n):

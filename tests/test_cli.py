@@ -150,6 +150,44 @@ def test_verify_rank_flag_conflict(capsys):
     assert "--rank excludes" in err
 
 
+@pytest.mark.parametrize(
+    "selection",
+    [
+        ("--family", "G", "--rank", "3"),
+        ("--family", "E", "--rank-min", "9"),
+        ("--family", "G", "--rank-max", "0"),
+        ("--family", "B", "--rank", "3", "--variant", "F"),
+    ],
+)
+def test_verify_empty_selection_is_usage_error(capsys, selection):
+    code, out, err = run(capsys, "verify", *selection, "--mode", "exact")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: nothing to verify")
+
+
+def test_rank_bounds_zero_are_not_ignored():
+    def ranks(rank_min, rank_max):
+        config = cli.RunConfig(
+            families=("G",), rank_min=rank_min, rank_max=rank_max,
+            variants=("Fprime",), mode="exact", digits=60, fmt="text", output=None,
+        )
+        return [s.rank for s in config.systems()]
+
+    assert ranks(None, 0) == []
+    assert ranks(0, None) == [2]
+    assert ranks(None, None) == [2]
+
+
+def test_verify_json_is_byte_identical_across_runs(capsys):
+    argv = ("verify", "--family", "G", "--family", "F", "--format", "json")
+    first = run(capsys, *argv)
+    second = run(capsys, *argv)
+    assert first[0] == EXIT_OK
+    assert first == second
+    assert "wall_time_ms" not in first[1]
+
+
 def test_verify_output_file(tmp_path, capsys):
     target = tmp_path / "report.json"
     code, out, err = run(
@@ -173,7 +211,6 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         rhs=ONE,
         certificate=None,
         numeric_residual=None,
-        wall_time_ms=0.0,
     )
     monkeypatch.setattr(
         fateev, "verify_all", lambda *a, **k: VerificationSummary((bad,))

@@ -1,9 +1,12 @@
 """Identity words, closed-form constants, and verification reports."""
 
+import dataclasses
+import math
 from fractions import Fraction as Q
 
 import pytest
 
+from gammaroots import fateev
 from gammaroots.exact import ONE, FactoredConstant, factor_power
 from gammaroots.fateev import (
     F,
@@ -157,6 +160,70 @@ def test_grid_denominators(systems):
     assert lhs_word(systems[("E", 7)], 1, F).denominator == 18
 
 
+def ambient_lhs_word(system, index, variant):
+    """The definitional product in ambient Fraction coordinates, written out.
+
+    An oracle independent of the integer tables: rho and rho_check are the
+    half-sums of the positive roots and coroots, every pairing is a Fraction
+    dot product, and the grid is the lcm of the reduced argument denominators.
+    """
+    positive = system.positive_roots
+    dim = len(positive[0])
+    coroots = [coroot(a) for a in positive]
+    rho = tuple(sum(a[k] for a in positive) / 2 for k in range(dim))
+    rho_check = tuple(sum(a[k] for a in coroots) / 2 for k in range(dim))
+    alpha_i = system.simple_roots[index - 1]
+    if variant == F_SECOND:
+        alpha_i = coroot(alpha_i)
+    terms = []
+    for alpha, alpha_check in zip(positive, coroots):
+        if variant == F:
+            argument = inner(alpha, rho) / system.coxeter_number
+            exponent = -inner(alpha_i, alpha)
+        elif variant == F_PRIME:
+            argument = inner(alpha, rho_check) / system.coxeter_number
+            exponent = -inner(alpha_i, alpha_check)
+        else:
+            argument = inner(alpha, rho) / system.comark_sum
+            exponent = -inner(alpha_i, alpha)
+        assert exponent.denominator == 1 and 0 < argument < 1
+        terms.append((argument, int(exponent)))
+    n = math.lcm(*(a.denominator for a, _ in terms))
+    merged = {}
+    for a, e in terms:
+        j = a.numerator * (n // a.denominator)
+        merged[j] = merged.get(j, 0) + e
+    return GammaWord(n, tuple(sorted((j, e) for j, e in merged.items() if e)))
+
+
+ORACLE_IDS = (
+    [("A", n) for n in range(1, 7)]
+    + [("B", n) for n in range(2, 7)]
+    + [("C", n) for n in range(2, 7)]
+    + [("D", n) for n in range(3, 7)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("family,rank", ORACLE_IDS)
+def test_words_match_ambient_oracle(systems, family, rank):
+    s = systems[(family, rank)]
+    for variant in VARIANTS:
+        if not admissible(s, variant):
+            continue
+        for index in range(1, rank + 1):
+            assert lhs_word(s, index, variant) == ambient_lhs_word(s, index, variant), (
+                index, variant,
+            )
+
+
+def test_non_integral_pairing_raises(systems):
+    s = systems[("A", 2)]
+    odd = tuple(tuple(p + 1 for p in row) for row in s.pairings)
+    with pytest.raises(ValueError, match="not integral"):
+        lhs_word(dataclasses.replace(s, pairings=odd), 1, F)
+
+
 # -- right sides --------------------------------------------------------------
 
 
@@ -238,7 +305,6 @@ def test_verify_exact_mode(systems):
     assert report.passed
     assert report.certificate is not None
     assert report.numeric_residual is None
-    assert report.wall_time_ms >= 0
 
 
 def test_verify_numeric_mode(systems):
@@ -275,6 +341,21 @@ def test_verify_all_skips_inadmissible(systems):
     summary = verify_all([systems[("G", 2)]], mode="exact")
     assert len(summary.reports) == 4
     assert all(r.variant in (F_PRIME, F_SECOND) for r in summary.reports)
+
+
+def test_verify_all_builds_k_once_per_system_and_variant(systems, monkeypatch):
+    calls = []
+    original = fateev.k_constant
+
+    def counted(system, variant):
+        calls.append((system.ident, variant))
+        return original(system, variant)
+
+    monkeypatch.setattr(fateev, "k_constant", counted)
+    summary = verify_all([systems[("G", 2)], systems[("A", 3)]], mode="exact")
+    assert summary.counts == {"proved_exact": 4 + 9}
+    assert sorted(calls) == sorted(set(calls))
+    assert len(calls) == 2 + 3
 
 
 def test_verify_all_empty():

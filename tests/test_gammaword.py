@@ -46,6 +46,15 @@ def test_argument_range_checked():
             word_from_terms([(bad, 1)])
 
 
+def test_integer_arguments_over_shared_denominator():
+    w = word_from_terms([(2, 1), (4, -1), (6, 0)], 12)
+    assert (w.denominator, w.exponents) == (6, ((1, 1), (2, -1)))
+    assert w == word_from_terms([(Q(2, 12), 1), (Q(4, 12), -1), (Q(6, 12), 0)])
+    for bad in (0, 12, -3):
+        with pytest.raises(ValueError):
+            word_from_terms([(bad, 1)], 12)
+
+
 def test_word_validation():
     with pytest.raises(ValueError):
         GammaWord(6, ((3, 0),))

@@ -1,15 +1,22 @@
 """Root system construction against closed-form planche data and literal tables."""
 
+import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
 
+import gammaroots
 from gammaroots.rootsys import (
     ClosureError,
     RootSystemId,
+    _validate,
     build,
     coroot,
     generate_positive_roots,
+    highest_root,
     inner,
     simple_roots,
 )
@@ -238,3 +245,69 @@ def test_json_obj(systems):
     assert obj["marks"] == [1, 1, 1]
     assert obj["rho"] == ["1", "0", "-1"]
     assert len(obj["positive_roots"]) == 3
+
+
+def test_closure_rejects_reducible_base():
+    a1_a1 = [(Q(1), Q(0)), (Q(0), Q(1))]
+    positive = generate_positive_roots(a1_a1)
+    assert sorted(positive) == [(0, 1), (1, 0)]
+    with pytest.raises(ValueError, match="not irreducible"):
+        highest_root(positive)
+
+
+def test_closure_scale_free():
+    # A2 with every coordinate divided by 3: the Cartan integers do not change.
+    thirds = [tuple(Q(x, 3) for x in a) for a in simple_roots(RootSystemId("A", 2))]
+    assert sorted(generate_positive_roots(thirds)) == [(0, 1), (1, 0), (1, 1)]
+
+
+@pytest.mark.parametrize(
+    "family,rank",
+    [(f, n) for f, n in CLASSICAL_IDS if n <= 6]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+)
+def test_integer_tables_match_ambient_coordinates(systems, family, rank):
+    s = systems[(family, rank)]
+    simple = s.simple_roots
+    assert s.gram == tuple(tuple(2 * inner(u, v) for v in simple) for u in simple)
+    assert len(s.root_coeffs) == len(s.positive_roots)
+    for k, (c, a) in enumerate(zip(s.root_coeffs, s.positive_roots)):
+        assert a == tuple(sum(x * u[d] for x, u in zip(c, simple)) for d in range(len(a)))
+        assert s.pairings[k] == tuple(2 * inner(u, a) for u in simple)
+        assert s.norms[k] == 2 * inner(a, a)
+        assert s.heights[k] == s.height(a) == sum(c)
+        assert s.rho_pairings[k] == 4 * inner(a, s.rho)
+    assert s.marks[1:] == s.root_coeffs[-1]
+
+
+def test_height_rejects_vectors_off_the_root_lattice(systems):
+    with pytest.raises(ValueError, match="root lattice"):
+        systems[("B", 2)].height((Q(1, 3), Q(0)))
+
+
+def test_validate_raises_on_doctored_system(systems):
+    s = systems[("D", 5)]
+    doctored = dataclasses.replace(
+        s, positive_roots=s.positive_roots[:-1], root_coeffs=s.root_coeffs[:-1]
+    )
+    with pytest.raises(ClosureError, match="rank \\* h / 2"):
+        _validate(doctored)
+    _validate(s)
+
+
+def test_validation_survives_optimized_mode():
+    code = (
+        "import dataclasses\n"
+        "from gammaroots.rootsys import ClosureError, RootSystemId, _validate, build\n"
+        "s = build(RootSystemId('A', 3))\n"
+        "try:\n"
+        "    _validate(dataclasses.replace(s, positive_roots=s.positive_roots[1:]))\n"
+        "except ClosureError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(gammaroots.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "raised"
