@@ -40,7 +40,7 @@ class RunConfig:
     fmt: str
     output: Optional[str]
 
-    def systems(self) -> List[RootSystem]:
+    def system_ids(self) -> List[RootSystemId]:
         out = []
         for family in self.families:
             lo, hi = RANK_RANGE[family]
@@ -48,9 +48,19 @@ class RunConfig:
                 hi = DEFAULT_RANK_CAP
             lo = max(lo, self.rank_min) if self.rank_min is not None else lo
             hi = min(hi, self.rank_max) if self.rank_max is not None else hi
-            for rank in range(lo, hi + 1):
-                out.append(build(RootSystemId(family, rank)))
+            out.extend(RootSystemId(family, rank) for rank in range(lo, hi + 1))
         return out
+
+    def has_cases(self) -> bool:
+        """Whether some selected system admits some selected variant; builds nothing."""
+        return any(
+            fateev.admissible_family(ident.family, variant)
+            for ident in self.system_ids()
+            for variant in self.variants
+        )
+
+    def systems(self) -> List[RootSystem]:
+        return [build(ident) for ident in self.system_ids()]
 
 
 def _emit(payload: str, output: Optional[str]) -> None:
@@ -142,13 +152,14 @@ def cmd_verify(args) -> int:
         fmt=args.format,
         output=args.output,
     )
-    ctx = PrecisionContext.for_digits(config.digits)
-    summary = fateev.verify_all(config.systems(), config.variants, config.mode, ctx)
-    if not summary.reports:
+    # Checked before the precision setup, which costs seconds at high digits.
+    if not config.has_cases():
         raise ValueError(
             "nothing to verify: the selected families, ranks and variants "
             "hold no admissible case"
         )
+    ctx = PrecisionContext.for_digits(config.digits)
+    summary = fateev.verify_all(config.systems(), config.variants, config.mode, ctx)
     if config.fmt == "json":
         payload = summary.to_json_obj()
         payload["mode"] = config.mode
@@ -156,7 +167,7 @@ def cmd_verify(args) -> int:
         _emit(dumps_canonical(payload), config.output)
     else:
         lines = [r.text_line() for r in summary.reports]
-        counts = ", ".join(f"{k}: {v}" for k, v in summary.counts.items()) or "nothing to check"
+        counts = ", ".join(f"{k}: {v}" for k, v in summary.counts.items())
         lines.append(
             f"{len(summary.reports)} checks ({counts}) -> "
             f"{'PASS' if summary.all_passed else 'FAIL'}"

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from functools import lru_cache
 from typing import Tuple, Union
 
 import mpmath
@@ -45,6 +46,12 @@ def _factorize(n: int) -> dict[int, int]:
     return factors
 
 
+@lru_cache(maxsize=256)
+def _is_prime(n: int) -> bool:
+    """Trial-division primality, memoized: the same few bases recur in every constant."""
+    return n >= 2 and _factorize(n) == {n: 1}
+
+
 @dataclass(frozen=True)
 class FactoredConstant:
     """A positive real number prod_p p^(e_p) * pi^(e_pi) with rational exponents.
@@ -61,7 +68,7 @@ class FactoredConstant:
         merged: dict[int, Q] = {}
         for base, exponent in self.prime_powers:
             base = int(base)
-            if base < 2 or _factorize(base) != {base: 1}:
+            if not _is_prime(base):
                 raise ValueError(f"base {base} is not prime")
             merged[base] = merged.get(base, Q(0)) + Q(exponent)
         canonical = tuple(sorted((b, e) for b, e in merged.items() if e != 0))

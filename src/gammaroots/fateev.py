@@ -31,7 +31,7 @@ from .exact import ONE, FactoredConstant, const_ln, const_mul, const_pow, factor
 from .gammaword import GammaWord, brace_str, word_from_terms
 from .numeric import PrecisionContext, eval_word_ln
 from .prover import Certificate, prove_constant
-from .rootsys import RootSystem, RootSystemId
+from .rootsys import SIMPLY_LACED_FAMILIES, RootSystem, RootSystemId
 
 F = "F"
 F_PRIME = "Fprime"
@@ -64,8 +64,13 @@ def _check_case(system: RootSystem, index: int, variant: str) -> None:
 
 def admissible(system: RootSystem, variant: str) -> bool:
     """Whether the variant's hypotheses hold for the system."""
+    return admissible_family(system.ident.family, variant)
+
+
+def admissible_family(family: str, variant: str) -> bool:
+    """Whether the variant's hypotheses hold for every system of the family."""
     _check_variant(variant)
-    return variant != F or system.simply_laced
+    return variant != F or family in SIMPLY_LACED_FAMILIES
 
 
 def lhs_word(system: RootSystem, index: int, variant: str) -> GammaWord:

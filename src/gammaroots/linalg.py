@@ -1,16 +1,26 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact linear algebra over the rationals by fraction-free integer elimination.
 
-Systems here are tiny (tens of rows), so plain lists of Fractions beat any
-heavier dependency.  Vectors of unknowns are indexed by column: solve and
+Systems here are small (up to a few hundred columns) and their entries are
+small integers, so one Gauss-Jordan routine over sparse integer rows
+({column: int}) serves everything: the prepared solver, solve and nullspace.
+Rational input is cleared to integers once, at the boundary, by the lcm of
+each row's denominators; a row update is row_i = p row_i - f row_r followed
+by division by the row's gcd (after Bareiss, Math. Comp. 22, 1968), so no
+Fraction arithmetic runs inside the elimination.  Fractions appear again
+only in the answers.  Vectors of unknowns are indexed by column: solve and
 nullspace treat their input as a list of column vectors.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction as Q
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Column = Sequence[Q]
+Row = Dict[int, int]
+
+_ZERO = Q(0)
 
 
 def _check_columns(columns: Sequence[Column]) -> int:
@@ -23,29 +33,67 @@ def _check_columns(columns: Sequence[Column]) -> int:
     return nrows
 
 
-def rref(rows: List[List[Q]]) -> tuple[List[List[Q]], List[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot column indices)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def _integer_vector(values: Sequence) -> Tuple[List[int], int]:
+    """The values times the lcm of their denominators, as ints, and that lcm."""
+    if all(type(v) is int for v in values):
+        return list(values), 1
+    rationals = [Q(v) for v in values]
+    scale = math.lcm(*(q.denominator for q in rationals))
+    return [q.numerator * (scale // q.denominator) for q in rationals], scale
+
+
+def _integer_rows(columns: Sequence[Column]) -> Tuple[List[Row], List[int]]:
+    """Sparse integer rows of the matrix whose columns are given, and each row's scale."""
+    rows: List[Row] = []
+    scales: List[int] = []
+    for i in range(len(columns[0])):
+        values, scale = _integer_vector([col[i] for col in columns])
+        rows.append({j: v for j, v in enumerate(values) if v})
+        scales.append(scale)
+    return rows, scales
+
+
+def _eliminate(rows: List[Row], ncols: int) -> List[int]:
+    """Fraction-free Gauss-Jordan on columns 0..ncols-1; returns the pivot columns.
+
+    Rows are reordered and rewritten in place.  Afterwards row r < rank holds
+    its pivot value at pivots[r] and zero at every other pivot column, and the
+    rows from rank on are zero in columns below ncols.  Entries at columns
+    >= ncols (a carried transform) take part in every row operation but are
+    never pivoted on.  The pivot columns are the greedy column basis, the same
+    set Gauss-Jordan over the rationals picks, whichever row supplies a pivot.
+    """
     pivots: List[int] = []
-    r = 0
+    nrows = len(rows)
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
+        r = len(pivots)
+        candidates = [i for i in range(r, nrows) if c in rows[i]]
+        if not candidates:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        # The smallest pivot entry, then the sparsest row, keeps entries small.
+        best = min(candidates, key=lambda i: (abs(rows[i][c]), len(rows[i])))
+        rows[r], rows[best] = rows[best], rows[r]
+        pivot_row = rows[r]
+        p = pivot_row[c]
+        for i in range(nrows):
+            row = rows[i]
+            f = row.get(c)
+            if f is None or i == r:
+                continue
+            g = math.gcd(p, f)
+            a, b = p // g, f // g
+            updated = {k: a * v for k, v in row.items()}
+            for k, v in pivot_row.items():
+                updated[k] = updated.get(k, 0) - b * v
+            updated = {k: v for k, v in updated.items() if v}
+            common = math.gcd(*updated.values())
+            if common > 1:
+                updated = {k: v // common for k, v in updated.items()}
+            rows[i] = updated
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == nrows:
             break
-    return rows, pivots
+    return pivots
 
 
 def solve(columns: Sequence[Column], target: Sequence[Q]) -> Optional[List[Q]]:
@@ -53,36 +101,24 @@ def solve(columns: Sequence[Column], target: Sequence[Q]) -> Optional[List[Q]]:
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    nrows = _check_columns(columns)
-    if len(target) != nrows:
-        raise ValueError("dimension mismatch")
-    ncols = len(columns)
-    aug = [
-        [Q(columns[j][i]) for j in range(ncols)] + [Q(target[i])]
-        for i in range(nrows)
-    ]
-    reduced, pivots = rref(aug)
-    if ncols in pivots:
-        return None
-    x = [Q(0)] * ncols
-    for r, c in enumerate(pivots):
-        x[c] = reduced[r][ncols]
-    return x
+    return PreparedSolver(columns).solve(target)
 
 
 def nullspace(columns: Sequence[Column]) -> List[List[Q]]:
     """Basis of {x : sum_j x_j columns[j] = 0}, one vector per free column."""
-    nrows = _check_columns(columns)
+    _check_columns(columns)
     ncols = len(columns)
-    rows = [[Q(columns[j][i]) for j in range(ncols)] for i in range(nrows)]
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    rows, _ = _integer_rows(columns)
+    pivots = _eliminate(rows, ncols)
+    pivot_set = set(pivots)
     basis: List[List[Q]] = []
-    for f in free:
-        vec = [Q(0)] * ncols
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
+        vec = [_ZERO] * ncols
         vec[f] = Q(1)
-        for r, c in enumerate(pivots):
-            vec[c] = -reduced[r][f]
+        for row, c in zip(rows, pivots):
+            vec[c] = Q(-row.get(f, 0), row[c])
         basis.append(vec)
     return basis
 
@@ -90,54 +126,50 @@ def nullspace(columns: Sequence[Column]) -> List[List[Q]]:
 class PreparedSolver:
     """Factored form of a fixed column set, for solving many right-hand sides.
 
-    Eliminating [A | I] once records the row transform T with T A = R in
-    reduced echelon form.  A target b is then consistent iff the transform
-    rows below the rank annihilate it, and the particular solution with free
-    variables zero reads off the pivot rows of T b directly.
+    Eliminating the integer rows of [A | D] once, D holding each row's
+    denominator-clearing scale, records an integer row transform T with
+    T A = R, where row r of R has the pivot value p_r at pivot column c_r and
+    zero at every other pivot column.  A target b, scaled to the integer
+    vector L b, is consistent iff the transform rows below the rank
+    annihilate it, and the particular solution with free variables zero is
+    x[c_r] = (T L b)_r / (p_r L).
     """
 
     def __init__(self, columns: Sequence[Column]):
         nrows = _check_columns(columns)
         ncols = len(columns)
-        work = [
-            [Q(columns[j][i]) for j in range(ncols)]
-            + [Q(1) if k == i else Q(0) for k in range(nrows)]
-            for i in range(nrows)
-        ]
-        pivots: List[int] = []
-        r = 0
-        for c in range(ncols):
-            pivot = next((i for i in range(r, nrows) if work[i][c] != 0), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            inv = 1 / work[r][c]
-            work[r] = [x * inv for x in work[r]]
-            for i in range(nrows):
-                if i != r and work[i][c] != 0:
-                    f = work[i][c]
-                    work[i] = [a - f * b for a, b in zip(work[i], work[r])]
-            pivots.append(c)
-            r += 1
-            if r == nrows:
-                break
+        rows, scales = _integer_rows(columns)
+        for i, (row, scale) in enumerate(zip(rows, scales)):
+            row[ncols + i] = scale
+        pivots = _eliminate(rows, ncols)
         self.ncols = ncols
         self.nrows = nrows
         self.pivots = tuple(pivots)
-        self.transform = tuple(tuple(row[ncols:]) for row in work)
         self.rank = len(pivots)
+        self.pivot_values = tuple(rows[r][c] for r, c in enumerate(pivots))
+        # Column i of T as (transform row, entry) pairs, so a sparse target
+        # touches only the columns it needs.
+        transform: List[List[Tuple[int, int]]] = [[] for _ in range(nrows)]
+        for r, row in enumerate(rows):
+            for k, v in row.items():
+                if k >= ncols:
+                    transform[k - ncols].append((r, v))
+        self.transform = tuple(tuple(col) for col in transform)
 
     def solve(self, target: Sequence[Q]) -> Optional[List[Q]]:
         """Same contract as module-level solve, amortized over one elimination."""
         if len(target) != self.nrows:
             raise ValueError("dimension mismatch")
-        transformed = [
-            sum((t * b for t, b in zip(row, target) if b), Q(0))
-            for row in self.transform
-        ]
-        if any(transformed[r] != 0 for r in range(self.rank, self.nrows)):
+        values, scale = _integer_vector(target)
+        transformed = [0] * self.nrows
+        for b, column in zip(values, self.transform):
+            if b:
+                for r, t in column:
+                    transformed[r] += t * b
+        if any(transformed[self.rank:]):
             return None
-        x = [Q(0)] * self.ncols
-        for r, c in enumerate(self.pivots):
-            x[c] = transformed[r]
+        x = [_ZERO] * self.ncols
+        for y, c, p in zip(transformed, self.pivots, self.pivot_values):
+            if y:
+                x[c] = Q(y, p * scale)
         return x

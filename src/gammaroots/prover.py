@@ -105,10 +105,10 @@ class Certificate:
         }
 
 
-def _dense(pairs: Sequence[Tuple[int, int]], n: int) -> List[Q]:
-    vector = [Q(0)] * (n - 1)
+def _dense(pairs: Sequence[Tuple[int, int]], n: int) -> List[int]:
+    vector = [0] * (n - 1)
     for j, e in pairs:
-        vector[j - 1] = Q(e)
+        vector[j - 1] = e
     return vector
 
 

@@ -28,6 +28,8 @@ Coeffs = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
+# Families with one root length; build checks each system's norms against it.
+SIMPLY_LACED_FAMILIES = ("A", "D", "E")
 
 # family -> (minimum rank, maximum rank or None for the infinite families)
 RANK_RANGE: Dict[str, Tuple[int, int | None]] = {
@@ -403,6 +405,8 @@ def _validate(system: RootSystem) -> None:
         )
     if set(map(sum, system.root_coeffs)) != set(range(1, h)):
         raise ClosureError(f"{system.ident}: root heights must fill [1, h-1]")
+    if system.simply_laced != (system.ident.family in SIMPLY_LACED_FAMILIES):
+        raise ClosureError(f"{system.ident}: root lengths disagree with the family")
     for k, alpha in enumerate(system.simple_roots):
         if inner(alpha, system.rho_check) != 1 or 4 * inner(alpha, system.rho) != system.gram[k][k]:
             raise ClosureError(

@@ -150,20 +150,53 @@ def test_verify_rank_flag_conflict(capsys):
     assert "--rank excludes" in err
 
 
-@pytest.mark.parametrize(
-    "selection",
-    [
-        ("--family", "G", "--rank", "3"),
-        ("--family", "E", "--rank-min", "9"),
-        ("--family", "G", "--rank-max", "0"),
-        ("--family", "B", "--rank", "3", "--variant", "F"),
-    ],
-)
+EMPTY_SELECTIONS = [
+    ("--family", "G", "--rank", "3"),
+    ("--family", "E", "--rank-min", "9"),
+    ("--family", "G", "--rank-max", "0"),
+    ("--family", "B", "--rank", "3", "--variant", "F"),
+]
+
+
+@pytest.mark.parametrize("selection", EMPTY_SELECTIONS)
 def test_verify_empty_selection_is_usage_error(capsys, selection):
     code, out, err = run(capsys, "verify", *selection, "--mode", "exact")
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: nothing to verify")
+
+
+@pytest.mark.parametrize("selection", EMPTY_SELECTIONS)
+def test_empty_selection_fails_before_precision_setup(capsys, monkeypatch, selection):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("precision setup reached")
+
+    monkeypatch.setattr(cli.PrecisionContext, "for_digits", refuse)
+    code, out, err = run(capsys, "verify", *selection, "--digits", "800")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: nothing to verify")
+
+
+def test_verify_call_order(capsys, monkeypatch):
+    """Precision setup, then the builds, then the checks: the order the benchmark driver mirrors."""
+    calls = []
+
+    def spy(owner, name, label):
+        original = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(label)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    spy(cli.PrecisionContext, "for_digits", "for_digits")
+    spy(cli, "build", "build")
+    spy(fateev, "verify_all", "verify_all")
+    code, _, _ = run(capsys, "verify", "--family", "G", "--family", "F", "--mode", "exact")
+    assert code == EXIT_OK
+    assert calls == ["for_digits", "build", "build", "verify_all"]
 
 
 def test_rank_bounds_zero_are_not_ignored():

@@ -11,6 +11,7 @@ from gammaroots.exact import (
     ONE,
     PI_TOKEN,
     FactoredConstant,
+    _is_prime,
     const_ln,
     const_mul,
     const_pow,
@@ -68,6 +69,19 @@ def test_rejects_composite_base():
         FactoredConstant(((4, Q(1)),))
     with pytest.raises(ValueError):
         FactoredConstant(((1, Q(1)),))
+
+
+def test_composite_base_still_raises_once_primes_are_cached():
+    for p in (2, 3, 5, 7, 11):
+        FactoredConstant(((p, Q(1)),))
+        const_mul(factor_power(p, Q(1, 2)), factor_power(p * p, Q(1, 3)))
+    assert _is_prime.cache_info().hits > 0
+    for composite in (4, 9, 15, 49, 121):
+        with pytest.raises(ValueError):
+            FactoredConstant(((2, Q(1)), (composite, Q(1))))
+        # the check runs on every construction, not only the first
+        with pytest.raises(ValueError):
+            FactoredConstant(((composite, Q(-1)),))
 
 
 def test_pi_power_arithmetic():

@@ -1,4 +1,9 @@
-"""Exact elimination on small rational systems."""
+"""Exact elimination on small rational systems.
+
+The eliminator works on integer rows; the reference below is the plain
+Gauss-Jordan over Fractions it replaced, written out so the two can be
+compared on the same inputs.
+"""
 
 import random
 from fractions import Fraction as Q
@@ -10,6 +15,88 @@ from gammaroots.linalg import PreparedSolver, nullspace, solve
 
 def _cols(*cols):
     return [[Q(x) for x in col] for col in cols]
+
+
+def reference_rref(rows, ncols):
+    """Gauss-Jordan over Fractions in place, pivoting in the first ncols columns only.
+
+    Returns (rows, pivot columns); pivot rows come first, scaled to pivot 1.
+    """
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = 1 / rows[r][c]
+        rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def reference_solve_many(columns, targets):
+    """Reference solve of each target: free variables zero, None when inconsistent."""
+    ncols, nrows = len(columns), len(columns[0])
+    rows = [
+        [Q(columns[j][i]) for j in range(ncols)] + [Q(t[i]) for t in targets]
+        for i in range(nrows)
+    ]
+    reduced, pivots = reference_rref(rows, ncols)
+    out = []
+    for k in range(ncols, ncols + len(targets)):
+        if any(reduced[r][k] != 0 for r in range(len(pivots), nrows)):
+            out.append(None)
+            continue
+        x = [Q(0)] * ncols
+        for r, c in enumerate(pivots):
+            x[c] = reduced[r][k]
+        out.append(x)
+    return out
+
+
+def reference_nullspace(columns):
+    ncols, nrows = len(columns), len(columns[0])
+    rows = [[Q(columns[j][i]) for j in range(ncols)] for i in range(nrows)]
+    reduced, pivots = reference_rref(rows, ncols)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [Q(0)] * ncols
+        vec[f] = Q(1)
+        for r, c in enumerate(pivots):
+            vec[c] = -reduced[r][f]
+        basis.append(vec)
+    return basis
+
+
+def _assert_matches_reference(cols, targets):
+    prepared = PreparedSolver(cols)
+    for target, want in zip(targets, reference_solve_many(cols, targets)):
+        assert solve(cols, target) == want
+        assert prepared.solve(target) == want
+    assert nullspace(cols) == reference_nullspace(cols)
+
+
+def _random_rational(rng):
+    return Q(rng.randint(-6, 6), rng.choice((1, 1, 1, 2, 3, 4, 6)))
+
+
+def _targets(rng, cols):
+    """Targets in the column span (rational combinations) and arbitrary ones."""
+    nrows = len(cols[0])
+    out = []
+    for _ in range(3):
+        coeffs = [_random_rational(rng) for _ in cols]
+        out.append([sum(c * col[i] for c, col in zip(coeffs, cols)) for i in range(nrows)])
+        out.append([_random_rational(rng) for _ in range(nrows)])
+    return out
 
 
 def test_solve_unique():
@@ -77,3 +164,44 @@ def test_dimension_mismatch():
 def test_empty_columns_rejected():
     with pytest.raises(ValueError):
         solve([], [])
+
+
+def test_matches_reference_on_random_rational_matrices():
+    rng = random.Random(20260)
+    for _ in range(60):
+        ncols, nrows = rng.randint(1, 8), rng.randint(1, 7)
+        density = rng.choice((0.3, 0.6, 1.0))
+        cols = [
+            [_random_rational(rng) if rng.random() < density else Q(0) for _ in range(nrows)]
+            for _ in range(ncols)
+        ]
+        _assert_matches_reference(cols, _targets(rng, cols))
+
+
+def test_matches_reference_on_degenerate_matrices():
+    rng = random.Random(7)
+    base = [[_random_rational(rng) for _ in range(5)] for _ in range(3)]
+    cases = {
+        # rank 2 from 4 columns: two are combinations of the others
+        "rank deficient": base[:2] + [
+            [a + 2 * b for a, b in zip(base[0], base[1])],
+            [Q(1, 2) * a - b for a, b in zip(base[0], base[1])],
+        ],
+        "zero rows": [col[:2] + [Q(0), Q(0)] + col[2:3] for col in base],
+        "zero column": [base[0], [Q(0)] * 5, base[1]],
+        "duplicate columns": [base[0], base[1], base[0], base[2], base[1]],
+        "all zero": [[Q(0)] * 3 for _ in range(2)],
+        "more columns than rows": [[_random_rational(rng) for _ in range(2)] for _ in range(6)],
+        "integer entries": [[Q(rng.randint(-3, 3)) for _ in range(6)] for _ in range(9)],
+    }
+    for name, cols in cases.items():
+        _assert_matches_reference(cols, _targets(rng, cols))
+
+
+def test_prepared_solver_accepts_int_and_fraction_targets():
+    cols = _cols([2, 0, 1], [0, 3, 1], [2, 3, 2])
+    prepared = PreparedSolver(cols)
+    assert prepared.solve([2, 3, 2]) == prepared.solve([Q(2), Q(3), Q(2)])
+    assert prepared.solve([Q(1, 3), 0, Q(1, 6)]) == reference_solve_many(
+        cols, [[Q(1, 3), 0, Q(1, 6)]]
+    )[0]

@@ -1,5 +1,7 @@
 """Relation lattice and exact certificates."""
 
+import math
+import random
 from fractions import Fraction as Q
 
 import mpmath
@@ -9,7 +11,9 @@ from gammaroots.exact import ONE, FactoredConstant, const_ln, const_mul, const_p
 from gammaroots.gammaword import GammaWord
 from gammaroots.numeric import PrecisionContext, eval_word_ln
 from gammaroots.prover import (
+    Certificate,
     Relation,
+    _combine_values,
     _kernel_consistency,
     kernel_consistency,
     multiplication_relations,
@@ -18,6 +22,7 @@ from gammaroots.prover import (
     relation_word,
     relations_for,
 )
+from test_linalg import reference_solve_many
 
 
 def test_reflection_relations_smallest_grid():
@@ -163,3 +168,98 @@ def test_certificate_json_obj():
     for entry in obj["relations"]:
         assert set(entry) == {"tag", "coefficient"}
         Q(entry["coefficient"])  # parses back to a rational
+
+
+def _seeded_words(n, rng, per_kind):
+    """Exponent maps on the 1/N grid of three kinds, per_kind of each.
+
+    Integer combinations of a few relations (in the span), sparse random
+    words (mostly outside it), and combinations perturbed by +-1 at one
+    index (in or out, depending on the grid).
+    """
+    relations = relations_for(n)
+
+    def combination():
+        vector = {}
+        for _ in range(rng.randint(1, 5)):
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            for j, e in rng.choice(relations).vector:
+                vector[j] = vector.get(j, 0) + c * e
+        return vector
+
+    words = []
+    for _ in range(per_kind):
+        words.append(combination())
+        words.append({rng.randint(1, n - 1): rng.choice((-2, -1, 1, 2)) for _ in range(rng.randint(1, 4))})
+        perturbed = combination()
+        j = rng.randint(1, n - 1)
+        perturbed[j] = perturbed.get(j, 0) + rng.choice((-1, 1))
+        words.append(perturbed)
+    return [GammaWord(n, tuple(sorted((j, e) for j, e in w.items() if e))) for w in words]
+
+
+@pytest.mark.parametrize("n", (12, 30, 46, 60, 96))
+def test_certificates_match_fraction_reference(n):
+    """Certificates equal those of a plain Fraction Gauss-Jordan solve of the same system."""
+    relations = relations_for(n)
+    words = _seeded_words(n, random.Random(n), per_kind=4)
+    columns = [[Q(0)] * (n - 1) for _ in relations]
+    for column, relation in zip(columns, relations):
+        for j, e in relation.vector:
+            column[j - 1] = Q(e)
+    targets = []
+    for word in words:
+        target = [Q(0)] * (n - 1)
+        for j, e in word.exponents:
+            target[j - 1] = Q(e)
+        targets.append(target)
+    proved = 0
+    for word, solution in zip(words, reference_solve_many(columns, targets)):
+        want = None
+        if solution is not None:
+            want = Certificate(
+                tuple((r.tag, c) for r, c in zip(relations, solution) if c),
+                _combine_values(relations, solution),
+            )
+            proved += 1
+        assert prove_constant(word) == want, word
+    assert 0 < proved < len(words)
+
+
+def koblitz_ogus_in_span(word):
+    """Membership in the relation span by the Koblitz-Ogus criterion.
+
+    Theorem (Koblitz and Ogus, appendix to Deligne, "Valeurs de fonctions L
+    et periodes d'integrales", Proc. Symp. Pure Math. 33 (1979)), in the form
+    used here: an exponent vector g on the grid 1/N, standing for
+    prod_j gamma(j/N)^(g_j) with gamma(x) = Gamma(x)/Gamma(1-x), lies in the
+    rational span of the reflection and multiplication relations if and only
+    if
+
+        u -> sum_j g_j (2 <u j / N> - 1)
+
+    is constant over the units u mod N, where <x> is the fractional part and
+    a term with u j = 0 mod N contributes 0.  Times N, each term is the
+    integer g_j (2 (u j mod N) - N), so the test needs no fractions and no
+    linear algebra.
+    """
+    n = word.denominator
+    values = {
+        sum(e * (2 * (u * j % n) - n) for j, e in word.exponents if u * j % n)
+        for u in range(1, n)
+        if math.gcd(u, n) == 1
+    }
+    return len(values) <= 1
+
+
+def test_koblitz_ogus_criterion_agrees_with_prover():
+    """The prover's verdict and the Koblitz-Ogus criterion agree on every grid up to 96."""
+    rng = random.Random(1979)
+    inside = outside = 0
+    for n in range(2, 97):
+        for word in _seeded_words(n, rng, per_kind=20):
+            proved = prove_constant(word) is not None
+            assert proved == koblitz_ogus_in_span(word), (n, word.exponents)
+            inside += proved
+            outside += not proved
+    assert inside > 1000 and outside > 1000
