@@ -1,97 +1,3 @@
 """Exact and numeric verification of Gamma-product identities on root systems."""
 
-from .exact import (
-    ONE,
-    FactoredConstant,
-    Rational,
-    const_ln,
-    const_mul,
-    const_pow,
-    factor_power,
-)
-from .fateev import (
-    F,
-    F_PRIME,
-    F_SECOND,
-    MODES,
-    VARIANTS,
-    VerificationReport,
-    VerificationSummary,
-    admissible,
-    k_constant,
-    lhs_word,
-    rhs_constant,
-    verify,
-    verify_all,
-)
-from .gammaword import (
-    GammaWord,
-    brace_str,
-    eval_ln,
-    reduce_reflection,
-    word_from_terms,
-    word_mul,
-    word_pow,
-)
-from .numeric import DEFAULT_DIGITS, PrecisionContext, bernoulli, eval_word_ln, ln_gamma
-from .prover import (
-    Certificate,
-    Relation,
-    kernel_consistency,
-    multiplication_relations,
-    prove_constant,
-    reflection_relations,
-    relations_for,
-)
-from .rootsys import RootSystem, RootSystemId, build, coroot, inner, simple_roots
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ONE",
-    "FactoredConstant",
-    "Rational",
-    "const_ln",
-    "const_mul",
-    "const_pow",
-    "factor_power",
-    "F",
-    "F_PRIME",
-    "F_SECOND",
-    "MODES",
-    "VARIANTS",
-    "VerificationReport",
-    "VerificationSummary",
-    "admissible",
-    "k_constant",
-    "lhs_word",
-    "rhs_constant",
-    "verify",
-    "verify_all",
-    "GammaWord",
-    "brace_str",
-    "eval_ln",
-    "reduce_reflection",
-    "word_from_terms",
-    "word_mul",
-    "word_pow",
-    "DEFAULT_DIGITS",
-    "PrecisionContext",
-    "bernoulli",
-    "eval_word_ln",
-    "ln_gamma",
-    "Certificate",
-    "Relation",
-    "kernel_consistency",
-    "multiplication_relations",
-    "prove_constant",
-    "reflection_relations",
-    "relations_for",
-    "RootSystem",
-    "RootSystemId",
-    "build",
-    "coroot",
-    "inner",
-    "simple_roots",
-    "__version__",
-]

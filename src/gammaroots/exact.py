@@ -1,4 +1,4 @@
-"""Exact arithmetic for positive constants of the form prod_p p^(e_p) * pi^(e_pi).
+"""Exact arithmetic for positive constants of the form prod_p p^(e_p).
 
 Rational numbers are stdlib fractions.Fraction throughout the package:
 always lowest terms, positive denominator, unbounded integers.
@@ -14,11 +14,7 @@ from typing import Tuple, Union
 
 import mpmath
 
-Rational = Q
 RationalLike = Union[int, Q]
-
-# Reserved base token for the pi factor in serialized form.
-PI_TOKEN = "pi"
 
 _LOG2_10 = math.log2(10)
 
@@ -54,15 +50,14 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class FactoredConstant:
-    """A positive real number prod_p p^(e_p) * pi^(e_pi) with rational exponents.
+    """A positive real number prod_p p^(e_p) with rational exponents.
 
     Canonical form: prime bases strictly increasing, no zero exponents.  The
-    logarithms of distinct primes and of pi are linearly independent over the
+    logarithms of distinct primes are linearly independent over the
     rationals, so structural equality coincides with equality of real values.
     """
 
     prime_powers: Tuple[Tuple[int, Q], ...] = ()
-    pi_power: Q = Q(0)
 
     def __post_init__(self) -> None:
         merged: dict[int, Q] = {}
@@ -73,21 +68,14 @@ class FactoredConstant:
             merged[base] = merged.get(base, Q(0)) + Q(exponent)
         canonical = tuple(sorted((b, e) for b, e in merged.items() if e != 0))
         object.__setattr__(self, "prime_powers", canonical)
-        object.__setattr__(self, "pi_power", Q(self.pi_power))
 
     @property
     def is_one(self) -> bool:
-        return not self.prime_powers and self.pi_power == 0
-
-    def exponent_of(self, base: int) -> Q:
-        for b, e in self.prime_powers:
-            if b == base:
-                return e
-        return Q(0)
+        return not self.prime_powers
 
     def to_json_obj(self) -> list[dict]:
-        """Sorted base/exponent entries; the pi factor uses the reserved token, last."""
-        entries = [
+        """Base/exponent entries in increasing base order."""
+        return [
             {
                 "base": b,
                 "exponent_numerator": e.numerator,
@@ -95,26 +83,11 @@ class FactoredConstant:
             }
             for b, e in self.prime_powers
         ]
-        if self.pi_power:
-            entries.append(
-                {
-                    "base": PI_TOKEN,
-                    "exponent_numerator": self.pi_power.numerator,
-                    "exponent_denominator": self.pi_power.denominator,
-                }
-            )
-        return entries
 
     def __str__(self) -> str:
         if self.is_one:
             return "1"
-        parts = []
-        for b, e in self.prime_powers:
-            parts.append(str(b) if e == 1 else f"{b}^({e})")
-        if self.pi_power:
-            e = self.pi_power
-            parts.append(PI_TOKEN if e == 1 else f"{PI_TOKEN}^({e})")
-        return "*".join(parts)
+        return "*".join(str(b) if e == 1 else f"{b}^({e})" for b, e in self.prime_powers)
 
 
 ONE = FactoredConstant()
@@ -139,15 +112,13 @@ def const_mul(a: FactoredConstant, b: FactoredConstant) -> FactoredConstant:
     merged = dict(a.prime_powers)
     for base, e in b.prime_powers:
         merged[base] = merged.get(base, Q(0)) + e
-    return FactoredConstant(tuple(merged.items()), a.pi_power + b.pi_power)
+    return FactoredConstant(tuple(merged.items()))
 
 
 def const_pow(a: FactoredConstant, exponent: RationalLike) -> FactoredConstant:
     """Exact rational power of a factored constant."""
     e = Q(exponent)
-    return FactoredConstant(
-        tuple((b, ex * e) for b, ex in a.prime_powers), a.pi_power * e
-    )
+    return FactoredConstant(tuple((b, ex * e) for b, ex in a.prime_powers))
 
 
 def const_ln(a: FactoredConstant, decimal_digits: int) -> mpmath.mpf:
@@ -156,7 +127,4 @@ def const_ln(a: FactoredConstant, decimal_digits: int) -> mpmath.mpf:
         total = mpmath.mpf(0)
         for base, e in a.prime_powers:
             total += mpmath.mpf(e.numerator) / e.denominator * mpmath.ln(base)
-        if a.pi_power:
-            e = a.pi_power
-            total += mpmath.mpf(e.numerator) / e.denominator * mpmath.ln(mpmath.pi)
         return +total

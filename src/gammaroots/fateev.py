@@ -55,7 +55,7 @@ def _check_case(system: RootSystem, index: int, variant: str) -> None:
     _check_variant(variant)
     if not 1 <= index <= system.rank:
         raise ValueError(f"index {index} outside 1..{system.rank}")
-    if variant == F and not system.simply_laced:
+    if not admissible(system, variant):
         raise ValueError(
             f"variant F applies only to simply laced systems (families A, D, E); "
             f"{system.ident} has two root lengths, use {F_PRIME} or {F_SECOND}"
@@ -217,9 +217,7 @@ def verify(
         residual = abs(eval_word_ln(lhs, ctx) - const_ln(rhs, ctx.decimal_digits))
         residual_str = mpmath.nstr(residual, 6)
         numeric_ok = residual <= mpmath.mpf(10) ** (10 - ctx.decimal_digits)
-        if status is None:
-            status = NUMERIC_ONLY if numeric_ok else MISMATCH
-        elif status == NOT_IN_LATTICE:
+        if status in (None, NOT_IN_LATTICE):
             status = NUMERIC_ONLY if numeric_ok else MISMATCH
         elif not numeric_ok:
             status = MISMATCH

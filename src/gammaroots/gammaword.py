@@ -13,7 +13,7 @@ from typing import Iterable, Tuple
 
 import mpmath
 
-from .exact import ONE, FactoredConstant, RationalLike, const_mul, const_pow
+from .exact import ONE, FactoredConstant, RationalLike
 from .numeric import DEFAULT_DIGITS, PrecisionContext, eval_word_ln
 
 
@@ -43,13 +43,6 @@ class GammaWord:
             if e == 0:
                 raise ValueError("zero exponents must be dropped")
             previous = j
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.exponents
-
-    def exponent_map(self) -> dict[int, int]:
-        return dict(self.exponents)
 
     def to_json_obj(self) -> dict:
         return {
@@ -86,45 +79,6 @@ def word_from_terms(
     # The lcm of the reduced denominators of x_k / m is m / gcd(m, x_1, x_2, ...).
     g = math.gcd(lcm * denominator, *(x for x, _ in scaled))
     return GammaWord(lcm * denominator // g, _collect((x // g, e) for x, e in scaled))
-
-
-def word_mul(a: GammaWord, b: GammaWord) -> GammaWord:
-    """Pointwise product on the common (lcm) grid; coefficients multiply."""
-    n = math.lcm(a.denominator, b.denominator)
-    pairs = []
-    for w in (a, b):
-        scale = n // w.denominator
-        pairs.extend((j * scale, e) for j, e in w.exponents)
-    return GammaWord(n, _collect(pairs), const_mul(a.coeff, b.coeff))
-
-
-def word_pow(w: GammaWord, k: int) -> GammaWord:
-    """k-th power on the same grid; k = -1 gives the inverse."""
-    k = int(k)
-    if k == 0:
-        return GammaWord(w.denominator)
-    return GammaWord(
-        w.denominator,
-        tuple((j, e * k) for j, e in w.exponents),
-        const_pow(w.coeff, k),
-    )
-
-
-def reduce_reflection(w: GammaWord) -> GammaWord:
-    """Canonical form under gamma(x) gamma(1-x) = 1 and gamma(1/2) = 1.
-
-    Indices above N/2 fold onto the complementary index with negated
-    exponent; the middle index drops.  The value and coeff are unchanged.
-    """
-    n = w.denominator
-    pairs = []
-    for j, e in w.exponents:
-        if 2 * j == n:
-            continue
-        if 2 * j > n:
-            j, e = n - j, -e
-        pairs.append((j, e))
-    return GammaWord(n, _collect(pairs), w.coeff)
 
 
 def eval_ln(w: GammaWord, decimal_digits: int = DEFAULT_DIGITS) -> mpmath.mpf:

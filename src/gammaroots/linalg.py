@@ -2,13 +2,13 @@
 
 Systems here are small (up to a few hundred columns) and their entries are
 small integers, so one Gauss-Jordan routine over sparse integer rows
-({column: int}) serves everything: the prepared solver, solve and nullspace.
+({column: int}) serves both the prepared solver and nullspace.
 Rational input is cleared to integers once, at the boundary, by the lcm of
 each row's denominators; a row update is row_i = p row_i - f row_r followed
 by division by the row's gcd (after Bareiss, Math. Comp. 22, 1968), so no
 Fraction arithmetic runs inside the elimination.  Fractions appear again
-only in the answers.  Vectors of unknowns are indexed by column: solve and
-nullspace treat their input as a list of column vectors.
+only in the answers.  Vectors of unknowns are indexed by column: the solver
+and nullspace take their input as a list of column vectors.
 """
 
 from __future__ import annotations
@@ -96,14 +96,6 @@ def _eliminate(rows: List[Row], ncols: int) -> List[int]:
     return pivots
 
 
-def solve(columns: Sequence[Column], target: Sequence[Q]) -> Optional[List[Q]]:
-    """One exact solution x of sum_j x_j columns[j] = target, or None.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    return PreparedSolver(columns).solve(target)
-
-
 def nullspace(columns: Sequence[Column]) -> List[List[Q]]:
     """Basis of {x : sum_j x_j columns[j] = 0}, one vector per free column."""
     _check_columns(columns)
@@ -157,7 +149,10 @@ class PreparedSolver:
         self.transform = tuple(tuple(col) for col in transform)
 
     def solve(self, target: Sequence[Q]) -> Optional[List[Q]]:
-        """Same contract as module-level solve, amortized over one elimination."""
+        """One exact solution x of sum_j x_j columns[j] = target, or None.
+
+        Free variables are set to zero, so the answer is deterministic.
+        """
         if len(target) != self.nrows:
             raise ValueError("dimension mismatch")
         values, scale = _integer_vector(target)

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exact import ONE, FactoredConstant, const_mul, const_pow, factor_power
+from .exact import ONE, FactoredConstant, const_pow, factor_power
 from .gammaword import GammaWord
 
 
@@ -62,6 +62,7 @@ def multiplication_relations(n: int) -> List[Relation]:
         if n % d:
             continue
         step = n // d
+        base = factor_power(d, 1)
         for k in range(1, step):
             agg: dict[int, int] = {}
             for i in range(d):
@@ -69,7 +70,7 @@ def multiplication_relations(n: int) -> List[Relation]:
                 agg[idx] = agg.get(idx, 0) + 1
             agg[d * k] = agg.get(d * k, 0) - 1
             vector = tuple(sorted((j, e) for j, e in agg.items() if e))
-            value = factor_power(d, 1 - Q(2 * d * k, n))
+            value = const_pow(base, 1 - Q(2 * d * k, n))
             out.append(Relation(f"multiplication({d},{k})", vector, value))
     return out
 
@@ -118,11 +119,13 @@ def _prepared_solver(n: int) -> linalg.PreparedSolver:
 
 
 def _combine_values(relations: Sequence[Relation], coefficients: Sequence[Q]) -> FactoredConstant:
-    value = ONE
-    for relation, c in zip(relations, coefficients):
-        if c:
-            value = const_mul(value, const_pow(relation.value, c))
-    return value
+    """prod value^c over the relations, merged once: the constant sums repeated bases."""
+    return FactoredConstant(tuple(
+        (p, e * c)
+        for relation, c in zip(relations, coefficients)
+        if c
+        for p, e in relation.value.prime_powers
+    ))
 
 
 def prove_constant(word: GammaWord) -> Optional[Certificate]:

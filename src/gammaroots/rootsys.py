@@ -62,14 +62,6 @@ class RootSystemId:
             span = f"{lo}..{hi}" if hi is not None else f">= {lo}"
             raise ValueError(f"family {self.family} admits rank {span}, got {self.rank}")
 
-    @classmethod
-    def parse(cls, text: str) -> "RootSystemId":
-        """Parse compact ids like 'A2' or 'E8'."""
-        t = text.strip()
-        if len(t) < 2 or not t[1:].isdigit():
-            raise ValueError(f"malformed root system id {text!r}")
-        return cls(t[0].upper(), int(t[1:]))
-
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
@@ -78,12 +70,6 @@ def inner(u: Vector, v: Vector) -> Q:
     if len(u) != len(v):
         raise ValueError("dimension mismatch")
     return sum((a * b for a, b in zip(u, v)), Q(0))
-
-
-def coroot(v: Vector) -> Vector:
-    """2 v / (v|v)."""
-    scale = Q(2) / inner(v, v)
-    return tuple(scale * a for a in v)
 
 
 def _vec(dim: int, entries: Dict[int, int]) -> Vector:
@@ -291,13 +277,6 @@ class RootSystem:
     @property
     def rank(self) -> int:
         return self.ident.rank
-
-    def height(self, root: Vector) -> int:
-        """Sum of the simple-basis coordinates of an ambient root, as (root|rho_check)."""
-        t = inner(root, self.rho_check)
-        if t.denominator != 1:
-            raise ValueError(f"{root} is not in the root lattice: height {t}")
-        return int(t)
 
     def to_json_obj(self) -> dict:
         """JSON-ready table: rationals as 'p/q' strings, vectors as string arrays."""

@@ -233,6 +233,18 @@ def test_verify_output_file(tmp_path, capsys):
     assert obj["passed"] is True
 
 
+def test_verify_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        capsys, "verify", "--family", "G", "--mode", "exact",
+        "--format", "json", "--output", str(target),
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert not target.exists()
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     bad = VerificationReport(
         ident=RootSystemId("A", 1),

@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 
 from gammaroots import fateev
-from gammaroots.exact import ONE, FactoredConstant, factor_power
+from gammaroots.exact import FactoredConstant
 from gammaroots.fateev import (
     F,
     F_PRIME,
@@ -20,8 +20,15 @@ from gammaroots.fateev import (
     verify,
     verify_all,
 )
-from gammaroots.gammaword import GammaWord, reduce_reflection, word_from_terms
-from gammaroots.rootsys import coroot, inner
+from gammaroots.gammaword import GammaWord, word_from_terms
+from gammaroots.rootsys import inner
+from test_gammaword import reflection_fold
+
+
+def coroot(v):
+    """2 v / (v|v) in ambient Fraction coordinates."""
+    scale = Q(2) / inner(v, v)
+    return tuple(scale * a for a in v)
 
 
 def C(*pairs):
@@ -52,7 +59,7 @@ def test_a_family_words_closed_form(systems):
 def test_a5_middle_word_is_balanced(systems):
     w = lhs_word(systems[("A", 5)], 3, F)
     assert (w.denominator, w.exponents) == (6, ((3, -2),))
-    assert reduce_reflection(w).is_empty
+    assert reflection_fold(w).exponents == ()
 
 
 def test_b3_word_against_direct_enumeration(systems):
@@ -99,7 +106,7 @@ def test_g2_prime_variant_words(systems):
     w1 = lhs_word(s, 1, F_PRIME)
     assert (w1.denominator, w1.exponents) == (6, ((1, -1), (2, 1), (3, -1), (4, -1)))
     w2 = lhs_word(s, 2, F_PRIME)
-    assert reduce_reflection(w2).exponents == ((1, 2), (2, -4))
+    assert reflection_fold(w2).exponents == ((1, 2), (2, -4))
 
 
 def test_d_family_first_words(systems):
@@ -113,8 +120,8 @@ def test_d_family_first_words(systems):
 def test_e6_first_word(systems):
     w = lhs_word(systems[("E", 6)], 1, F)
     assert w.denominator == 12
-    folded = reduce_reflection(w)
-    reference = reduce_reflection(
+    folded = reflection_fold(w)
+    reference = reflection_fold(
         word_from_terms([(Q(1, 12), -1), (Q(8, 12), -1), (Q(3, 12), 1)])
     )
     assert folded == reference
@@ -123,7 +130,7 @@ def test_e6_first_word(systems):
 def test_e8_first_word(systems):
     w = lhs_word(systems[("E", 8)], 1, F)
     assert w.denominator == 30
-    reference = reduce_reflection(
+    reference = reflection_fold(
         word_from_terms(
             [
                 (Q(1, 30), -1), (Q(23, 30), -1), (Q(3, 30), 1), (Q(5, 30), 1),
@@ -131,7 +138,7 @@ def test_e8_first_word(systems):
             ]
         )
     )
-    assert reduce_reflection(w) == reference
+    assert reflection_fold(w) == reference
 
 
 def test_diagram_symmetry(systems):

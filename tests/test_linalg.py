@@ -10,7 +10,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from gammaroots.linalg import PreparedSolver, nullspace, solve
+from gammaroots.linalg import PreparedSolver, nullspace
 
 
 def _cols(*cols):
@@ -79,7 +79,6 @@ def reference_nullspace(columns):
 def _assert_matches_reference(cols, targets):
     prepared = PreparedSolver(cols)
     for target, want in zip(targets, reference_solve_many(cols, targets)):
-        assert solve(cols, target) == want
         assert prepared.solve(target) == want
     assert nullspace(cols) == reference_nullspace(cols)
 
@@ -100,21 +99,21 @@ def _targets(rng, cols):
 
 
 def test_solve_unique():
-    assert solve(_cols([1, 0], [1, 1]), [Q(3), Q(2)]) == [Q(1), Q(2)]
+    assert PreparedSolver(_cols([1, 0], [1, 1])).solve([Q(3), Q(2)]) == [Q(1), Q(2)]
 
 
 def test_solve_inconsistent():
-    assert solve(_cols([1, 1], [2, 2]), [Q(1), Q(0)]) is None
+    assert PreparedSolver(_cols([1, 1], [2, 2])).solve([Q(1), Q(0)]) is None
 
 
 def test_solve_underdetermined_sets_free_vars_to_zero():
     cols = _cols([1, 0], [1, 0], [0, 1])
-    assert solve(cols, [Q(5), Q(7)]) == [Q(5), Q(0), Q(7)]
+    assert PreparedSolver(cols).solve([Q(5), Q(7)]) == [Q(5), Q(0), Q(7)]
 
 
 def test_solve_rational_entries():
     cols = _cols([Q(1, 2), Q(1, 3)], [Q(2), Q(-1)])
-    x = solve(cols, [Q(1), Q(1)])
+    x = PreparedSolver(cols).solve([Q(1), Q(1)])
     for i in range(2):
         assert sum(x[j] * cols[j][i] for j in range(2)) == [Q(1), Q(1)][i]
 
@@ -149,21 +148,19 @@ def test_prepared_solver_matches_direct():
                 ]
             else:
                 target = [Q(rng.randint(-4, 4)) for _ in range(nrows)]
-            assert prepared.solve(target) == solve(cols, target)
+            assert prepared.solve(target) == reference_solve_many(cols, [target])[0]
 
 
 def test_dimension_mismatch():
     with pytest.raises(ValueError):
-        solve(_cols([1, 0], [1]), [Q(0), Q(0)])
-    with pytest.raises(ValueError):
-        solve(_cols([1, 0]), [Q(0)])
+        PreparedSolver(_cols([1, 0], [1]))
     with pytest.raises(ValueError):
         PreparedSolver(_cols([1, 0])).solve([Q(0)])
 
 
 def test_empty_columns_rejected():
     with pytest.raises(ValueError):
-        solve([], [])
+        PreparedSolver([])
 
 
 def test_matches_reference_on_random_rational_matrices():

@@ -1,7 +1,10 @@
 """Relation lattice and exact certificates."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import mpmath
@@ -23,6 +26,8 @@ from gammaroots.prover import (
     relations_for,
 )
 from test_linalg import reference_solve_many
+
+import gammaroots
 
 
 def test_reflection_relations_smallest_grid():
@@ -52,6 +57,14 @@ def test_multiplication_relations_grid_six():
     triple = rels["multiplication(3,1)"]
     assert triple.vector == ((1, 1), (5, 1))
     assert triple.value.is_one
+
+
+def test_multiplication_values_follow_the_formula():
+    # d^(1 - 2dk/N) for every divisor d >= 2 of N and every 1 <= k < N/d
+    for n in range(2, 97):
+        for r in multiplication_relations(n):
+            d, k = map(int, r.tag[len("multiplication("):-1].split(","))
+            assert r.value == factor_power(d, 1 - Q(2 * d * k, n)), r.tag
 
 
 def test_relation_counts():
@@ -161,6 +174,21 @@ def test_kernel_inconsistency_detected():
     assert {tag for tag, _ in witness} == {"good", "bad"}
 
 
+def test_combine_values_matches_pairwise_products():
+    rng = random.Random(12)
+    for n in (6, 12, 30, 46):
+        relations = relations_for(n)
+        for _ in range(10):
+            coefficients = [
+                Q(rng.randint(-7, 7), rng.randint(1, 6)) if rng.random() < 0.3 else Q(0)
+                for _ in relations
+            ]
+            expected = ONE
+            for relation, c in zip(relations, coefficients):
+                expected = const_mul(expected, const_pow(relation.value, c))
+            assert _combine_values(relations, coefficients) == expected
+
+
 def test_certificate_json_obj():
     certificate = prove_constant(GammaWord(6, ((1, -1), (2, 1), (4, -1))))
     obj = certificate.to_json_obj()
@@ -263,3 +291,18 @@ def test_koblitz_ogus_criterion_agrees_with_prover():
             inside += proved
             outside += not proved
     assert inside > 1000 and outside > 1000
+
+
+def test_importing_prover_leaves_the_front_end_unloaded():
+    code = (
+        "import sys\n"
+        "import gammaroots.prover\n"
+        "print(sorted(m for m in ('gammaroots.cli', 'gammaroots.fateev', "
+        "'gammaroots.rootsys', 'argparse') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(gammaroots.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -14,7 +14,6 @@ from gammaroots.rootsys import (
     RootSystemId,
     _validate,
     build,
-    coroot,
     generate_positive_roots,
     highest_root,
     inner,
@@ -66,10 +65,7 @@ def test_id_validation():
     for family, rank in [("H", 3), ("A", 0), ("B", 1), ("D", 2), ("E", 5), ("E", 9), ("F", 3), ("G", 4)]:
         with pytest.raises(ValueError):
             RootSystemId(family, rank)
-    assert RootSystemId.parse("E8") == RootSystemId("E", 8)
     assert str(RootSystemId("A", 12)) == "A12"
-    with pytest.raises(ValueError):
-        RootSystemId.parse("q")
 
 
 def test_a2_table(systems):
@@ -168,7 +164,7 @@ def test_structural_invariants(systems, family, rank):
     assert 2 * len(s.positive_roots) == rank * h
     assert sum(s.marks) == h
     assert s.marks[0] == 1
-    heights = sorted(s.height(a) for a in s.positive_roots)
+    heights = sorted(inner(a, s.rho_check) for a in s.positive_roots)
     assert heights[0] == 1 and heights[-1] == h - 1
     assert set(heights) == set(range(1, h))
     # marks reconstruct the highest root
@@ -196,15 +192,10 @@ def test_comark_sums_by_family(systems):
         assert s.comark_sum == expected, (family, rank)
 
 
-def test_coroot():
-    assert coroot((Q(2), Q(0))) == (Q(1), Q(0))
-    assert coroot((Q(1), Q(-1), Q(0))) == (Q(1), Q(-1), Q(0))
-
-
 def test_positive_roots_deterministic(systems):
     s = systems[("E", 6)]
     assert s == build(RootSystemId("E", 6))
-    hs = [s.height(a) for a in s.positive_roots]
+    hs = [inner(a, s.rho_check) for a in s.positive_roots]
     assert hs == sorted(hs)
 
 
@@ -275,14 +266,9 @@ def test_integer_tables_match_ambient_coordinates(systems, family, rank):
         assert a == tuple(sum(x * u[d] for x, u in zip(c, simple)) for d in range(len(a)))
         assert s.pairings[k] == tuple(2 * inner(u, a) for u in simple)
         assert s.norms[k] == 2 * inner(a, a)
-        assert s.heights[k] == s.height(a) == sum(c)
+        assert s.heights[k] == inner(a, s.rho_check) == sum(c)
         assert s.rho_pairings[k] == 4 * inner(a, s.rho)
     assert s.marks[1:] == s.root_coeffs[-1]
-
-
-def test_height_rejects_vectors_off_the_root_lattice(systems):
-    with pytest.raises(ValueError, match="root lattice"):
-        systems[("B", 2)].height((Q(1, 3), Q(0)))
 
 
 def test_validate_raises_on_doctored_system(systems):
