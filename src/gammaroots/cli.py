@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -63,14 +64,6 @@ class RunConfig:
         return [build(ident) for ident in self.system_ids()]
 
 
-def _emit(payload: str, output: Optional[str]) -> None:
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-    else:
-        print(payload)
-
-
 def _relation_text(relation: Relation, n: int) -> str:
     factors = []
     for j, e in relation.vector:
@@ -81,7 +74,7 @@ def _relation_text(relation: Relation, n: int) -> str:
 def cmd_table(args) -> int:
     system = build(RootSystemId(args.family, args.rank))
     if args.format == "json":
-        _emit(dumps_canonical(system.to_json_obj()), None)
+        print(dumps_canonical(system.to_json_obj()))
         return EXIT_OK
     lines = [
         f"{system.ident}: rank {system.rank}, {len(system.positive_roots)} positive roots",
@@ -99,7 +92,7 @@ def cmd_table(args) -> int:
     lines.append("positive roots (by height):")
     for height, root in zip(system.heights, system.positive_roots):
         lines.append(f"  height {height:2d}: ({', '.join(str(x) for x in root)})")
-    _emit("\n".join(lines), None)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -107,12 +100,11 @@ def cmd_word(args) -> int:
     system = build(RootSystemId(args.family, args.rank))
     word = fateev.lhs_word(system, args.index, args.variant)
     if args.format == "json":
-        _emit(dumps_canonical(word.to_json_obj()), None)
+        print(dumps_canonical(word.to_json_obj()))
         return EXIT_OK
-    _emit(
+    print(
         f"{system.ident} alpha_{args.index} {args.variant}: {brace_str(word)}   "
-        f"(grid denominator {word.denominator})",
-        None,
+        f"(grid denominator {word.denominator})"
     )
     return EXIT_OK
 
@@ -128,11 +120,11 @@ def cmd_relations(args) -> int:
             }
             for r in relations
         ]
-        _emit(dumps_canonical(payload), None)
+        print(dumps_canonical(payload))
         return EXIT_OK
     lines = [f"{len(relations)} relations on the 1/{args.denominator} grid"]
     lines.extend(_relation_text(r, args.denominator) for r in relations)
-    _emit("\n".join(lines), None)
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -152,27 +144,29 @@ def cmd_verify(args) -> int:
         fmt=args.format,
         output=args.output,
     )
-    # Checked before the precision setup, which costs seconds at high digits.
+    # Checked before the precision setup and the output file.
     if not config.has_cases():
         raise ValueError(
             "nothing to verify: the selected families, ranks and variants "
             "hold no admissible case"
         )
-    ctx = PrecisionContext.for_digits(config.digits)
-    summary = fateev.verify_all(config.systems(), config.variants, config.mode, ctx)
-    if config.fmt == "json":
-        payload = summary.to_json_obj()
-        payload["mode"] = config.mode
-        payload["digits"] = config.digits
-        _emit(dumps_canonical(payload), config.output)
-    else:
-        lines = [r.text_line() for r in summary.reports]
-        counts = ", ".join(f"{k}: {v}" for k, v in summary.counts.items())
-        lines.append(
-            f"{len(summary.reports)} checks ({counts}) -> "
-            f"{'PASS' if summary.all_passed else 'FAIL'}"
-        )
-        _emit("\n".join(lines), config.output)
+    # Opened before the run, so an unwritable path fails before any work.
+    with open(config.output, "w", encoding="utf-8") if config.output else nullcontext() as out:
+        ctx = PrecisionContext.for_digits(config.digits)
+        summary = fateev.verify_all(config.systems(), config.variants, config.mode, ctx)
+        if config.fmt == "json":
+            payload = summary.to_json_obj()
+            payload["mode"] = config.mode
+            payload["digits"] = config.digits
+            print(dumps_canonical(payload), file=out)
+        else:
+            lines = [r.text_line() for r in summary.reports]
+            counts = ", ".join(f"{k}: {v}" for k, v in summary.counts.items())
+            lines.append(
+                f"{len(summary.reports)} checks ({counts}) -> "
+                f"{'PASS' if summary.all_passed else 'FAIL'}"
+            )
+            print("\n".join(lines), file=out)
     return EXIT_OK if summary.all_passed else EXIT_VERIFICATION_FAILED
 
 

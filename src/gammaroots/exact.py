@@ -65,7 +65,11 @@ class FactoredConstant:
             base = int(base)
             if not _is_prime(base):
                 raise ValueError(f"base {base} is not prime")
-            merged[base] = merged.get(base, Q(0)) + Q(exponent)
+            if not isinstance(exponent, Q):
+                exponent = Q(exponent)
+            if base in merged:
+                exponent += merged[base]
+            merged[base] = exponent
         canonical = tuple(sorted((b, e) for b, e in merged.items() if e != 0))
         object.__setattr__(self, "prime_powers", canonical)
 
@@ -121,10 +125,17 @@ def const_pow(a: FactoredConstant, exponent: RationalLike) -> FactoredConstant:
     return FactoredConstant(tuple((b, ex * e) for b, ex in a.prime_powers))
 
 
+@lru_cache(maxsize=None)
+def _ln_prime(p: int, bits: int) -> mpmath.mpf:
+    with mpmath.workprec(bits):
+        return mpmath.ln(p)
+
+
 def const_ln(a: FactoredConstant, decimal_digits: int) -> mpmath.mpf:
     """ln(a) with absolute error well below 10^-decimal_digits."""
-    with mpmath.workprec(working_precision_bits(decimal_digits)):
+    bits = working_precision_bits(decimal_digits)
+    with mpmath.workprec(bits):
         total = mpmath.mpf(0)
         for base, e in a.prime_powers:
-            total += mpmath.mpf(e.numerator) / e.denominator * mpmath.ln(base)
+            total += mpmath.mpf(e.numerator) / e.denominator * _ln_prime(base, bits)
         return +total

@@ -4,7 +4,9 @@ The identities this package checks are proved exactly; this module is the
 independent numeric cross-check, so it computes ln Gamma from first
 principles: an integer argument shift in exact rational arithmetic, then the
 Stirling series with exact Bernoulli coefficients and an explicit tail bound.
-mpmath supplies only the big-float substrate (ln, pi, arithmetic).
+mpmath supplies only the big-float substrate (ln, pi, arithmetic).  What does
+not depend on the argument is built once per PrecisionContext, and ln gamma
+once per grid point, so repeated words cost table lookups.
 """
 
 from __future__ import annotations
@@ -20,21 +22,49 @@ from .exact import const_ln, working_precision_bits
 
 DEFAULT_DIGITS = 60
 
-# B_0, B_1, ... with B_1 = -1/2; grown on demand, read-only thereafter.
-_BERNOULLI: list[Q] = [Q(1)]
+# B_2, B_4, ... (B_2k at index k - 1); grown on demand, read-only thereafter.
+_EVEN_BERNOULLI: list[Q] = []
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    """T_1..T_n (n >= 1) with tan x = sum_k T_k x^(2k-1) / (2k-1)!, in integers only.
+
+    Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
+    numbers" (2011), Algorithm TangentNumbers: O(n^2) small-by-big products,
+    no divisions.
+    """
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
 
 
 def bernoulli(n: int) -> Q:
-    """Exact Bernoulli number B_n."""
+    """Exact Bernoulli number B_n, with B_1 = -1/2.
+
+    Even indices come from tangent numbers,
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)); the table at least doubles
+    when it grows, so asking for B_2, B_4, ... in turn stays O(n^2).
+    """
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
-    while len(_BERNOULLI) <= n:
-        m = len(_BERNOULLI)
-        acc = sum(
-            (math.comb(m + 1, j) * _BERNOULLI[j] for j in range(m)), Q(0)
-        )
-        _BERNOULLI.append(-acc / (m + 1))
-    return _BERNOULLI[n]
+    if n < 2:
+        return (Q(1), Q(-1, 2))[n]
+    if n % 2:
+        return Q(0)
+    k = n // 2
+    known = len(_EVEN_BERNOULLI)
+    if k > known:
+        count = max(k, 2 * known)
+        tangent = _tangent_numbers(count)
+        for i in range(known + 1, count + 1):
+            four_i = 4**i
+            b = Q(2 * i * tangent[i - 1], four_i * (four_i - 1))
+            _EVEN_BERNOULLI.append(b if i % 2 else -b)
+    return _EVEN_BERNOULLI[k - 1]
 
 
 def stirling_tail_log10(shift: int, terms: int) -> float:
@@ -86,6 +116,18 @@ def _to_mpf(q: Q) -> mpmath.mpf:
     return mpmath.mpf(q.numerator) / q.denominator
 
 
+@lru_cache(maxsize=None)
+def _stirling_data(ctx: PrecisionContext) -> tuple[mpmath.mpf, tuple[mpmath.mpf, ...]]:
+    """ln(2 pi)/2 and B_2k / (2k (2k-1)) for k = 1..stirling_terms, at ctx.bits."""
+    with mpmath.workprec(ctx.bits):
+        half_ln_2pi = mpmath.ln(2 * mpmath.pi) / 2
+        coefficients = tuple(
+            _to_mpf(bernoulli(2 * k) / ((2 * k) * (2 * k - 1)))
+            for k in range(1, ctx.stirling_terms + 1)
+        )
+    return half_ln_2pi, coefficients
+
+
 def ln_gamma(x, ctx: PrecisionContext | None = None) -> mpmath.mpf:
     """ln Gamma(x) for rational x in (0,1), absolute error below 10^-decimal_digits.
 
@@ -96,24 +138,25 @@ def ln_gamma(x, ctx: PrecisionContext | None = None) -> mpmath.mpf:
                       + sum_{k=1..K} B_{2k} / (2k (2k-1) z^(2k-1)) + R_K(z),
         |R_K(z)| <= |B_{2K+2}| / ((2K+1)(2K+2) z^(2K+1)),
 
-    and the context keeps that bound below 10^-(decimal_digits + 5).
+    and the context keeps that bound below 10^-(decimal_digits + 5).  The
+    descent product is exact: prod_k (p + kq) / q^m for x = p/q.
     """
     ctx = ctx or PrecisionContext.for_digits()
     x = Q(x)
     if not 0 < x < 1:
         raise ValueError(f"argument must lie in (0,1), got {x}")
-    z = x + ctx.shift_count
-    descent = Q(1)
-    for k in range(ctx.shift_count):
-        descent *= x + k
+    p, q, m = x.numerator, x.denominator, ctx.shift_count
+    z = x + m
+    descent = Q(math.prod(p + k * q for k in range(m)), q**m)
+    half_ln_2pi, coefficients = _stirling_data(ctx)
     with mpmath.workprec(ctx.bits):
         zf = _to_mpf(z)
-        total = (zf - mpmath.mpf(1) / 2) * mpmath.ln(zf) - zf + mpmath.ln(2 * mpmath.pi) / 2
+        total = (zf - mpmath.mpf(1) / 2) * mpmath.ln(zf) - zf + half_ln_2pi
         inv = 1 / zf
         inv2 = inv * inv
         power = inv
-        for k in range(1, ctx.stirling_terms + 1):
-            total += _to_mpf(bernoulli(2 * k) / ((2 * k) * (2 * k - 1))) * power
+        for c in coefficients:
+            total += c * power
             power *= inv2
         total -= mpmath.ln(_to_mpf(descent))
         return +total
@@ -122,6 +165,13 @@ def ln_gamma(x, ctx: PrecisionContext | None = None) -> mpmath.mpf:
 @lru_cache(maxsize=None)
 def _ln_gamma_cached(x: Q, ctx: PrecisionContext) -> mpmath.mpf:
     return ln_gamma(x, ctx)
+
+
+@lru_cache(maxsize=None)
+def _ln_gamma_ratio(j: int, n: int, ctx: PrecisionContext) -> mpmath.mpf:
+    """ln gamma(j/n) = ln Gamma(j/n) - ln Gamma((n-j)/n), once per grid point."""
+    with mpmath.workprec(ctx.bits):
+        return _ln_gamma_cached(Q(j, n), ctx) - _ln_gamma_cached(Q(n - j, n), ctx)
 
 
 def eval_word_ln(word, ctx: PrecisionContext | None = None) -> mpmath.mpf:
@@ -134,8 +184,6 @@ def eval_word_ln(word, ctx: PrecisionContext | None = None) -> mpmath.mpf:
     with mpmath.workprec(ctx.bits):
         total = mpmath.mpf(0)
         for j, e in word.exponents:
-            total += e * (
-                _ln_gamma_cached(Q(j, n), ctx) - _ln_gamma_cached(Q(n - j, n), ctx)
-            )
+            total += e * _ln_gamma_ratio(j, n, ctx)
         total += const_ln(word.coeff, ctx.decimal_digits)
         return +total

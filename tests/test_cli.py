@@ -1,5 +1,6 @@
 """End-to-end command line behaviour, exit codes, and JSON output."""
 
+import hashlib
 import json
 
 import pytest
@@ -233,7 +234,11 @@ def test_verify_output_file(tmp_path, capsys):
     assert obj["passed"] is True
 
 
-def test_verify_unwritable_output_is_usage_error(tmp_path, capsys):
+def test_verify_unwritable_output_is_usage_error(tmp_path, capsys, monkeypatch):
+    """The output path is opened before the precision setup and before any case runs."""
+    calls = []
+    for owner, name in ((cli.PrecisionContext, "for_digits"), (fateev, "verify_all")):
+        monkeypatch.setattr(owner, name, lambda *a, _name=name, **k: calls.append(_name))
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(
         capsys, "verify", "--family", "G", "--mode", "exact",
@@ -243,6 +248,20 @@ def test_verify_unwritable_output_is_usage_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith("error: ") and str(target) in err
     assert not target.exists()
+    assert calls == []
+
+
+# sha256 of `verify --family G --family F --format json` (mode both, so with
+# the numeric residual strings), as printed: a change to the rounding of the
+# numeric route changes this digest.
+GF_JSON_SHA256 = "bebaf947a0ec40ef61add4b69ec0592bf526400fff75954ed750df1c46602b7e"
+
+
+def test_verify_json_golden_digest(capsys):
+    code, out, err = run(capsys, "verify", "--family", "G", "--family", "F", "--format", "json")
+    assert code == EXIT_OK and err == ""
+    assert '"numeric_residual":"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == GF_JSON_SHA256
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

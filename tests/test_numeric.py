@@ -2,16 +2,22 @@
 
 The package computes ln Gamma with its own shift + Stirling evaluation; the
 cross-checks here are a frozen externally computed value, the reflection and
-multiplication functional equations, and mpmath's own loggamma.
+multiplication functional equations, and mpmath's own loggamma.  The
+straightforward per-call evaluation (Bernoulli numbers from their
+recurrence, Stirling coefficients and ln primes rebuilt on every call) is
+kept below as a reference, and the cached route must equal it bit for bit.
 """
 
+import math
 import random
 from fractions import Fraction as Q
+from functools import lru_cache
 
 import mpmath
 import pytest
 
-from gammaroots.exact import factor_power
+from gammaroots import fateev, numeric
+from gammaroots.exact import FactoredConstant, factor_power, working_precision_bits
 from gammaroots.gammaword import GammaWord
 from gammaroots.numeric import (
     PrecisionContext,
@@ -20,6 +26,60 @@ from gammaroots.numeric import (
     ln_gamma,
     stirling_tail_log10,
 )
+from gammaroots.rootsys import RootSystemId, build
+
+
+@lru_cache(maxsize=None)
+def reference_bernoulli_table(n):
+    """B_0..B_n from sum_{j<=m} C(m+1, j) B_j = 0, in Fractions."""
+    table = [Q(1)]
+    for m in range(1, n + 1):
+        acc = sum((math.comb(m + 1, j) * table[j] for j in range(m)), Q(0))
+        table.append(-acc / (m + 1))
+    return tuple(table)
+
+
+def reference_ln_gamma(x, ctx):
+    """Shift by ctx.shift_count in Fractions, then Stirling with every term rebuilt."""
+    x = Q(x)
+    z = x + ctx.shift_count
+    descent = Q(1)
+    for k in range(ctx.shift_count):
+        descent *= x + k
+    table = reference_bernoulli_table(2 * ctx.stirling_terms)
+    with mpmath.workprec(ctx.bits):
+        zf = mpmath.mpf(z.numerator) / z.denominator
+        total = (zf - mpmath.mpf(1) / 2) * mpmath.ln(zf) - zf + mpmath.ln(2 * mpmath.pi) / 2
+        inv = 1 / zf
+        inv2 = inv * inv
+        power = inv
+        for k in range(1, ctx.stirling_terms + 1):
+            c = table[2 * k] / ((2 * k) * (2 * k - 1))
+            total += mpmath.mpf(c.numerator) / c.denominator * power
+            power *= inv2
+        total -= mpmath.ln(mpmath.mpf(descent.numerator) / descent.denominator)
+        return +total
+
+
+def reference_const_ln(constant, decimal_digits):
+    """sum_p e_p ln p with ln p recomputed for every base."""
+    with mpmath.workprec(working_precision_bits(decimal_digits)):
+        total = mpmath.mpf(0)
+        for base, e in constant.prime_powers:
+            total += mpmath.mpf(e.numerator) / e.denominator * mpmath.ln(base)
+        return +total
+
+
+def reference_eval_word_ln(word, ctx):
+    """The word's ln with ln Gamma evaluated afresh for every factor."""
+    n = word.denominator
+    with mpmath.workprec(ctx.bits):
+        total = mpmath.mpf(0)
+        for j, e in word.exponents:
+            total += e * (reference_ln_gamma(Q(j, n), ctx) - reference_ln_gamma(Q(n - j, n), ctx))
+        total += reference_const_ln(word.coeff, ctx.decimal_digits)
+        return +total
+
 
 # Gamma(1/6) logarithm, computed offline at 60 significant digits.
 LN_GAMMA_SIXTH = "1.71673343507824046052784630958793075727937748710540556387316"
@@ -138,3 +198,66 @@ def test_eval_word_ln_matches_direct_sum():
     with mpmath.workprec(ctx.bits):
         direct = 2 * (ln_gamma(Q(1, 4), ctx) - ln_gamma(Q(3, 4), ctx)) + mpmath.ln(3) / 2
         assert abs(eval_word_ln(word, ctx) - direct) < mpmath.mpf(10) ** -45
+
+
+def test_bernoulli_matches_recurrence():
+    reference = reference_bernoulli_table(400)
+    assert [bernoulli(n) for n in range(401)] == list(reference)
+
+
+def _grid_points(max_n):
+    return sorted({Q(j, n) for n in range(2, max_n + 1) for j in range(1, n)})
+
+
+def test_ln_gamma_bit_exact_on_every_sweep_grid():
+    ctx = PrecisionContext.for_digits(60)
+    for x in _grid_points(46):
+        assert ln_gamma(x, ctx) == reference_ln_gamma(x, ctx), x
+
+
+@pytest.mark.parametrize("digits", [20, 200])
+def test_ln_gamma_bit_exact_at_other_precisions(digits):
+    ctx = PrecisionContext.for_digits(digits)
+    for x in random.Random(digits).sample(_grid_points(46), 12):
+        assert ln_gamma(x, ctx) == reference_ln_gamma(x, ctx), x
+
+
+def _sweep_words(idents):
+    for ident in idents:
+        system = build(ident)
+        for variant in fateev.VARIANTS:
+            if not fateev.admissible(system, variant):
+                continue
+            for index in range(1, system.rank + 1):
+                word = fateev.lhs_word(system, index, variant)
+                rhs = fateev.rhs_constant(system, index, variant)
+                yield word
+                # The same grid terms with a prime-power coefficient exercise const_ln.
+                yield GammaWord(word.denominator, word.exponents, rhs)
+
+
+def test_eval_word_ln_bit_exact_on_paper_words():
+    ctx = PrecisionContext.for_digits(60)
+    idents = [RootSystemId("G", 2), RootSystemId("F", 4), RootSystemId("E", 8)]
+    words = list(_sweep_words(idents))
+    assert len(words) == 2 * (2 * 2 + 2 * 4 + 3 * 8)
+    for word in words:
+        assert eval_word_ln(word, ctx) == reference_eval_word_ln(word, ctx), word
+
+
+def test_ln_gamma_runs_once_per_distinct_argument(monkeypatch):
+    """Every grid lookup that misses reaches the module-level ln_gamma exactly once."""
+    ctx = PrecisionContext.for_digits(37)  # used by no other test, so nothing is cached
+    seen = []
+
+    def counted(x, c=None):
+        seen.append(x)
+        return ln_gamma(x, c)
+
+    monkeypatch.setattr(numeric, "ln_gamma", counted)
+    word = GammaWord(12, ((1, 2), (5, -1), (6, 3), (7, 1), (11, -2)), factor_power(3, Q(1, 2)))
+    first = eval_word_ln(word, ctx)
+    assert sorted(seen) == [Q(1, 12), Q(5, 12), Q(1, 2), Q(7, 12), Q(11, 12)]
+    assert eval_word_ln(word, ctx) == first
+    assert eval_word_ln(GammaWord(4, ((2, 1),), FactoredConstant()), ctx) == 0
+    assert len(seen) == 5
