@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
-# Infinite families stop here unless the user narrows the range explicitly.
+# Infinite families stop here unless the user gives an upper rank bound.
 DEFAULT_RANK_CAP = 12
 
 
@@ -45,10 +46,11 @@ class RunConfig:
         out = []
         for family in self.families:
             lo, hi = RANK_RANGE[family]
-            if hi is None:
-                hi = DEFAULT_RANK_CAP
             lo = max(lo, self.rank_min) if self.rank_min is not None else lo
-            hi = min(hi, self.rank_max) if self.rank_max is not None else hi
+            if self.rank_max is not None:
+                hi = self.rank_max if hi is None else min(hi, self.rank_max)
+            elif hi is None:
+                hi = DEFAULT_RANK_CAP
             out.extend(RootSystemId(family, rank) for rank in range(lo, hi + 1))
         return out
 
@@ -217,7 +219,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout early (say `| head`): stop without a
+        # message, and point stdout at devnull so the exit-time flush cannot
+        # fail again.  Not all output was delivered, so this is no success.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_VERIFICATION_FAILED
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

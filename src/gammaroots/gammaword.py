@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction as Q
 from typing import Iterable, Tuple
 
 import mpmath
 
-from .exact import ONE, FactoredConstant, RationalLike
+from .exact import ONE, FactoredConstant
 from .numeric import DEFAULT_DIGITS, PrecisionContext, eval_word_ln
 
 
@@ -59,26 +58,19 @@ def _collect(pairs: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
     return tuple(sorted((j, e) for j, e in agg.items() if e))
 
 
-def word_from_terms(
-    terms: Iterable[Tuple[RationalLike, int]], denominator: int = 1
-) -> GammaWord:
-    """Merge gamma(argument / denominator)^exponent factors onto one grid.
+def word_from_terms(terms: Iterable[Tuple[int, int]], denominator: int) -> GammaWord:
+    """Merge gamma(x / denominator)^exponent factors, x an integer, onto one grid.
 
-    Integer arguments over a shared denominator need no Fraction arithmetic.
     The grid denominator is the lcm of every term's reduced argument
-    denominator, including terms whose exponents later cancel or are zero.
+    denominator, including terms whose exponents later cancel or are zero:
+    for x_k / m that is m / gcd(m, x_1, x_2, ...).
     """
-    items = [(a if isinstance(a, int) else Q(a), int(e)) for a, e in terms]
-    for a, _ in items:
-        if not 0 < a < denominator:
-            raise ValueError(f"argument {Q(a) / denominator} outside (0,1)")
-    if not items:
-        return GammaWord(1)
-    lcm = math.lcm(*(a.denominator for a, _ in items))
-    scaled = [(a.numerator * (lcm // a.denominator), e) for a, e in items]
-    # The lcm of the reduced denominators of x_k / m is m / gcd(m, x_1, x_2, ...).
-    g = math.gcd(lcm * denominator, *(x for x, _ in scaled))
-    return GammaWord(lcm * denominator // g, _collect((x // g, e) for x, e in scaled))
+    items = list(terms)
+    for x, _ in items:
+        if not 0 < x < denominator:
+            raise ValueError(f"argument {x}/{denominator} outside (0,1)")
+    g = math.gcd(denominator, *(x for x, _ in items))
+    return GammaWord(denominator // g, _collect((x // g, e) for x, e in items))
 
 
 def eval_ln(w: GammaWord, decimal_digits: int = DEFAULT_DIGITS) -> mpmath.mpf:

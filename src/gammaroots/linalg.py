@@ -3,12 +3,12 @@
 Systems here are small (up to a few hundred columns) and their entries are
 small integers, so one Gauss-Jordan routine over sparse integer rows
 ({column: int}) serves both the prepared solver and nullspace.
-Rational input is cleared to integers once, at the boundary, by the lcm of
-each row's denominators; a row update is row_i = p row_i - f row_r followed
-by division by the row's gcd (after Bareiss, Math. Comp. 22, 1968), so no
-Fraction arithmetic runs inside the elimination.  Fractions appear again
-only in the answers.  Vectors of unknowns are indexed by column: the solver
-and nullspace take their input as a list of column vectors.
+Columns and targets are integer vectors; a row update is
+row_i = p row_i - f row_r followed by division by the row's gcd (after
+Bareiss, Math. Comp. 22, 1968), so no Fraction arithmetic runs inside the
+elimination.  Fractions appear only in the answers.  Vectors of unknowns
+are indexed by column: the solver and nullspace take their input as a list
+of column vectors.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 from fractions import Fraction as Q
 from typing import Dict, List, Optional, Sequence, Tuple
 
-Column = Sequence[Q]
+Column = Sequence[int]
 Row = Dict[int, int]
 
 _ZERO = Q(0)
@@ -33,24 +33,12 @@ def _check_columns(columns: Sequence[Column]) -> int:
     return nrows
 
 
-def _integer_vector(values: Sequence) -> Tuple[List[int], int]:
-    """The values times the lcm of their denominators, as ints, and that lcm."""
-    if all(type(v) is int for v in values):
-        return list(values), 1
-    rationals = [Q(v) for v in values]
-    scale = math.lcm(*(q.denominator for q in rationals))
-    return [q.numerator * (scale // q.denominator) for q in rationals], scale
-
-
-def _integer_rows(columns: Sequence[Column]) -> Tuple[List[Row], List[int]]:
-    """Sparse integer rows of the matrix whose columns are given, and each row's scale."""
-    rows: List[Row] = []
-    scales: List[int] = []
-    for i in range(len(columns[0])):
-        values, scale = _integer_vector([col[i] for col in columns])
-        rows.append({j: v for j, v in enumerate(values) if v})
-        scales.append(scale)
-    return rows, scales
+def _integer_rows(columns: Sequence[Column]) -> List[Row]:
+    """Sparse rows of the matrix whose columns are given."""
+    return [
+        {j: col[i] for j, col in enumerate(columns) if col[i]}
+        for i in range(len(columns[0]))
+    ]
 
 
 def _eliminate(rows: List[Row], ncols: int) -> List[int]:
@@ -100,7 +88,7 @@ def nullspace(columns: Sequence[Column]) -> List[List[Q]]:
     """Basis of {x : sum_j x_j columns[j] = 0}, one vector per free column."""
     _check_columns(columns)
     ncols = len(columns)
-    rows, _ = _integer_rows(columns)
+    rows = _integer_rows(columns)
     pivots = _eliminate(rows, ncols)
     pivot_set = set(pivots)
     basis: List[List[Q]] = []
@@ -118,21 +106,19 @@ def nullspace(columns: Sequence[Column]) -> List[List[Q]]:
 class PreparedSolver:
     """Factored form of a fixed column set, for solving many right-hand sides.
 
-    Eliminating the integer rows of [A | D] once, D holding each row's
-    denominator-clearing scale, records an integer row transform T with
-    T A = R, where row r of R has the pivot value p_r at pivot column c_r and
-    zero at every other pivot column.  A target b, scaled to the integer
-    vector L b, is consistent iff the transform rows below the rank
-    annihilate it, and the particular solution with free variables zero is
-    x[c_r] = (T L b)_r / (p_r L).
+    Eliminating the integer rows of [A | I] once records an integer row
+    transform T with T A = R, where row r of R has the pivot value p_r at
+    pivot column c_r and zero at every other pivot column.  A target b is
+    consistent iff the transform rows below the rank annihilate it, and the
+    particular solution with free variables zero is x[c_r] = (T b)_r / p_r.
     """
 
     def __init__(self, columns: Sequence[Column]):
         nrows = _check_columns(columns)
         ncols = len(columns)
-        rows, scales = _integer_rows(columns)
-        for i, (row, scale) in enumerate(zip(rows, scales)):
-            row[ncols + i] = scale
+        rows = _integer_rows(columns)
+        for i, row in enumerate(rows):
+            row[ncols + i] = 1
         pivots = _eliminate(rows, ncols)
         self.ncols = ncols
         self.nrows = nrows
@@ -148,16 +134,15 @@ class PreparedSolver:
                     transform[k - ncols].append((r, v))
         self.transform = tuple(tuple(col) for col in transform)
 
-    def solve(self, target: Sequence[Q]) -> Optional[List[Q]]:
+    def solve(self, target: Sequence[int]) -> Optional[List[Q]]:
         """One exact solution x of sum_j x_j columns[j] = target, or None.
 
         Free variables are set to zero, so the answer is deterministic.
         """
         if len(target) != self.nrows:
             raise ValueError("dimension mismatch")
-        values, scale = _integer_vector(target)
         transformed = [0] * self.nrows
-        for b, column in zip(values, self.transform):
+        for b, column in zip(target, self.transform):
             if b:
                 for r, t in column:
                     transformed[r] += t * b
@@ -166,5 +151,5 @@ class PreparedSolver:
         x = [_ZERO] * self.ncols
         for y, c, p in zip(transformed, self.pivots, self.pivot_values):
             if y:
-                x[c] = Q(y, p * scale)
+                x[c] = Q(y, p)
         return x

@@ -2,16 +2,18 @@
 
 Every positive root is kept as its integer coefficient vector c in the basis
 of simple roots alpha_1..alpha_r.  The Gram matrix G_ij = 2(alpha_i|alpha_j)
-is integral for all of A-G in the Bourbaki planche coordinates used here, so
-every quantity the identities need is an integer read off c and G: heights
-are coefficient sums, the pairings 2(alpha_i|a) are the rows of c G, the
-norms 2(a|a) are c G c, and the marks are the coefficients of the highest
-root.  Ambient coordinates (tuples of Fractions, whose dimension may exceed
-the rank for families A and G) are produced once, at the edge, for the
-simple roots, positive roots, alpha0 and the Weyl vectors.  All pairings
-are the raw coordinate dot product; marks are normalization free, but
-comarks, double comarks and the comark sum depend on this realization and
-are kept as exact rationals rather than rescaled.
+is integral for all of A-G in the Bourbaki planche coordinates used here,
+and the root-string closure runs on G alone: each root carries its pairings
+2(alpha_j|a) = (c G)_j, and a step by alpha_i adds row i of G.  Every other
+quantity the identities need is an integer read off c and those pairings:
+heights are coefficient sums, the norms 2(a|a) are c . (c G), and the marks
+are the coefficients of the highest root.  Ambient coordinates (tuples of
+Fractions, whose dimension may exceed the rank for families A and G) are
+produced once, at the edge, for the simple roots, positive roots, alpha0
+and the Weyl vectors.  All pairings are the raw coordinate dot product;
+marks are normalization free, but comarks, double comarks and the comark
+sum depend on this realization and are kept as exact rationals rather than
+rescaled.
 """
 
 from __future__ import annotations
@@ -129,43 +131,30 @@ def _gram(scaled: Sequence[Tuple[int, ...]]) -> Matrix:
     return tuple(tuple(2 * sum(map(mul, u, v)) for v in scaled) for u in scaled)
 
 
-def generate_positive_roots(simple: Sequence[Vector], max_height: int = 1000) -> List[Coeffs]:
-    """Close the simple roots under root strings; coefficient vectors, level by level.
+def generate_positive_roots(gram: Matrix, max_height: int = 1000) -> Dict[Coeffs, Coeffs]:
+    """Close the simple roots under root strings, from the Gram matrix alone.
 
-    Only the Cartan integers <alpha_i, alpha_j^> = 2(alpha_i|alpha_j)/(alpha_j|alpha_j)
-    enter, so the input may be scaled freely; they must all be integers.
-    beta + alpha_i is a root iff p - <beta, alpha_i^> >= 1, where p counts
-    how far the alpha_i-string descends from beta through known roots.  Each
-    root carries its Cartan integers, extended by a row of the Cartan matrix
-    per step, and a new root must have positive length.
+    gram is G_ij = 2(alpha_i|alpha_j), integral.  Returns each positive
+    root's coefficient vector c, level by level, mapped to its pairings
+    2(alpha_j|a) = (c G)_j.  beta + alpha_i is a root iff
+    p - <beta, alpha_i^> >= 1, where p counts how far the alpha_i-string
+    descends from beta through known roots; with P = (c G) this is
+    (p - 1) G_ii >= 2 P_i.  A step adds row i of G to the parent's
+    pairings, and the new root's norm 2(a|a) = c . P must be positive.
     """
-    base = [tuple(Q(x) for x in a) for a in simple]
-    if not base:
-        raise ValueError("at least one simple root required")
-    dim = len(base[0])
-    for a in base:
-        if len(a) != dim:
-            raise ValueError("dimension mismatch")
-        if not any(a):
-            raise ValueError("zero simple root")
-    if len(set(base)) != len(base):
-        raise ValueError("duplicate simple roots")
-
-    gram = _gram(_scaled(base)[1])
     r = len(gram)
-    cartan = []
+    for i, row in enumerate(gram):
+        if row[i] <= 0:
+            raise ClosureError(f"2(alpha_{i + 1}|alpha_{i + 1}) = {row[i]} is not positive")
     for i, row in enumerate(gram):
         if any(2 * g % gram[j][j] for j, g in enumerate(row)):
             raise ClosureError(
                 f"non-integral Cartan integer at alpha_{i + 1}; input is not crystallographic"
             )
-        cartan.append(tuple(2 * g // gram[j][j] for j, g in enumerate(row)))
-    diag = [gram[j][j] for j in range(r)]
 
-    # root -> its Cartan integers <root, alpha_j^>, j = 1..r
-    known: Dict[Coeffs, Tuple[int, ...]] = {}
-    for i in range(r):
-        known[tuple(int(k == i) for k in range(r))] = cartan[i]
+    known: Dict[Coeffs, Coeffs] = {
+        tuple(int(k == i) for k in range(r)): tuple(gram[i]) for i in range(r)
+    }
     current = list(known)
     height = 1
     while current:
@@ -185,9 +174,9 @@ def generate_positive_roots(simple: Sequence[Vector], max_height: int = 1000) ->
                 p = 0
                 while head + (c - p - 1,) + tail in known:
                     p += 1
-                if p - pairs[i] >= 1:
-                    cand_pairs = tuple(map(sum, zip(pairs, cartan[i])))
-                    if sum(x * y * g for x, y, g in zip(cand, cand_pairs, diag)) <= 0:
+                if (p - 1) * gram[i][i] >= 2 * pairs[i]:
+                    cand_pairs = tuple(map(sum, zip(pairs, gram[i])))
+                    if sum(map(mul, cand, cand_pairs)) <= 0:
                         raise ClosureError(
                             "closure reached a vector of length zero; "
                             "input is not a finite root base"
@@ -196,7 +185,7 @@ def generate_positive_roots(simple: Sequence[Vector], max_height: int = 1000) ->
                     found.append(cand)
         current = found
         height += 1
-    return list(known)
+    return known
 
 
 def highest_root(positive: Sequence[Coeffs]) -> Coeffs:
@@ -327,15 +316,13 @@ def build(ident: RootSystemId) -> RootSystem:
         raise ClosureError(f"{ident}: 2(alpha_i|alpha_j) is not integral")
     gram = tuple(tuple(g // (scale * scale) for g in row) for row in scaled_gram)
 
-    found = generate_positive_roots(simple)
+    closure = generate_positive_roots(gram)
     # Order as the ambient coordinates sort: by height, then lexicographically.
-    ambient_ints = [_combine(c, scaled) for c in found]
-    order = sorted(range(len(found)), key=lambda k: (sum(found[k]), ambient_ints[k]))
-    coeffs = tuple(found[k] for k in order)
-    fraction = {x: Q(x, scale) for x in set(chain.from_iterable(ambient_ints))}
-    positive = tuple(tuple(fraction[x] for x in ambient_ints[k]) for k in order)
-
-    pairings = tuple(tuple(sum(map(mul, c, col)) for col in gram) for c in coeffs)
+    ambient_ints = {c: _combine(c, scaled) for c in closure}
+    coeffs = tuple(sorted(closure, key=lambda c: (sum(c), ambient_ints[c])))
+    fraction = {x: Q(x, scale) for x in set(chain.from_iterable(ambient_ints.values()))}
+    positive = tuple(tuple(fraction[x] for x in ambient_ints[c]) for c in coeffs)
+    pairings = tuple(closure[c] for c in coeffs)
     norms = tuple(sum(map(mul, c, p)) for c, p in zip(coeffs, pairings))
     diag = [row[j] for j, row in enumerate(gram)]
     theta = highest_root(coeffs)

@@ -2,15 +2,19 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gammaroots
 from gammaroots import cli, fateev
 from gammaroots.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, dumps_canonical, main
 from gammaroots.exact import ONE
 from gammaroots.fateev import VerificationReport, VerificationSummary
 from gammaroots.gammaword import GammaWord
-from gammaroots.rootsys import RootSystemId
+from gammaroots.rootsys import FAMILIES, RANK_RANGE, RootSystemId
 
 
 def run(capsys, *argv):
@@ -145,6 +149,34 @@ def test_verify_rank_bounds(capsys):
     ]
 
 
+def _exact_reports(capsys, *selection):
+    code, out, err = run(capsys, "verify", *selection, "--mode", "exact", "--format", "json")
+    assert code == EXIT_OK and err == ""
+    obj = json.loads(out)
+    assert obj["passed"] is True
+    assert {r["status"] for r in obj["reports"]} == {"proved_exact"}
+    return obj["reports"]
+
+
+def test_verify_rank_past_the_default_cap(capsys):
+    reports = _exact_reports(capsys, "--family", "A", "--rank", "16")
+    assert len(reports) == 48
+    assert {r["rank"] for r in reports} == {16}
+
+
+def test_verify_rank_max_past_the_default_cap(capsys):
+    reports = _exact_reports(capsys, "--family", "A", "--rank-max", "16", "--variant", "F")
+    assert sorted({r["rank"] for r in reports}) == list(range(1, 17))
+
+
+def test_verify_rank_window_above_the_default_cap(capsys):
+    reports = _exact_reports(capsys, "--family", "A", "--rank-min", "13", "--rank-max", "14")
+    assert [(r["rank"], r["index"]) for r in reports if r["variant"] == "F"] == (
+        [(13, i) for i in range(1, 14)] + [(14, i) for i in range(1, 15)]
+    )
+    assert len(reports) == 3 * (13 + 14)
+
+
 def test_verify_rank_flag_conflict(capsys):
     code, out, err = run(capsys, "verify", "--rank", "3", "--rank-min", "2")
     assert code == EXIT_USAGE
@@ -262,6 +294,75 @@ def test_verify_json_golden_digest(capsys):
     assert code == EXIT_OK and err == ""
     assert '"numeric_residual":"' in out
     assert hashlib.sha256(out.encode()).hexdigest() == GF_JSON_SHA256
+
+
+# sha256 of the outputs below, taken before the root closure moved onto the
+# Gram matrix: `table` (JSON, then text) concatenated over the 49 systems of
+# the default sweep, and `verify --mode exact --format json`.
+TABLE_JSON_SHA256 = "20de3872d5f914b2dc374cc965068cc40a6699c668f21c6c938398228128d1b8"
+TABLE_TEXT_SHA256 = "903386e941419a5cf80a9d023a95e0c247655d094257fd46cebd89057d3ab775"
+EXACT_JSON_SHA256 = "fdc53f33428b0e46fd04fe753cb58cc2db0dc6794c96b874f710330cb637aa7b"
+
+
+def _default_sweep_ids():
+    for family in FAMILIES:
+        lo, hi = RANK_RANGE[family]
+        for rank in range(lo, (hi or cli.DEFAULT_RANK_CAP) + 1):
+            yield family, str(rank)
+
+
+@pytest.mark.parametrize("fmt,digest", [("json", TABLE_JSON_SHA256), ("text", TABLE_TEXT_SHA256)])
+def test_table_golden_digest(capsys, fmt, digest):
+    ids = list(_default_sweep_ids())
+    assert len(ids) == 49
+    outputs = []
+    for family, rank in ids:
+        code, out, err = run(capsys, "table", family, rank, "--format", fmt)
+        assert code == EXIT_OK and err == ""
+        outputs.append(out)
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
+
+
+def test_verify_exact_json_golden_digest(capsys):
+    code, out, err = run(capsys, "verify", "--mode", "exact", "--format", "json")
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == EXACT_JSON_SHA256
+
+
+def _cli_command(*argv):
+    """The CLI as a subprocess, with stdout block-buffered whatever the caller's setting."""
+    src = os.path.dirname(os.path.dirname(gammaroots.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return [sys.executable, "-m", "gammaroots.cli", *argv], dict(env, PYTHONPATH=src)
+
+
+def test_table_into_closed_pipe_is_quiet():
+    """A reader that stops early (`table A 40 | head -1`) gets no error message."""
+    command, env = _cli_command("table", "A", "40")
+    proc = subprocess.Popen(command, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    # The table is about 119 KB, more than a pipe holds, so the writer is
+    # still blocked when the pipe closes.
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    code = proc.wait()
+    assert first.startswith(b"A40: rank 40")
+    assert err == b""
+    assert code not in (EXIT_OK, EXIT_USAGE)
+
+
+def test_short_output_into_closed_pipe_is_quiet():
+    """Output small enough to sit in the buffer fails only when flushed, and quietly."""
+    command, env = _cli_command("table", "A", "2")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(command, env=env, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode not in (EXIT_OK, EXIT_USAGE)
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

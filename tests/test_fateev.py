@@ -84,11 +84,11 @@ def test_b3_word_against_direct_enumeration(systems):
     h = 6
     alpha_1 = sub(e1, e2)
     terms = [
-        (inner(a, rho_check) / h, -int(inner(alpha_1, coroot(a))))
+        (int(inner(a, rho_check)), -int(inner(alpha_1, coroot(a))))
         for a in positive
         if inner(alpha_1, coroot(a)) != 0
     ]
-    expected = word_from_terms(terms)
+    expected = word_from_terms(terms, h)
     assert expected.exponents == ((1, -1), (2, 1), (3, -1), (4, -1))
     assert lhs_word(systems[("B", 3)], 1, F_PRIME) == expected
 
@@ -122,7 +122,7 @@ def test_e6_first_word(systems):
     assert w.denominator == 12
     folded = reflection_fold(w)
     reference = reflection_fold(
-        word_from_terms([(Q(1, 12), -1), (Q(8, 12), -1), (Q(3, 12), 1)])
+        word_from_terms([(1, -1), (8, -1), (3, 1)], 12)
     )
     assert folded == reference
 
@@ -132,10 +132,8 @@ def test_e8_first_word(systems):
     assert w.denominator == 30
     reference = reflection_fold(
         word_from_terms(
-            [
-                (Q(1, 30), -1), (Q(23, 30), -1), (Q(3, 30), 1), (Q(5, 30), 1),
-                (Q(16, 30), 1), (Q(8, 30), -1), (Q(12, 30), -1), (Q(10, 30), -1),
-            ]
+            [(1, -1), (23, -1), (3, 1), (5, 1), (16, 1), (8, -1), (12, -1), (10, -1)],
+            30,
         )
     )
     assert reflection_fold(w) == reference

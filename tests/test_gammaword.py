@@ -28,37 +28,39 @@ def reflection_fold(w):
 
 
 def test_merge_on_common_grid():
-    w = word_from_terms([(Q(1, 3), -1), (Q(2, 3), -1), (Q(1, 3), 1)])
+    w = word_from_terms([(1, -1), (2, -1), (1, 1)], 3)
     assert (w.denominator, w.exponents) == (3, ((2, -1),))
 
 
 def test_grid_lcm_of_mixed_denominators():
-    w = word_from_terms([(Q(1, 2), 1), (Q(1, 3), 1)])
+    # 1/2 and 1/3 over the common denominator 6
+    w = word_from_terms([(3, 1), (2, 1)], 6)
     assert (w.denominator, w.exponents) == (6, ((2, 1), (3, 1)))
 
 
 def test_grid_includes_cancelled_terms():
-    w = word_from_terms([(Q(1, 6), 1), (Q(1, 6), -1), (Q(1, 2), 1)])
+    w = word_from_terms([(1, 1), (1, -1), (3, 1)], 6)
     assert (w.denominator, w.exponents) == (6, ((3, 1),))
 
 
 def test_empty_word():
-    w = word_from_terms([])
+    w = word_from_terms([], 12)
     assert w.exponents == ()
     assert w.denominator == 1
     assert w.coeff is ONE
 
 
 def test_argument_range_checked():
-    for bad in (Q(0), Q(1), Q(7, 6), Q(-1, 3)):
+    for bad in (0, 6, 7, -2):
         with pytest.raises(ValueError):
-            word_from_terms([(bad, 1)])
+            word_from_terms([(bad, 1)], 6)
 
 
 def test_integer_arguments_over_shared_denominator():
     w = word_from_terms([(2, 1), (4, -1), (6, 0)], 12)
     assert (w.denominator, w.exponents) == (6, ((1, 1), (2, -1)))
-    assert w == word_from_terms([(Q(2, 12), 1), (Q(4, 12), -1), (Q(6, 12), 0)])
+    # the grid is that of the reduced arguments 1/6, 1/3, 1/2
+    assert w == word_from_terms([(1, 1), (2, -1), (3, 0)], 6)
     for bad in (0, 12, -3):
         with pytest.raises(ValueError):
             word_from_terms([(bad, 1)], 12)

@@ -200,25 +200,31 @@ def test_positive_roots_deterministic(systems):
 
 
 def test_closure_rejects_affine_extension():
-    affine_a2 = [
-        (Q(1), Q(-1), Q(0)),
-        (Q(0), Q(1), Q(-1)),
-        (Q(-1), Q(0), Q(1)),
-    ]
-    with pytest.raises(ClosureError):
+    # e1 - e2, e2 - e3, e3 - e1: alpha_0 + alpha_1 + alpha_2 has length zero
+    affine_a2 = ((4, -2, -2), (-2, 4, -2), (-2, -2, 4))
+    with pytest.raises(ClosureError, match="length zero"):
         generate_positive_roots(affine_a2)
 
 
 def test_closure_rejects_non_crystallographic():
-    with pytest.raises(ClosureError):
-        generate_positive_roots([(Q(1), Q(0)), (Q(-3), Q(1))])
+    # (1, 0) and (-3, 1): 2(a|b) / (b|b) = -6 / 10
+    with pytest.raises(ClosureError, match="non-integral Cartan"):
+        generate_positive_roots(((2, -6), (-6, 20)))
 
 
-def test_closure_rejects_duplicates_and_zero():
-    with pytest.raises(ValueError):
-        generate_positive_roots([(Q(1), Q(0)), (Q(1), Q(0))])
-    with pytest.raises(ValueError):
-        generate_positive_roots([(Q(0), Q(0))])
+def test_closure_rejects_zero_diagonal():
+    with pytest.raises(ClosureError, match="not positive"):
+        generate_positive_roots(((0,),))
+    with pytest.raises(ClosureError, match="alpha_2"):
+        generate_positive_roots(((2, 0), (0, 0)))
+
+
+@pytest.mark.parametrize("family,rank", [("B", 4), ("F", 4), ("G", 2), ("E", 6)])
+def test_closure_carries_pairings_level_by_level(systems, family, rank):
+    s = systems[(family, rank)]
+    closure = generate_positive_roots(s.gram)
+    assert [sum(c) for c in closure] == sorted(s.heights)
+    assert closure == dict(zip(s.root_coeffs, s.pairings))
 
 
 def test_simple_roots_shapes():
@@ -239,17 +245,11 @@ def test_json_obj(systems):
 
 
 def test_closure_rejects_reducible_base():
-    a1_a1 = [(Q(1), Q(0)), (Q(0), Q(1))]
+    a1_a1 = ((2, 0), (0, 2))
     positive = generate_positive_roots(a1_a1)
-    assert sorted(positive) == [(0, 1), (1, 0)]
+    assert positive == {(1, 0): (2, 0), (0, 1): (0, 2)}
     with pytest.raises(ValueError, match="not irreducible"):
-        highest_root(positive)
-
-
-def test_closure_scale_free():
-    # A2 with every coordinate divided by 3: the Cartan integers do not change.
-    thirds = [tuple(Q(x, 3) for x in a) for a in simple_roots(RootSystemId("A", 2))]
-    assert sorted(generate_positive_roots(thirds)) == [(0, 1), (1, 0), (1, 1)]
+        highest_root(list(positive))
 
 
 @pytest.mark.parametrize(
