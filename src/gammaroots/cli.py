@@ -148,6 +148,17 @@ def cmd_verify(args) -> int:
     )
     # Checked before the precision setup and the output file.
     if not config.has_cases():
+        if (
+            rank_max is None
+            and rank_min is not None
+            and rank_min > DEFAULT_RANK_CAP
+            and any(RANK_RANGE[family][1] is None for family in families)
+        ):
+            raise ValueError(
+                f"nothing to verify: --rank-min {rank_min} is above the default "
+                f"rank cap {DEFAULT_RANK_CAP} of the infinite families; "
+                "give --rank-max as well"
+            )
         raise ValueError(
             "nothing to verify: the selected families, ranks and variants "
             "hold no admissible case"

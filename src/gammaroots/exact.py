@@ -10,11 +10,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import TYPE_CHECKING, Tuple, Union
 
-import mpmath
+if TYPE_CHECKING:
+    import mpmath
 
 RationalLike = Union[int, Q]
+
+# Decimal digits of a numeric evaluation unless the caller asks for others.
+DEFAULT_DIGITS = 60
 
 _LOG2_10 = math.log2(10)
 
@@ -26,7 +30,7 @@ def working_precision_bits(decimal_digits: int) -> int:
     return math.ceil((decimal_digits + 10) * _LOG2_10) + 10
 
 
-def _factorize(n: int) -> dict[int, int]:
+def factorize(n: int) -> dict[int, int]:
     """Prime factorization of a positive integer by trial division."""
     if n <= 0:
         raise ValueError(f"cannot factor non-positive integer {n}")
@@ -45,7 +49,7 @@ def _factorize(n: int) -> dict[int, int]:
 @lru_cache(maxsize=256)
 def _is_prime(n: int) -> bool:
     """Trial-division primality, memoized: the same few bases recur in every constant."""
-    return n >= 2 and _factorize(n) == {n: 1}
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 @dataclass(frozen=True)
@@ -104,9 +108,9 @@ def factor_power(base: RationalLike, exponent: RationalLike) -> FactoredConstant
     if base <= 0:
         raise ValueError(f"base must be positive, got {base}")
     powers: dict[int, Q] = {}
-    for p, m in _factorize(base.numerator).items():
+    for p, m in factorize(base.numerator).items():
         powers[p] = powers.get(p, Q(0)) + m * exponent
-    for p, m in _factorize(base.denominator).items():
+    for p, m in factorize(base.denominator).items():
         powers[p] = powers.get(p, Q(0)) - m * exponent
     return FactoredConstant(tuple(powers.items()))
 
@@ -127,12 +131,20 @@ def const_pow(a: FactoredConstant, exponent: RationalLike) -> FactoredConstant:
 
 @lru_cache(maxsize=None)
 def _ln_prime(p: int, bits: int) -> mpmath.mpf:
+    import mpmath
+
     with mpmath.workprec(bits):
         return mpmath.ln(p)
 
 
 def const_ln(a: FactoredConstant, decimal_digits: int) -> mpmath.mpf:
-    """ln(a) with absolute error well below 10^-decimal_digits."""
+    """ln(a) with absolute error well below 10^-decimal_digits.
+
+    mpmath is imported here, not at module level, so the exact core loads
+    without the big-float library.
+    """
+    import mpmath
+
     bits = working_precision_bits(decimal_digits)
     with mpmath.workprec(bits):
         total = mpmath.mpf(0)

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import TYPE_CHECKING, Iterable, Tuple
 
-import mpmath
+from .exact import DEFAULT_DIGITS, ONE, FactoredConstant
 
-from .exact import ONE, FactoredConstant
-from .numeric import DEFAULT_DIGITS, PrecisionContext, eval_word_ln
+if TYPE_CHECKING:
+    import mpmath
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,12 @@ def word_from_terms(terms: Iterable[Tuple[int, int]], denominator: int) -> Gamma
 
 
 def eval_ln(w: GammaWord, decimal_digits: int = DEFAULT_DIGITS) -> mpmath.mpf:
-    """ln of the word's value at the requested precision."""
+    """ln of the word's value at the requested precision.
+
+    The numeric route is imported here, so words and the prover load without it.
+    """
+    from .numeric import PrecisionContext, eval_word_ln
+
     return eval_word_ln(w, PrecisionContext.for_digits(decimal_digits))
 
 

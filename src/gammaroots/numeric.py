@@ -18,9 +18,7 @@ from functools import lru_cache
 
 import mpmath
 
-from .exact import const_ln, working_precision_bits
-
-DEFAULT_DIGITS = 60
+from .exact import DEFAULT_DIGITS, const_ln, working_precision_bits
 
 # B_2, B_4, ... (B_2k at index k - 1); grown on demand, read-only thereafter.
 _EVEN_BERNOULLI: list[Q] = []

@@ -5,17 +5,35 @@ identities span everything the verifier needs: the reflection identities and
 the gamma image of the Gauss multiplication formula.  A word whose exponent
 vector lies in the rational span of the relation vectors equals the matching
 product of relation values, which stays an exact prime-power constant.
+
+The reflections are solved in closed form, and only the multiplication
+relations go through elimination.  Folding an exponent vector v to
+q_j = v_j - v_(N-j), 1 <= j <= (N-1)/2, maps exactly the span of reflection(j)
+and half to zero, so v lies in the relation span iff its fold lies in the span
+of the folded multiplication vectors M_m.  Solving the fold for coefficients
+x_m leaves the residual v - sum_m x_m M_m in the reflection span, and its
+entries at j < N/2 and at N/2 are the reflection and half coefficients.
+
+The certificate is the one an elimination of the full system, reflections
+first, gives.  That eliminator picks the greedy column basis and sets the
+free variables to zero.  The reflection columns come first and have disjoint
+supports, so each is a pivot.  A multiplication column is a pivot of the full
+system iff its fold is a pivot of the folded system, because the fold's
+kernel is the span of the reflections.  The pivot columns form a basis, so
+the solution that is zero on the free columns is unique, and both routes
+give identical coefficients.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exact import ONE, FactoredConstant, const_pow, factor_power
+from .exact import ONE, FactoredConstant, factorize
 from .gammaword import GammaWord
 
 
@@ -62,22 +80,26 @@ def multiplication_relations(n: int) -> List[Relation]:
         if n % d:
             continue
         step = n // d
-        base = factor_power(d, 1)
+        primes = factorize(d).items()
         for k in range(1, step):
-            agg: dict[int, int] = {}
-            for i in range(d):
-                idx = k + i * step
-                agg[idx] = agg.get(idx, 0) + 1
-            agg[d * k] = agg.get(d * k, 0) - 1
-            vector = tuple(sorted((j, e) for j, e in agg.items() if e))
-            value = const_pow(base, 1 - Q(2 * d * k, n))
+            # gamma(dk/N) cancels one of the d factors k + i N/d when dk = k mod N/d.
+            top = d * k
+            if (top - k) % step:
+                vector = tuple(sorted([(j, 1) for j in range(k, n, step)] + [(top, -1)]))
+            else:
+                vector = tuple((j, 1) for j in range(k, n, step) if j != top)
+            value = FactoredConstant(tuple((p, Q(m * (n - 2 * top), n)) for p, m in primes))
             out.append(Relation(f"multiplication({d},{k})", vector, value))
     return out
 
 
 @lru_cache(maxsize=None)
 def relations_for(n: int) -> Tuple[Relation, ...]:
-    """All relations on the 1/N grid in deterministic order, reflections first."""
+    """All relations on the 1/N grid in deterministic order, reflections first.
+
+    There are N // 2 reflections, and the one at position j - 1 pairs j with
+    N - j (half when 2j = N).
+    """
     return tuple(reflection_relations(n) + multiplication_relations(n))
 
 
@@ -113,9 +135,24 @@ def _dense(pairs: Sequence[Tuple[int, int]], n: int) -> List[int]:
     return vector
 
 
+def _fold(pairs: Sequence[Tuple[int, int]], n: int) -> List[int]:
+    """q_j = v_j - v_(N-j) for 1 <= j <= (N-1)/2: zero exactly on the reflection span."""
+    folded = [0] * ((n - 1) // 2)
+    for j, e in pairs:
+        if 2 * j < n:
+            folded[j - 1] += e
+        elif 2 * j > n:
+            folded[n - j - 1] -= e
+    return folded
+
+
 @lru_cache(maxsize=None)
-def _prepared_solver(n: int) -> linalg.PreparedSolver:
-    return linalg.PreparedSolver([_dense(r.vector, n) for r in relations_for(n)])
+def _prepared_solver(n: int) -> Optional[linalg.PreparedSolver]:
+    """The solver on the folded multiplication vectors; None where N has none (N prime)."""
+    multiplications = relations_for(n)[n // 2:]
+    if not multiplications:
+        return None
+    return linalg.PreparedSolver([_fold(r.vector, n) for r in multiplications])
 
 
 def _combine_values(relations: Sequence[Relation], coefficients: Sequence[Q]) -> FactoredConstant:
@@ -138,14 +175,32 @@ def prove_constant(word: GammaWord) -> Optional[Certificate]:
     if not word.exponents:
         return Certificate((), ONE)
     n = word.denominator
-    relations = relations_for(n)
-    solution = _prepared_solver(n).solve(_dense(word.exponents, n))
+    folded = _fold(word.exponents, n)
+    solver = _prepared_solver(n)
+    if solver is None:
+        # No multiplication relation: the fold must vanish.
+        solution = None if any(folded) else []
+    else:
+        solution = solver.solve(folded)
     if solution is None:
         return None
+    relations = relations_for(n)
+    used = [(relation, x) for relation, x in zip(relations[n // 2:], solution) if x]
+    # The residual v - sum_m x_m M_m at j <= N/2, in integers over the common
+    # denominator of the x_m: entry j is the coefficient of relations[j - 1].
+    denominator = math.lcm(*(x.denominator for _, x in used))
+    residual = {j: e * denominator for j, e in word.exponents if 2 * j <= n}
+    for relation, x in used:
+        scaled = x.numerator * (denominator // x.denominator)
+        for j, e in relation.vector:
+            if 2 * j <= n:
+                residual[j] = residual.get(j, 0) - scaled * e
     coefficients = tuple(
-        (relation.tag, c) for relation, c in zip(relations, solution) if c
+        (relations[j - 1].tag, Q(r, denominator)) for j, r in sorted(residual.items()) if r
+    ) + tuple((relation.tag, x) for relation, x in used)
+    return Certificate(
+        coefficients, _combine_values([r for r, _ in used], [x for _, x in used])
     )
-    return Certificate(coefficients, _combine_values(relations, solution))
 
 
 def kernel_consistency(n: int) -> tuple[bool, Optional[Tuple[Tuple[str, Q], ...]]]:

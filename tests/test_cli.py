@@ -177,6 +177,16 @@ def test_verify_rank_window_above_the_default_cap(capsys):
     assert len(reports) == 3 * (13 + 14)
 
 
+def test_verify_rank_min_above_the_default_cap_names_the_cap(capsys):
+    code, out, err = run(capsys, "verify", "--family", "A", "--rank-min", "13", "--mode", "exact")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err == (
+        "error: nothing to verify: --rank-min 13 is above the default rank cap 12 "
+        "of the infinite families; give --rank-max as well\n"
+    )
+
+
 def test_verify_rank_flag_conflict(capsys):
     code, out, err = run(capsys, "verify", "--rank", "3", "--rank-min", "2")
     assert code == EXIT_USAGE
@@ -302,6 +312,20 @@ def test_verify_json_golden_digest(capsys):
 TABLE_JSON_SHA256 = "20de3872d5f914b2dc374cc965068cc40a6699c668f21c6c938398228128d1b8"
 TABLE_TEXT_SHA256 = "903386e941419a5cf80a9d023a95e0c247655d094257fd46cebd89057d3ab775"
 EXACT_JSON_SHA256 = "fdc53f33428b0e46fd04fe753cb58cc2db0dc6794c96b874f710330cb637aa7b"
+
+
+# sha256 of `relations N --format json` concatenated over N = 2..96, taken
+# before the relation values were built from each divisor's factorization.
+RELATIONS_JSON_SHA256 = "72d7870c618e1eada7458bf0ddb539a4ce1013e16355f1ad13877f25db589a92"
+
+
+def test_relations_json_golden_digest(capsys):
+    outputs = []
+    for n in range(2, 97):
+        code, out, err = run(capsys, "relations", str(n), "--format", "json")
+        assert code == EXIT_OK and err == ""
+        outputs.append(out)
+    assert hashlib.sha256("".join(outputs).encode()).hexdigest() == RELATIONS_JSON_SHA256
 
 
 def _default_sweep_ids():

@@ -1,11 +1,15 @@
 """Relation lattice and exact certificates."""
 
+import hashlib
+import importlib.util
+import json
 import math
 import os
 import random
 import subprocess
 import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -28,6 +32,8 @@ from gammaroots.prover import (
 from test_linalg import reference_solve_many
 
 import gammaroots
+
+REPLAY = Path(__file__).resolve().parents[1] / "perfbench" / "replay.py"
 
 
 def test_reflection_relations_smallest_grid():
@@ -226,9 +232,13 @@ def _seeded_words(n, rng, per_kind):
     return [GammaWord(n, tuple(sorted((j, e) for j, e in w.items() if e))) for w in words]
 
 
-@pytest.mark.parametrize("n", (12, 30, 46, 60, 96))
+@pytest.mark.parametrize("n", range(2, 97))
 def test_certificates_match_fraction_reference(n):
-    """Certificates equal those of a plain Fraction Gauss-Jordan solve of the same system."""
+    """Certificates equal those of a plain Fraction Gauss-Jordan solve of the full system.
+
+    The reference eliminates every relation, reflections included, on N - 1
+    rows: the route the prover's closed-form reflections replace.
+    """
     relations = relations_for(n)
     words = _seeded_words(n, random.Random(n), per_kind=4)
     columns = [[Q(0)] * (n - 1) for _ in relations]
@@ -251,7 +261,29 @@ def test_certificates_match_fraction_reference(n):
             )
             proved += 1
         assert prove_constant(word) == want, word
-    assert 0 < proved < len(words)
+    assert proved > 0
+    # On the 1/2 grid the half relation alone spans every word.
+    assert proved < len(words) or n == 2
+
+
+# sha256 of the certificates of the benchmark's lattice words for seed 1, as
+# its child driver prints them (a JSON list, null for words outside the
+# span), taken while the prover still eliminated the reflections.
+LATTICE_SEED_1_SHA256 = "3c843c1f277660e0e2ab86f4a1f716499a055b5479a3ee9680f1a78e72c6e528"
+
+
+def test_lattice_certificates_golden_digest():
+    spec = importlib.util.spec_from_file_location("perfbench_replay_golden", REPLAY)
+    replay = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(replay)
+    certificates = [
+        prove_constant(GammaWord(w["N"], tuple((j, e) for j, e in w["terms"])))
+        for w in replay.lattice_words(1)
+    ]
+    text = json.dumps(
+        [None if c is None else c.to_json_obj() for c in certificates], separators=(",", ":")
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == LATTICE_SEED_1_SHA256
 
 
 def koblitz_ogus_in_span(word):
@@ -298,7 +330,8 @@ def test_importing_prover_leaves_the_front_end_unloaded():
         "import sys\n"
         "import gammaroots.prover\n"
         "print(sorted(m for m in ('gammaroots.cli', 'gammaroots.fateev', "
-        "'gammaroots.rootsys', 'argparse') if m in sys.modules))\n"
+        "'gammaroots.rootsys', 'gammaroots.numeric', 'argparse', 'mpmath') "
+        "if m in sys.modules))\n"
     )
     src = os.path.dirname(os.path.dirname(gammaroots.__file__))
     env = dict(os.environ, PYTHONPATH=src)
