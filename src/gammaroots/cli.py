@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import fateev
+from .exact import DEFAULT_DIGITS
 from .gammaword import brace_str
-from .numeric import DEFAULT_DIGITS, PrecisionContext
 from .prover import Relation, relations_for
 from .rootsys import FAMILIES, RANK_RANGE, RootSystem, RootSystemId, build
 
@@ -165,7 +165,12 @@ def cmd_verify(args) -> int:
         )
     # Opened before the run, so an unwritable path fails before any work.
     with open(config.output, "w", encoding="utf-8") if config.output else nullcontext() as out:
-        ctx = PrecisionContext.for_digits(config.digits)
+        ctx = None
+        if config.mode != "exact":
+            # The numeric route, and mpmath with it, loads only when a mode uses it.
+            from .numeric import PrecisionContext
+
+            ctx = PrecisionContext.for_digits(config.digits)
         summary = fateev.verify_all(config.systems(), config.variants, config.mode, ctx)
         if config.fmt == "json":
             payload = summary.to_json_obj()

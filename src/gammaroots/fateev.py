@@ -23,15 +23,15 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from itertools import repeat
-from typing import Iterable, Optional, Sequence, Tuple
-
-import mpmath
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
 from .exact import ONE, FactoredConstant, const_ln, const_mul, const_pow, factor_power
 from .gammaword import GammaWord, brace_str, word_from_terms
-from .numeric import PrecisionContext, eval_word_ln
 from .prover import Certificate, prove_constant
 from .rootsys import SIMPLY_LACED_FAMILIES, RootSystem, RootSystemId
+
+if TYPE_CHECKING:
+    from .numeric import PrecisionContext
 
 F = "F"
 F_PRIME = "Fprime"
@@ -196,11 +196,11 @@ def verify(
     In both mode the numeric route runs as a cross-check of an exact proof
     and as a fallback diagnostic when the word is outside the lattice; the
     report only counts as passed with a proof.  k is passed on to
-    rhs_constant.
+    rhs_constant.  The numeric route, and mpmath with it, is imported only
+    when it runs, so exact mode loads neither.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
-    ctx = ctx or PrecisionContext.for_digits()
     lhs = lhs_word(system, index, variant)
     rhs = rhs_constant(system, index, variant, k)
     certificate = None
@@ -214,6 +214,11 @@ def verify(
             proven = const_mul(lhs.coeff, certificate.derived_constant)
             status = PROVED_EXACT if proven == rhs else MISMATCH
     if mode == "numeric" or (mode == "both" and status in (PROVED_EXACT, NOT_IN_LATTICE)):
+        import mpmath
+
+        from .numeric import PrecisionContext, eval_word_ln
+
+        ctx = ctx or PrecisionContext.for_digits()
         residual = abs(eval_word_ln(lhs, ctx) - const_ln(rhs, ctx.decimal_digits))
         residual_str = mpmath.nstr(residual, 6)
         numeric_ok = residual <= mpmath.mpf(10) ** (10 - ctx.decimal_digits)

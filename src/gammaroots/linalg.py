@@ -134,10 +134,12 @@ class PreparedSolver:
                     transform[k - ncols].append((r, v))
         self.transform = tuple(tuple(col) for col in transform)
 
-    def solve(self, target: Sequence[int]) -> Optional[List[Q]]:
+    def solve(self, target: Sequence[int]) -> Optional[List[Tuple[int, Q]]]:
         """One exact solution x of sum_j x_j columns[j] = target, or None.
 
-        Free variables are set to zero, so the answer is deterministic.
+        Free variables are set to zero, so the answer is deterministic.  The
+        solution comes as its nonzero entries (column, x_column) in column
+        order; every column not listed is zero.
         """
         if len(target) != self.nrows:
             raise ValueError("dimension mismatch")
@@ -148,8 +150,6 @@ class PreparedSolver:
                     transformed[r] += t * b
         if any(transformed[self.rank:]):
             return None
-        x = [_ZERO] * self.ncols
-        for y, c, p in zip(transformed, self.pivots, self.pivot_values):
-            if y:
-                x[c] = Q(y, p)
-        return x
+        return [
+            (c, Q(y, p)) for y, c, p in zip(transformed, self.pivots, self.pivot_values) if y
+        ]

@@ -22,6 +22,19 @@ system iff its fold is a pivot of the folded system, because the fold's
 kernel is the span of the reflections.  The pivot columns form a basis, so
 the solution that is zero on the free columns is unique, and both routes
 give identical coefficients.
+
+Of the folded multiplication columns, in order (d ascending, k ascending),
+the solver gets only those with d prime and 2dk < N.  A greedy pivot is a
+column outside the span of the columns before it, and every other column
+lies in that span, so dropping them changes no prefix span: the pivots and
+the solution on them stay the same.
+- For d = p m, p prime and m >= 2, multiplication(d, k) is the exact sum of
+  multiplication(m, k + b N/d) over b < p and multiplication(p, m k), with
+  values multiplying to match (the composition law of distribution
+  relations, Kubert, Bull. SMF 1979).  Each index is in range, and m, p < d.
+- multiplication(d, N/d - k) is the reflection image of multiplication(d, k)
+  with the inverse value, so its fold is the negative of the fold at k, and
+  the fold is zero when 2dk = N.
 """
 
 from __future__ import annotations
@@ -51,16 +64,34 @@ def _check_grid(n: int) -> None:
         raise ValueError(f"grid denominator must be an integer >= 2, got {n}")
 
 
+def _reflection_tag(j: int, n: int) -> str:
+    """Tag of the reflection relation at 1 <= j <= N/2: half when 2j = N."""
+    return "half" if 2 * j == n else f"reflection({j})"
+
+
 def reflection_relations(n: int) -> List[Relation]:
     """gamma(j/N) gamma((N-j)/N) = 1 for j < N/2, plus gamma(1/2) = 1 for even N."""
     _check_grid(n)
     out = [
-        Relation(f"reflection({j})", ((j, 1), (n - j, 1)), ONE)
+        Relation(_reflection_tag(j, n), ((j, 1), (n - j, 1)), ONE)
         for j in range(1, (n + 1) // 2)
     ]
     if n % 2 == 0:
-        out.append(Relation("half", ((n // 2, 1),), ONE))
+        out.append(Relation(_reflection_tag(n // 2, n), ((n // 2, 1),), ONE))
     return out
+
+
+def _multiplication(n: int, d: int, k: int, primes: Sequence[Tuple[int, int]]) -> Relation:
+    """multiplication(d, k) on the 1/N grid; primes is the factorization of d as (p, m) pairs."""
+    step = n // d
+    # gamma(dk/N) cancels one of the d factors k + i N/d when dk = k mod N/d.
+    top = d * k
+    if (top - k) % step:
+        vector = tuple(sorted([(j, 1) for j in range(k, n, step)] + [(top, -1)]))
+    else:
+        vector = tuple((j, 1) for j in range(k, n, step) if j != top)
+    value = FactoredConstant(tuple((p, Q(m * (n - 2 * top), n)) for p, m in primes))
+    return Relation(f"multiplication({d},{k})", vector, value)
 
 
 def multiplication_relations(n: int) -> List[Relation]:
@@ -77,20 +108,24 @@ def multiplication_relations(n: int) -> List[Relation]:
     _check_grid(n)
     out: List[Relation] = []
     for d in range(2, n + 1):
-        if n % d:
-            continue
-        step = n // d
-        primes = factorize(d).items()
-        for k in range(1, step):
-            # gamma(dk/N) cancels one of the d factors k + i N/d when dk = k mod N/d.
-            top = d * k
-            if (top - k) % step:
-                vector = tuple(sorted([(j, 1) for j in range(k, n, step)] + [(top, -1)]))
-            else:
-                vector = tuple((j, 1) for j in range(k, n, step) if j != top)
-            value = FactoredConstant(tuple((p, Q(m * (n - 2 * top), n)) for p, m in primes))
-            out.append(Relation(f"multiplication({d},{k})", vector, value))
+        if n % d == 0:
+            primes = tuple(factorize(d).items())
+            out.extend(_multiplication(n, d, k, primes) for k in range(1, n // d))
     return out
+
+
+@lru_cache(maxsize=None)
+def _solver_relations(n: int) -> Tuple[Relation, ...]:
+    """The multiplication relations the solver eliminates: d prime and 2dk < N.
+
+    They are the sub-tuple of multiplication_relations(n) whose columns can
+    be pivots; the module docstring gives the reason.
+    """
+    return tuple(
+        _multiplication(n, p, k, ((p, 1),))
+        for p in sorted(factorize(n))
+        for k in range(1, (n // p + 1) // 2)
+    )
 
 
 @lru_cache(maxsize=None)
@@ -148,11 +183,11 @@ def _fold(pairs: Sequence[Tuple[int, int]], n: int) -> List[int]:
 
 @lru_cache(maxsize=None)
 def _prepared_solver(n: int) -> Optional[linalg.PreparedSolver]:
-    """The solver on the folded multiplication vectors; None where N has none (N prime)."""
-    multiplications = relations_for(n)[n // 2:]
-    if not multiplications:
+    """The solver on the folded _solver_relations(n); None where there are none."""
+    relations = _solver_relations(n)
+    if not relations:
         return None
-    return linalg.PreparedSolver([_fold(r.vector, n) for r in multiplications])
+    return linalg.PreparedSolver([_fold(r.vector, n) for r in relations])
 
 
 def _combine_values(relations: Sequence[Relation], coefficients: Sequence[Q]) -> FactoredConstant:
@@ -178,16 +213,16 @@ def prove_constant(word: GammaWord) -> Optional[Certificate]:
     folded = _fold(word.exponents, n)
     solver = _prepared_solver(n)
     if solver is None:
-        # No multiplication relation: the fold must vanish.
+        # No relation to eliminate (N prime, or N = 4): the fold must vanish.
         solution = None if any(folded) else []
     else:
         solution = solver.solve(folded)
     if solution is None:
         return None
-    relations = relations_for(n)
-    used = [(relation, x) for relation, x in zip(relations[n // 2:], solution) if x]
+    relations = _solver_relations(n)
+    used = [(relations[c], x) for c, x in solution]
     # The residual v - sum_m x_m M_m at j <= N/2, in integers over the common
-    # denominator of the x_m: entry j is the coefficient of relations[j - 1].
+    # denominator of the x_m: entry j is the coefficient of the reflection at j.
     denominator = math.lcm(*(x.denominator for _, x in used))
     residual = {j: e * denominator for j, e in word.exponents if 2 * j <= n}
     for relation, x in used:
@@ -196,7 +231,7 @@ def prove_constant(word: GammaWord) -> Optional[Certificate]:
             if 2 * j <= n:
                 residual[j] = residual.get(j, 0) - scaled * e
     coefficients = tuple(
-        (relations[j - 1].tag, Q(r, denominator)) for j, r in sorted(residual.items()) if r
+        (_reflection_tag(j, n), Q(r, denominator)) for j, r in sorted(residual.items()) if r
     ) + tuple((relation.tag, x) for relation, x in used)
     return Certificate(
         coefficients, _combine_values([r for r, _ in used], [x for _, x in used])

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import gammaroots
-from gammaroots import cli, fateev
+from gammaroots import cli, fateev, numeric
 from gammaroots.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, dumps_canonical, main
 from gammaroots.exact import ONE
 from gammaroots.fateev import VerificationReport, VerificationSummary
@@ -214,15 +214,14 @@ def test_empty_selection_fails_before_precision_setup(capsys, monkeypatch, selec
     def refuse(*args, **kwargs):
         raise RuntimeError("precision setup reached")
 
-    monkeypatch.setattr(cli.PrecisionContext, "for_digits", refuse)
+    monkeypatch.setattr(numeric.PrecisionContext, "for_digits", refuse)
     code, out, err = run(capsys, "verify", *selection, "--digits", "800")
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: nothing to verify")
 
 
-def test_verify_call_order(capsys, monkeypatch):
-    """Precision setup, then the builds, then the checks: the order the benchmark driver mirrors."""
+def _spy_verify_calls(monkeypatch):
     calls = []
 
     def spy(owner, name, label):
@@ -234,12 +233,25 @@ def test_verify_call_order(capsys, monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapped)
 
-    spy(cli.PrecisionContext, "for_digits", "for_digits")
+    spy(numeric.PrecisionContext, "for_digits", "for_digits")
     spy(cli, "build", "build")
     spy(fateev, "verify_all", "verify_all")
-    code, _, _ = run(capsys, "verify", "--family", "G", "--family", "F", "--mode", "exact")
+    return calls
+
+
+def test_verify_call_order(capsys, monkeypatch):
+    """Precision setup, then the builds, then the checks: the order the benchmark driver mirrors."""
+    calls = _spy_verify_calls(monkeypatch)
+    code, _, _ = run(capsys, "verify", "--family", "G", "--family", "F", "--mode", "both")
     assert code == EXIT_OK
     assert calls == ["for_digits", "build", "build", "verify_all"]
+
+
+def test_exact_verify_sets_up_no_precision(capsys, monkeypatch):
+    calls = _spy_verify_calls(monkeypatch)
+    code, _, _ = run(capsys, "verify", "--family", "G", "--family", "F", "--mode", "exact")
+    assert code == EXIT_OK
+    assert calls == ["build", "build", "verify_all"]
 
 
 def test_rank_bounds_zero_are_not_ignored():
@@ -279,7 +291,7 @@ def test_verify_output_file(tmp_path, capsys):
 def test_verify_unwritable_output_is_usage_error(tmp_path, capsys, monkeypatch):
     """The output path is opened before the precision setup and before any case runs."""
     calls = []
-    for owner, name in ((cli.PrecisionContext, "for_digits"), (fateev, "verify_all")):
+    for owner, name in ((numeric.PrecisionContext, "for_digits"), (fateev, "verify_all")):
         monkeypatch.setattr(owner, name, lambda *a, _name=name, **k: calls.append(_name))
     target = tmp_path / "missing" / "x.json"
     code, out, err = run(
@@ -430,3 +442,18 @@ def test_default_rank_cap():
     )
     ranks = [s.rank for s in config.systems()]
     assert ranks == list(range(1, cli.DEFAULT_RANK_CAP + 1))
+
+
+def test_exact_verify_leaves_the_numeric_route_unloaded():
+    code = (
+        "import sys\n"
+        "from gammaroots import cli\n"
+        "assert cli.main(['verify', '--mode', 'exact', '--family', 'G']) == 0\n"
+        "print(sorted(m for m in ('gammaroots.numeric', 'mpmath') if m in sys.modules))\n"
+    )
+    src = os.path.dirname(os.path.dirname(gammaroots.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-1] == "[]"

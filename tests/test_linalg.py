@@ -72,10 +72,23 @@ def reference_nullspace(columns):
     return basis
 
 
+def densify(solution, ncols):
+    """The solver's nonzero (column, value) pairs as a dense list; None stays None."""
+    if solution is None:
+        return None
+    columns = [c for c, _ in solution]
+    assert columns == sorted(set(columns)), "entries must come once each, in column order"
+    assert all(x for _, x in solution), "only nonzero entries are listed"
+    x = [Q(0)] * ncols
+    for c, value in solution:
+        x[c] = value
+    return x
+
+
 def _assert_matches_reference(cols, targets):
     prepared = PreparedSolver(cols)
     for target, want in zip(targets, reference_solve_many(cols, targets)):
-        assert prepared.solve(target) == want
+        assert densify(prepared.solve(target), len(cols)) == want
     assert nullspace(cols) == reference_nullspace(cols)
 
 
@@ -91,7 +104,7 @@ def _targets(rng, cols):
 
 
 def test_solve_unique():
-    assert PreparedSolver([[1, 0], [1, 1]]).solve([3, 2]) == [Q(1), Q(2)]
+    assert PreparedSolver([[1, 0], [1, 1]]).solve([3, 2]) == [(0, Q(1)), (1, Q(2))]
 
 
 def test_solve_inconsistent():
@@ -100,7 +113,8 @@ def test_solve_inconsistent():
 
 def test_solve_underdetermined_sets_free_vars_to_zero():
     cols = [[1, 0], [1, 0], [0, 1]]
-    assert PreparedSolver(cols).solve([5, 7]) == [Q(5), Q(0), Q(7)]
+    # the free column 1 is zero, so it is not listed
+    assert PreparedSolver(cols).solve([5, 7]) == [(0, Q(5)), (2, Q(7))]
 
 
 def test_nullspace_basis_annihilates():
@@ -131,7 +145,8 @@ def test_prepared_solver_matches_direct():
                 ]
             else:
                 target = [rng.randint(-4, 4) for _ in range(nrows)]
-            assert prepared.solve(target) == reference_solve_many(cols, [target])[0]
+            want = reference_solve_many(cols, [target])[0]
+            assert densify(prepared.solve(target), ncols) == want
 
 
 def test_dimension_mismatch():
@@ -182,7 +197,7 @@ def test_prepared_solver_integer_targets_rational_solutions():
     # the third column is the sum of the first two, so it stays free
     cols = [[2, 1], [0, 3], [2, 4]]
     prepared = PreparedSolver(cols)
-    assert prepared.solve([2, 4]) == [Q(1), Q(1), Q(0)]
-    x = prepared.solve([1, 1])
+    assert prepared.solve([2, 4]) == [(0, Q(1)), (1, Q(1))]
+    x = densify(prepared.solve([1, 1]), 3)
     assert x == reference_solve_many(cols, [[1, 1]])[0] == [Q(1, 2), Q(1, 6), Q(0)]
     assert [sum(x[j] * cols[j][i] for j in range(3)) for i in range(2)] == [1, 1]

@@ -14,14 +14,26 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from gammaroots.exact import ONE, FactoredConstant, const_ln, const_mul, const_pow, factor_power
+from gammaroots.exact import (
+    ONE,
+    FactoredConstant,
+    const_ln,
+    const_mul,
+    const_pow,
+    factor_power,
+    factorize,
+)
 from gammaroots.gammaword import GammaWord
+from gammaroots.linalg import PreparedSolver
 from gammaroots.numeric import PrecisionContext, eval_word_ln
 from gammaroots.prover import (
     Certificate,
     Relation,
     _combine_values,
+    _fold,
     _kernel_consistency,
+    _prepared_solver,
+    _solver_relations,
     kernel_consistency,
     multiplication_relations,
     prove_constant,
@@ -65,12 +77,97 @@ def test_multiplication_relations_grid_six():
     assert triple.value.is_one
 
 
+def _order_and_index(relation):
+    """(d, k) of a multiplication(d,k) relation."""
+    d, k = map(int, relation.tag[len("multiplication("):-1].split(","))
+    return d, k
+
+
+def _net(relations):
+    """The exponent vector of the product of the relations, as {j: exponent}."""
+    net = {}
+    for relation in relations:
+        for j, e in relation.vector:
+            net[j] = net.get(j, 0) + e
+    return {j: e for j, e in net.items() if e}
+
+
 def test_multiplication_values_follow_the_formula():
     # d^(1 - 2dk/N) for every divisor d >= 2 of N and every 1 <= k < N/d
     for n in range(2, 97):
         for r in multiplication_relations(n):
-            d, k = map(int, r.tag[len("multiplication("):-1].split(","))
+            d, k = _order_and_index(r)
             assert r.value == factor_power(d, 1 - Q(2 * d * k, n)), r.tag
+
+
+def test_composite_order_multiplication_is_a_sum_of_lower_orders():
+    """d = p m, p the smallest prime of d: M(d,k) = sum_b<p M(m, k + bN/d) + M(p, mk)."""
+    checked = 0
+    for n in range(2, 121):
+        relations = {_order_and_index(r): r for r in multiplication_relations(n)}
+        for (d, k), relation in relations.items():
+            p = min(factorize(d))
+            m = d // p
+            if m == 1:
+                continue
+            parts = [relations[m, k + b * n // d] for b in range(p)] + [relations[p, m * k]]
+            assert _net(parts) == _net([relation]), (n, relation.tag)
+            value = ONE
+            for part in parts:
+                value = const_mul(value, part.value)
+            assert value == relation.value, (n, relation.tag)
+            checked += 1
+    assert checked > 1000
+
+
+def test_multiplication_at_n_over_d_minus_k_is_the_reflection_image():
+    """M(d,k) + M(d, N/d - k) lies in the reflection span, and their values multiply to one."""
+    for n in range(2, 121):
+        relations = {_order_and_index(r): r for r in multiplication_relations(n)}
+        for (d, k), relation in relations.items():
+            image = relations[d, n // d - k]
+            assert image.vector == tuple(sorted((n - j, e) for j, e in relation.vector))
+            net = _net([relation, image])
+            assert all(net.get(n - j) == e for j, e in net.items()), (n, relation.tag)
+            assert const_mul(relation.value, image.value).is_one, (n, relation.tag)
+
+
+def test_solver_relations_are_the_prime_order_half():
+    """The solver's relations: the multiplications with d prime and 2dk < N, in order."""
+    for n in range(2, 401):
+        # multiplication_relations(n) is relations_for(n) past the reflections,
+        # built here without filling relations_for's cache with 400 grids.
+        indices = [(d, k) for d in range(2, n + 1) if n % d == 0 for k in range(1, n // d)]
+        relations = multiplication_relations(n)
+        assert [r.tag for r in relations] == [f"multiplication({d},{k})" for d, k in indices]
+        want = tuple(
+            r
+            for r, (d, k) in zip(relations, indices)
+            if factorize(d) == {d: 1} and 2 * d * k < n
+        )
+        assert _solver_relations(n) == want, n
+
+
+def test_reduced_solver_matches_the_full_multiplication_set():
+    """Same pivot tags, and the same solution by tag on every folded column.
+
+    Equal pivot tags make the two spans equal, so both solvers reject the
+    same targets; the solution is linear on the span, which the columns span.
+    """
+    for n in range(2, 151):
+        full = relations_for(n)[n // 2:]
+        reduced = _solver_relations(n)
+        solver = _prepared_solver(n)
+        if solver is None:
+            assert not reduced
+            assert all(not any(_fold(r.vector, n)) for r in full), n
+            continue
+        columns = [_fold(r.vector, n) for r in full]
+        reference = PreparedSolver(columns)
+        assert [full[c].tag for c in reference.pivots] == [reduced[c].tag for c in solver.pivots]
+        for target in columns:
+            want = [(full[c].tag, x) for c, x in reference.solve(target)]
+            assert [(reduced[c].tag, x) for c, x in solver.solve(target)] == want, n
 
 
 def test_relation_counts():
