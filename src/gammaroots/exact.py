@@ -17,8 +17,10 @@ if TYPE_CHECKING:
 
 RationalLike = Union[int, Q]
 
-# Decimal digits of a numeric evaluation unless the caller asks for others.
+# Decimal digits of a numeric evaluation unless the caller asks for others,
+# and the fewest a caller may ask for.
 DEFAULT_DIGITS = 60
+MIN_DIGITS = 10
 
 _LOG2_10 = math.log2(10)
 
@@ -101,18 +103,24 @@ class FactoredConstant:
 ONE = FactoredConstant()
 
 
-def factor_power(base: RationalLike, exponent: RationalLike) -> FactoredConstant:
-    """base^exponent as a FactoredConstant; base must be a positive rational."""
+def power_factors(base: RationalLike, exponent: RationalLike = 1) -> list[tuple[int, Q]]:
+    """The (prime, exponent) pairs of base^exponent, base a positive rational.
+
+    Not merged into a FactoredConstant, so callers can build one constant
+    from several of them.
+    """
     base = Q(base)
     exponent = Q(exponent)
     if base <= 0:
         raise ValueError(f"base must be positive, got {base}")
-    powers: dict[int, Q] = {}
-    for p, m in factorize(base.numerator).items():
-        powers[p] = powers.get(p, Q(0)) + m * exponent
-    for p, m in factorize(base.denominator).items():
-        powers[p] = powers.get(p, Q(0)) - m * exponent
-    return FactoredConstant(tuple(powers.items()))
+    powers = [(p, m * exponent) for p, m in factorize(base.numerator).items()]
+    powers += [(p, -m * exponent) for p, m in factorize(base.denominator).items()]
+    return powers
+
+
+def factor_power(base: RationalLike, exponent: RationalLike) -> FactoredConstant:
+    """base^exponent as a FactoredConstant; base must be a positive rational."""
+    return FactoredConstant(tuple(power_factors(base, exponent)))
 
 
 def const_mul(a: FactoredConstant, b: FactoredConstant) -> FactoredConstant:
@@ -130,24 +138,27 @@ def const_pow(a: FactoredConstant, exponent: RationalLike) -> FactoredConstant:
 
 
 @lru_cache(maxsize=None)
-def _ln_prime(p: int, bits: int) -> mpmath.mpf:
-    import mpmath
+def _ln_prime(p: int, bits: int) -> tuple:
+    """ln p at bits, as a raw mpf."""
+    from mpmath.libmp import from_int, mpf_log, round_nearest
 
-    with mpmath.workprec(bits):
-        return mpmath.ln(p)
+    return mpf_log(from_int(p), bits, round_nearest)
 
 
 def const_ln(a: FactoredConstant, decimal_digits: int) -> mpmath.mpf:
     """ln(a) with absolute error well below 10^-decimal_digits.
 
-    mpmath is imported here, not at module level, so the exact core loads
-    without the big-float library.
+    sum_p e_p ln p, computed as mpf(e_num) / e_den * ln p summed from mpf(0)
+    at the working precision, but one mpmath.libmp call on raw mpfs per
+    operator (see numeric).  mpmath is imported here, not at module level,
+    so the exact core loads without the big-float library.
     """
     import mpmath
+    from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, round_nearest
 
-    bits = working_precision_bits(decimal_digits)
-    with mpmath.workprec(bits):
-        total = mpmath.mpf(0)
-        for base, e in a.prime_powers:
-            total += mpmath.mpf(e.numerator) / e.denominator * _ln_prime(base, bits)
-        return +total
+    bits, rnd = working_precision_bits(decimal_digits), round_nearest
+    total = fzero
+    for base, e in a.prime_powers:
+        exponent = mpf_div(from_int(e.numerator, bits, rnd), from_int(e.denominator), bits, rnd)
+        total = mpf_add(total, mpf_mul(exponent, _ln_prime(base, bits), bits, rnd), bits, rnd)
+    return mpmath.mp.make_mpf(mpf_pos(total, bits, rnd))

@@ -22,10 +22,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from itertools import repeat
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
-from .exact import ONE, FactoredConstant, const_ln, const_mul, const_pow, factor_power
+from .exact import FactoredConstant, const_ln, const_mul, const_pow, power_factors
 from .gammaword import GammaWord, brace_str, word_from_terms
 from .prover import Certificate, prove_constant
 from .rootsys import SIMPLY_LACED_FAMILIES, RootSystem, RootSystemId
@@ -79,28 +78,39 @@ def lhs_word(system: RootSystem, index: int, variant: str) -> GammaWord:
     Read off the system's integer tables: with p = 2(alpha_i|a), the
     exponents are -p/2 (F), -2p / 2(a|a) (Fprime) and -2p / 2(alpha_i|alpha_i)
     (Fsecond), and the arguments are 4(a|rho) / 4h, ht(a) / h and
-    4(a|rho) / 4h'.  The grid denominator comes from every factor's
-    argument, including those whose exponents merge to zero.  No reflection
-    folding is applied; the returned word is the product exactly as defined.
+    4(a|rho) / 4h'.  Only the roots that pair with alpha_i carry a nonzero
+    exponent, so only pairing_columns[i] is read.  The grid is the
+    lcm of every factor's reduced argument denominator, zero exponents
+    included; every argument numerator is a nonnegative integer combination
+    of the simple roots' (ht(alpha_k) = 1, 4(alpha_k|rho) = G_kk), so the
+    simple roots enter as zero-exponent factors and fix the same grid.  No
+    reflection folding is applied; the returned word is the product exactly
+    as defined.
     """
     _check_case(system, index, variant)
     i = index - 1
+    norms = None
     if variant == F_PRIME:
-        numerators, denominator, divisors = system.heights, system.coxeter_number, system.norms
-    elif variant == F:
-        numerators, denominator = system.rho_pairings, 4 * system.coxeter_number
-        divisors = repeat(4)
+        numerators, denominator, norms = system.heights, system.coxeter_number, system.norms
+        simple_arguments = {1}
     else:
-        numerators, denominator = system.rho_pairings, int(4 * system.comark_sum)
-        divisors = repeat(system.gram[i][i])
-    terms = []
-    for numerator, row, divisor in zip(numerators, system.pairings, divisors):
-        exponent, rest = divmod(-2 * row[i], divisor)
+        numerators = system.rho_pairings
+        simple_arguments = {row[k] for k, row in enumerate(system.gram)}
+        if variant == F:
+            denominator, divisor = 4 * system.coxeter_number, 4
+        else:
+            denominator, divisor = int(4 * system.comark_sum), system.gram[i][i]
+    terms = [(x, 0) for x in simple_arguments]
+    positions, pairings = system.pairing_columns[i]
+    for position, pairing in zip(positions, pairings):
+        if norms is not None:
+            divisor = norms[position]
+        exponent, rest = divmod(-2 * pairing, divisor)
         if rest:
             raise ValueError(
-                f"{system.ident}: pairing {-2 * row[i]}/{divisor} of alpha_{index} is not integral"
+                f"{system.ident}: pairing {-2 * pairing}/{divisor} of alpha_{index} is not integral"
             )
-        terms.append((numerator, exponent))
+        terms.append((numerators[position], exponent))
     return word_from_terms(terms, denominator)
 
 
@@ -113,30 +123,35 @@ def k_constant(system: RootSystem, variant: str) -> FactoredConstant:
         pairs = zip(system.comarks, system.marks)
     else:
         pairs = zip(system.double_comarks, system.comarks)
-    out = ONE
-    for base, exponent in pairs:
-        out = const_mul(out, factor_power(base, exponent))
-    return out
+    return FactoredConstant(tuple(f for base, e in pairs for f in power_factors(base, e)))
+
+
+def k_root(system: RootSystem, variant: str) -> FactoredConstant:
+    """k^(-1/h) (F, Fprime) or k''^(-1/h') (Fsecond): the factor every simple root shares."""
+    grid = system.comark_sum if variant == F_SECOND else system.coxeter_number
+    return const_pow(k_constant(system, variant), -1 / Q(grid))
 
 
 def rhs_constant(
     system: RootSystem, index: int, variant: str, k: Optional[FactoredConstant] = None
 ) -> FactoredConstant:
-    """Closed form for one simple root: its node factor times a root of k.
+    """Closed form for one simple root: its node factor times k_root.
 
-    k, when given, must be k_constant(system, variant); callers that check
-    every index of one (system, variant) compute it once and pass it in.
+    Without k the case is checked and k_root computed here.  k, when given,
+    must be k_root(system, variant) of a case the caller has checked:
+    verify_all computes it once per (system, variant), and verify passes it
+    on after lhs_word has checked the case.
     """
-    _check_case(system, index, variant)
     if k is None:
-        k = k_constant(system, variant)
+        _check_case(system, index, variant)
+        k = k_root(system, variant)
     if variant == F:
-        node, grid = Q(system.marks[index]), Q(system.coxeter_number)
+        node = system.marks[index]
     elif variant == F_PRIME:
-        node, grid = system.comarks[index], Q(system.coxeter_number)
+        node = system.comarks[index]
     else:
-        node, grid = system.double_comarks[index], system.comark_sum
-    return const_mul(factor_power(node, 1), const_pow(k, -1 / grid))
+        node = system.double_comarks[index]
+    return FactoredConstant((*power_factors(node), *k.prime_powers))
 
 
 @dataclass(frozen=True)
@@ -195,14 +210,15 @@ def verify(
     Numeric comparisons accept |ln lhs - ln rhs| <= 10^(10 - decimal_digits).
     In both mode the numeric route runs as a cross-check of an exact proof
     and as a fallback diagnostic when the word is outside the lattice; the
-    report only counts as passed with a proof.  k is passed on to
-    rhs_constant.  The numeric route, and mpmath with it, is imported only
-    when it runs, so exact mode loads neither.
+    report only counts as passed with a proof.  The case is checked once,
+    by lhs_word.  k, when given, must be k_root(system, variant); it is
+    passed on to rhs_constant.  The numeric route, and mpmath with it, is
+    imported only when it runs, so exact mode loads neither.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
     lhs = lhs_word(system, index, variant)
-    rhs = rhs_constant(system, index, variant, k)
+    rhs = rhs_constant(system, index, variant, k if k is not None else k_root(system, variant))
     certificate = None
     residual_str = None
     status = None
@@ -221,7 +237,7 @@ def verify(
         ctx = ctx or PrecisionContext.for_digits()
         residual = abs(eval_word_ln(lhs, ctx) - const_ln(rhs, ctx.decimal_digits))
         residual_str = mpmath.nstr(residual, 6)
-        numeric_ok = residual <= mpmath.mpf(10) ** (10 - ctx.decimal_digits)
+        numeric_ok = residual <= ctx.residual_bound
         if status in (None, NOT_IN_LATTICE):
             status = NUMERIC_ONLY if numeric_ok else MISMATCH
         elif not numeric_ok:
@@ -268,7 +284,7 @@ def verify_all(
         for variant in chosen:
             if not admissible(system, variant):
                 continue
-            k = k_constant(system, variant)
+            k = k_root(system, variant)
             for index in range(1, system.rank + 1):
                 reports.append(verify(system, index, variant, mode, ctx, k))
     reports.sort(key=lambda r: (r.ident, r.index, VARIANTS.index(r.variant)))

@@ -7,6 +7,14 @@ Stirling series with exact Bernoulli coefficients and an explicit tail bound.
 mpmath supplies only the big-float substrate (ln, pi, arithmetic).  What does
 not depend on the argument is built once per PrecisionContext, and ln gamma
 once per grid point, so repeated words cost table lookups.
+
+The arithmetic runs on raw mpf tuples through mpmath.libmp at ctx.bits with
+round-to-nearest.  Each mpf operator is exactly one of those calls at the
+context's precision and rounding (a * b is mpf_mul, n * a mpf_mul_int,
+n / a mpf_rdiv_int, mpf(n) / m mpf_div of from_int(n) rounded and
+from_int(m), +a mpf_pos), so the results are the bits the operator form
+gives under workprec(ctx.bits), without the object dispatch and context
+switches.
 """
 
 from __future__ import annotations
@@ -14,11 +22,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import mpmath
+from mpmath.libmp import (
+    fhalf,
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pos,
+    mpf_rdiv_int,
+    mpf_sub,
+    round_nearest,
+)
 
-from .exact import DEFAULT_DIGITS, const_ln, working_precision_bits
+from .exact import DEFAULT_DIGITS, MIN_DIGITS, const_ln, working_precision_bits
 
 # B_2, B_4, ... (B_2k at index k - 1); grown on demand, read-only thereafter.
 _EVEN_BERNOULLI: list[Q] = []
@@ -94,8 +116,10 @@ class PrecisionContext:
 
     @classmethod
     def for_digits(cls, decimal_digits: int = DEFAULT_DIGITS) -> "PrecisionContext":
-        if decimal_digits < 10:
-            raise ValueError(f"decimal_digits must be at least 10, got {decimal_digits}")
+        if decimal_digits < MIN_DIGITS:
+            raise ValueError(
+                f"decimal_digits must be at least {MIN_DIGITS}, got {decimal_digits}"
+            )
         target = -(decimal_digits + 5)
         shift = max(8, math.ceil(0.55 * (decimal_digits + 5)))
         while True:
@@ -109,20 +133,31 @@ class PrecisionContext:
                     )
             shift += 8
 
+    @cached_property
+    def residual_bound(self) -> mpmath.mpf:
+        """10^(10 - decimal_digits), the largest residual verify accepts.
 
-def _to_mpf(q: Q) -> mpmath.mpf:
-    return mpmath.mpf(q.numerator) / q.denominator
+        Built on first use, at mpmath's working precision at that time, which
+        is the precision verify compares residuals at.
+        """
+        return mpmath.mpf(10) ** (10 - self.decimal_digits)
+
+
+def _raw(q: Q, bits: int) -> tuple:
+    """mpf(q.numerator) / q.denominator at bits, as a raw mpf."""
+    numerator = from_int(q.numerator, bits, round_nearest)
+    return mpf_div(numerator, from_int(q.denominator), bits, round_nearest)
 
 
 @lru_cache(maxsize=None)
-def _stirling_data(ctx: PrecisionContext) -> tuple[mpmath.mpf, tuple[mpmath.mpf, ...]]:
-    """ln(2 pi)/2 and B_2k / (2k (2k-1)) for k = 1..stirling_terms, at ctx.bits."""
+def _stirling_data(ctx: PrecisionContext) -> tuple[tuple, tuple[tuple, ...]]:
+    """ln(2 pi)/2 and B_2k / (2k (2k-1)) for k = 1..stirling_terms, raw at ctx.bits."""
     with mpmath.workprec(ctx.bits):
-        half_ln_2pi = mpmath.ln(2 * mpmath.pi) / 2
-        coefficients = tuple(
-            _to_mpf(bernoulli(2 * k) / ((2 * k) * (2 * k - 1)))
-            for k in range(1, ctx.stirling_terms + 1)
-        )
+        half_ln_2pi = (mpmath.ln(2 * mpmath.pi) / 2)._mpf_
+    coefficients = tuple(
+        _raw(bernoulli(2 * k) / ((2 * k) * (2 * k - 1)), ctx.bits)
+        for k in range(1, ctx.stirling_terms + 1)
+    )
     return half_ln_2pi, coefficients
 
 
@@ -147,41 +182,44 @@ def ln_gamma(x, ctx: PrecisionContext | None = None) -> mpmath.mpf:
     z = x + m
     descent = Q(math.prod(p + k * q for k in range(m)), q**m)
     half_ln_2pi, coefficients = _stirling_data(ctx)
-    with mpmath.workprec(ctx.bits):
-        zf = _to_mpf(z)
-        total = (zf - mpmath.mpf(1) / 2) * mpmath.ln(zf) - zf + half_ln_2pi
-        inv = 1 / zf
-        inv2 = inv * inv
-        power = inv
-        for c in coefficients:
-            total += c * power
-            power *= inv2
-        total -= mpmath.ln(_to_mpf(descent))
-        return +total
+    bits, rnd = ctx.bits, round_nearest
+    zf = _raw(z, bits)
+    total = mpf_mul(mpf_sub(zf, fhalf, bits, rnd), mpf_log(zf, bits, rnd), bits, rnd)
+    total = mpf_add(mpf_sub(total, zf, bits, rnd), half_ln_2pi, bits, rnd)
+    inv = mpf_rdiv_int(1, zf, bits, rnd)
+    inv2 = mpf_mul(inv, inv, bits, rnd)
+    power = inv
+    for c in coefficients:
+        total = mpf_add(total, mpf_mul(c, power, bits, rnd), bits, rnd)
+        power = mpf_mul(power, inv2, bits, rnd)
+    total = mpf_sub(total, mpf_log(_raw(descent, bits), bits, rnd), bits, rnd)
+    return mpmath.mp.make_mpf(mpf_pos(total, bits, rnd))
 
 
 @lru_cache(maxsize=None)
-def _ln_gamma_cached(x: Q, ctx: PrecisionContext) -> mpmath.mpf:
-    return ln_gamma(x, ctx)
+def _ln_gamma_cached(x: Q, ctx: PrecisionContext) -> tuple:
+    return ln_gamma(x, ctx)._mpf_
 
 
 @lru_cache(maxsize=None)
-def _ln_gamma_ratio(j: int, n: int, ctx: PrecisionContext) -> mpmath.mpf:
-    """ln gamma(j/n) = ln Gamma(j/n) - ln Gamma((n-j)/n), once per grid point."""
-    with mpmath.workprec(ctx.bits):
-        return _ln_gamma_cached(Q(j, n), ctx) - _ln_gamma_cached(Q(n - j, n), ctx)
+def _ln_gamma_ratio(j: int, n: int, ctx: PrecisionContext) -> tuple:
+    """ln gamma(j/n) = ln Gamma(j/n) - ln Gamma((n-j)/n), raw, once per grid point."""
+    left, right = _ln_gamma_cached(Q(j, n), ctx), _ln_gamma_cached(Q(n - j, n), ctx)
+    return mpf_sub(left, right, ctx.bits, round_nearest)
 
 
 def eval_word_ln(word, ctx: PrecisionContext | None = None) -> mpmath.mpf:
     """ln of a word's value: sum_j e_j (ln Gamma(j/N) - ln Gamma((N-j)/N)) + ln coeff.
 
     Worst-case absolute error (2 sum_j |e_j| + 1) * 10^-decimal_digits.
+    A unit coefficient adds nothing: adding ln 1 = 0 only rounds to ctx.bits,
+    which the final rounding does anyway.
     """
     ctx = ctx or PrecisionContext.for_digits()
-    n = word.denominator
-    with mpmath.workprec(ctx.bits):
-        total = mpmath.mpf(0)
-        for j, e in word.exponents:
-            total += e * _ln_gamma_ratio(j, n, ctx)
-        total += const_ln(word.coeff, ctx.decimal_digits)
-        return +total
+    n, bits, rnd = word.denominator, ctx.bits, round_nearest
+    total = fzero
+    for j, e in word.exponents:
+        total = mpf_add(total, mpf_mul_int(_ln_gamma_ratio(j, n, ctx), e, bits, rnd), bits, rnd)
+    if not word.coeff.is_one:
+        total = mpf_add(total, const_ln(word.coeff, ctx.decimal_digits)._mpf_, bits, rnd)
+    return mpmath.mp.make_mpf(mpf_pos(total, bits, rnd))

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
-from itertools import chain
+from itertools import chain, compress
 from operator import mul
 from typing import Dict, List, Sequence, Tuple
 
@@ -234,10 +234,13 @@ class RootSystem:
     Coxeter number when the highest root is not normalized to length 2.
 
     The integer tables follow positive_roots entry for entry: root_coeffs
-    holds each root's coefficients c in the simple basis, pairings the row
-    2(alpha_j|a) = (c G)_j for j = 1..r, norms 2(a|a), heights the coefficient
-    sums, which are (a|rho_check), and rho_pairings 4(a|rho) = sum_k c_k G_kk.
-    gram is G_ij = 2(alpha_i|alpha_j).
+    holds each root's coefficients c in the simple basis, norms 2(a|a),
+    heights the coefficient sums, which are (a|rho_check), and rho_pairings
+    4(a|rho) = sum_k c_k G_kk.  The pairings 2(alpha_j|a) = (c G)_j are kept
+    by column and only where they are not zero: pairing_columns[j - 1] is
+    (positions, pairings), the table positions of the roots a that pair
+    with alpha_j, in table order, and those pairings.  gram is
+    G_ij = 2(alpha_i|alpha_j).
     """
 
     ident: RootSystemId
@@ -254,7 +257,7 @@ class RootSystem:
     simply_laced: bool
     gram: Matrix = field(repr=False)
     root_coeffs: Tuple[Coeffs, ...] = field(repr=False)
-    pairings: Matrix = field(repr=False)
+    pairing_columns: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...] = field(repr=False)
     norms: Tuple[int, ...] = field(repr=False)
     heights: Tuple[int, ...] = field(repr=False)
     rho_pairings: Tuple[int, ...] = field(repr=False)
@@ -347,7 +350,10 @@ def build(ident: RootSystemId) -> RootSystem:
         simply_laced=len(set(norms)) == 1,
         gram=gram,
         root_coeffs=coeffs,
-        pairings=pairings,
+        pairing_columns=tuple(
+            (tuple(compress(range(len(column)), column)), tuple(filter(None, column)))
+            for column in zip(*pairings)
+        ),
         norms=norms,
         heights=tuple(map(sum, coeffs)),
         rho_pairings=tuple(sum(map(mul, c, diag)) for c in coeffs),

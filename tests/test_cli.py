@@ -305,6 +305,28 @@ def test_verify_unwritable_output_is_usage_error(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+def test_invalid_digits_leaves_an_existing_report_alone(tmp_path, capsys):
+    """--digits is checked before the output file is opened, so its old bytes survive."""
+    target = tmp_path / "out.json"
+    target.write_bytes(b'{"old": "report"}\n')
+    code, out, err = run(
+        capsys, "verify", "--family", "G", "--digits", "5", "--output", str(target),
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: --digits must be at least 10")
+    assert target.read_bytes() == b'{"old": "report"}\n'
+
+
+@pytest.mark.parametrize("digits", ["5", "-3", "9"])
+@pytest.mark.parametrize("mode", fateev.MODES)
+def test_too_few_digits_is_usage_error_in_every_mode(capsys, mode, digits):
+    code, out, err = run(capsys, "verify", "--family", "G", "--mode", mode, "--digits", digits)
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: --digits must be at least 10, got {digits}")
+
+
 # sha256 of `verify --family G --family F --format json` (mode both, so with
 # the numeric residual strings), as printed: a change to the rounding of the
 # numeric route changes this digest.
@@ -316,6 +338,22 @@ def test_verify_json_golden_digest(capsys):
     assert code == EXIT_OK and err == ""
     assert '"numeric_residual":"' in out
     assert hashlib.sha256(out.encode()).hexdigest() == GF_JSON_SHA256
+
+
+# sha256 of `verify --mode numeric --digits 800 --family G --format json`,
+# taken before the numeric route moved onto mpmath's raw libmp calls: the
+# bits at the precision of the benchmark's crosscheck workload.
+G_NUMERIC_800_JSON_SHA256 = "c53fc8a7961e9a60c4020d7adcfffe908e87f752a293da9c2e8c01f4d2b41373"
+
+
+def test_verify_numeric_800_digits_golden_digest(capsys):
+    code, out, err = run(
+        capsys, "verify", "--mode", "numeric", "--digits", "800", "--family", "G",
+        "--format", "json",
+    )
+    assert code == EXIT_OK and err == ""
+    assert '"digits":800' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == G_NUMERIC_800_JSON_SHA256
 
 
 # sha256 of the outputs below, taken before the root closure moved onto the

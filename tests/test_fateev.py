@@ -3,11 +3,12 @@
 import dataclasses
 import math
 from fractions import Fraction as Q
+from itertools import repeat
 
 import pytest
 
 from gammaroots import fateev
-from gammaroots.exact import FactoredConstant
+from gammaroots.exact import FactoredConstant, const_mul, const_pow, factor_power
 from gammaroots.fateev import (
     F,
     F_PRIME,
@@ -15,13 +16,14 @@ from gammaroots.fateev import (
     VARIANTS,
     admissible,
     k_constant,
+    k_root,
     lhs_word,
     rhs_constant,
     verify,
     verify_all,
 )
 from gammaroots.gammaword import GammaWord, word_from_terms
-from gammaroots.rootsys import inner
+from gammaroots.rootsys import RootSystemId, build, inner
 from test_gammaword import reflection_fold
 
 
@@ -222,11 +224,120 @@ def test_words_match_ambient_oracle(systems, family, rank):
             )
 
 
+def pairing_rows(system):
+    """Every root's pairings 2(alpha_j|a) = (c G)_j, zero or not, from its coefficients."""
+    return [
+        tuple(sum(x * g for x, g in zip(c, column)) for column in zip(*system.gram))
+        for c in system.root_coeffs
+    ]
+
+
+def full_scan_lhs_word(system, index, variant, rows):
+    """lhs_word as it read the tables before the sparse columns: every root, every row.
+
+    rows is pairing_rows(system): each root's pairing with alpha_i comes from
+    its full row, zero or not, and the grid is the gcd over every root's
+    argument.
+    """
+    i = index - 1
+    if variant == F_PRIME:
+        numerators, denominator, divisors = system.heights, system.coxeter_number, system.norms
+    elif variant == F:
+        numerators, denominator = system.rho_pairings, 4 * system.coxeter_number
+        divisors = repeat(4)
+    else:
+        numerators, denominator = system.rho_pairings, int(4 * system.comark_sum)
+        divisors = repeat(system.gram[i][i])
+    terms = []
+    for numerator, row, divisor in zip(numerators, rows, divisors):
+        exponent, rest = divmod(-2 * row[i], divisor)
+        assert not rest
+        terms.append((numerator, exponent))
+    return word_from_terms(terms, denominator)
+
+
+def _cases(system):
+    for variant in VARIANTS:
+        if admissible(system, variant):
+            for index in range(1, system.rank + 1):
+                yield index, variant
+
+
+@pytest.fixture(scope="module")
+def large_systems():
+    """A-D at ranks 13..24 and 32, past the default rank cap."""
+    return {
+        (family, rank): build(RootSystemId(family, rank))
+        for family in "ABCD"
+        for rank in (*range(13, 25), 32)
+    }
+
+
+def test_sparse_words_match_the_full_scan_on_every_sweep_case(systems):
+    count = 0
+    for system in systems.values():
+        rows = pairing_rows(system)
+        for index, variant in _cases(system):
+            assert lhs_word(system, index, variant) == full_scan_lhs_word(
+                system, index, variant, rows
+            ), (system.ident, index, variant)
+            count += 1
+    assert count == 842
+
+
+def test_sparse_words_match_the_full_scan_past_the_rank_cap(large_systems):
+    for (family, rank), system in large_systems.items():
+        if rank > 24:
+            continue
+        rows = pairing_rows(system)
+        for index, variant in _cases(system):
+            assert lhs_word(system, index, variant) == full_scan_lhs_word(
+                system, index, variant, rows
+            ), (system.ident, index, variant)
+
+
+def test_pairing_columns_hold_every_nonzero_pairing_in_table_order(systems):
+    for system in systems.values():
+        rows = pairing_rows(system)
+        for j, (positions, pairings) in enumerate(system.pairing_columns):
+            expected = [(k, row[j]) for k, row in enumerate(rows) if row[j]]
+            assert list(zip(positions, pairings)) == expected, (system.ident, j)
+
+
+def test_grid_divisor_from_the_simple_roots(systems, large_systems):
+    """The gcd of the grid with the simple roots' arguments is the gcd over all roots.
+
+    Every argument numerator, ht(a) or 4(a|rho), is a nonnegative integer
+    combination of the simple roots' (1, or G_kk), so lhs_word may fix the
+    grid from the simple roots alone.
+    """
+    chosen = [s for (_, rank), s in large_systems.items() if rank in (16, 24, 32)]
+    assert len(chosen) == 12
+    for system in [*systems.values(), *chosen]:
+        diag = [row[k] for k, row in enumerate(system.gram)]
+        simple_rows = [k for k, c in enumerate(system.root_coeffs) if sum(c) == 1]
+        assert sorted(system.rho_pairings[k] for k in simple_rows) == sorted(diag)
+        for variant in VARIANTS:
+            if not admissible(system, variant):
+                continue
+            if variant == F_PRIME:
+                numerators, denominator, simple = system.heights, system.coxeter_number, [1]
+            elif variant == F:
+                numerators, denominator = system.rho_pairings, 4 * system.coxeter_number
+                simple = diag
+            else:
+                numerators, denominator = system.rho_pairings, int(4 * system.comark_sum)
+                simple = diag
+            assert math.gcd(denominator, *simple) == math.gcd(denominator, *numerators), (
+                system.ident, variant,
+            )
+
+
 def test_non_integral_pairing_raises(systems):
     s = systems[("A", 2)]
-    odd = tuple(tuple(p + 1 for p in row) for row in s.pairings)
+    odd = tuple((ks, tuple(p + 1 for p in ps)) for ks, ps in s.pairing_columns)
     with pytest.raises(ValueError, match="not integral"):
-        lhs_word(dataclasses.replace(s, pairings=odd), 1, F)
+        lhs_word(dataclasses.replace(s, pairing_columns=odd), 1, F)
 
 
 # -- right sides --------------------------------------------------------------
@@ -260,6 +371,32 @@ def test_rhs_spot_values(systems):
         s = systems[("C", n)]
         for i in range(1, n + 1):
             assert rhs_constant(s, i, F_PRIME).is_one
+
+
+def chained_rhs_constant(system, index, variant):
+    """The right side as three exact operations: node factor, k's root, their product."""
+    if variant == F:
+        node, grid = Q(system.marks[index]), Q(system.coxeter_number)
+    elif variant == F_PRIME:
+        node, grid = system.comarks[index], Q(system.coxeter_number)
+    else:
+        node, grid = system.double_comarks[index], system.comark_sum
+    return const_mul(factor_power(node, 1), const_pow(k_constant(system, variant), -1 / grid))
+
+
+def test_right_sides_match_the_chained_construction_on_every_sweep_case(systems):
+    count = 0
+    for system in systems.values():
+        for variant in VARIANTS:
+            if not admissible(system, variant):
+                continue
+            root = k_root(system, variant)
+            for index in range(1, system.rank + 1):
+                expected = chained_rhs_constant(system, index, variant)
+                assert rhs_constant(system, index, variant) == expected
+                assert rhs_constant(system, index, variant, root) == expected
+                count += 1
+    assert count == 842
 
 
 def test_b_family_rhs_patterns(systems):
@@ -361,6 +498,24 @@ def test_verify_all_builds_k_once_per_system_and_variant(systems, monkeypatch):
     assert summary.counts == {"proved_exact": 4 + 9}
     assert sorted(calls) == sorted(set(calls))
     assert len(calls) == 2 + 3
+
+
+def test_verify_checks_each_case_once(systems, monkeypatch):
+    calls = []
+    original = fateev._check_case
+
+    def counted(system, index, variant):
+        calls.append((system.ident, index, variant))
+        return original(system, index, variant)
+
+    monkeypatch.setattr(fateev, "_check_case", counted)
+    g2, a3 = systems[("G", 2)], systems[("A", 3)]
+    verify(g2, 1, F_SECOND, mode="exact")
+    assert calls == [(g2.ident, 1, F_SECOND)]
+    verify(a3, 2, F, "both", None, k_root(a3, F))
+    assert len(calls) == 2
+    summary = verify_all([g2, a3], mode="exact")
+    assert len(calls) == 2 + len(summary.reports)
 
 
 def test_verify_all_empty():

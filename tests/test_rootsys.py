@@ -219,12 +219,21 @@ def test_closure_rejects_zero_diagonal():
         generate_positive_roots(((2, 0), (0, 0)))
 
 
+def dense_pairings(system):
+    """The full rows 2(alpha_j|a), j = 1..r, rebuilt from the nonzero columns."""
+    rows = [[0] * system.rank for _ in system.root_coeffs]
+    for j, (positions, pairings) in enumerate(system.pairing_columns):
+        for k, p in zip(positions, pairings):
+            rows[k][j] = p
+    return [tuple(row) for row in rows]
+
+
 @pytest.mark.parametrize("family,rank", [("B", 4), ("F", 4), ("G", 2), ("E", 6)])
 def test_closure_carries_pairings_level_by_level(systems, family, rank):
     s = systems[(family, rank)]
     closure = generate_positive_roots(s.gram)
     assert [sum(c) for c in closure] == sorted(s.heights)
-    assert closure == dict(zip(s.root_coeffs, s.pairings))
+    assert closure == dict(zip(s.root_coeffs, dense_pairings(s)))
 
 
 def test_simple_roots_shapes():
@@ -262,9 +271,10 @@ def test_integer_tables_match_ambient_coordinates(systems, family, rank):
     simple = s.simple_roots
     assert s.gram == tuple(tuple(2 * inner(u, v) for v in simple) for u in simple)
     assert len(s.root_coeffs) == len(s.positive_roots)
+    pairings = dense_pairings(s)
     for k, (c, a) in enumerate(zip(s.root_coeffs, s.positive_roots)):
         assert a == tuple(sum(x * u[d] for x, u in zip(c, simple)) for d in range(len(a)))
-        assert s.pairings[k] == tuple(2 * inner(u, a) for u in simple)
+        assert pairings[k] == tuple(2 * inner(u, a) for u in simple)
         assert s.norms[k] == 2 * inner(a, a)
         assert s.heights[k] == inner(a, s.rho_check) == sum(c)
         assert s.rho_pairings[k] == 4 * inner(a, s.rho)
