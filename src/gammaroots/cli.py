@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import fateev
-from .exact import DEFAULT_DIGITS, MIN_DIGITS
+from .exact import DEFAULT_DIGITS, MAX_DIGITS, MIN_DIGITS
 from .gammaword import brace_str
 from .prover import Relation, relations_for
 from .rootsys import FAMILIES, RANK_RANGE, RootSystem, RootSystemId, build
@@ -149,6 +149,8 @@ def cmd_verify(args) -> int:
     # Checked before the precision setup and the output file, in every mode.
     if config.digits < MIN_DIGITS:
         raise ValueError(f"--digits must be at least {MIN_DIGITS}, got {config.digits}")
+    if config.digits > MAX_DIGITS:
+        raise ValueError(f"--digits must be at most {MAX_DIGITS}, got {config.digits}")
     if not config.has_cases():
         if (
             rank_max is None

@@ -18,9 +18,12 @@ if TYPE_CHECKING:
 RationalLike = Union[int, Q]
 
 # Decimal digits of a numeric evaluation unless the caller asks for others,
-# and the fewest a caller may ask for.
+# and the fewest and most a caller may ask for.  The precision setup grows
+# about tenfold per doubling of the digits, so the upper bound turns a slip
+# such as 60000 into an error instead of hours of work.
 DEFAULT_DIGITS = 60
 MIN_DIGITS = 10
+MAX_DIGITS = 1000
 
 _LOG2_10 = math.log2(10)
 

@@ -204,6 +204,7 @@ def verify(
     mode: str = "both",
     ctx: Optional[PrecisionContext] = None,
     k: Optional[FactoredConstant] = None,
+    verdicts: Optional[dict] = None,
 ) -> VerificationReport:
     """Check one identity instance by exact proof, numeric comparison, or both.
 
@@ -214,11 +215,32 @@ def verify(
     by lhs_word.  k, when given, must be k_root(system, variant); it is
     passed on to rhs_constant.  The numeric route, and mpmath with it, is
     imported only when it runs, so exact mode loads neither.
+
+    verdicts, when given, maps (lhs, rhs) to the (status, certificate,
+    residual) of an earlier case of the same run, which verify_all owns: a
+    case whose word and right side equal an earlier one's, built afresh
+    here and compared by value, takes that verdict instead of proving and
+    evaluating again.  Every entry must come from the same mode and ctx.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
     lhs = lhs_word(system, index, variant)
     rhs = rhs_constant(system, index, variant, k if k is not None else k_root(system, variant))
+    if verdicts is None:
+        verdicts = {}
+    verdict = verdicts.get((lhs, rhs))
+    if verdict is None:
+        verdict = verdicts[lhs, rhs] = _verdict(lhs, rhs, mode, ctx)
+    status, certificate, residual = verdict
+    return VerificationReport(
+        system.ident, index, variant, mode, status, lhs, rhs, certificate, residual
+    )
+
+
+def _verdict(
+    lhs: GammaWord, rhs: FactoredConstant, mode: str, ctx: Optional[PrecisionContext]
+) -> tuple[str, Optional[Certificate], Optional[str]]:
+    """(status, certificate, residual) of the identity lhs = rhs in the given mode."""
     certificate = None
     residual_str = None
     status = None
@@ -242,9 +264,7 @@ def verify(
             status = NUMERIC_ONLY if numeric_ok else MISMATCH
         elif not numeric_ok:
             status = MISMATCH
-    return VerificationReport(
-        system.ident, index, variant, mode, status, lhs, rhs, certificate, residual_str
-    )
+    return status, certificate, residual_str
 
 
 @dataclass(frozen=True)
@@ -275,10 +295,18 @@ def verify_all(
     mode: str = "both",
     ctx: Optional[PrecisionContext] = None,
 ) -> VerificationSummary:
-    """Every admissible (system, index, variant) combination, deterministically."""
+    """Every admissible (system, index, variant) combination, deterministically.
+
+    One verdicts memo serves the whole run (see verify): each distinct
+    (lhs, rhs) pair is proved and evaluated once, and the cases that repeat
+    it, such as the variants that coincide on simply laced systems and the
+    roots a diagram symmetry exchanges, take its verdict.  Every case still
+    builds its own word and right side, and gets its own verify call.
+    """
     chosen = tuple(variants) if variants else VARIANTS
     for variant in chosen:
         _check_variant(variant)
+    verdicts: dict = {}
     reports = []
     for system in systems:
         for variant in chosen:
@@ -286,6 +314,6 @@ def verify_all(
                 continue
             k = k_root(system, variant)
             for index in range(1, system.rank + 1):
-                reports.append(verify(system, index, variant, mode, ctx, k))
+                reports.append(verify(system, index, variant, mode, ctx, k, verdicts))
     reports.sort(key=lambda r: (r.ident, r.index, VARIANTS.index(r.variant)))
     return VerificationSummary(tuple(reports))

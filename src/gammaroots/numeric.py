@@ -8,13 +8,18 @@ mpmath supplies only the big-float substrate (ln, pi, arithmetic).  What does
 not depend on the argument is built once per PrecisionContext, and ln gamma
 once per grid point, so repeated words cost table lookups.
 
-The arithmetic runs on raw mpf tuples through mpmath.libmp at ctx.bits with
-round-to-nearest.  Each mpf operator is exactly one of those calls at the
-context's precision and rounding (a * b is mpf_mul, n * a mpf_mul_int,
-n / a mpf_rdiv_int, mpf(n) / m mpf_div of from_int(n) rounded and
-from_int(m), +a mpf_pos), so the results are the bits the operator form
-gives under workprec(ctx.bits), without the object dispatch and context
-switches.
+The arithmetic is the operation sequence of the mpf operator form under
+workprec(ctx.bits), rounded to nearest with ties to even after every
+operation.  The logarithms, the descent and the conversions run on raw mpf
+tuples through mpmath.libmp (a * b is mpf_mul, n * a mpf_mul_int, n / a
+mpf_rdiv_int, mpf(n) / m mpf_div of from_int(n) rounded and from_int(m),
++a mpf_pos), without the object dispatch and context switches.  The
+Stirling sum runs on signed (mantissa, exponent) integers instead: each
+product and sum is formed exactly and rounded to ctx.bits by _round.  On
+operands of at most ctx.bits bits, as every operand there is, mpf_mul and
+mpf_add are correctly rounded, and a value has one canonical mpf, so the
+same sequence of correctly rounded operations gives the same bits in
+either form; the sum only drops libmp's per-call tuple handling.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ import mpmath
 from mpmath.libmp import (
     fhalf,
     from_int,
+    from_man_exp,
     fzero,
     mpf_add,
     mpf_div,
@@ -40,7 +46,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .exact import DEFAULT_DIGITS, MIN_DIGITS, const_ln, working_precision_bits
+from .exact import DEFAULT_DIGITS, MAX_DIGITS, MIN_DIGITS, const_ln, working_precision_bits
 
 # B_2, B_4, ... (B_2k at index k - 1); grown on demand, read-only thereafter.
 _EVEN_BERNOULLI: list[Q] = []
@@ -120,6 +126,10 @@ class PrecisionContext:
             raise ValueError(
                 f"decimal_digits must be at least {MIN_DIGITS}, got {decimal_digits}"
             )
+        if decimal_digits > MAX_DIGITS:
+            raise ValueError(
+                f"decimal_digits must be at most {MAX_DIGITS}, got {decimal_digits}"
+            )
         target = -(decimal_digits + 5)
         shift = max(8, math.ceil(0.55 * (decimal_digits + 5)))
         while True:
@@ -149,13 +159,40 @@ def _raw(q: Q, bits: int) -> tuple:
     return mpf_div(numerator, from_int(q.denominator), bits, round_nearest)
 
 
+def _signed(raw: tuple) -> tuple[int, int]:
+    """A finite raw mpf as (signed mantissa, exponent)."""
+    sign, man, exp, _ = raw
+    return -man if sign else man, exp
+
+
+def _round(man: int, exp: int, bits: int) -> tuple[int, int]:
+    """man * 2^exp rounded to bits significant bits, to nearest with ties to even.
+
+    libmp's round_nearest.  man is signed; the floor shift and the remainder
+    below it give the same ties-to-even result for either sign.  The result
+    may carry trailing zero bits, and bits + 1 bits when rounding carries
+    into a power of two; its value is the correctly rounded one.
+    """
+    shift = man.bit_length() - bits
+    if shift <= 0:
+        return man, exp
+    t = man >> (shift - 1)
+    if t & 1 and (t & 2 or man & ((1 << (shift - 1)) - 1)):
+        return (t >> 1) + 1, exp + shift
+    return t >> 1, exp + shift
+
+
 @lru_cache(maxsize=None)
-def _stirling_data(ctx: PrecisionContext) -> tuple[tuple, tuple[tuple, ...]]:
-    """ln(2 pi)/2 and B_2k / (2k (2k-1)) for k = 1..stirling_terms, raw at ctx.bits."""
+def _stirling_data(ctx: PrecisionContext) -> tuple[tuple, tuple[tuple[int, int], ...]]:
+    """ln(2 pi)/2 and the Stirling coefficients, rounded to ctx.bits.
+
+    ln(2 pi)/2 is a raw mpf; B_2k / (2k (2k-1)) for k = 1..stirling_terms
+    are (signed mantissa, exponent) pairs for ln_gamma's integer sum.
+    """
     with mpmath.workprec(ctx.bits):
         half_ln_2pi = (mpmath.ln(2 * mpmath.pi) / 2)._mpf_
     coefficients = tuple(
-        _raw(bernoulli(2 * k) / ((2 * k) * (2 * k - 1)), ctx.bits)
+        _signed(_raw(bernoulli(2 * k) / ((2 * k) * (2 * k - 1)), ctx.bits))
         for k in range(1, ctx.stirling_terms + 1)
     )
     return half_ln_2pi, coefficients
@@ -187,11 +224,20 @@ def ln_gamma(x, ctx: PrecisionContext | None = None) -> mpmath.mpf:
     total = mpf_mul(mpf_sub(zf, fhalf, bits, rnd), mpf_log(zf, bits, rnd), bits, rnd)
     total = mpf_add(mpf_sub(total, zf, bits, rnd), half_ln_2pi, bits, rnd)
     inv = mpf_rdiv_int(1, zf, bits, rnd)
-    inv2 = mpf_mul(inv, inv, bits, rnd)
-    power = inv
-    for c in coefficients:
-        total = mpf_add(total, mpf_mul(c, power, bits, rnd), bits, rnd)
-        power = mpf_mul(power, inv2, bits, rnd)
+    inv2_man, inv2_exp = _signed(mpf_mul(inv, inv, bits, rnd))
+    power_man, power_exp = _signed(inv)
+    total_man, total_exp = _signed(total)
+    # total += c * power; power *= inv2, each operation rounded as mpf_mul
+    # and mpf_add round it.
+    for c_man, c_exp in coefficients:
+        term_man, term_exp = _round(c_man * power_man, c_exp + power_exp, bits)
+        if total_exp > term_exp:
+            total_man, total_exp = (total_man << (total_exp - term_exp)) + term_man, term_exp
+        else:
+            total_man += term_man << (term_exp - total_exp)
+        total_man, total_exp = _round(total_man, total_exp, bits)
+        power_man, power_exp = _round(power_man * inv2_man, power_exp + inv2_exp, bits)
+    total = from_man_exp(total_man, total_exp, bits, rnd)
     total = mpf_sub(total, mpf_log(_raw(descent, bits), bits, rnd), bits, rnd)
     return mpmath.mp.make_mpf(mpf_pos(total, bits, rnd))
 

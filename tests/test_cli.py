@@ -327,6 +327,24 @@ def test_too_few_digits_is_usage_error_in_every_mode(capsys, mode, digits):
     assert err.startswith(f"error: --digits must be at least 10, got {digits}")
 
 
+@pytest.mark.parametrize("digits", ["1001", "4000", "60000"])
+@pytest.mark.parametrize("mode", fateev.MODES)
+def test_too_many_digits_is_usage_error_in_every_mode(tmp_path, capsys, monkeypatch, mode, digits):
+    """The bound is checked before the precision setup and before the output file opens."""
+    calls = []
+    monkeypatch.setattr(numeric.PrecisionContext, "for_digits", lambda *a: calls.append(a))
+    target = tmp_path / "out.json"
+    code, out, err = run(
+        capsys, "verify", "--family", "G", "--mode", mode, "--digits", digits,
+        "--output", str(target),
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith(f"error: --digits must be at most 1000, got {digits}")
+    assert not target.exists()
+    assert calls == []
+
+
 # sha256 of `verify --family G --family F --format json` (mode both, so with
 # the numeric residual strings), as printed: a change to the rounding of the
 # numeric route changes this digest.
@@ -395,6 +413,18 @@ def test_table_golden_digest(capsys, fmt, digest):
         assert code == EXIT_OK and err == ""
         outputs.append(out)
     assert hashlib.sha256("".join(outputs).encode()).hexdigest() == digest
+
+
+# sha256 of `verify --format json`: the full default sweep, 842 cases in mode
+# both, whose repeated (word, right side) pairs share one verdict per run.
+DEFAULT_JSON_SHA256 = "5136e93cbfbc58d19fae230d0a7ad588145fa34cc755781f303b7cf72a757773"
+
+
+def test_verify_default_json_golden_digest(capsys):
+    code, out, err = run(capsys, "verify", "--format", "json")
+    assert code == EXIT_OK and err == ""
+    assert len(json.loads(out)["reports"]) == 842
+    assert hashlib.sha256(out.encode()).hexdigest() == DEFAULT_JSON_SHA256
 
 
 def test_verify_exact_json_golden_digest(capsys):

@@ -7,7 +7,7 @@ from itertools import repeat
 
 import pytest
 
-from gammaroots import fateev
+from gammaroots import fateev, numeric
 from gammaroots.exact import FactoredConstant, const_mul, const_pow, factor_power
 from gammaroots.fateev import (
     F,
@@ -516,6 +516,65 @@ def test_verify_checks_each_case_once(systems, monkeypatch):
     assert len(calls) == 2
     summary = verify_all([g2, a3], mode="exact")
     assert len(calls) == 2 + len(summary.reports)
+
+
+def _count_calls(monkeypatch, owner, name, seen):
+    original = getattr(owner, name)
+
+    def counted(word, *args):
+        seen.append(word)
+        return original(word, *args)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_verify_all_decides_each_distinct_identity_once(systems, monkeypatch):
+    proved, evaluated = [], []
+    _count_calls(monkeypatch, fateev, "prove_constant", proved)
+    _count_calls(monkeypatch, numeric, "eval_word_ln", evaluated)
+    ctx = numeric.PrecisionContext.for_digits(60)
+    summary = verify_all(systems.values(), mode="both", ctx=ctx)
+    assert len(summary.reports) == 842
+    distinct = {(r.lhs, r.rhs) for r in summary.reports}
+    assert len(distinct) == 349
+    assert len(proved) == len(evaluated) == 349
+    assert set(proved) == set(evaluated) == {lhs for lhs, _ in distinct}
+
+
+@pytest.mark.parametrize("mode", fateev.MODES)
+def test_shared_verdicts_equal_standalone_verify(systems, mode):
+    ctx = numeric.PrecisionContext.for_digits(60)
+    summary = verify_all(systems.values(), mode=mode, ctx=ctx)
+    for report in summary.reports:
+        alone = verify(systems[report.ident.family, report.ident.rank], report.index,
+                       report.variant, mode, ctx)
+        for field in dataclasses.fields(report):
+            shared, fresh = getattr(report, field.name), getattr(alone, field.name)
+            if field.name == "certificate" and shared is not None:
+                shared, fresh = shared.to_json_obj(), fresh.to_json_obj()
+            assert shared == fresh, (report.ident, report.index, report.variant, field.name)
+
+
+def test_a_refused_proof_reaches_every_case_that_shares_the_word(systems, monkeypatch):
+    """A3's alpha_1 and alpha_3 give one word in each of the three variants."""
+    a3 = systems[("A", 3)]
+    target = lhs_word(a3, 1, F)
+    original = fateev.prove_constant
+    calls = []
+
+    def refuse_target(word):
+        calls.append(word)
+        return None if word == target else original(word)
+
+    monkeypatch.setattr(fateev, "prove_constant", refuse_target)
+    summary = verify_all([a3], mode="both")
+    shared = [r for r in summary.reports if r.lhs == target]
+    assert [(r.index, r.variant) for r in shared] == [(i, v) for i in (1, 3) for v in VARIANTS]
+    assert {r.status for r in shared} == {fateev.NUMERIC_ONLY}
+    assert all(r.certificate is None and not r.passed for r in shared)
+    assert {r.status for r in summary.reports if r.lhs != target} == {fateev.PROVED_EXACT}
+    assert not summary.all_passed
+    assert calls.count(target) == 1
 
 
 def test_verify_all_empty():

@@ -15,6 +15,17 @@ from functools import lru_cache
 
 import mpmath
 import pytest
+from mpmath.libmp import (
+    fhalf,
+    from_man_exp,
+    mpf_add,
+    mpf_log,
+    mpf_mul,
+    mpf_pos,
+    mpf_rdiv_int,
+    mpf_sub,
+    round_nearest,
+)
 
 from gammaroots import fateev, numeric
 from gammaroots.exact import FactoredConstant, factor_power, working_precision_bits
@@ -103,8 +114,10 @@ def test_precision_context_meets_tail_bound():
         ctx = PrecisionContext.for_digits(digits)
         assert stirling_tail_log10(ctx.shift_count, ctx.stirling_terms) <= -(digits + 5)
         assert ctx.bits > digits * 3.3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 10"):
         PrecisionContext.for_digits(9)
+    with pytest.raises(ValueError, match="at most 1000"):
+        PrecisionContext.for_digits(1001)
 
 
 def test_ln_gamma_half():
@@ -241,6 +254,74 @@ def test_ln_gamma_bit_exact_at_other_precisions(digits):
     max_n, count, table = OTHER_PRECISIONS[digits]
     for x in random.Random(digits).sample(_grid_points(max_n), count):
         assert ln_gamma(x, ctx) == reference_ln_gamma(x, ctx, table), x
+
+
+@lru_cache(maxsize=None)
+def _libmp_stirling_data(ctx):
+    with mpmath.workprec(ctx.bits):
+        half_ln_2pi = (mpmath.ln(2 * mpmath.pi) / 2)._mpf_
+    coefficients = tuple(
+        numeric._raw(bernoulli(2 * k) / ((2 * k) * (2 * k - 1)), ctx.bits)
+        for k in range(1, ctx.stirling_terms + 1)
+    )
+    return half_ln_2pi, coefficients
+
+
+def libmp_ln_gamma(x, ctx):
+    """ln Gamma(x) as a raw mpf, every operation one mpmath.libmp call at ctx.bits.
+
+    The operation sequence ln_gamma ran before its Stirling sum moved onto
+    integers: 3 rounded libmp calls per Stirling term.
+    """
+    x = Q(x)
+    p, q, m = x.numerator, x.denominator, ctx.shift_count
+    descent = Q(math.prod(p + k * q for k in range(m)), q**m)
+    half_ln_2pi, coefficients = _libmp_stirling_data(ctx)
+    bits, rnd = ctx.bits, round_nearest
+    zf = numeric._raw(x + m, bits)
+    total = mpf_mul(mpf_sub(zf, fhalf, bits, rnd), mpf_log(zf, bits, rnd), bits, rnd)
+    total = mpf_add(mpf_sub(total, zf, bits, rnd), half_ln_2pi, bits, rnd)
+    inv = mpf_rdiv_int(1, zf, bits, rnd)
+    inv2 = mpf_mul(inv, inv, bits, rnd)
+    power = inv
+    for c in coefficients:
+        total = mpf_add(total, mpf_mul(c, power, bits, rnd), bits, rnd)
+        power = mpf_mul(power, inv2, bits, rnd)
+    total = mpf_sub(total, mpf_log(numeric._raw(descent, bits), bits, rnd), bits, rnd)
+    return mpf_pos(total, bits, rnd)
+
+
+def test_integer_stirling_sum_matches_libmp_on_every_grid_to_120():
+    ctx = PrecisionContext.for_digits(60)
+    for x in _grid_points(120):
+        assert ln_gamma(x, ctx)._mpf_ == libmp_ln_gamma(x, ctx), x
+
+
+# digits -> seeded random rationals compared.  At 800 digits the last
+# Stirling terms sit hundreds of bits below the running total.
+RANDOM_RATIONALS = {20: 600, 200: 150, 800: 12}
+
+
+@pytest.mark.parametrize("digits", sorted(RANDOM_RATIONALS))
+def test_integer_stirling_sum_matches_libmp_on_random_rationals(digits):
+    ctx = PrecisionContext.for_digits(digits)
+    rng = random.Random(1000 + digits)
+    for _ in range(RANDOM_RATIONALS[digits]):
+        q = rng.randrange(2, 10 ** rng.randrange(2, 40))
+        x = Q(rng.randrange(1, q), q)
+        assert ln_gamma(x, ctx)._mpf_ == libmp_ln_gamma(x, ctx), x
+
+
+def test_round_is_libmp_round_nearest():
+    """Ties go to even, for either sign, and a carry may reach a power of two."""
+    rng = random.Random(3)
+    cases = [(m, b) for m in range(-300, 301) for b in (1, 2, 3, 5)]
+    cases += [(rng.getrandbits(rng.randrange(1, 400)) * rng.choice((1, -1)), rng.randrange(1, 200))
+              for _ in range(3000)]
+    for man, bits in cases:
+        exp = rng.randrange(-50, 50)
+        expected = from_man_exp(man, exp, bits, round_nearest)
+        assert from_man_exp(*numeric._round(man, exp, bits)) == expected, (man, exp, bits)
 
 
 def _sweep_words(idents):
