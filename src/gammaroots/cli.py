@@ -92,7 +92,7 @@ def cmd_table(args) -> int:
     for i, root in enumerate(system.simple_roots, start=1):
         lines.append(f"  alpha_{i} = ({', '.join(str(x) for x in root)})")
     lines.append("positive roots (by height):")
-    for height, root in zip(system.heights, system.positive_roots):
+    for height, root in system.roots_by_height():
         lines.append(f"  height {height:2d}: ({', '.join(str(x) for x in root)})")
     print("\n".join(lines))
     return EXIT_OK

@@ -6,28 +6,31 @@ is integral for all of A-G in the Bourbaki planche coordinates used here,
 and the root-string closure runs on G alone: each root carries its pairings
 2(alpha_j|a) = (c G)_j, and a step by alpha_i adds row i of G.  Every other
 quantity the identities need is an integer read off c and those pairings:
-heights are coefficient sums, the norms 2(a|a) are c . (c G), and the marks
-are the coefficients of the highest root.  Ambient coordinates (tuples of
-Fractions, whose dimension may exceed the rank for families A and G) are
-produced once, at the edge, for the simple roots, positive roots, alpha0
-and the Weyl vectors.  All pairings are the raw coordinate dot product;
+heights are coefficient sums, the norms 2(a|a) are c . (c G), the marks
+are the coefficients of the highest root, and the Weyl vectors are sums of
+coefficient vectors.  Ambient coordinates (tuples of Fractions, whose
+dimension may exceed the rank for families A and G) are computed on first
+use, for tables and JSON.  All pairings are the raw coordinate dot product;
 marks are normalization free, but comarks, double comarks and the comark
-sum depend on this realization and are kept as exact rationals rather than
-rescaled.
+sum depend on this realization and are kept as exact rationals.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction as Q
+from functools import cached_property
 from itertools import chain, compress
-from operator import mul
+from operator import attrgetter, mul
 from typing import Dict, List, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
 Coeffs = Tuple[int, ...]
 Matrix = Tuple[Tuple[int, ...], ...]
+# rho and rho_check in the simple basis, each as (integer coefficients, denominator)
+Weyl = Tuple[Tuple[Coeffs, int], Tuple[Coeffs, int]]
 
 FAMILIES = ("A", "B", "C", "D", "E", "F", "G")
 # Families with one root length; build checks each system's norms against it.
@@ -35,13 +38,8 @@ SIMPLY_LACED_FAMILIES = ("A", "D", "E")
 
 # family -> (minimum rank, maximum rank or None for the infinite families)
 RANK_RANGE: Dict[str, Tuple[int, int | None]] = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (2, None),
-    "D": (3, None),
-    "E": (6, 8),
-    "F": (4, 4),
-    "G": (2, 2),
+    "A": (1, None), "B": (2, None), "C": (2, None), "D": (3, None),
+    "E": (6, 8), "F": (4, 4), "G": (2, 2),
 }
 
 
@@ -68,10 +66,269 @@ class RootSystemId:
         return f"{self.family}{self.rank}"
 
 
-def inner(u: Vector, v: Vector) -> Q:
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch")
-    return sum((a * b for a, b in zip(u, v)), Q(0))
+def generate_positive_roots(gram: Matrix, max_height: int = 1000) -> Dict[Coeffs, Coeffs]:
+    """Close the simple roots under root strings, from the Gram matrix alone.
+
+    gram is G_ij = 2(alpha_i|alpha_j), integral.  Returns each positive
+    root's coefficient vector c, level by level, mapped to its pairings
+    2(alpha_j|a) = (c G)_j.  beta + alpha_i is a root iff
+    p - <beta, alpha_i^> >= 1, where p counts how far the alpha_i-string
+    descends from beta through known roots; with P = (c G) this is
+    (p - 1) G_ii >= 2 P_i.  A step adds row i of G to the parent's
+    pairings, and the new root's norm 2(a|a) = c . P must be positive.
+
+    The walk keys each root on one int, 4 bits per coefficient: a step by
+    alpha_i adds 1 << 4i, and the string walk subtracts it.  A coefficient
+    of 15 raises, so no root's key holds 15 in any field, and a step that
+    carries out of a field or a walk that borrows below 0 meets no root.
+    Finite systems stay far below: the largest coefficient is 6, in E8.
+    """
+    r = len(gram)
+    for i, row in enumerate(gram):
+        if row[i] <= 0:
+            raise ClosureError(f"2(alpha_{i + 1}|alpha_{i + 1}) = {row[i]} is not positive")
+    for i, row in enumerate(gram):
+        if any(2 * g % gram[j][j] for j, g in enumerate(row)):
+            raise ClosureError(
+                f"non-integral Cartan integer at alpha_{i + 1}; input is not crystallographic"
+            )
+
+    steps = [1 << 4 * i for i in range(r)]
+    # packed key -> (coefficients, pairings), in the order the roots are found
+    known: Dict[int, Tuple[Coeffs, Coeffs]] = {
+        steps[i]: (tuple(int(k == i) for k in range(r)), tuple(gram[i])) for i in range(r)
+    }
+    current = list(known)
+    height = 1
+    while current:
+        if height >= max_height:
+            raise ClosureError(
+                f"no closure below height {max_height}; "
+                "the simple roots do not generate a finite system"
+            )
+        found: List[int] = []
+        for beta in current:
+            coeffs, pairs = known[beta]
+            for i, step in enumerate(steps):
+                cand = beta + step
+                if cand in known:
+                    continue
+                p = 0
+                below = beta - step
+                while below in known:
+                    p += 1
+                    below -= step
+                if (p - 1) * gram[i][i] >= 2 * pairs[i]:
+                    if coeffs[i] == 14:
+                        raise ClosureError(
+                            f"closure reached coefficient 15 at alpha_{i + 1}; "
+                            "the 4-bit root keys hold at most 14"
+                        )
+                    cand_coeffs = coeffs[:i] + (coeffs[i] + 1,) + coeffs[i + 1:]
+                    cand_pairs = tuple(map(sum, zip(pairs, gram[i])))
+                    if sum(map(mul, cand_coeffs, cand_pairs)) <= 0:
+                        raise ClosureError(
+                            "closure reached a vector of length zero; "
+                            "input is not a finite root base"
+                        )
+                    known[cand] = cand_coeffs, cand_pairs
+                    found.append(cand)
+        current = found
+        height += 1
+    return dict(known.values())
+
+
+def highest_root(positive: Sequence[Coeffs]) -> Coeffs:
+    """The unique maximal positive root; its coefficients are the marks n_1..n_r.
+
+    The root of greatest height lies in one irreducible component, so it has
+    a zero coefficient exactly when the system is reducible.
+    """
+    theta = max(positive, key=sum)
+    if not all(theta):
+        raise ValueError("the highest root misses a simple root; the system is not irreducible")
+    return theta
+
+
+def weyl_vectors(positive: Sequence[Coeffs], norms: Sequence[int]) -> Weyl:
+    """rho and rho_check in the simple basis, as integer coefficients over a denominator.
+
+    2 rho is the sum of the positive roots.  The coroot of a is 4a / n with
+    n = 2(a|a), so with L the lcm of the norms, L rho_check sums 2(L / n) a.
+    """
+    by_norm: Dict[int, List[Coeffs]] = {}
+    for c, n in zip(positive, norms):
+        by_norm.setdefault(n, []).append(c)
+    lcm = math.lcm(*by_norm)
+    two_rho = [0] * len(positive[0])
+    lcm_rho_check = two_rho[:]
+    for n, roots in by_norm.items():
+        for k, total in enumerate(map(sum, zip(*roots))):
+            two_rho[k] += total
+            lcm_rho_check[k] += 2 * (lcm // n) * total
+    return (tuple(two_rho), 2), (tuple(lcm_rho_check), lcm)
+
+
+Ambient = namedtuple("Ambient", "simple_roots positive_roots alpha0 rho rho_check")
+
+
+@dataclass(frozen=True)
+class RootSystem:
+    """Everything the identity checks need about one irreducible system.
+
+    marks, comarks and double_comarks are indexed 0..rank; entry 0 belongs to
+    alpha0, the negated highest root.  comark i is (alpha_i|alpha_i) n_i / 2
+    and double comark i is (alpha_i|alpha_i) comark_i / 2, in the raw
+    coordinate normalization.  coxeter_number is the mark sum; comark_sum is
+    its analogue on the comark side and need not match the textbook dual
+    Coxeter number when the highest root is not normalized to length 2.
+
+    The integer tables follow root_coeffs, each root's coefficients c in the
+    simple basis, in the closure's level order: norms 2(a|a), heights the
+    coefficient sums, which are (a|rho_check), and rho_pairings
+    4(a|rho) = sum_k c_k G_kk.  The pairings 2(alpha_j|a) = (c G)_j are kept
+    by column and only where they are not zero: pairing_columns[j - 1] is
+    (positions, pairings), the table positions of the roots a that pair
+    with alpha_j, in table order, and those pairings.  gram is
+    G_ij = 2(alpha_i|alpha_j), and weyl is what weyl_vectors returns.
+
+    The ambient Fraction tables simple_roots, positive_roots (entry for
+    entry with root_coeffs), alpha0, rho and rho_check are computed on first
+    use and cached in ambient; no verify path reads them.
+    """
+
+    ident: RootSystemId
+    marks: Tuple[int, ...]
+    comarks: Tuple[Q, ...]
+    double_comarks: Tuple[Q, ...]
+    coxeter_number: int
+    comark_sum: Q
+    simply_laced: bool
+    gram: Matrix = field(repr=False)
+    root_coeffs: Tuple[Coeffs, ...] = field(repr=False)
+    pairing_columns: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...] = field(repr=False)
+    norms: Tuple[int, ...] = field(repr=False)
+    heights: Tuple[int, ...] = field(repr=False)
+    rho_pairings: Tuple[int, ...] = field(repr=False)
+    weyl: Weyl = field(repr=False)
+
+    family = property(attrgetter("ident.family"))
+    rank = property(attrgetter("ident.rank"))
+
+    @cached_property
+    def ambient(self) -> Ambient:
+        simple = simple_roots(self.ident)
+        scale, scaled = _scaled(simple)
+        ints = [_combine(c, scaled) for c in self.root_coeffs]
+        fraction = {x: Q(x, scale) for x in set(chain.from_iterable(ints))}
+        (two_rho, two), (lcm_rho_check, lcm) = self.weyl
+        return Ambient(
+            simple_roots=tuple(simple),
+            positive_roots=tuple(tuple(fraction[x] for x in v) for v in ints),
+            alpha0=_to_ambient([-m for m in self.marks[1:]], 1, scale, scaled),
+            rho=_to_ambient(two_rho, two, scale, scaled),
+            rho_check=_to_ambient(lcm_rho_check, lcm, scale, scaled),
+        )
+
+    simple_roots = property(attrgetter("ambient.simple_roots"))
+    positive_roots = property(attrgetter("ambient.positive_roots"))
+    alpha0 = property(attrgetter("ambient.alpha0"))
+    rho = property(attrgetter("ambient.rho"))
+    rho_check = property(attrgetter("ambient.rho_check"))
+
+    def roots_by_height(self) -> List[Tuple[int, Vector]]:
+        """(height, ambient root) pairs, by height and then by coordinates: table order."""
+        return sorted(zip(self.heights, self.positive_roots))
+
+    def to_json_obj(self) -> dict:
+        """JSON-ready table: rationals as 'p/q' strings, vectors as string arrays."""
+        def vecs(vs):
+            return [[str(x) for x in v] for v in vs]
+
+        return {
+            "family": self.family,
+            "rank": self.rank,
+            "positive_root_count": len(self.positive_roots),
+            "coxeter_number": self.coxeter_number,
+            "comark_sum": str(self.comark_sum),
+            "marks": list(self.marks),
+            "comarks": [str(c) for c in self.comarks],
+            "double_comarks": [str(c) for c in self.double_comarks],
+            "simply_laced": self.simply_laced,
+            "alpha0": [str(x) for x in self.alpha0],
+            "rho": [str(x) for x in self.rho],
+            "rho_check": [str(x) for x in self.rho_check],
+            "simple_roots": vecs(self.simple_roots),
+            "positive_roots": vecs(root for _, root in self.roots_by_height()),
+        }
+
+
+def build(ident: RootSystemId) -> RootSystem:
+    """Construct and cross-validate the integer tables of an admissible id."""
+    scale, scaled = _scaled(simple_roots(ident))
+    scaled_gram = [[2 * sum(map(mul, u, v)) for v in scaled] for u in scaled]
+    if any(g % (scale * scale) for row in scaled_gram for g in row):
+        raise ClosureError(f"{ident}: 2(alpha_i|alpha_j) is not integral")
+    gram = tuple(tuple(g // (scale * scale) for g in row) for row in scaled_gram)
+
+    closure = generate_positive_roots(gram)
+    coeffs = tuple(closure)
+    pairings = tuple(closure.values())
+    norms = tuple(sum(map(mul, c, p)) for c, p in zip(coeffs, pairings))
+    diag = [row[j] for j, row in enumerate(gram)]
+    theta = highest_root(coeffs)
+    marks = (1,) + theta
+    node_norms = (norms[coeffs.index(theta)],) + tuple(diag)
+    system = RootSystem(
+        ident=ident,
+        marks=marks,
+        comarks=tuple(Q(g * n, 4) for g, n in zip(node_norms, marks)),
+        double_comarks=tuple(Q(g * g * n, 16) for g, n in zip(node_norms, marks)),
+        coxeter_number=sum(marks),
+        comark_sum=Q(sum(map(mul, node_norms, marks)), 4),
+        simply_laced=len(set(norms)) == 1,
+        gram=gram,
+        root_coeffs=coeffs,
+        pairing_columns=tuple(
+            (tuple(compress(range(len(column)), column)), tuple(filter(None, column)))
+            for column in zip(*pairings)
+        ),
+        norms=norms,
+        heights=tuple(map(sum, coeffs)),
+        rho_pairings=tuple(sum(map(mul, c, diag)) for c in coeffs),
+        weyl=weyl_vectors(coeffs, norms),
+    )
+    _validate(system)
+    return system
+
+
+def _validate(system: RootSystem) -> None:
+    """Internal consistency ties between the generated pieces.
+
+    The last tie checks the Weyl vectors in the simple basis: every simple
+    root has height (alpha_k|rho_check) = 1 and 4(alpha_k|rho) = G_kk,
+    which is what makes heights and rho_pairings the word arguments.  As
+    (G x)_k = 2(alpha_k|x), for rho = u / d and rho_check = v / L these read
+    2(G u)_k = d G_kk and (G v)_k = 2L.
+    """
+    r, h = system.rank, system.coxeter_number
+    count = len(system.root_coeffs)
+    if 2 * count != r * h:
+        raise ClosureError(
+            f"{system.ident}: {count} positive roots; the count must equal rank * h / 2"
+        )
+    if set(map(sum, system.root_coeffs)) != set(range(1, h)):
+        raise ClosureError(f"{system.ident}: root heights must fill [1, h-1]")
+    if system.simply_laced != (system.ident.family in SIMPLY_LACED_FAMILIES):
+        raise ClosureError(f"{system.ident}: root lengths disagree with the family")
+    (u, d), (v, lcm) = system.weyl
+    for k, row in enumerate(system.gram):
+        if 2 * sum(map(mul, row, u)) != d * row[k] or sum(map(mul, row, v)) != 2 * lcm:
+            raise ClosureError(f"{system.ident}: rho and rho_check disagree with alpha_{k + 1}")
+
+
+# Ambient coordinates.  build reads only the Gram matrix off them; the rest
+# serves RootSystem.ambient, on first use.
 
 
 def _vec(dim: int, entries: Dict[int, int]) -> Vector:
@@ -81,27 +338,15 @@ def _vec(dim: int, entries: Dict[int, int]) -> Vector:
 # Simple roots of E8; E6 and E7 take the first six and seven of them,
 # realized inside the same eight-dimensional space.
 _E8_SIMPLE: Tuple[Vector, ...] = (
-    (Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2), Q(1, 2)),
-    (Q(1), Q(1), Q(0), Q(0), Q(0), Q(0), Q(0), Q(0)),
-    (Q(-1), Q(1), Q(0), Q(0), Q(0), Q(0), Q(0), Q(0)),
-    (Q(0), Q(-1), Q(1), Q(0), Q(0), Q(0), Q(0), Q(0)),
-    (Q(0), Q(0), Q(-1), Q(1), Q(0), Q(0), Q(0), Q(0)),
-    (Q(0), Q(0), Q(0), Q(-1), Q(1), Q(0), Q(0), Q(0)),
-    (Q(0), Q(0), Q(0), Q(0), Q(-1), Q(1), Q(0), Q(0)),
-    (Q(0), Q(0), Q(0), Q(0), Q(0), Q(-1), Q(1), Q(0)),
+    tuple(Q(x, 2) for x in (1, -1, -1, -1, -1, -1, -1, 1)),
+    _vec(8, {0: 1, 1: 1}),
+    *(_vec(8, {i: -1, i + 1: 1}) for i in range(6)),
 )
-
 _F4_SIMPLE: Tuple[Vector, ...] = (
-    (Q(0), Q(1), Q(-1), Q(0)),
-    (Q(0), Q(0), Q(1), Q(-1)),
-    (Q(0), Q(0), Q(0), Q(1)),
-    (Q(1, 2), Q(-1, 2), Q(-1, 2), Q(-1, 2)),
+    _vec(4, {1: 1, 2: -1}), _vec(4, {2: 1, 3: -1}), _vec(4, {3: 1}),
+    tuple(Q(x, 2) for x in (1, -1, -1, -1)),
 )
-
-_G2_SIMPLE: Tuple[Vector, ...] = (
-    (Q(1), Q(-1), Q(0)),
-    (Q(-2), Q(1), Q(1)),
-)
+_G2_SIMPLE: Tuple[Vector, ...] = (_vec(3, {0: 1, 1: -1}), _vec(3, {0: -2, 1: 1, 2: 1}))
 
 
 def simple_roots(ident: RootSystemId) -> List[Vector]:
@@ -126,173 +371,6 @@ def _scaled(simple: Sequence[Vector]) -> Tuple[int, List[Tuple[int, ...]]]:
     return d, [tuple(x.numerator * (d // x.denominator) for x in a) for a in simple]
 
 
-def _gram(scaled: Sequence[Tuple[int, ...]]) -> Matrix:
-    """2(u|v) over the given integer vectors."""
-    return tuple(tuple(2 * sum(map(mul, u, v)) for v in scaled) for u in scaled)
-
-
-def generate_positive_roots(gram: Matrix, max_height: int = 1000) -> Dict[Coeffs, Coeffs]:
-    """Close the simple roots under root strings, from the Gram matrix alone.
-
-    gram is G_ij = 2(alpha_i|alpha_j), integral.  Returns each positive
-    root's coefficient vector c, level by level, mapped to its pairings
-    2(alpha_j|a) = (c G)_j.  beta + alpha_i is a root iff
-    p - <beta, alpha_i^> >= 1, where p counts how far the alpha_i-string
-    descends from beta through known roots; with P = (c G) this is
-    (p - 1) G_ii >= 2 P_i.  A step adds row i of G to the parent's
-    pairings, and the new root's norm 2(a|a) = c . P must be positive.
-    """
-    r = len(gram)
-    for i, row in enumerate(gram):
-        if row[i] <= 0:
-            raise ClosureError(f"2(alpha_{i + 1}|alpha_{i + 1}) = {row[i]} is not positive")
-    for i, row in enumerate(gram):
-        if any(2 * g % gram[j][j] for j, g in enumerate(row)):
-            raise ClosureError(
-                f"non-integral Cartan integer at alpha_{i + 1}; input is not crystallographic"
-            )
-
-    known: Dict[Coeffs, Coeffs] = {
-        tuple(int(k == i) for k in range(r)): tuple(gram[i]) for i in range(r)
-    }
-    current = list(known)
-    height = 1
-    while current:
-        if height >= max_height:
-            raise ClosureError(
-                f"no closure below height {max_height}; "
-                "the simple roots do not generate a finite system"
-            )
-        found: List[Coeffs] = []
-        for beta in current:
-            pairs = known[beta]
-            for i in range(r):
-                head, c, tail = beta[:i], beta[i], beta[i + 1:]
-                cand = head + (c + 1,) + tail
-                if cand in known:
-                    continue
-                p = 0
-                while head + (c - p - 1,) + tail in known:
-                    p += 1
-                if (p - 1) * gram[i][i] >= 2 * pairs[i]:
-                    cand_pairs = tuple(map(sum, zip(pairs, gram[i])))
-                    if sum(map(mul, cand, cand_pairs)) <= 0:
-                        raise ClosureError(
-                            "closure reached a vector of length zero; "
-                            "input is not a finite root base"
-                        )
-                    known[cand] = cand_pairs
-                    found.append(cand)
-        current = found
-        height += 1
-    return known
-
-
-def highest_root(positive: Sequence[Coeffs]) -> Coeffs:
-    """The unique maximal positive root; its coefficients are the marks n_1..n_r.
-
-    The root of greatest height lies in one irreducible component, so it has
-    a zero coefficient exactly when the system is reducible.
-    """
-    theta = max(positive, key=sum)
-    if not all(theta):
-        raise ValueError(
-            "the highest root misses a simple root; the system is not irreducible"
-        )
-    return theta
-
-
-def weyl_vectors(positive: Sequence[Coeffs], norms: Sequence[int]) -> Tuple[Vector, Vector]:
-    """rho and rho_check in the simple basis, from integer sums grouped by root length.
-
-    rho is half the sum of the positive roots.  The coroot of a is
-    4a / 2(a|a), so rho_check sums the roots of each norm 2(a|a) = n and
-    scales that integer sum by 2/n.
-    """
-    by_norm: Dict[int, List[Coeffs]] = {}
-    for c, n in zip(positive, norms):
-        by_norm.setdefault(n, []).append(c)
-    r = len(positive[0])
-    two_rho = [0] * r
-    rho_check = [Q(0)] * r
-    for n, roots in by_norm.items():
-        for k, total in enumerate(map(sum, zip(*roots))):
-            two_rho[k] += total
-            rho_check[k] += Q(2 * total, n)
-    return tuple(Q(x, 2) for x in two_rho), tuple(rho_check)
-
-
-@dataclass(frozen=True)
-class RootSystem:
-    """Everything the identity checks need about one irreducible system.
-
-    marks, comarks and double_comarks are indexed 0..rank; entry 0 belongs to
-    alpha0, the negated highest root.  comark i is (alpha_i|alpha_i) n_i / 2
-    and double comark i is (alpha_i|alpha_i) comark_i / 2, in the raw
-    coordinate normalization.  coxeter_number is the mark sum; comark_sum is
-    its analogue on the comark side and need not match the textbook dual
-    Coxeter number when the highest root is not normalized to length 2.
-
-    The integer tables follow positive_roots entry for entry: root_coeffs
-    holds each root's coefficients c in the simple basis, norms 2(a|a),
-    heights the coefficient sums, which are (a|rho_check), and rho_pairings
-    4(a|rho) = sum_k c_k G_kk.  The pairings 2(alpha_j|a) = (c G)_j are kept
-    by column and only where they are not zero: pairing_columns[j - 1] is
-    (positions, pairings), the table positions of the roots a that pair
-    with alpha_j, in table order, and those pairings.  gram is
-    G_ij = 2(alpha_i|alpha_j).
-    """
-
-    ident: RootSystemId
-    simple_roots: Tuple[Vector, ...]
-    positive_roots: Tuple[Vector, ...]
-    alpha0: Vector
-    marks: Tuple[int, ...]
-    comarks: Tuple[Q, ...]
-    double_comarks: Tuple[Q, ...]
-    coxeter_number: int
-    comark_sum: Q
-    rho: Vector
-    rho_check: Vector
-    simply_laced: bool
-    gram: Matrix = field(repr=False)
-    root_coeffs: Tuple[Coeffs, ...] = field(repr=False)
-    pairing_columns: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...] = field(repr=False)
-    norms: Tuple[int, ...] = field(repr=False)
-    heights: Tuple[int, ...] = field(repr=False)
-    rho_pairings: Tuple[int, ...] = field(repr=False)
-
-    @property
-    def family(self) -> str:
-        return self.ident.family
-
-    @property
-    def rank(self) -> int:
-        return self.ident.rank
-
-    def to_json_obj(self) -> dict:
-        """JSON-ready table: rationals as 'p/q' strings, vectors as string arrays."""
-        def vecs(vs):
-            return [[str(x) for x in v] for v in vs]
-
-        return {
-            "family": self.family,
-            "rank": self.rank,
-            "positive_root_count": len(self.positive_roots),
-            "coxeter_number": self.coxeter_number,
-            "comark_sum": str(self.comark_sum),
-            "marks": list(self.marks),
-            "comarks": [str(c) for c in self.comarks],
-            "double_comarks": [str(c) for c in self.double_comarks],
-            "simply_laced": self.simply_laced,
-            "alpha0": [str(x) for x in self.alpha0],
-            "rho": [str(x) for x in self.rho],
-            "rho_check": [str(x) for x in self.rho_check],
-            "simple_roots": vecs(self.simple_roots),
-            "positive_roots": vecs(self.positive_roots),
-        }
-
-
 def _combine(coeffs: Sequence[int], scaled: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
     """sum_k coeffs_k scaled_k, over the nonzero coefficients."""
     out = [0] * len(scaled[0])
@@ -303,84 +381,6 @@ def _combine(coeffs: Sequence[int], scaled: Sequence[Tuple[int, ...]]) -> Tuple[
     return tuple(out)
 
 
-def _to_ambient(v: Sequence[Q], scale: int, scaled: Sequence[Tuple[int, ...]]) -> Vector:
-    """sum_k v_k alpha_k for rational simple-basis coordinates v."""
-    den = math.lcm(*(x.denominator for x in v))
-    ints = [x.numerator * (den // x.denominator) for x in v]
-    return tuple(Q(x, den * scale) for x in _combine(ints, scaled))
-
-
-def build(ident: RootSystemId) -> RootSystem:
-    """Construct and cross-validate the full system for an admissible id."""
-    simple = simple_roots(ident)
-    scale, scaled = _scaled(simple)
-    scaled_gram = _gram(scaled)
-    if any(g % (scale * scale) for row in scaled_gram for g in row):
-        raise ClosureError(f"{ident}: 2(alpha_i|alpha_j) is not integral")
-    gram = tuple(tuple(g // (scale * scale) for g in row) for row in scaled_gram)
-
-    closure = generate_positive_roots(gram)
-    # Order as the ambient coordinates sort: by height, then lexicographically.
-    ambient_ints = {c: _combine(c, scaled) for c in closure}
-    coeffs = tuple(sorted(closure, key=lambda c: (sum(c), ambient_ints[c])))
-    fraction = {x: Q(x, scale) for x in set(chain.from_iterable(ambient_ints.values()))}
-    positive = tuple(tuple(fraction[x] for x in ambient_ints[c]) for c in coeffs)
-    pairings = tuple(closure[c] for c in coeffs)
-    norms = tuple(sum(map(mul, c, p)) for c, p in zip(coeffs, pairings))
-    diag = [row[j] for j, row in enumerate(gram)]
-    theta = highest_root(coeffs)
-    top = coeffs.index(theta)
-    marks = (1,) + theta
-    node_norms = (norms[top],) + tuple(diag)
-    comarks = tuple(Q(g * n, 4) for g, n in zip(node_norms, marks))
-    double_comarks = tuple(Q(g * g * n, 16) for g, n in zip(node_norms, marks))
-    rho, rho_check = weyl_vectors(coeffs, norms)
-    system = RootSystem(
-        ident=ident,
-        simple_roots=tuple(simple),
-        positive_roots=positive,
-        alpha0=tuple(-x for x in positive[top]),
-        marks=marks,
-        comarks=comarks,
-        double_comarks=double_comarks,
-        coxeter_number=sum(marks),
-        comark_sum=Q(sum(map(mul, node_norms, marks)), 4),
-        rho=_to_ambient(rho, scale, scaled),
-        rho_check=_to_ambient(rho_check, scale, scaled),
-        simply_laced=len(set(norms)) == 1,
-        gram=gram,
-        root_coeffs=coeffs,
-        pairing_columns=tuple(
-            (tuple(compress(range(len(column)), column)), tuple(filter(None, column)))
-            for column in zip(*pairings)
-        ),
-        norms=norms,
-        heights=tuple(map(sum, coeffs)),
-        rho_pairings=tuple(sum(map(mul, c, diag)) for c in coeffs),
-    )
-    _validate(system)
-    return system
-
-
-def _validate(system: RootSystem) -> None:
-    """Internal consistency ties between the generated pieces.
-
-    The last tie checks the Weyl vectors against the integer tables: every
-    simple root has height (alpha_k|rho_check) = 1 and 4(alpha_k|rho) = G_kk,
-    which is what makes heights and rho_pairings the word arguments.
-    """
-    r, h = system.rank, system.coxeter_number
-    count = len(system.positive_roots)
-    if 2 * count != r * h or len(system.root_coeffs) != count:
-        raise ClosureError(
-            f"{system.ident}: {count} positive roots; the count must equal rank * h / 2"
-        )
-    if set(map(sum, system.root_coeffs)) != set(range(1, h)):
-        raise ClosureError(f"{system.ident}: root heights must fill [1, h-1]")
-    if system.simply_laced != (system.ident.family in SIMPLY_LACED_FAMILIES):
-        raise ClosureError(f"{system.ident}: root lengths disagree with the family")
-    for k, alpha in enumerate(system.simple_roots):
-        if inner(alpha, system.rho_check) != 1 or 4 * inner(alpha, system.rho) != system.gram[k][k]:
-            raise ClosureError(
-                f"{system.ident}: rho and rho_check disagree with alpha_{k + 1}"
-            )
+def _to_ambient(nums: Sequence[int], den: int, scale: int, scaled: Sequence[Coeffs]) -> Vector:
+    """sum_k (nums_k / den) alpha_k, where scaled_k = scale * alpha_k."""
+    return tuple(Q(x, den * scale) for x in _combine(nums, scaled))

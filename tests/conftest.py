@@ -1,4 +1,4 @@
-"""Shared fixtures: every root system the sweeps touch, built once per session."""
+"""Shared fixtures: the root systems the tests read, built once per session."""
 
 import pytest
 
@@ -17,3 +17,13 @@ ALL_IDS = (
 @pytest.fixture(scope="session")
 def systems():
     return {(family, rank): build(RootSystemId(family, rank)) for family, rank in ALL_IDS}
+
+
+@pytest.fixture(scope="session")
+def large_systems():
+    """A-D at ranks 13..24 and 32, past the default rank cap."""
+    return {
+        (family, rank): build(RootSystemId(family, rank))
+        for family in "ABCD"
+        for rank in (*range(13, 25), 32)
+    }

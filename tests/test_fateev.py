@@ -23,8 +23,8 @@ from gammaroots.fateev import (
     verify_all,
 )
 from gammaroots.gammaword import GammaWord, word_from_terms
-from gammaroots.rootsys import RootSystemId, build, inner
 from test_gammaword import reflection_fold
+from test_rootsys import inner
 
 
 def coroot(v):
@@ -261,16 +261,6 @@ def _cases(system):
         if admissible(system, variant):
             for index in range(1, system.rank + 1):
                 yield index, variant
-
-
-@pytest.fixture(scope="module")
-def large_systems():
-    """A-D at ranks 13..24 and 32, past the default rank cap."""
-    return {
-        (family, rank): build(RootSystemId(family, rank))
-        for family in "ABCD"
-        for rank in (*range(13, 25), 32)
-    }
 
 
 def test_sparse_words_match_the_full_scan_on_every_sweep_case(systems):

@@ -9,6 +9,10 @@ from fractions import Fraction as Q
 import pytest
 
 import gammaroots
+from gammaroots import cli
+from gammaroots.exact import DEFAULT_DIGITS
+from gammaroots.fateev import VARIANTS, verify_all
+from gammaroots.numeric import PrecisionContext
 from gammaroots.rootsys import (
     ClosureError,
     RootSystemId,
@@ -16,9 +20,15 @@ from gammaroots.rootsys import (
     build,
     generate_positive_roots,
     highest_root,
-    inner,
     simple_roots,
 )
+
+
+def inner(u, v):
+    """(u|v) for ambient Fraction coordinates."""
+    if len(u) != len(v):
+        raise ValueError("dimension mismatch")
+    return sum((a * b for a, b in zip(u, v)), Q(0))
 
 
 def unit(i, dim):
@@ -283,9 +293,7 @@ def test_integer_tables_match_ambient_coordinates(systems, family, rank):
 
 def test_validate_raises_on_doctored_system(systems):
     s = systems[("D", 5)]
-    doctored = dataclasses.replace(
-        s, positive_roots=s.positive_roots[:-1], root_coeffs=s.root_coeffs[:-1]
-    )
+    doctored = dataclasses.replace(s, root_coeffs=s.root_coeffs[:-1])
     with pytest.raises(ClosureError, match="rank \\* h / 2"):
         _validate(doctored)
     _validate(s)
@@ -297,7 +305,7 @@ def test_validation_survives_optimized_mode():
         "from gammaroots.rootsys import ClosureError, RootSystemId, _validate, build\n"
         "s = build(RootSystemId('A', 3))\n"
         "try:\n"
-        "    _validate(dataclasses.replace(s, positive_roots=s.positive_roots[1:]))\n"
+        "    _validate(dataclasses.replace(s, root_coeffs=s.root_coeffs[1:]))\n"
         "except ClosureError:\n"
         "    print('raised')\n"
     )
@@ -307,3 +315,27 @@ def test_validation_survives_optimized_mode():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "raised"
+
+
+def test_validate_checks_the_weyl_vectors_against_the_gram_matrix(systems):
+    s = systems[("C", 4)]
+    (two_rho, two), (lcm_rho_check, lcm) = s.weyl
+    off = (lcm_rho_check[0] + 1,) + lcm_rho_check[1:]
+    with pytest.raises(ClosureError, match="rho and rho_check disagree with alpha_1"):
+        _validate(dataclasses.replace(s, weyl=((two_rho, two), (off, lcm))))
+    with pytest.raises(ClosureError, match="rho and rho_check disagree"):
+        _validate(dataclasses.replace(s, weyl=((two_rho, two + 2), (lcm_rho_check, lcm))))
+
+
+def test_verify_never_fills_the_ambient_tables(capsys):
+    ids = [("A", 3), ("B", 12), ("D", 5), ("E", 8), ("F", 4), ("G", 2)]
+    fresh = [build(RootSystemId(family, rank)) for family, rank in ids]
+    summary = verify_all(fresh, VARIANTS, "both", PrecisionContext.for_digits(DEFAULT_DIGITS))
+    assert summary.all_passed
+    for system in fresh:
+        assert "ambient" not in vars(system), system.ident
+    e8 = fresh[ids.index(("E", 8))]
+    assert cli.main(["table", "E", "8", "--format", "json"]) == 0
+    assert capsys.readouterr().out == cli.dumps_canonical(e8.to_json_obj()) + "\n"
+    assert "ambient" in vars(e8)
+    assert len(e8.to_json_obj()["positive_roots"]) == len(e8.root_coeffs) == 120
