@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from . import fateev
 from .exact import DEFAULT_DIGITS, MAX_DIGITS, MIN_DIGITS
 from .gammaword import brace_str
 from .prover import Relation, relations_for
 from .rootsys import FAMILIES, RANK_RANGE, RootSystem, RootSystemId, build
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -193,6 +195,9 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Imported here: importing cli for dumps_canonical alone loads no argparse.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="gammaroots",
         description="Exact verification of Gamma-product identities on root systems.",

@@ -19,13 +19,14 @@ comparison, or both.
 
 from __future__ import annotations
 
-from collections import Counter
+import math
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
-from .exact import FactoredConstant, const_ln, const_mul, const_pow, power_factors
-from .gammaword import GammaWord, brace_str, word_from_terms
+from .exact import FactoredConstant, const_ln, const_mul, factorize
+from .gammaword import GammaWord, brace_str, merge_exponents
 from .prover import Certificate, prove_constant
 from .rootsys import SIMPLY_LACED_FAMILIES, RootSystem, RootSystemId
 
@@ -54,6 +55,10 @@ def _check_case(system: RootSystem, index: int, variant: str) -> None:
     _check_variant(variant)
     if not 1 <= index <= system.rank:
         raise ValueError(f"index {index} outside 1..{system.rank}")
+    _check_admissible(system, variant)
+
+
+def _check_admissible(system: RootSystem, variant: str) -> None:
     if not admissible(system, variant):
         raise ValueError(
             f"variant F applies only to simply laced systems (families A, D, E); "
@@ -72,86 +77,104 @@ def admissible_family(family: str, variant: str) -> bool:
     return variant != F or family in SIMPLY_LACED_FAMILIES
 
 
+VariantTable = namedtuple("VariantTable", "grid arguments divisors rhs")
+
+
+def k_root(system: RootSystem, variant: str) -> VariantTable:
+    """What every simple root of one admissible (system, variant) shares.
+
+    Named for k^(-1/h), or k''^(-1/h') for Fsecond, which every right side
+    carries.  With p = 2(alpha_i|a), a word's factors are gamma(x/D)^(-2p/d):
+    x/D is 4(a|rho)/4h (F), ht(a)/h (Fprime) or 4(a|rho)/4h' (Fsecond), and
+    d is 4, 2(a|a) or 2(alpha_i|alpha_i).  The table holds the grid N = D /
+    gcd(D, every x), zero exponents included, which every word of the
+    variant lives on; each position's argument x on the 1/N grid, checked
+    once to lie in (0, 1); per simple root its divisor d, None where d is
+    the root's norm; and per simple root its right side, node_i k^(-1/h),
+    one object per distinct node value.  k^(-1/h) is prod_p p^(-S_p / W),
+    with integer sums S_p = sum_j v_p(node_j) w_j and W = sum_j w_j, the
+    weights w_j being n_j (F, Fprime; W = h) or 4n_j' (Fsecond; W = 4h').
+    4h' and every 4n_j' must be integral.
+    """
+    _check_admissible(system, variant)
+    numerators, denominator, weights = system.rho_pairings, 4 * system.coxeter_number, system.marks
+    if variant == F:
+        nodes, divisors = system.marks, (4,) * system.rank
+    elif variant == F_PRIME:
+        numerators, denominator = system.heights, system.coxeter_number
+        nodes, divisors = system.comarks, (None,) * system.rank
+    else:
+        quarters = (system.comark_sum, *system.comarks)
+        fours = [divmod(4 * q.numerator, q.denominator) for q in quarters]
+        if any(rest for _, rest in fours):
+            raise ValueError(f"{system.ident}: 4h' = {4 * quarters[0]} or a 4n_j' is not integral")
+        denominator, *weights = (four for four, _ in fours)
+        nodes, divisors = system.double_comarks, tuple(row[k] for k, row in enumerate(system.gram))
+    if not 0 < min(numerators) <= max(numerators) < denominator:
+        raise ValueError(f"{system.ident}: an argument x/{denominator} lies outside (0,1)")
+    g = math.gcd(denominator, *numerators)
+    keys = [(q.numerator, q.denominator) for q in nodes]
+    valuations = {key: _valuations(*key) for key in set(keys)}
+    sums: Counter = Counter()
+    for key, weight in zip(keys, weights):
+        for p, m in valuations[key]:
+            sums[p] += m * weight
+    total = sum(weights)
+    k = [(p, Q(-s, total)) for p, s in sums.items()]
+    rhs = {key: FactoredConstant((*valuations[key], *k)) for key in set(keys[1:])}
+    arguments = tuple(x // g for x in numerators)
+    return VariantTable(denominator // g, arguments, divisors, tuple(rhs[key] for key in keys[1:]))
+
+
+def _valuations(numerator: int, denominator: int) -> list[tuple[int, int]]:
+    """The (prime, integer exponent) pairs of numerator / denominator."""
+    below = [(p, -m) for p, m in factorize(denominator).items()]
+    return [*factorize(numerator).items(), *below]
+
+
+def _word(system: RootSystem, index: int, table: VariantTable) -> GammaWord:
+    """alpha_index's word: only the roots in its pairing column carry exponents."""
+    i = index - 1
+    grid, arguments, divisors, _ = table
+    divisor, norms = divisors[i], system.norms
+    terms = []
+    positions, pairings = system.pairing_columns[i]
+    for position, pairing in zip(positions, pairings):
+        exponent, rest = divmod(-2 * pairing, divisor or norms[position])
+        if rest:
+            raise ValueError(
+                f"{system.ident}: pairing {-2 * pairing}/{divisor or norms[position]} "
+                f"of alpha_{index} is not integral"
+            )
+        terms.append((arguments[position], exponent))
+    return GammaWord(grid, merge_exponents(terms))
+
+
 def lhs_word(system: RootSystem, index: int, variant: str) -> GammaWord:
     """The definitional product over positive roots, merged on its lcm grid.
 
-    Read off the system's integer tables: with p = 2(alpha_i|a), the
-    exponents are -p/2 (F), -2p / 2(a|a) (Fprime) and -2p / 2(alpha_i|alpha_i)
-    (Fsecond), and the arguments are 4(a|rho) / 4h, ht(a) / h and
-    4(a|rho) / 4h'.  Only the roots that pair with alpha_i carry a nonzero
-    exponent, so only pairing_columns[i] is read.  The grid is the
-    lcm of every factor's reduced argument denominator, zero exponents
-    included; every argument numerator is a nonnegative integer combination
-    of the simple roots' (ht(alpha_k) = 1, 4(alpha_k|rho) = G_kk), so the
-    simple roots enter as zero-exponent factors and fix the same grid.  No
-    reflection folding is applied; the returned word is the product exactly
-    as defined.
+    The grid is the lcm of every factor's reduced argument denominator,
+    zero exponents included: that of k_root, built here.  No reflection
+    folding is applied; the returned word is the product exactly as defined.
     """
     _check_case(system, index, variant)
-    i = index - 1
-    norms = None
-    if variant == F_PRIME:
-        numerators, denominator, norms = system.heights, system.coxeter_number, system.norms
-        simple_arguments = {1}
-    else:
-        numerators = system.rho_pairings
-        simple_arguments = {row[k] for k, row in enumerate(system.gram)}
-        if variant == F:
-            denominator, divisor = 4 * system.coxeter_number, 4
-        else:
-            denominator, divisor = int(4 * system.comark_sum), system.gram[i][i]
-    terms = [(x, 0) for x in simple_arguments]
-    positions, pairings = system.pairing_columns[i]
-    for position, pairing in zip(positions, pairings):
-        if norms is not None:
-            divisor = norms[position]
-        exponent, rest = divmod(-2 * pairing, divisor)
-        if rest:
-            raise ValueError(
-                f"{system.ident}: pairing {-2 * pairing}/{divisor} of alpha_{index} is not integral"
-            )
-        terms.append((numerators[position], exponent))
-    return word_from_terms(terms, denominator)
-
-
-def k_constant(system: RootSystem, variant: str) -> FactoredConstant:
-    """The product over all nodes 0..r entering the closed-form right side."""
-    _check_variant(variant)
-    if variant == F:
-        pairs = zip(system.marks, system.marks)
-    elif variant == F_PRIME:
-        pairs = zip(system.comarks, system.marks)
-    else:
-        pairs = zip(system.double_comarks, system.comarks)
-    return FactoredConstant(tuple(f for base, e in pairs for f in power_factors(base, e)))
-
-
-def k_root(system: RootSystem, variant: str) -> FactoredConstant:
-    """k^(-1/h) (F, Fprime) or k''^(-1/h') (Fsecond): the factor every simple root shares."""
-    grid = system.comark_sum if variant == F_SECOND else system.coxeter_number
-    return const_pow(k_constant(system, variant), -1 / Q(grid))
+    return _word(system, index, k_root(system, variant))
 
 
 def rhs_constant(
-    system: RootSystem, index: int, variant: str, k: Optional[FactoredConstant] = None
+    system: RootSystem, index: int, variant: str, k: Optional[VariantTable] = None
 ) -> FactoredConstant:
-    """Closed form for one simple root: its node factor times k_root.
+    """Closed form for one simple root: its node factor times k^(-1/h), from k_root.
 
-    Without k the case is checked and k_root computed here.  k, when given,
+    Without k the case is checked and k_root built here.  k, when given,
     must be k_root(system, variant) of a case the caller has checked:
-    verify_all computes it once per (system, variant), and verify passes it
-    on after lhs_word has checked the case.
+    verify_all builds it once per (system, variant), and verify passes it
+    on after checking the case.
     """
     if k is None:
         _check_case(system, index, variant)
         k = k_root(system, variant)
-    if variant == F:
-        node = system.marks[index]
-    elif variant == F_PRIME:
-        node = system.comarks[index]
-    else:
-        node = system.double_comarks[index]
-    return FactoredConstant((*power_factors(node), *k.prime_powers))
+    return k.rhs[index - 1]
 
 
 @dataclass(frozen=True)
@@ -203,7 +226,7 @@ def verify(
     variant: str,
     mode: str = "both",
     ctx: Optional[PrecisionContext] = None,
-    k: Optional[FactoredConstant] = None,
+    k: Optional[VariantTable] = None,
     verdicts: Optional[dict] = None,
 ) -> VerificationReport:
     """Check one identity instance by exact proof, numeric comparison, or both.
@@ -212,9 +235,10 @@ def verify(
     In both mode the numeric route runs as a cross-check of an exact proof
     and as a fallback diagnostic when the word is outside the lattice; the
     report only counts as passed with a proof.  The case is checked once,
-    by lhs_word.  k, when given, must be k_root(system, variant); it is
-    passed on to rhs_constant.  The numeric route, and mpmath with it, is
-    imported only when it runs, so exact mode loads neither.
+    here.  k, when given, must be k_root(system, variant), else it is built
+    here; the word is one walk of the case's pairing column on it, the right
+    side its entry.  The numeric route, and mpmath with it, is imported
+    only when it runs, so exact mode loads neither.
 
     verdicts, when given, maps (lhs, rhs) to the (status, certificate,
     residual) of an earlier case of the same run, which verify_all owns: a
@@ -224,8 +248,10 @@ def verify(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
-    lhs = lhs_word(system, index, variant)
-    rhs = rhs_constant(system, index, variant, k if k is not None else k_root(system, variant))
+    _check_case(system, index, variant)
+    table = k if k is not None else k_root(system, variant)
+    lhs = _word(system, index, table)
+    rhs = rhs_constant(system, index, variant, table)
     if verdicts is None:
         verdicts = {}
     verdict = verdicts.get((lhs, rhs))
@@ -300,8 +326,8 @@ def verify_all(
     One verdicts memo serves the whole run (see verify): each distinct
     (lhs, rhs) pair is proved and evaluated once, and the cases that repeat
     it, such as the variants that coincide on simply laced systems and the
-    roots a diagram symmetry exchanges, take its verdict.  Every case still
-    builds its own word and right side, and gets its own verify call.
+    roots a diagram symmetry exchanges, take its verdict.  k_root is built
+    once per (system, variant) and passed to each case's own verify call.
     """
     chosen = tuple(variants) if variants else VARIANTS
     for variant in chosen:
@@ -312,8 +338,8 @@ def verify_all(
         for variant in chosen:
             if not admissible(system, variant):
                 continue
-            k = k_root(system, variant)
+            table = k_root(system, variant)
             for index in range(1, system.rank + 1):
-                reports.append(verify(system, index, variant, mode, ctx, k, verdicts))
+                reports.append(verify(system, index, variant, mode, ctx, table, verdicts))
     reports.sort(key=lambda r: (r.ident, r.index, VARIANTS.index(r.variant)))
     return VerificationSummary(tuple(reports))

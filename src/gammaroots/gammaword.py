@@ -51,7 +51,8 @@ class GammaWord:
         }
 
 
-def _collect(pairs: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+def merge_exponents(pairs: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
+    """(index, exponent) pairs summed per index, zeros dropped, by index: GammaWord's form."""
     agg: dict[int, int] = {}
     for j, e in pairs:
         agg[j] = agg.get(j, 0) + e
@@ -70,7 +71,7 @@ def word_from_terms(terms: Iterable[Tuple[int, int]], denominator: int) -> Gamma
         if not 0 < x < denominator:
             raise ValueError(f"argument {x}/{denominator} outside (0,1)")
     g = math.gcd(denominator, *(x for x, _ in items))
-    return GammaWord(denominator // g, _collect((x // g, e) for x, e in items))
+    return GammaWord(denominator // g, merge_exponents((x // g, e) for x, e in items))
 
 
 def eval_ln(w: GammaWord, decimal_digits: int = DEFAULT_DIGITS) -> mpmath.mpf:

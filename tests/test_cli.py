@@ -525,3 +525,20 @@ def test_exact_verify_leaves_the_numeric_route_unloaded():
         capture_output=True, text=True, check=True,
     )
     assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_importing_cli_leaves_argparse_unloaded():
+    """cli loads argparse only to parse arguments, not to import dumps_canonical."""
+    code = (
+        "import sys\n"
+        "from gammaroots import cli\n"
+        "print(sorted(m for m in ('argparse', 'gettext') if m in sys.modules))\n"
+        "cli.build_parser()\n"
+        "print('argparse' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(gammaroots.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.splitlines()[-2:] == ["[]", "True"]

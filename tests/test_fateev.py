@@ -8,14 +8,13 @@ from itertools import repeat
 import pytest
 
 from gammaroots import fateev, numeric
-from gammaroots.exact import FactoredConstant, const_mul, const_pow, factor_power
+from gammaroots.exact import FactoredConstant, const_mul, const_pow, factor_power, power_factors
 from gammaroots.fateev import (
     F,
     F_PRIME,
     F_SECOND,
     VARIANTS,
     admissible,
-    k_constant,
     k_root,
     lhs_word,
     rhs_constant,
@@ -330,7 +329,35 @@ def test_non_integral_pairing_raises(systems):
         lhs_word(dataclasses.replace(s, pairing_columns=odd), 1, F)
 
 
+def test_non_integral_second_grid_raises(systems):
+    """4h' is the Fsecond grid: a non-integral one fails, not truncates."""
+    s = systems[("B", 4)]
+    doctored = dataclasses.replace(s, comark_sum=s.comark_sum + Q(1, 8))
+    for call in (lhs_word, rhs_constant):
+        with pytest.raises(ValueError, match="not integral"):
+            call(doctored, 1, F_SECOND)
+    assert lhs_word(doctored, 1, F_PRIME) == lhs_word(s, 1, F_PRIME)
+
+
+def test_argument_outside_the_unit_interval_raises(systems):
+    s = systems[("G", 2)]
+    for heights in ((0, *s.heights[1:]), (*s.heights[:-1], s.coxeter_number)):
+        with pytest.raises(ValueError, match="outside"):
+            lhs_word(dataclasses.replace(s, heights=heights), 1, F_PRIME)
+
+
 # -- right sides --------------------------------------------------------------
+
+
+def k_constant(system, variant):
+    """The product over all nodes 0..r entering the closed-form right side."""
+    if variant == F:
+        pairs = zip(system.marks, system.marks)
+    elif variant == F_PRIME:
+        pairs = zip(system.comarks, system.marks)
+    else:
+        pairs = zip(system.double_comarks, system.comarks)
+    return FactoredConstant(tuple(f for base, e in pairs for f in power_factors(base, e)))
 
 
 def test_k_constant_tables(systems):
@@ -389,6 +416,77 @@ def test_right_sides_match_the_chained_construction_on_every_sweep_case(systems)
     assert count == 842
 
 
+def column_lhs_word(system, index, variant):
+    """lhs_word built per case: word_from_terms over the column and the simple roots.
+
+    The simple roots enter as zero-exponent terms so that they fix the grid.
+    """
+    i = index - 1
+    norms = None
+    if variant == F_PRIME:
+        numerators, denominator, norms = system.heights, system.coxeter_number, system.norms
+        simple_arguments = {1}
+    else:
+        numerators = system.rho_pairings
+        simple_arguments = {row[k] for k, row in enumerate(system.gram)}
+        if variant == F:
+            denominator, divisor = 4 * system.coxeter_number, 4
+        else:
+            denominator, divisor = int(4 * system.comark_sum), system.gram[i][i]
+    terms = [(x, 0) for x in simple_arguments]
+    positions, pairings = system.pairing_columns[i]
+    for position, pairing in zip(positions, pairings):
+        if norms is not None:
+            divisor = norms[position]
+        exponent, rest = divmod(-2 * pairing, divisor)
+        assert not rest
+        terms.append((numerators[position], exponent))
+    return word_from_terms(terms, denominator)
+
+
+def reference_k_root(system, variant):
+    """k_constant^(-1/h), or ^(-1/h') for Fsecond, by const_pow."""
+    grid = system.comark_sum if variant == F_SECOND else system.coxeter_number
+    return const_pow(k_constant(system, variant), -1 / Q(grid))
+
+
+def per_case_rhs_constant(system, index, variant, root):
+    """rhs_constant built per case: the node's power_factors times reference_k_root."""
+    if variant == F:
+        node = system.marks[index]
+    elif variant == F_PRIME:
+        node = system.comarks[index]
+    else:
+        node = system.double_comarks[index]
+    return FactoredConstant((*power_factors(node), *root.prime_powers))
+
+
+def _matches_per_case_construction(system):
+    """Compare every case of the system; return how many there were."""
+    count = 0
+    for variant in VARIANTS:
+        if not admissible(system, variant):
+            continue
+        table, root = k_root(system, variant), reference_k_root(system, variant)
+        for index in range(1, system.rank + 1):
+            case = (system.ident, index, variant)
+            word = column_lhs_word(system, index, variant)
+            assert lhs_word(system, index, variant) == word, case
+            expected = per_case_rhs_constant(system, index, variant, root)
+            assert rhs_constant(system, index, variant, table) == expected, case
+            assert rhs_constant(system, index, variant) == expected, case
+            count += 1
+    return count
+
+
+def test_tables_match_the_per_case_construction_on_every_sweep_case(systems):
+    assert sum(map(_matches_per_case_construction, systems.values())) == 842
+
+
+def test_tables_match_the_per_case_construction_past_the_rank_cap(large_systems):
+    assert all(map(_matches_per_case_construction, large_systems.values()))
+
+
 def test_b_family_rhs_patterns(systems):
     for n in (3, 6, 10):
         s = systems[("B", n)]
@@ -420,6 +518,8 @@ def test_f_variant_refused_off_hypothesis(systems):
         lhs_word(systems[("B", 3)], 1, F)
     with pytest.raises(ValueError, match="simply laced"):
         rhs_constant(systems[("G", 2)], 1, F)
+    with pytest.raises(ValueError, match="simply laced"):
+        k_root(systems[("C", 3)], F)
 
 
 def test_index_range_checked(systems):
@@ -476,14 +576,15 @@ def test_verify_all_skips_inadmissible(systems):
 
 
 def test_verify_all_builds_k_once_per_system_and_variant(systems, monkeypatch):
+    """k_root's table, k with it, is built once per admissible (system, variant)."""
     calls = []
-    original = fateev.k_constant
+    original = fateev.k_root
 
     def counted(system, variant):
         calls.append((system.ident, variant))
         return original(system, variant)
 
-    monkeypatch.setattr(fateev, "k_constant", counted)
+    monkeypatch.setattr(fateev, "k_root", counted)
     summary = verify_all([systems[("G", 2)], systems[("A", 3)]], mode="exact")
     assert summary.counts == {"proved_exact": 4 + 9}
     assert sorted(calls) == sorted(set(calls))
