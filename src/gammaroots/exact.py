@@ -71,10 +71,15 @@ class FactoredConstant:
     def __post_init__(self) -> None:
         merged: dict[int, Q] = {}
         for base, exponent in self.prime_powers:
-            base = int(base)
+            # No coercion: int() would truncate a float base, and a float
+            # exponent is no exact rational.
+            if not isinstance(base, int):
+                raise ValueError(f"base {base!r} is not an int")
             if not _is_prime(base):
                 raise ValueError(f"base {base} is not prime")
             if not isinstance(exponent, Q):
+                if not isinstance(exponent, int):
+                    raise ValueError(f"exponent {exponent!r} is not an int or Fraction")
                 exponent = Q(exponent)
             if base in merged:
                 exponent += merged[base]

@@ -3,18 +3,20 @@
 Systems here are small (up to a few hundred columns) and their entries are
 small integers, so one Gauss-Jordan routine over sparse integer rows
 ({column: int}) serves both the prepared solver and nullspace.
-Columns and targets are integer vectors; a row update is
-row_i = p row_i - f row_r followed by division by the row's gcd (after
-Bareiss, Math. Comp. 22, 1968), so no Fraction arithmetic runs inside the
-elimination.  Fractions appear only in the answers.  Vectors of unknowns
-are indexed by column: the solver and nullspace take their input as a list
-of column vectors.
+Columns and targets are integer vectors.  A row update, in place, is
+row_i = a row_i - b row_r with a = p/g, b = f/g and g = gcd(p, f), where p
+is the pivot and f the row's entry in the pivot column; a row scaled by
+a != 1 is then divided by its gcd (after Bareiss, Math. Comp. 22, 1968).
+No Fraction arithmetic runs inside the elimination, and Fractions appear
+only in the answers.  Vectors of unknowns are indexed by column: the solver
+and nullspace take their input as a list of column vectors.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction as Q
+from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
 Column = Sequence[int]
@@ -35,10 +37,12 @@ def _check_columns(columns: Sequence[Column]) -> int:
 
 def _integer_rows(columns: Sequence[Column]) -> List[Row]:
     """Sparse rows of the matrix whose columns are given."""
-    return [
-        {j: col[i] for j, col in enumerate(columns) if col[i]}
-        for i in range(len(columns[0]))
-    ]
+    nrows = len(columns[0])
+    rows: List[Row] = [{} for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i in compress(range(nrows), col):
+            rows[i][j] = col[i]
+    return rows
 
 
 def _eliminate(rows: List[Row], ncols: int) -> List[int]:
@@ -55,7 +59,8 @@ def _eliminate(rows: List[Row], ncols: int) -> List[int]:
     nrows = len(rows)
     for c in range(ncols):
         r = len(pivots)
-        candidates = [i for i in range(r, nrows) if c in rows[i]]
+        holders = [i for i, row in enumerate(rows) if c in row]
+        candidates = [i for i in holders if i >= r]
         if not candidates:
             continue
         # The smallest pivot entry, then the sparsest row, keeps entries small.
@@ -63,21 +68,30 @@ def _eliminate(rows: List[Row], ncols: int) -> List[int]:
         rows[r], rows[best] = rows[best], rows[r]
         pivot_row = rows[r]
         p = pivot_row[c]
-        for i in range(nrows):
-            row = rows[i]
-            f = row.get(c)
-            if f is None or i == r:
+        for i in holders:
+            if i == best:
                 continue
+            # The swap moved the row that was at r to best.
+            row = rows[best if i == r else i]
+            f = row[c]
             g = math.gcd(p, f)
             a, b = p // g, f // g
-            updated = {k: a * v for k, v in row.items()}
+            if a != 1:
+                for k, v in row.items():
+                    row[k] = a * v
             for k, v in pivot_row.items():
-                updated[k] = updated.get(k, 0) - b * v
-            updated = {k: v for k, v in updated.items() if v}
-            common = math.gcd(*updated.values())
-            if common > 1:
-                updated = {k: v // common for k, v in updated.items()}
-            rows[i] = updated
+                v = row.get(k, 0) - b * v
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
+            # Scaling is what grows entries multiplicatively, so only a scaled
+            # row is reduced; an unscaled one grows by the subtraction alone.
+            if a != 1:
+                common = math.gcd(*row.values())
+                if common > 1:
+                    for k, v in row.items():
+                        row[k] = v // common
         pivots.append(c)
         if len(pivots) == nrows:
             break

@@ -35,6 +35,11 @@ the solution on them stay the same.
 - multiplication(d, N/d - k) is the reflection image of multiplication(d, k)
   with the inverse value, so its fold is the negative of the fold at k, and
   the fold is zero when 2dk = N.
+
+Reflections have value one, and multiplication(p, k) has the value
+p^((N - 2pk)/N), so the derived constant's exponent of p is
+sum_k x_(p,k) (N - 2pk)/N.  It is summed in integers, over the common
+denominator of the x_m times N, and becomes one Fraction per prime.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .exact import ONE, FactoredConstant, factorize
@@ -81,17 +86,24 @@ def reflection_relations(n: int) -> List[Relation]:
     return out
 
 
-def _multiplication(n: int, d: int, k: int, primes: Sequence[Tuple[int, int]]) -> Relation:
-    """multiplication(d, k) on the 1/N grid; primes is the factorization of d as (p, m) pairs."""
+def _multiplication_tag(d: int, k: int) -> str:
+    return f"multiplication({d},{k})"
+
+
+def _multiplication_vector(n: int, d: int, k: int) -> Tuple[Tuple[int, int], ...]:
+    """The exponent vector of multiplication(d, k) on the 1/N grid."""
     step = n // d
     # gamma(dk/N) cancels one of the d factors k + i N/d when dk = k mod N/d.
     top = d * k
     if (top - k) % step:
-        vector = tuple(sorted([(j, 1) for j in range(k, n, step)] + [(top, -1)]))
-    else:
-        vector = tuple((j, 1) for j in range(k, n, step) if j != top)
-    value = FactoredConstant(tuple((p, Q(m * (n - 2 * top), n)) for p, m in primes))
-    return Relation(f"multiplication({d},{k})", vector, value)
+        return tuple(sorted([(j, 1) for j in range(k, n, step)] + [(top, -1)]))
+    return tuple((j, 1) for j in range(k, n, step) if j != top)
+
+
+def _multiplication(n: int, d: int, k: int, primes: Sequence[Tuple[int, int]]) -> Relation:
+    """multiplication(d, k) on the 1/N grid; primes is the factorization of d as (p, m) pairs."""
+    value = FactoredConstant(tuple((p, Q(m * (n - 2 * d * k), n)) for p, m in primes))
+    return Relation(_multiplication_tag(d, k), _multiplication_vector(n, d, k), value)
 
 
 def multiplication_relations(n: int) -> List[Relation]:
@@ -115,14 +127,16 @@ def multiplication_relations(n: int) -> List[Relation]:
 
 
 @lru_cache(maxsize=None)
-def _solver_relations(n: int) -> Tuple[Relation, ...]:
+def _solver_relations(n: int) -> Tuple[Tuple[int, int, Tuple[Tuple[int, int], ...]], ...]:
     """The multiplication relations the solver eliminates: d prime and 2dk < N.
 
     They are the sub-tuple of multiplication_relations(n) whose columns can
-    be pivots; the module docstring gives the reason.
+    be pivots (the module docstring gives the reason), as (p, k, vector)
+    triples: multiplication(p, k) has the value p^((N - 2pk)/N), and
+    prove_constant builds a tag only for the relations a certificate cites.
     """
     return tuple(
-        _multiplication(n, p, k, ((p, 1),))
+        (p, k, _multiplication_vector(n, p, k))
         for p in sorted(factorize(n))
         for k in range(1, (n // p + 1) // 2)
     )
@@ -187,7 +201,7 @@ def _prepared_solver(n: int) -> Optional[linalg.PreparedSolver]:
     relations = _solver_relations(n)
     if not relations:
         return None
-    return linalg.PreparedSolver([_fold(r.vector, n) for r in relations])
+    return linalg.PreparedSolver([_fold(vector, n) for _, _, vector in relations])
 
 
 def _combine_values(relations: Sequence[Relation], coefficients: Sequence[Q]) -> FactoredConstant:
@@ -223,19 +237,24 @@ def prove_constant(word: GammaWord) -> Optional[Certificate]:
     used = [(relations[c], x) for c, x in solution]
     # The residual v - sum_m x_m M_m at j <= N/2, in integers over the common
     # denominator of the x_m: entry j is the coefficient of the reflection at j.
+    # The derived constant's exponent of p, sum_k x_(p,k) (N - 2pk)/N, is
+    # summed over the same denominator times N.
     denominator = math.lcm(*(x.denominator for _, x in used))
     residual = {j: e * denominator for j, e in word.exponents if 2 * j <= n}
-    for relation, x in used:
+    exponents: Dict[int, int] = {}
+    for (p, k, vector), x in used:
         scaled = x.numerator * (denominator // x.denominator)
-        for j, e in relation.vector:
+        exponents[p] = exponents.get(p, 0) + scaled * (n - 2 * p * k)
+        for j, e in vector:
             if 2 * j <= n:
                 residual[j] = residual.get(j, 0) - scaled * e
     coefficients = tuple(
         (_reflection_tag(j, n), Q(r, denominator)) for j, r in sorted(residual.items()) if r
-    ) + tuple((relation.tag, x) for relation, x in used)
-    return Certificate(
-        coefficients, _combine_values([r for r, _ in used], [x for _, x in used])
+    ) + tuple((_multiplication_tag(p, k), x) for (p, k, _), x in used)
+    derived = FactoredConstant(
+        tuple((p, Q(e, denominator * n)) for p, e in exponents.items() if e)
     )
+    return Certificate(coefficients, derived)
 
 
 def kernel_consistency(n: int) -> tuple[bool, Optional[Tuple[Tuple[str, Q], ...]]]:

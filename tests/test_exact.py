@@ -70,6 +70,26 @@ def test_rejects_composite_base():
         FactoredConstant(((1, Q(1)),))
 
 
+def test_rejects_non_integer_base():
+    # int(2.5) would be 2 and int(3.9) would be 3: a float base is refused, not truncated
+    for base in (2.5, 3.9, 2.0, Q(2), "2"):
+        with pytest.raises(ValueError, match="is not an int"):
+            FactoredConstant(((base, Q(1)),))
+    with pytest.raises(ValueError, match="is not an int"):
+        FactoredConstant(((3.9, 0.5),))
+    # a bool is an int, and True is 1, which is not prime
+    with pytest.raises(ValueError, match="is not prime"):
+        FactoredConstant(((True, Q(1)),))
+
+
+def test_rejects_float_exponent():
+    for exponent in (0.5, 1.0, 0.0):
+        with pytest.raises(ValueError, match="not an int or Fraction"):
+            FactoredConstant(((3, exponent),))
+    # ints and Fractions are exact and stay accepted
+    assert FactoredConstant(((3, 1), (2, Q(1, 2)))).prime_powers == ((2, Q(1, 2)), (3, Q(1)))
+
+
 def test_composite_base_still_raises_once_primes_are_cached():
     for p in (2, 3, 5, 7, 11):
         FactoredConstant(((p, Q(1)),))

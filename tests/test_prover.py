@@ -132,20 +132,34 @@ def test_multiplication_at_n_over_d_minus_k_is_the_reflection_image():
             assert const_mul(relation.value, image.value).is_one, (n, relation.tag)
 
 
+def _solver_tag(relation):
+    """The tag of a solver relation, given as a (p, k, vector) triple."""
+    p, k, _ = relation
+    return f"multiplication({p},{k})"
+
+
 def test_solver_relations_are_the_prime_order_half():
-    """The solver's relations: the multiplications with d prime and 2dk < N, in order."""
+    """The solver's relations: the multiplications with d prime and 2dk < N, in order.
+
+    Each (p, k, vector) triple names the relation of its tag, carries its
+    vector, and the value p^((N - 2pk)/N) the prover sums is its value.
+    """
     for n in range(2, 401):
         # multiplication_relations(n) is relations_for(n) past the reflections,
         # built here without filling relations_for's cache with 400 grids.
         indices = [(d, k) for d in range(2, n + 1) if n % d == 0 for k in range(1, n // d)]
         relations = multiplication_relations(n)
         assert [r.tag for r in relations] == [f"multiplication({d},{k})" for d, k in indices]
-        want = tuple(
+        want = [
             r
             for r, (d, k) in zip(relations, indices)
             if factorize(d) == {d: 1} and 2 * d * k < n
-        )
-        assert _solver_relations(n) == want, n
+        ]
+        got = _solver_relations(n)
+        assert [_solver_tag(r) for r in got] == [r.tag for r in want], n
+        assert [vector for _, _, vector in got] == [r.vector for r in want], n
+        values = [FactoredConstant(((p, Q(n - 2 * p * k, n)),)) for p, k, _ in got]
+        assert values == [r.value for r in want], n
 
 
 def test_reduced_solver_matches_the_full_multiplication_set():
@@ -156,7 +170,7 @@ def test_reduced_solver_matches_the_full_multiplication_set():
     """
     for n in range(2, 151):
         full = relations_for(n)[n // 2:]
-        reduced = _solver_relations(n)
+        reduced = [_solver_tag(r) for r in _solver_relations(n)]
         solver = _prepared_solver(n)
         if solver is None:
             assert not reduced
@@ -164,10 +178,10 @@ def test_reduced_solver_matches_the_full_multiplication_set():
             continue
         columns = [_fold(r.vector, n) for r in full]
         reference = PreparedSolver(columns)
-        assert [full[c].tag for c in reference.pivots] == [reduced[c].tag for c in solver.pivots]
+        assert [full[c].tag for c in reference.pivots] == [reduced[c] for c in solver.pivots]
         for target in columns:
             want = [(full[c].tag, x) for c, x in reference.solve(target)]
-            assert [(reduced[c].tag, x) for c, x in solver.solve(target)] == want, n
+            assert [(reduced[c], x) for c, x in solver.solve(target)] == want, n
 
 
 def test_relation_counts():
@@ -261,7 +275,7 @@ def test_proved_words_evaluate_to_their_constant():
         assert residual < mpmath.mpf(10) ** -40
 
 
-@pytest.mark.parametrize("n", range(2, 17))
+@pytest.mark.parametrize("n", range(2, 97))
 def test_kernel_consistency_small_grids(n):
     assert kernel_consistency(n) == (True, None)
 
@@ -381,6 +395,35 @@ def test_lattice_certificates_golden_digest():
         [None if c is None else c.to_json_obj() for c in certificates], separators=(",", ":")
     )
     assert hashlib.sha256(text.encode()).hexdigest() == LATTICE_SEED_1_SHA256
+
+
+# Large grids past the Fraction reference (N <= 96) and the reduced-vs-full
+# solver check (N <= 150); 398 is B100's grid.  The digests were taken while
+# the elimination still rebuilt every row update as a new dict: of the
+# certificates of _seeded_words(N, Random(N), per_kind=8) on each grid, as
+# the lattice golden prints them, and of the pivot tags per grid.
+LARGE_GRIDS = (120, 210, 398, 420, 840)
+LARGE_GRID_CERTIFICATES_SHA256 = "6b875fd95bd01d01c8a80ce3e417ca8384b83995c31c0b3d01deb37dd4636509"
+LARGE_GRID_PIVOTS_SHA256 = "78ae285b91ab6e8a6a9a0dffbb02b2beef70414176c51baf58986494a9ac46c7"
+
+
+def test_large_grid_certificates_golden_digest():
+    certificates = []
+    pivots = []
+    proved = 0
+    for n in LARGE_GRIDS:
+        for word in _seeded_words(n, random.Random(n), per_kind=8):
+            certificate = prove_constant(word)
+            proved += certificate is not None
+            certificates.append(None if certificate is None else certificate.to_json_obj())
+        relations = _solver_relations(n)
+        pivots.append([n, [_solver_tag(relations[c]) for c in _prepared_solver(n).pivots]])
+    assert proved == 40
+    assert [len(tags) for _, tags in pivots] == [43, 80, 99, 161, 323]
+    text = json.dumps(certificates, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_GRID_CERTIFICATES_SHA256
+    text = json.dumps(pivots, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == LARGE_GRID_PIVOTS_SHA256
 
 
 def koblitz_ogus_in_span(word):
