@@ -6,14 +6,13 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from . import fateev
 from .exact import DEFAULT_DIGITS, MAX_DIGITS, MIN_DIGITS
 from .gammaword import brace_str
 from .prover import Relation, relations_for
-from .rootsys import FAMILIES, RANK_RANGE, RootSystem, RootSystemId, build
+from .rootsys import FAMILIES, RANK_RANGE, RootSystemId, build
 
 if TYPE_CHECKING:
     import argparse
@@ -31,41 +30,20 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved parameters of one verify run."""
-
-    families: Tuple[str, ...]
-    rank_min: Optional[int]
-    rank_max: Optional[int]
-    variants: Tuple[str, ...]
-    mode: str
-    digits: int
-    fmt: str
-    output: Optional[str]
-
-    def system_ids(self) -> List[RootSystemId]:
-        out = []
-        for family in self.families:
-            lo, hi = RANK_RANGE[family]
-            lo = max(lo, self.rank_min) if self.rank_min is not None else lo
-            if self.rank_max is not None:
-                hi = self.rank_max if hi is None else min(hi, self.rank_max)
-            elif hi is None:
-                hi = DEFAULT_RANK_CAP
-            out.extend(RootSystemId(family, rank) for rank in range(lo, hi + 1))
-        return out
-
-    def has_cases(self) -> bool:
-        """Whether some selected system admits some selected variant; builds nothing."""
-        return any(
-            fateev.admissible_family(ident.family, variant)
-            for ident in self.system_ids()
-            for variant in self.variants
-        )
-
-    def systems(self) -> List[RootSystem]:
-        return [build(ident) for ident in self.system_ids()]
+def system_ids(
+    families: Sequence[str], rank_min: Optional[int], rank_max: Optional[int]
+) -> List[RootSystemId]:
+    """The systems of the families within the rank bounds, family by family."""
+    out = []
+    for family in families:
+        lo, hi = RANK_RANGE[family]
+        lo = max(lo, rank_min) if rank_min is not None else lo
+        if rank_max is not None:
+            hi = rank_max if hi is None else min(hi, rank_max)
+        elif hi is None:
+            hi = DEFAULT_RANK_CAP
+        out.extend(RootSystemId(family, rank) for rank in range(lo, hi + 1))
+    return out
 
 
 def _relation_text(relation: Relation, n: int) -> str:
@@ -138,22 +116,15 @@ def cmd_verify(args) -> int:
         raise ValueError("--rank excludes --rank-min/--rank-max")
     rank_min = args.rank if args.rank is not None else args.rank_min
     rank_max = args.rank if args.rank is not None else args.rank_max
-    config = RunConfig(
-        families=families,
-        rank_min=rank_min,
-        rank_max=rank_max,
-        variants=tuple(dict.fromkeys(args.variant)) if args.variant else fateev.VARIANTS,
-        mode=args.mode,
-        digits=args.digits,
-        fmt=args.format,
-        output=args.output,
-    )
+    variants = tuple(dict.fromkeys(args.variant)) if args.variant else fateev.VARIANTS
     # Checked before the precision setup and the output file, in every mode.
-    if config.digits < MIN_DIGITS:
-        raise ValueError(f"--digits must be at least {MIN_DIGITS}, got {config.digits}")
-    if config.digits > MAX_DIGITS:
-        raise ValueError(f"--digits must be at most {MAX_DIGITS}, got {config.digits}")
-    if not config.has_cases():
+    if args.digits < MIN_DIGITS:
+        raise ValueError(f"--digits must be at least {MIN_DIGITS}, got {args.digits}")
+    if args.digits > MAX_DIGITS:
+        raise ValueError(f"--digits must be at most {MAX_DIGITS}, got {args.digits}")
+    idents = system_ids(families, rank_min, rank_max)
+    # Whether some selected system admits some selected variant; builds nothing.
+    if not any(fateev.admissible_family(i.family, v) for i in idents for v in variants):
         if (
             rank_max is None
             and rank_min is not None
@@ -170,18 +141,18 @@ def cmd_verify(args) -> int:
             "hold no admissible case"
         )
     # Opened before the run, so an unwritable path fails before any work.
-    with open(config.output, "w", encoding="utf-8") if config.output else nullcontext() as out:
+    with open(args.output, "w", encoding="utf-8") if args.output else nullcontext() as out:
         ctx = None
-        if config.mode != "exact":
+        if args.mode != "exact":
             # The numeric route, and mpmath with it, loads only when a mode uses it.
             from .numeric import PrecisionContext
 
-            ctx = PrecisionContext.for_digits(config.digits)
-        summary = fateev.verify_all(config.systems(), config.variants, config.mode, ctx)
-        if config.fmt == "json":
+            ctx = PrecisionContext.for_digits(args.digits)
+        summary = fateev.verify_all([build(i) for i in idents], variants, args.mode, ctx)
+        if args.format == "json":
             payload = summary.to_json_obj()
-            payload["mode"] = config.mode
-            payload["digits"] = config.digits
+            payload["mode"] = args.mode
+            payload["digits"] = args.digits
             print(dumps_canonical(payload), file=out)
         else:
             lines = [r.text_line() for r in summary.reports]

@@ -111,24 +111,15 @@ class FactoredConstant:
 ONE = FactoredConstant()
 
 
-def power_factors(base: RationalLike, exponent: RationalLike = 1) -> list[tuple[int, Q]]:
-    """The (prime, exponent) pairs of base^exponent, base a positive rational.
-
-    Not merged into a FactoredConstant, so callers can build one constant
-    from several of them.
-    """
+def factor_power(base: RationalLike, exponent: RationalLike) -> FactoredConstant:
+    """base^exponent as a FactoredConstant; base must be a positive rational."""
     base = Q(base)
     exponent = Q(exponent)
     if base <= 0:
         raise ValueError(f"base must be positive, got {base}")
     powers = [(p, m * exponent) for p, m in factorize(base.numerator).items()]
     powers += [(p, -m * exponent) for p, m in factorize(base.denominator).items()]
-    return powers
-
-
-def factor_power(base: RationalLike, exponent: RationalLike) -> FactoredConstant:
-    """base^exponent as a FactoredConstant; base must be a positive rational."""
-    return FactoredConstant(tuple(power_factors(base, exponent)))
+    return FactoredConstant(tuple(powers))
 
 
 def const_mul(a: FactoredConstant, b: FactoredConstant) -> FactoredConstant:

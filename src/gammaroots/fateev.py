@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
 
-from .exact import FactoredConstant, const_ln, const_mul, factorize
+from .exact import FactoredConstant, const_ln, factorize
 from .gammaword import GammaWord, brace_str, merge_exponents
 from .prover import Certificate, prove_constant
 from .rootsys import SIMPLY_LACED_FAMILIES, RootSystem, RootSystemId
@@ -52,10 +52,9 @@ def _check_variant(variant: str) -> None:
 
 
 def _check_case(system: RootSystem, index: int, variant: str) -> None:
-    _check_variant(variant)
+    _check_admissible(system, variant)
     if not 1 <= index <= system.rank:
         raise ValueError(f"index {index} outside 1..{system.rank}")
-    _check_admissible(system, variant)
 
 
 def _check_admissible(system: RootSystem, variant: str) -> None:
@@ -275,8 +274,7 @@ def _verdict(
         if certificate is None:
             status = NOT_IN_LATTICE
         else:
-            proven = const_mul(lhs.coeff, certificate.derived_constant)
-            status = PROVED_EXACT if proven == rhs else MISMATCH
+            status = PROVED_EXACT if certificate.derived_constant == rhs else MISMATCH
     if mode == "numeric" or (mode == "both" and status in (PROVED_EXACT, NOT_IN_LATTICE)):
         import mpmath
 

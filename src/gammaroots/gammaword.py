@@ -1,7 +1,8 @@
 """Words in gamma(x) = Gamma(x) / Gamma(1 - x) at rational arguments.
 
 A word keeps every factor on one common grid: integer exponents attached to
-indices j standing for the arguments j/N, together with an exact coefficient.
+indices j standing for the arguments j/N.  It is a pure gamma product; the
+constant an identity equates it to is a separate FactoredConstant.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Tuple
 
-from .exact import DEFAULT_DIGITS, ONE, FactoredConstant
+from .exact import DEFAULT_DIGITS
 
 if TYPE_CHECKING:
     import mpmath
@@ -18,7 +19,7 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class GammaWord:
-    """coeff * prod over stored indices j of gamma(j/denominator)^e_j.
+    """prod over stored indices j of gamma(j/denominator)^e_j.
 
     Indices satisfy 1 <= j <= denominator - 1, appear at most once, in
     increasing order, and never carry exponent zero.
@@ -26,7 +27,6 @@ class GammaWord:
 
     denominator: int
     exponents: Tuple[Tuple[int, int], ...] = ()
-    coeff: FactoredConstant = ONE
 
     def __post_init__(self) -> None:
         if not isinstance(self.denominator, int) or self.denominator < 1:
@@ -44,10 +44,11 @@ class GammaWord:
             previous = j
 
     def to_json_obj(self) -> dict:
+        """JSON form; "coeff" is always [], the JSON of the constant 1, kept in the format."""
         return {
             "N": self.denominator,
             "terms": [{"j": j, "exponent": e} for j, e in self.exponents],
-            "coeff": self.coeff.to_json_obj(),
+            "coeff": [],
         }
 
 
@@ -94,12 +95,8 @@ def brace_str(w: GammaWord) -> str:
         target, magnitude = (num, e) if e > 0 else (den, -e)
         target.append("{%d}" % j if magnitude == 1 else "{%d}^%d" % (j, magnitude))
     if not num and not den:
-        core = "1"
-    elif not den:
-        core = "".join(num)
-    else:
-        tail = den[0] if len(den) == 1 else "(%s)" % "".join(den)
-        core = "%s/%s" % ("".join(num) or "1", tail)
-    if w.coeff.is_one:
-        return core
-    return f"{w.coeff}*{core}"
+        return "1"
+    if not den:
+        return "".join(num)
+    tail = den[0] if len(den) == 1 else "(%s)" % "".join(den)
+    return "%s/%s" % ("".join(num) or "1", tail)

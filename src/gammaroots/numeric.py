@@ -46,7 +46,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .exact import DEFAULT_DIGITS, MAX_DIGITS, MIN_DIGITS, const_ln, working_precision_bits
+from .exact import DEFAULT_DIGITS, MAX_DIGITS, MIN_DIGITS, working_precision_bits
 
 # B_2, B_4, ... (B_2k at index k - 1); grown on demand, read-only thereafter.
 _EVEN_BERNOULLI: list[Q] = []
@@ -255,17 +255,13 @@ def _ln_gamma_ratio(j: int, n: int, ctx: PrecisionContext) -> tuple:
 
 
 def eval_word_ln(word, ctx: PrecisionContext | None = None) -> mpmath.mpf:
-    """ln of a word's value: sum_j e_j (ln Gamma(j/N) - ln Gamma((N-j)/N)) + ln coeff.
+    """ln of a word's value: sum_j e_j (ln Gamma(j/N) - ln Gamma((N-j)/N)).
 
-    Worst-case absolute error (2 sum_j |e_j| + 1) * 10^-decimal_digits.
-    A unit coefficient adds nothing: adding ln 1 = 0 only rounds to ctx.bits,
-    which the final rounding does anyway.
+    Worst-case absolute error 2 sum_j |e_j| * 10^-decimal_digits.
     """
     ctx = ctx or PrecisionContext.for_digits()
     n, bits, rnd = word.denominator, ctx.bits, round_nearest
     total = fzero
     for j, e in word.exponents:
         total = mpf_add(total, mpf_mul_int(_ln_gamma_ratio(j, n, ctx), e, bits, rnd), bits, rnd)
-    if not word.coeff.is_one:
-        total = mpf_add(total, const_ln(word.coeff, ctx.decimal_digits)._mpf_, bits, rnd)
     return mpmath.mp.make_mpf(mpf_pos(total, bits, rnd))

@@ -217,9 +217,8 @@ def _combine_values(relations: Sequence[Relation], coefficients: Sequence[Q]) ->
 def prove_constant(word: GammaWord) -> Optional[Certificate]:
     """Express the word's exponent vector in the rational relation span.
 
-    Returns a certificate whose derived constant equals the word's gamma
-    part, or None when the vector lies outside the span.  The word's own
-    coeff is not part of the statement; callers fold it in.
+    Returns a certificate whose derived constant equals the word's value,
+    or None when the vector lies outside the span.
     """
     if not word.exponents:
         return Certificate((), ONE)

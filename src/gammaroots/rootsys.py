@@ -66,7 +66,11 @@ class RootSystemId:
         return f"{self.family}{self.rank}"
 
 
-def generate_positive_roots(gram: Matrix, max_height: int = 1000) -> Dict[Coeffs, Coeffs]:
+# The closure gives up on a system whose roots reach this height.
+MAX_HEIGHT = 1000
+
+
+def generate_positive_roots(gram: Matrix) -> Dict[Coeffs, Coeffs]:
     """Close the simple roots under root strings, from the Gram matrix alone.
 
     gram is G_ij = 2(alpha_i|alpha_j), integral.  Returns each positive
@@ -101,9 +105,9 @@ def generate_positive_roots(gram: Matrix, max_height: int = 1000) -> Dict[Coeffs
     current = list(known)
     height = 1
     while current:
-        if height >= max_height:
+        if height >= MAX_HEIGHT:
             raise ClosureError(
-                f"no closure below height {max_height}; "
+                f"no closure below height {MAX_HEIGHT}; "
                 "the simple roots do not generate a finite system"
             )
         found: List[int] = []
@@ -217,13 +221,12 @@ class RootSystem:
 
     @cached_property
     def ambient(self) -> Ambient:
-        simple = simple_roots(self.ident)
-        scale, scaled = _scaled(simple)
+        scale, scaled = _planche(self.ident)
         ints = [_combine(c, scaled) for c in self.root_coeffs]
         fraction = {x: Q(x, scale) for x in set(chain.from_iterable(ints))}
         (two_rho, two), (lcm_rho_check, lcm) = self.weyl
         return Ambient(
-            simple_roots=tuple(simple),
+            simple_roots=tuple(simple_roots(self.ident)),
             positive_roots=tuple(tuple(fraction[x] for x in v) for v in ints),
             alpha0=_to_ambient([-m for m in self.marks[1:]], 1, scale, scaled),
             rho=_to_ambient(two_rho, two, scale, scaled),
@@ -265,7 +268,7 @@ class RootSystem:
 
 def build(ident: RootSystemId) -> RootSystem:
     """Construct and cross-validate the integer tables of an admissible id."""
-    scale, scaled = _scaled(simple_roots(ident))
+    scale, scaled = _planche(ident)
     scaled_gram = [[2 * sum(map(mul, u, v)) for v in scaled] for u in scaled]
     if any(g % (scale * scale) for row in scaled_gram for g in row):
         raise ClosureError(f"{ident}: 2(alpha_i|alpha_j) is not integral")
@@ -327,48 +330,52 @@ def _validate(system: RootSystem) -> None:
             raise ClosureError(f"{system.ident}: rho and rho_check disagree with alpha_{k + 1}")
 
 
-# Ambient coordinates.  build reads only the Gram matrix off them; the rest
-# serves RootSystem.ambient, on first use.
+# Ambient coordinates.  build reads only the Gram matrix off the integer
+# planche rows; the rest serves RootSystem.ambient, on first use.
 
 
-def _vec(dim: int, entries: Dict[int, int]) -> Vector:
-    return tuple(Q(entries.get(k, 0)) for k in range(dim))
+def _row(dim: int, entries: Dict[int, int]) -> Tuple[int, ...]:
+    return tuple(entries.get(k, 0) for k in range(dim))
 
 
-# Simple roots of E8; E6 and E7 take the first six and seven of them,
-# realized inside the same eight-dimensional space.
-_E8_SIMPLE: Tuple[Vector, ...] = (
-    tuple(Q(x, 2) for x in (1, -1, -1, -1, -1, -1, -1, 1)),
-    _vec(8, {0: 1, 1: 1}),
-    *(_vec(8, {i: -1, i + 1: 1}) for i in range(6)),
+# Twice the simple roots of E8; E6 and E7 take the first six and seven of
+# them, realized inside the same eight-dimensional space.
+_E8_ROWS: Tuple[Tuple[int, ...], ...] = (
+    (1, -1, -1, -1, -1, -1, -1, 1),
+    _row(8, {0: 2, 1: 2}),
+    *(_row(8, {i: -2, i + 1: 2}) for i in range(6)),
 )
-_F4_SIMPLE: Tuple[Vector, ...] = (
-    _vec(4, {1: 1, 2: -1}), _vec(4, {2: 1, 3: -1}), _vec(4, {3: 1}),
-    tuple(Q(x, 2) for x in (1, -1, -1, -1)),
+# Twice the simple roots of F4, and the simple roots of G2.
+_F4_ROWS: Tuple[Tuple[int, ...], ...] = (
+    _row(4, {1: 2, 2: -2}), _row(4, {2: 2, 3: -2}), _row(4, {3: 2}), (1, -1, -1, -1),
 )
-_G2_SIMPLE: Tuple[Vector, ...] = (_vec(3, {0: 1, 1: -1}), _vec(3, {0: -2, 1: 1, 2: 1}))
+_G2_ROWS: Tuple[Tuple[int, ...], ...] = ((1, -1, 0), (-2, 1, 1))
+
+
+def _planche(ident: RootSystemId) -> Tuple[int, Sequence[Tuple[int, ...]]]:
+    """A scale d and d times each simple root, in the planche realization, as ints.
+
+    d is 2 for E and F, whose roots have half-integer coordinates, and 1 for
+    the rest.
+    """
+    family, n = ident.family, ident.rank
+    if family == "A":
+        return 1, [_row(n + 1, {i: 1, i + 1: -1}) for i in range(n)]
+    if family in ("B", "C", "D"):
+        chain = [_row(n, {i: 1, i + 1: -1}) for i in range(n - 1)]
+        last = {"B": {n - 1: 1}, "C": {n - 1: 2}, "D": {n - 2: 1, n - 1: 1}}[family]
+        return 1, chain + [_row(n, last)]
+    if family == "E":
+        return 2, _E8_ROWS[:n]
+    if family == "F":
+        return 2, _F4_ROWS
+    return 1, _G2_ROWS
 
 
 def simple_roots(ident: RootSystemId) -> List[Vector]:
     """Simple roots of the system in its classical coordinate realization."""
-    family, n = ident.family, ident.rank
-    if family == "A":
-        return [_vec(n + 1, {i: 1, i + 1: -1}) for i in range(n)]
-    if family in ("B", "C", "D"):
-        chain = [_vec(n, {i: 1, i + 1: -1}) for i in range(n - 1)]
-        last = {"B": {n - 1: 1}, "C": {n - 1: 2}, "D": {n - 2: 1, n - 1: 1}}[family]
-        return chain + [_vec(n, last)]
-    if family == "E":
-        return list(_E8_SIMPLE[:n])
-    if family == "F":
-        return list(_F4_SIMPLE)
-    return list(_G2_SIMPLE)
-
-
-def _scaled(simple: Sequence[Vector]) -> Tuple[int, List[Tuple[int, ...]]]:
-    """The lcm d of all coordinate denominators, and d times each simple root, as ints."""
-    d = math.lcm(*(x.denominator for a in simple for x in a))
-    return d, [tuple(x.numerator * (d // x.denominator) for x in a) for a in simple]
+    scale, scaled = _planche(ident)
+    return [tuple(Q(x, scale) for x in row) for row in scaled]
 
 
 def _combine(coeffs: Sequence[int], scaled: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:

@@ -256,11 +256,7 @@ def test_exact_verify_sets_up_no_precision(capsys, monkeypatch):
 
 def test_rank_bounds_zero_are_not_ignored():
     def ranks(rank_min, rank_max):
-        config = cli.RunConfig(
-            families=("G",), rank_min=rank_min, rank_max=rank_max,
-            variants=("Fprime",), mode="exact", digits=60, fmt="text", output=None,
-        )
-        return [s.rank for s in config.systems()]
+        return [ident.rank for ident in cli.system_ids(("G",), rank_min, rank_max)]
 
     assert ranks(None, 0) == []
     assert ranks(0, None) == [2]
@@ -504,11 +500,7 @@ def test_missing_subcommand_is_argparse_error(capsys):
 
 
 def test_default_rank_cap():
-    config = cli.RunConfig(
-        families=("A",), rank_min=None, rank_max=None,
-        variants=("F",), mode="exact", digits=60, fmt="text", output=None,
-    )
-    ranks = [s.rank for s in config.systems()]
+    ranks = [ident.rank for ident in cli.system_ids(("A",), None, None)]
     assert ranks == list(range(1, cli.DEFAULT_RANK_CAP + 1))
 
 

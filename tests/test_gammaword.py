@@ -1,17 +1,15 @@
 """Gamma-word construction, merging, evaluation."""
 
 import random
-from fractions import Fraction as Q
 
 import mpmath
 import pytest
 
-from gammaroots.exact import ONE, factor_power
 from gammaroots.gammaword import GammaWord, brace_str, eval_ln, word_from_terms
 
 
 def reflection_fold(w):
-    """The word under gamma(x) gamma(1-x) = 1 and gamma(1/2) = 1, coeff kept.
+    """The word under gamma(x) gamma(1-x) = 1 and gamma(1/2) = 1.
 
     Indices above N/2 fold onto N - j with negated exponent and the middle
     index drops, so two words with the same value on one grid fold alike.
@@ -24,7 +22,7 @@ def reflection_fold(w):
         if 2 * j > n:
             j, e = n - j, -e
         folded[j] = folded.get(j, 0) + e
-    return GammaWord(n, tuple(sorted((j, e) for j, e in folded.items() if e)), w.coeff)
+    return GammaWord(n, tuple(sorted((j, e) for j, e in folded.items() if e)))
 
 
 def test_merge_on_common_grid():
@@ -47,7 +45,6 @@ def test_empty_word():
     w = word_from_terms([], 12)
     assert w.exponents == ()
     assert w.denominator == 1
-    assert w.coeff is ONE
 
 
 def test_argument_range_checked():
@@ -99,19 +96,11 @@ def test_eval_ln_known_value():
     assert diff < mpmath.mpf(10) ** -50
 
 
-def test_eval_ln_includes_coeff():
-    empty = GammaWord(1, (), factor_power(2, Q(3)))
-    with mpmath.workprec(200):
-        assert abs(eval_ln(empty, 40) - 3 * mpmath.ln(2)) < mpmath.mpf(10) ** -38
-
-
 def test_brace_str():
     assert brace_str(GammaWord(6, ((1, -1), (2, 1), (3, -1), (4, -1)))) == "{2}/({1}{4})"
     assert brace_str(GammaWord(6, ((1, 2), (2, -1)))) == "{1}^2/{2}"
     assert brace_str(GammaWord(1)) == "1"
     assert brace_str(GammaWord(4, ((2, 7),))) == "1"
-    coeffed = GammaWord(3, ((1, 1),), factor_power(2, Q(1, 2)))
-    assert brace_str(coeffed) == "2^(1/2)*{1}"
 
 
 def test_json_obj():

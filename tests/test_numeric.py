@@ -28,7 +28,7 @@ from mpmath.libmp import (
 )
 
 from gammaroots import fateev, numeric
-from gammaroots.exact import FactoredConstant, factor_power, working_precision_bits
+from gammaroots.exact import const_ln, working_precision_bits
 from gammaroots.gammaword import GammaWord
 from gammaroots.numeric import (
     PrecisionContext,
@@ -91,7 +91,6 @@ def reference_eval_word_ln(word, ctx):
         total = mpmath.mpf(0)
         for j, e in word.exponents:
             total += e * (reference_ln_gamma(Q(j, n), ctx) - reference_ln_gamma(Q(n - j, n), ctx))
-        total += reference_const_ln(word.coeff, ctx.decimal_digits)
         return +total
 
 
@@ -210,9 +209,9 @@ def test_precision_scales_with_digits():
 
 def test_eval_word_ln_matches_direct_sum():
     ctx = PrecisionContext.for_digits(50)
-    word = GammaWord(4, ((1, 2),), factor_power(3, Q(1, 2)))
+    word = GammaWord(4, ((1, 2),))
     with mpmath.workprec(ctx.bits):
-        direct = 2 * (ln_gamma(Q(1, 4), ctx) - ln_gamma(Q(3, 4), ctx)) + mpmath.ln(3) / 2
+        direct = 2 * (ln_gamma(Q(1, 4), ctx) - ln_gamma(Q(3, 4), ctx))
         assert abs(eval_word_ln(word, ctx) - direct) < mpmath.mpf(10) ** -45
 
 
@@ -324,27 +323,30 @@ def test_round_is_libmp_round_nearest():
         assert from_man_exp(*numeric._round(man, exp, bits)) == expected, (man, exp, bits)
 
 
-def _sweep_words(idents):
+def _sweep_sides(idents):
+    """(word, right side) of every admissible case of the given systems."""
     for ident in idents:
         system = build(ident)
         for variant in fateev.VARIANTS:
             if not fateev.admissible(system, variant):
                 continue
             for index in range(1, system.rank + 1):
-                word = fateev.lhs_word(system, index, variant)
-                rhs = fateev.rhs_constant(system, index, variant)
-                yield word
-                # The same grid terms with a prime-power coefficient exercise const_ln.
-                yield GammaWord(word.denominator, word.exponents, rhs)
+                yield (
+                    fateev.lhs_word(system, index, variant),
+                    fateev.rhs_constant(system, index, variant),
+                )
 
 
 def test_eval_word_ln_bit_exact_on_paper_words():
+    """Both sides of the G2, F4 and E8 identities, each against its reference."""
     ctx = PrecisionContext.for_digits(60)
     idents = [RootSystemId("G", 2), RootSystemId("F", 4), RootSystemId("E", 8)]
-    words = list(_sweep_words(idents))
-    assert len(words) == 2 * (2 * 2 + 2 * 4 + 3 * 8)
-    for word in words:
+    sides = list(_sweep_sides(idents))
+    assert len(sides) == 2 * 2 + 2 * 4 + 3 * 8
+    for word, rhs in sides:
         assert eval_word_ln(word, ctx) == reference_eval_word_ln(word, ctx), word
+        expected = reference_const_ln(rhs, ctx.decimal_digits)
+        assert const_ln(rhs, ctx.decimal_digits) == expected, rhs
 
 
 def test_ln_gamma_runs_once_per_distinct_argument(monkeypatch):
@@ -357,9 +359,9 @@ def test_ln_gamma_runs_once_per_distinct_argument(monkeypatch):
         return ln_gamma(x, c)
 
     monkeypatch.setattr(numeric, "ln_gamma", counted)
-    word = GammaWord(12, ((1, 2), (5, -1), (6, 3), (7, 1), (11, -2)), factor_power(3, Q(1, 2)))
+    word = GammaWord(12, ((1, 2), (5, -1), (6, 3), (7, 1), (11, -2)))
     first = eval_word_ln(word, ctx)
     assert sorted(seen) == [Q(1, 12), Q(5, 12), Q(1, 2), Q(7, 12), Q(11, 12)]
     assert eval_word_ln(word, ctx) == first
-    assert eval_word_ln(GammaWord(4, ((2, 1),), FactoredConstant()), ctx) == 0
+    assert eval_word_ln(GammaWord(4, ((2, 1),)), ctx) == 0
     assert len(seen) == 5
