@@ -7,7 +7,7 @@ always lowest terms, positive denominator, unbounded integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import TYPE_CHECKING, Tuple, Union
@@ -57,8 +57,7 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == {n: 1}
 
 
-@dataclass(frozen=True)
-class FactoredConstant:
+class FactoredConstant(namedtuple("FactoredConstant", "prime_powers")):
     """A positive real number prod_p p^(e_p) with rational exponents.
 
     Canonical form: prime bases strictly increasing, no zero exponents.  The
@@ -66,26 +65,30 @@ class FactoredConstant:
     rationals, so structural equality coincides with equality of real values.
     """
 
-    prime_powers: Tuple[Tuple[int, Q], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, prime_powers: Tuple[Tuple[int, Q], ...] = ()) -> FactoredConstant:
         merged: dict[int, Q] = {}
-        for base, exponent in self.prime_powers:
+        for base, exponent in prime_powers:
             # No coercion: int() would truncate a float base, and a float
-            # exponent is no exact rational.
-            if not isinstance(base, int):
+            # exponent is no exact rational.  A bool is no int here either.
+            if type(base) is not int:
                 raise ValueError(f"base {base!r} is not an int")
             if not _is_prime(base):
                 raise ValueError(f"base {base} is not prime")
             if not isinstance(exponent, Q):
-                if not isinstance(exponent, int):
+                if type(exponent) is not int:
                     raise ValueError(f"exponent {exponent!r} is not an int or Fraction")
                 exponent = Q(exponent)
             if base in merged:
                 exponent += merged[base]
             merged[base] = exponent
         canonical = tuple(sorted((b, e) for b, e in merged.items() if e != 0))
-        object.__setattr__(self, "prime_powers", canonical)
+        return tuple.__new__(cls, (canonical,))
+
+    @classmethod
+    def _make(cls, iterable) -> FactoredConstant:  # _replace calls it: both validate
+        return cls(*iterable)
 
     @property
     def is_one(self) -> bool:

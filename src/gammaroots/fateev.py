@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction as Q
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .exact import FactoredConstant, const_ln, factorize
 from .gammaword import GammaWord, brace_str, merge_exponents
 from .prover import Certificate, prove_constant
-from .rootsys import SIMPLY_LACED_FAMILIES, RootSystem, RootSystemId
+from .rootsys import SIMPLY_LACED_FAMILIES, RootSystem
 
 if TYPE_CHECKING:
     from .numeric import PrecisionContext
@@ -176,19 +175,12 @@ def rhs_constant(
     return k.rhs[index - 1]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    """Outcome of one (system, simple root, variant) check."""
+class VerificationReport(namedtuple("VerificationReport", (
+    "ident index variant mode status lhs rhs certificate numeric_residual"
+))):
+    """Outcome of one (system, simple root, variant) check; certificate or residual may be None."""
 
-    ident: RootSystemId
-    index: int
-    variant: str
-    mode: str
-    status: str
-    lhs: GammaWord
-    rhs: FactoredConstant
-    certificate: Optional[Certificate]
-    numeric_residual: Optional[str]
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -291,11 +283,10 @@ def _verdict(
     return status, certificate, residual_str
 
 
-@dataclass(frozen=True)
-class VerificationSummary:
-    """All reports of one run, ordered by (family, rank, index, variant)."""
+class VerificationSummary(namedtuple("VerificationSummary", "reports")):
+    """All reports of one run, a tuple ordered by (family, rank, index, variant)."""
 
-    reports: Tuple[VerificationReport, ...]
+    __slots__ = ()
 
     @property
     def counts(self) -> dict:

@@ -8,7 +8,7 @@ constant an identity equates it to is a separate FactoredConstant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Tuple
 
 from .exact import DEFAULT_DIGITS
@@ -17,31 +17,34 @@ if TYPE_CHECKING:
     import mpmath
 
 
-@dataclass(frozen=True)
-class GammaWord:
+class GammaWord(namedtuple("GammaWord", "denominator exponents")):
     """prod over stored indices j of gamma(j/denominator)^e_j.
 
     Indices satisfy 1 <= j <= denominator - 1, appear at most once, in
-    increasing order, and never carry exponent zero.
+    increasing order, and never carry exponent zero.  A bool is no integer here.
     """
 
-    denominator: int
-    exponents: Tuple[Tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.denominator, int) or self.denominator < 1:
-            raise ValueError(f"denominator must be a positive integer, got {self.denominator}")
+    def __new__(cls, denominator: int, exponents: Tuple[Tuple[int, int], ...] = ()) -> GammaWord:
+        if type(denominator) is not int or denominator < 1:
+            raise ValueError(f"denominator must be a positive integer, got {denominator}")
         previous = 0
-        for j, e in self.exponents:
-            if not isinstance(j, int) or not isinstance(e, int):
+        for j, e in exponents:
+            if type(j) is not int or type(e) is not int:
                 raise ValueError("indices and exponents must be integers")
             if j <= previous:
                 raise ValueError("indices must be strictly increasing")
-            if not 1 <= j <= self.denominator - 1:
-                raise ValueError(f"index {j} outside 1..{self.denominator - 1}")
+            if not 1 <= j <= denominator - 1:
+                raise ValueError(f"index {j} outside 1..{denominator - 1}")
             if e == 0:
                 raise ValueError("zero exponents must be dropped")
             previous = j
+        return tuple.__new__(cls, (denominator, exponents))
+
+    @classmethod
+    def _make(cls, iterable) -> GammaWord:  # _replace calls it: both validate
+        return cls(*iterable)
 
     def to_json_obj(self) -> dict:
         """JSON form; "coeff" is always [], the JSON of the constant 1, kept in the format."""

@@ -25,7 +25,7 @@ either form; the sum only drops libmp's per-call tuple handling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction as Q
 from functools import cached_property, lru_cache
 
@@ -106,22 +106,24 @@ def stirling_tail_log10(shift: int, terms: int) -> float:
     )
 
 
-@dataclass(frozen=True)
-class PrecisionContext:
+class PrecisionContext(
+    namedtuple("PrecisionContext", "decimal_digits bits shift_count stirling_terms")
+):
     """Evaluation parameters: target digits, mantissa bits, shift, series length.
 
     for_digits picks shift_count and stirling_terms so the Stirling tail
     bound stays below 10^-(decimal_digits + 5); the extra mantissa bits keep
-    accumulated rounding inside the same margin.
+    accumulated rounding inside the same margin.  Immutable: only
+    cached_property writes the instance __dict__, as residual_bound's cache.
     """
 
-    decimal_digits: int
-    bits: int
-    shift_count: int
-    stirling_terms: int
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"PrecisionContext is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
 
     @classmethod
-    def for_digits(cls, decimal_digits: int = DEFAULT_DIGITS) -> "PrecisionContext":
+    def for_digits(cls, decimal_digits: int = DEFAULT_DIGITS) -> PrecisionContext:
         if decimal_digits < MIN_DIGITS:
             raise ValueError(
                 f"decimal_digits must be at least {MIN_DIGITS}, got {decimal_digits}"

@@ -45,7 +45,7 @@ denominator of the x_m times N, and becomes one Fraction per prime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -55,13 +55,10 @@ from .exact import ONE, FactoredConstant, factorize
 from .gammaword import GammaWord
 
 
-@dataclass(frozen=True)
-class Relation:
-    """A proven identity prod_j gamma(j/N)^(v_j) = value on one grid."""
+class Relation(namedtuple("Relation", "tag vector value")):
+    """A proven identity prod_j gamma(j/N)^(v_j) = value on one grid; vector holds the (j, v_j)."""
 
-    tag: str
-    vector: Tuple[Tuple[int, int], ...]
-    value: FactoredConstant
+    __slots__ = ()
 
 
 def _check_grid(n: int) -> None:
@@ -157,16 +154,14 @@ def relation_word(relation: Relation, n: int) -> GammaWord:
     return GammaWord(n, relation.vector)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(namedtuple("Certificate", "coefficients derived_constant")):
     """Rational relation coefficients reproducing a word's exponent vector.
 
     The certified statement: the gamma part of the word equals
-    derived_constant = prod over entries of value(tag)^coefficient.
+    derived_constant = prod over (tag, coefficient) entries of value(tag)^coefficient.
     """
 
-    coefficients: Tuple[Tuple[str, Q], ...]
-    derived_constant: FactoredConstant
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         return {

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
 from fractions import Fraction as Q
 from functools import cached_property
 from itertools import chain, compress
@@ -47,20 +46,24 @@ class ClosureError(RuntimeError):
     """The given simple roots do not generate a finite crystallographic system."""
 
 
-@dataclass(frozen=True, order=True)
-class RootSystemId:
-    family: str
-    rank: int
+class RootSystemId(namedtuple("RootSystemId", "family rank")):
+    """An admissible (family, rank) pair; ids sort by family, then rank."""
 
-    def __post_init__(self) -> None:
-        if self.family not in RANK_RANGE:
-            raise ValueError(
-                f"unknown family {self.family!r}; expected one of {', '.join(FAMILIES)}"
-            )
-        lo, hi = RANK_RANGE[self.family]
-        if not isinstance(self.rank, int) or self.rank < lo or (hi is not None and self.rank > hi):
+    __slots__ = ()
+
+    def __new__(cls, family: str, rank: int) -> RootSystemId:
+        if family not in RANK_RANGE:
+            raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
+        lo, hi = RANK_RANGE[family]
+        # A bool is no rank, though it is an int.
+        if type(rank) is not int or rank < lo or (hi is not None and rank > hi):
             span = f"{lo}..{hi}" if hi is not None else f">= {lo}"
-            raise ValueError(f"family {self.family} admits rank {span}, got {self.rank}")
+            raise ValueError(f"family {family} admits rank {span}, got {rank}")
+        return tuple.__new__(cls, (family, rank))
+
+    @classmethod
+    def _make(cls, iterable) -> RootSystemId:  # _replace calls it: both validate
+        return cls(*iterable)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
@@ -176,8 +179,10 @@ def weyl_vectors(positive: Sequence[Coeffs], norms: Sequence[int]) -> Weyl:
 Ambient = namedtuple("Ambient", "simple_roots positive_roots alpha0 rho rho_check")
 
 
-@dataclass(frozen=True)
-class RootSystem:
+class RootSystem(namedtuple("RootSystem", (
+    "ident marks comarks double_comarks coxeter_number comark_sum simply_laced "
+    "gram root_coeffs pairing_columns norms heights rho_pairings weyl"
+))):
     """Everything the identity checks need about one irreducible system.
 
     marks, comarks and double_comarks are indexed 0..rank; entry 0 belongs to
@@ -198,23 +203,19 @@ class RootSystem:
 
     The ambient Fraction tables simple_roots, positive_roots (entry for
     entry with root_coeffs), alpha0, rho and rho_check are computed on first
-    use and cached in ambient; no verify path reads them.
+    use and cached in ambient; no verify path reads them.  Immutable: only
+    cached_property writes the instance __dict__.  The repr leaves out the
+    tables, gram onwards.
     """
 
-    ident: RootSystemId
-    marks: Tuple[int, ...]
-    comarks: Tuple[Q, ...]
-    double_comarks: Tuple[Q, ...]
-    coxeter_number: int
-    comark_sum: Q
-    simply_laced: bool
-    gram: Matrix = field(repr=False)
-    root_coeffs: Tuple[Coeffs, ...] = field(repr=False)
-    pairing_columns: Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...] = field(repr=False)
-    norms: Tuple[int, ...] = field(repr=False)
-    heights: Tuple[int, ...] = field(repr=False)
-    rho_pairings: Tuple[int, ...] = field(repr=False)
-    weyl: Weyl = field(repr=False)
+    def __setattr__(self, name: str, *value: object) -> None:
+        raise AttributeError(f"RootSystem is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        shown = zip(self._fields, self[:self._fields.index("gram")])
+        return "RootSystem(%s)" % ", ".join(f"{name}={value!r}" for name, value in shown)
 
     family = property(attrgetter("ident.family"))
     rank = property(attrgetter("ident.rank"))

@@ -77,9 +77,13 @@ def test_rejects_non_integer_base():
             FactoredConstant(((base, Q(1)),))
     with pytest.raises(ValueError, match="is not an int"):
         FactoredConstant(((3.9, 0.5),))
-    # a bool is an int, and True is 1, which is not prime
-    with pytest.raises(ValueError, match="is not prime"):
-        FactoredConstant(((True, Q(1)),))
+
+
+def test_rejects_bool_base_and_exponent():
+    # a bool is an int subclass, but True is no base or exponent
+    for pair in ((True, Q(1)), (2, True), (3, False)):
+        with pytest.raises(ValueError, match="is not an int"):
+            FactoredConstant((pair,))
 
 
 def test_rejects_float_exponent():

@@ -1,6 +1,5 @@
 """Identity words, closed-form constants, and verification reports."""
 
-import dataclasses
 import math
 from fractions import Fraction as Q
 from itertools import repeat
@@ -326,13 +325,13 @@ def test_non_integral_pairing_raises(systems):
     s = systems[("A", 2)]
     odd = tuple((ks, tuple(p + 1 for p in ps)) for ks, ps in s.pairing_columns)
     with pytest.raises(ValueError, match="not integral"):
-        lhs_word(dataclasses.replace(s, pairing_columns=odd), 1, F)
+        lhs_word(s._replace(pairing_columns=odd), 1, F)
 
 
 def test_non_integral_second_grid_raises(systems):
     """4h' is the Fsecond grid: a non-integral one fails, not truncates."""
     s = systems[("B", 4)]
-    doctored = dataclasses.replace(s, comark_sum=s.comark_sum + Q(1, 8))
+    doctored = s._replace(comark_sum=s.comark_sum + Q(1, 8))
     for call in (lhs_word, rhs_constant):
         with pytest.raises(ValueError, match="not integral"):
             call(doctored, 1, F_SECOND)
@@ -343,7 +342,7 @@ def test_argument_outside_the_unit_interval_raises(systems):
     s = systems[("G", 2)]
     for heights in ((0, *s.heights[1:]), (*s.heights[:-1], s.coxeter_number)):
         with pytest.raises(ValueError, match="outside"):
-            lhs_word(dataclasses.replace(s, heights=heights), 1, F_PRIME)
+            lhs_word(s._replace(heights=heights), 1, F_PRIME)
 
 
 # -- right sides --------------------------------------------------------------
@@ -641,11 +640,11 @@ def test_shared_verdicts_equal_standalone_verify(systems, mode):
     for report in summary.reports:
         alone = verify(systems[report.ident.family, report.ident.rank], report.index,
                        report.variant, mode, ctx)
-        for field in dataclasses.fields(report):
-            shared, fresh = getattr(report, field.name), getattr(alone, field.name)
-            if field.name == "certificate" and shared is not None:
+        for name in report._fields:
+            shared, fresh = getattr(report, name), getattr(alone, name)
+            if name == "certificate" and shared is not None:
                 shared, fresh = shared.to_json_obj(), fresh.to_json_obj()
-            assert shared == fresh, (report.ident, report.index, report.variant, field.name)
+            assert shared == fresh, (report.ident, report.index, report.variant, name)
 
 
 def test_a_refused_proof_reaches_every_case_that_shares_the_word(systems, monkeypatch):

@@ -74,6 +74,12 @@ def test_word_validation():
         GammaWord(0)
 
 
+def test_word_rejects_bool():
+    for denominator, exponents in ((True, ()), (2, ((True, True),)), (4, ((1, True),))):
+        with pytest.raises(ValueError):
+            GammaWord(denominator, exponents)
+
+
 def test_reduce_reflection_preserves_value():
     rng = random.Random(3)
     tolerance = mpmath.mpf(10) ** -40

@@ -1,6 +1,5 @@
 """Root system construction against closed-form planche data and literal tables."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -76,6 +75,12 @@ def test_id_validation():
         with pytest.raises(ValueError):
             RootSystemId(family, rank)
     assert str(RootSystemId("A", 12)) == "A12"
+
+
+def test_id_rejects_bool_rank():
+    for family, rank in [("A", True), ("G", True), ("A", False)]:
+        with pytest.raises(ValueError, match="admits rank"):
+            RootSystemId(family, rank)
 
 
 def test_a2_table(systems):
@@ -293,7 +298,7 @@ def test_integer_tables_match_ambient_coordinates(systems, family, rank):
 
 def test_validate_raises_on_doctored_system(systems):
     s = systems[("D", 5)]
-    doctored = dataclasses.replace(s, root_coeffs=s.root_coeffs[:-1])
+    doctored = s._replace(root_coeffs=s.root_coeffs[:-1])
     with pytest.raises(ClosureError, match="rank \\* h / 2"):
         _validate(doctored)
     _validate(s)
@@ -301,11 +306,10 @@ def test_validate_raises_on_doctored_system(systems):
 
 def test_validation_survives_optimized_mode():
     code = (
-        "import dataclasses\n"
         "from gammaroots.rootsys import ClosureError, RootSystemId, _validate, build\n"
         "s = build(RootSystemId('A', 3))\n"
         "try:\n"
-        "    _validate(dataclasses.replace(s, root_coeffs=s.root_coeffs[1:]))\n"
+        "    _validate(s._replace(root_coeffs=s.root_coeffs[1:]))\n"
         "except ClosureError:\n"
         "    print('raised')\n"
     )
@@ -322,9 +326,9 @@ def test_validate_checks_the_weyl_vectors_against_the_gram_matrix(systems):
     (two_rho, two), (lcm_rho_check, lcm) = s.weyl
     off = (lcm_rho_check[0] + 1,) + lcm_rho_check[1:]
     with pytest.raises(ClosureError, match="rho and rho_check disagree with alpha_1"):
-        _validate(dataclasses.replace(s, weyl=((two_rho, two), (off, lcm))))
+        _validate(s._replace(weyl=((two_rho, two), (off, lcm))))
     with pytest.raises(ClosureError, match="rho and rho_check disagree"):
-        _validate(dataclasses.replace(s, weyl=((two_rho, two + 2), (lcm_rho_check, lcm))))
+        _validate(s._replace(weyl=((two_rho, two + 2), (lcm_rho_check, lcm))))
 
 
 def test_verify_never_fills_the_ambient_tables(capsys):
