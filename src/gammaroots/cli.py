@@ -55,25 +55,27 @@ def _relation_text(relation: Relation, n: int) -> str:
 
 def cmd_table(args) -> int:
     system = build(RootSystemId(args.family, args.rank))
+    obj = system.to_json_obj()
     if args.format == "json":
-        print(dumps_canonical(system.to_json_obj()))
+        print(dumps_canonical(obj))
         return EXIT_OK
     lines = [
-        f"{system.ident}: rank {system.rank}, {len(system.positive_roots)} positive roots",
-        f"mark sum h = {system.coxeter_number}, comark sum = {system.comark_sum}, "
+        f"{system.ident}: rank {system.rank}, {obj['positive_root_count']} positive roots",
+        f"mark sum h = {system.coxeter_number}, comark sum = {obj['comark_sum']}, "
         f"simply laced: {'yes' if system.simply_laced else 'no'}",
-        f"marks (node 0 first): {' '.join(str(m) for m in system.marks)}",
-        f"comarks: {' '.join(str(c) for c in system.comarks)}",
-        f"double comarks: {' '.join(str(c) for c in system.double_comarks)}",
-        f"rho = ({', '.join(str(x) for x in system.rho)})",
-        f"rho_check = ({', '.join(str(x) for x in system.rho_check)})",
+        f"marks (node 0 first): {' '.join(map(str, system.marks))}",
+        f"comarks: {' '.join(obj['comarks'])}",
+        f"double comarks: {' '.join(obj['double_comarks'])}",
+        f"rho = ({', '.join(obj['rho'])})",
+        f"rho_check = ({', '.join(obj['rho_check'])})",
         "simple roots:",
     ]
-    for i, root in enumerate(system.simple_roots, start=1):
-        lines.append(f"  alpha_{i} = ({', '.join(str(x) for x in root)})")
+    for i, root in enumerate(obj["simple_roots"], start=1):
+        lines.append(f"  alpha_{i} = ({', '.join(root)})")
     lines.append("positive roots (by height):")
-    for height, root in system.roots_by_height():
-        lines.append(f"  height {height:2d}: ({', '.join(str(x) for x in root)})")
+    # obj lists the roots by height, so they pair with the sorted heights.
+    for height, root in zip(sorted(system.heights), obj["positive_roots"]):
+        lines.append(f"  height {height:2d}: ({', '.join(root)})")
     print("\n".join(lines))
     return EXIT_OK
 

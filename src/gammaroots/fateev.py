@@ -317,6 +317,7 @@ def verify_all(
     it, such as the variants that coincide on simply laced systems and the
     roots a diagram symmetry exchanges, take its verdict.  k_root is built
     once per (system, variant) and passed to each case's own verify call.
+    Raises ValueError when no system admits any of the variants.
     """
     chosen = tuple(variants) if variants else VARIANTS
     for variant in chosen:
@@ -330,5 +331,7 @@ def verify_all(
             table = k_root(system, variant)
             for index in range(1, system.rank + 1):
                 reports.append(verify(system, index, variant, mode, ctx, table, verdicts))
+    if not reports:
+        raise ValueError("nothing to verify: no system admits any of the variants")
     reports.sort(key=lambda r: (r.ident, r.index, VARIANTS.index(r.variant)))
     return VerificationSummary(tuple(reports))

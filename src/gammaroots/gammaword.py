@@ -22,15 +22,22 @@ class GammaWord(namedtuple("GammaWord", "denominator exponents")):
 
     Indices satisfy 1 <= j <= denominator - 1, appear at most once, in
     increasing order, and never carry exponent zero.  A bool is no integer here.
+    exponents is stored as a tuple of pairs: other containers and pairs are
+    copied into tuples, and a tuple of tuples is kept as given.
     """
 
     __slots__ = ()
 
-    def __new__(cls, denominator: int, exponents: Tuple[Tuple[int, int], ...] = ()) -> GammaWord:
+    def __new__(cls, denominator: int, exponents: Iterable[Tuple[int, int]] = ()) -> GammaWord:
         if type(denominator) is not int or denominator < 1:
             raise ValueError(f"denominator must be a positive integer, got {denominator}")
+        if type(exponents) is not tuple:
+            exponents = tuple(exponents)
         previous = 0
-        for j, e in exponents:
+        copy = False
+        for pair in exponents:
+            j, e = pair
+            copy = copy or type(pair) is not tuple
             if type(j) is not int or type(e) is not int:
                 raise ValueError("indices and exponents must be integers")
             if j <= previous:
@@ -40,6 +47,8 @@ class GammaWord(namedtuple("GammaWord", "denominator exponents")):
             if e == 0:
                 raise ValueError("zero exponents must be dropped")
             previous = j
+        if copy:
+            exponents = tuple(map(tuple, exponents))
         return tuple.__new__(cls, (denominator, exponents))
 
     @classmethod

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction as Q
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import mpmath
 from mpmath.libmp import (
@@ -113,14 +113,11 @@ class PrecisionContext(
 
     for_digits picks shift_count and stirling_terms so the Stirling tail
     bound stays below 10^-(decimal_digits + 5); the extra mantissa bits keep
-    accumulated rounding inside the same margin.  Immutable: only
-    cached_property writes the instance __dict__, as residual_bound's cache.
+    accumulated rounding inside the same margin.  Immutable and stateless:
+    residual_bound reads a memo keyed on the digit count and the precision.
     """
 
-    def __setattr__(self, name: str, *value: object) -> None:
-        raise AttributeError(f"PrecisionContext is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+    __slots__ = ()
 
     @classmethod
     def for_digits(cls, decimal_digits: int = DEFAULT_DIGITS) -> PrecisionContext:
@@ -145,14 +142,20 @@ class PrecisionContext(
                     )
             shift += 8
 
-    @cached_property
+    @property
     def residual_bound(self) -> mpmath.mpf:
-        """10^(10 - decimal_digits), the largest residual verify accepts.
+        """10^(10 - decimal_digits), the largest residual verify accepts."""
+        return _residual_bound(self.decimal_digits, mpmath.mp.prec)
 
-        Built on first use, at mpmath's working precision at that time, which
-        is the precision verify compares residuals at.
-        """
-        return mpmath.mpf(10) ** (10 - self.decimal_digits)
+
+@lru_cache(maxsize=None)
+def _residual_bound(decimal_digits: int, prec: int) -> mpmath.mpf:
+    """10^(10 - decimal_digits) at prec bits.
+
+    prec is mpmath's working precision at the call, the precision verify
+    compares residuals at; each pair is computed once per process.
+    """
+    return mpmath.mpf(10) ** (10 - decimal_digits)
 
 
 def _raw(q: Q, bits: int) -> tuple:

@@ -9,10 +9,11 @@ quantity the identities need is an integer read off c and those pairings:
 heights are coefficient sums, the norms 2(a|a) are c . (c G), the marks
 are the coefficients of the highest root, and the Weyl vectors are sums of
 coefficient vectors.  Ambient coordinates (tuples of Fractions, whose
-dimension may exceed the rank for families A and G) are computed on first
-use, for tables and JSON.  All pairings are the raw coordinate dot product;
-marks are normalization free, but comarks, double comarks and the comark
-sum depend on this realization and are kept as exact rationals.
+dimension may exceed the rank for families A and G) are computed on each
+access, for tables and JSON, and never stored.  All pairings are the raw
+coordinate dot product; marks are normalization free, but comarks, double
+comarks and the comark sum depend on this realization and are kept as
+exact rationals.
 """
 
 from __future__ import annotations
@@ -20,10 +21,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction as Q
-from functools import cached_property
 from itertools import chain, compress
 from operator import attrgetter, mul
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
 Coeffs = Tuple[int, ...]
@@ -176,9 +176,6 @@ def weyl_vectors(positive: Sequence[Coeffs], norms: Sequence[int]) -> Weyl:
     return (tuple(two_rho), 2), (tuple(lcm_rho_check), lcm)
 
 
-Ambient = namedtuple("Ambient", "simple_roots positive_roots alpha0 rho rho_check")
-
-
 class RootSystem(namedtuple("RootSystem", (
     "ident marks comarks double_comarks coxeter_number comark_sum simply_laced "
     "gram root_coeffs pairing_columns norms heights rho_pairings weyl"
@@ -202,16 +199,12 @@ class RootSystem(namedtuple("RootSystem", (
     G_ij = 2(alpha_i|alpha_j), and weyl is what weyl_vectors returns.
 
     The ambient Fraction tables simple_roots, positive_roots (entry for
-    entry with root_coeffs), alpha0, rho and rho_check are computed on first
-    use and cached in ambient; no verify path reads them.  Immutable: only
-    cached_property writes the instance __dict__.  The repr leaves out the
-    tables, gram onwards.
+    entry with root_coeffs), alpha0, rho and rho_check are properties,
+    computed from those integers on each access and never stored; no verify
+    path reads them.  The repr leaves out the tables, gram onwards.
     """
 
-    def __setattr__(self, name: str, *value: object) -> None:
-        raise AttributeError(f"RootSystem is immutable: cannot set or delete {name!r}")
-
-    __delattr__ = __setattr__
+    __slots__ = ()
 
     def __repr__(self) -> str:
         shown = zip(self._fields, self[:self._fields.index("gram")])
@@ -220,50 +213,48 @@ class RootSystem(namedtuple("RootSystem", (
     family = property(attrgetter("ident.family"))
     rank = property(attrgetter("ident.rank"))
 
-    @cached_property
-    def ambient(self) -> Ambient:
-        scale, scaled = _planche(self.ident)
-        ints = [_combine(c, scaled) for c in self.root_coeffs]
-        fraction = {x: Q(x, scale) for x in set(chain.from_iterable(ints))}
-        (two_rho, two), (lcm_rho_check, lcm) = self.weyl
-        return Ambient(
-            simple_roots=tuple(simple_roots(self.ident)),
-            positive_roots=tuple(tuple(fraction[x] for x in v) for v in ints),
-            alpha0=_to_ambient([-m for m in self.marks[1:]], 1, scale, scaled),
-            rho=_to_ambient(two_rho, two, scale, scaled),
-            rho_check=_to_ambient(lcm_rho_check, lcm, scale, scaled),
-        )
+    def _fractions(self, vectors: Sequence[Coeffs], den: int = 1) -> Tuple[Vector, ...]:
+        """sum_k (c_k / den) alpha_k for each c in vectors."""
+        scale, sums = _ambient(self.ident, vectors)
+        return tuple(map(tuple, _over(sums, den * scale, Q)))
 
-    simple_roots = property(attrgetter("ambient.simple_roots"))
-    positive_roots = property(attrgetter("ambient.positive_roots"))
-    alpha0 = property(attrgetter("ambient.alpha0"))
-    rho = property(attrgetter("ambient.rho"))
-    rho_check = property(attrgetter("ambient.rho_check"))
+    def _vector(self, nums: Coeffs, den: int = 1) -> Vector:
+        return self._fractions([nums], den)[0]
 
-    def roots_by_height(self) -> List[Tuple[int, Vector]]:
-        """(height, ambient root) pairs, by height and then by coordinates: table order."""
-        return sorted(zip(self.heights, self.positive_roots))
+    # The closure lists the simple roots first, in index order.
+    simple_roots = property(lambda self: self._fractions(self.root_coeffs[:self.rank]))
+    positive_roots = property(lambda self: self._fractions(self.root_coeffs))
+    alpha0 = property(lambda self: self._vector(tuple(-m for m in self.marks[1:])))
+    rho = property(lambda self: self._vector(*self.weyl[0]))
+    rho_check = property(lambda self: self._vector(*self.weyl[1]))
 
     def to_json_obj(self) -> dict:
-        """JSON-ready table: rationals as 'p/q' strings, vectors as string arrays."""
-        def vecs(vs):
-            return [[str(x) for x in v] for v in vs]
+        """JSON-ready table: rationals as 'p/q' strings, vectors as string arrays.
 
+        Positive roots are listed by height, then by ambient coordinates.
+        They are sorted on their integer planche sums, which are the ambient
+        coordinates times one positive scale, so the order is the same.
+        """
+        def strs(v):
+            return [str(x) for x in v]
+
+        scale, sums = _ambient(self.ident, self.root_coeffs)
+        by_height = [v for _, v in sorted(zip(self.heights, sums))]
         return {
             "family": self.family,
             "rank": self.rank,
-            "positive_root_count": len(self.positive_roots),
+            "positive_root_count": len(self.root_coeffs),
             "coxeter_number": self.coxeter_number,
             "comark_sum": str(self.comark_sum),
             "marks": list(self.marks),
-            "comarks": [str(c) for c in self.comarks],
-            "double_comarks": [str(c) for c in self.double_comarks],
+            "comarks": strs(self.comarks),
+            "double_comarks": strs(self.double_comarks),
             "simply_laced": self.simply_laced,
-            "alpha0": [str(x) for x in self.alpha0],
-            "rho": [str(x) for x in self.rho],
-            "rho_check": [str(x) for x in self.rho_check],
-            "simple_roots": vecs(self.simple_roots),
-            "positive_roots": vecs(root for _, root in self.roots_by_height()),
+            "alpha0": strs(self.alpha0),
+            "rho": strs(self.rho),
+            "rho_check": strs(self.rho_check),
+            "simple_roots": list(map(strs, self.simple_roots)),
+            "positive_roots": _over(by_height, scale, lambda x, d: str(Q(x, d))),
         }
 
 
@@ -332,7 +323,7 @@ def _validate(system: RootSystem) -> None:
 
 
 # Ambient coordinates.  build reads only the Gram matrix off the integer
-# planche rows; the rest serves RootSystem.ambient, on first use.
+# planche rows; the ambient tables of RootSystem read the rest.
 
 
 def _row(dim: int, entries: Dict[int, int]) -> Tuple[int, ...]:
@@ -373,22 +364,24 @@ def _planche(ident: RootSystemId) -> Tuple[int, Sequence[Tuple[int, ...]]]:
     return 1, _G2_ROWS
 
 
-def simple_roots(ident: RootSystemId) -> List[Vector]:
-    """Simple roots of the system in its classical coordinate realization."""
+def _ambient(ident: RootSystemId, vectors: Sequence[Coeffs]) -> Tuple[int, List[Coeffs]]:
+    """The planche scale d, and d * sum_k c_k alpha_k for each c in vectors, as ints.
+
+    Reads the planche rows s_k by sparse column: coordinate j sums c_k s_kj
+    over the rows k with s_kj != 0, so a vector costs the nonzeros of the
+    rows, not rank x dimension.  Every planche column has a nonzero entry;
+    the zip over the columns relies on it.
+    """
     scale, scaled = _planche(ident)
-    return [tuple(Q(x, scale) for x in row) for row in scaled]
+    by_index = tuple(zip(*vectors))
+    columns = (
+        map(sum, zip(*[map(s.__mul__, by_index[k]) for k, s in enumerate(column) if s]))
+        for column in zip(*scaled)
+    )
+    return scale, list(zip(*columns))
 
 
-def _combine(coeffs: Sequence[int], scaled: Sequence[Tuple[int, ...]]) -> Tuple[int, ...]:
-    """sum_k coeffs_k scaled_k, over the nonzero coefficients."""
-    out = [0] * len(scaled[0])
-    for c, s in zip(coeffs, scaled):
-        if c:
-            for d, x in enumerate(s):
-                out[d] += c * x
-    return tuple(out)
-
-
-def _to_ambient(nums: Sequence[int], den: int, scale: int, scaled: Sequence[Coeffs]) -> Vector:
-    """sum_k (nums_k / den) alpha_k, where scaled_k = scale * alpha_k."""
-    return tuple(Q(x, den * scale) for x in _combine(nums, scaled))
+def _over(vectors: Sequence[Coeffs], den: int, form: Callable[[int, int], object]) -> List[list]:
+    """Each coordinate x of the integer vectors as form(x, den), one call per distinct x."""
+    value = {x: form(x, den) for x in set(chain.from_iterable(vectors))}
+    return [list(map(value.__getitem__, v)) for v in vectors]

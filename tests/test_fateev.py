@@ -669,11 +669,11 @@ def test_a_refused_proof_reaches_every_case_that_shares_the_word(systems, monkey
     assert calls.count(target) == 1
 
 
-def test_verify_all_empty():
-    summary = verify_all([])
-    assert summary.reports == ()
-    assert summary.all_passed
-    assert summary.counts == {}
+def test_verify_all_empty(systems):
+    with pytest.raises(ValueError, match="nothing to verify"):
+        verify_all([])
+    with pytest.raises(ValueError, match="nothing to verify"):
+        verify_all([systems[("B", 3)]], variants=["F"])
 
 
 def test_simply_laced_variants_collapse(systems):

@@ -8,18 +8,18 @@ from fractions import Fraction as Q
 import pytest
 
 import gammaroots
-from gammaroots import cli
+from gammaroots import cli, rootsys
 from gammaroots.exact import DEFAULT_DIGITS
 from gammaroots.fateev import VARIANTS, verify_all
 from gammaroots.numeric import PrecisionContext
 from gammaroots.rootsys import (
     ClosureError,
     RootSystemId,
+    _planche,
     _validate,
     build,
     generate_positive_roots,
     highest_root,
-    simple_roots,
 )
 
 
@@ -251,11 +251,11 @@ def test_closure_carries_pairings_level_by_level(systems, family, rank):
     assert closure == dict(zip(s.root_coeffs, dense_pairings(s)))
 
 
-def test_simple_roots_shapes():
-    a3 = simple_roots(RootSystemId("A", 3))
+def test_simple_roots_shapes(systems):
+    a3 = systems[("A", 3)].simple_roots
     assert len(a3) == 3 and len(a3[0]) == 4
-    g2 = simple_roots(RootSystemId("G", 2))
-    assert g2 == [(Q(1), Q(-1), Q(0)), (Q(-2), Q(1), Q(1))]
+    g2 = systems[("G", 2)].simple_roots
+    assert g2 == ((Q(1), Q(-1), Q(0)), (Q(-2), Q(1), Q(1)))
 
 
 def test_json_obj(systems):
@@ -331,15 +331,68 @@ def test_validate_checks_the_weyl_vectors_against_the_gram_matrix(systems):
         _validate(s._replace(weyl=((two_rho, two + 2), (lcm_rho_check, lcm))))
 
 
-def test_verify_never_fills_the_ambient_tables(capsys):
+def test_verify_never_computes_ambient_coordinates(monkeypatch, capsys):
     ids = [("A", 3), ("B", 12), ("D", 5), ("E", 8), ("F", 4), ("G", 2)]
     fresh = [build(RootSystemId(family, rank)) for family, rank in ids]
-    summary = verify_all(fresh, VARIANTS, "both", PrecisionContext.for_digits(DEFAULT_DIGITS))
+
+    def refuse(*args):
+        raise RuntimeError("ambient coordinates computed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rootsys, "_ambient", refuse)
+        with pytest.raises(RuntimeError, match="ambient coordinates"):
+            fresh[0].rho
+        ctx = PrecisionContext.for_digits(DEFAULT_DIGITS)
+        summary = verify_all(fresh, VARIANTS, "both", ctx)
     assert summary.all_passed
-    for system in fresh:
-        assert "ambient" not in vars(system), system.ident
     e8 = fresh[ids.index(("E", 8))]
     assert cli.main(["table", "E", "8", "--format", "json"]) == 0
     assert capsys.readouterr().out == cli.dumps_canonical(e8.to_json_obj()) + "\n"
-    assert "ambient" in vars(e8)
     assert len(e8.to_json_obj()["positive_roots"]) == len(e8.root_coeffs) == 120
+
+
+def dense_combine(coeffs, scaled):
+    """sum_k coeffs_k scaled_k, walking the whole planche row of each nonzero coefficient.
+
+    The formula the ambient tables were built with before they read the rows
+    by sparse column, kept as the reference.
+    """
+    out = [0] * len(scaled[0])
+    for c, row in zip(coeffs, scaled):
+        if c:
+            for d, x in enumerate(row):
+                out[d] += c * x
+    return tuple(out)
+
+
+def reference_ambient(system):
+    """The five ambient tables, by name, from dense_combine."""
+    scale, scaled = _planche(system.ident)
+
+    def over(nums, den):
+        return tuple(Q(x, den * scale) for x in dense_combine(nums, scaled))
+
+    (two_rho, two), (lcm_rho_check, lcm) = system.weyl
+    return {
+        "simple_roots": tuple(tuple(Q(x, scale) for x in row) for row in scaled),
+        "positive_roots": tuple(over(c, 1) for c in system.root_coeffs),
+        "alpha0": over([-m for m in system.marks[1:]], 1),
+        "rho": over(two_rho, two),
+        "rho_check": over(lcm_rho_check, lcm),
+    }
+
+
+def test_ambient_tables_match_the_dense_reference(systems, large_systems):
+    assert len(systems) == 49
+    for system in [*systems.values(), *large_systems.values()]:
+        reference = reference_ambient(system)
+        for name, expected in reference.items():
+            table = getattr(system, name)
+            vectors = table if name in ("simple_roots", "positive_roots") else (table,)
+            assert type(table) is tuple and all(type(v) is tuple for v in vectors)
+            assert all(type(x) is Q for v in vectors for x in v), (system.ident, name)
+            assert table == expected, (system.ident, name)
+        # The JSON lists the roots by height, then by ambient coordinates.
+        by_height = sorted(zip(system.heights, reference["positive_roots"]))
+        roots = [[str(x) for x in root] for _, root in by_height]
+        assert system.to_json_obj()["positive_roots"] == roots, system.ident

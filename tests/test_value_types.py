@@ -1,8 +1,9 @@
 """The nine value types: validated, immutable namedtuples with value equality.
 
 FactoredConstant, GammaWord and RootSystemId validate on every construction
-path: the constructor, _make and _replace.  All nine refuse attribute
-assignment, and equal fields give equal objects with equal hashes.
+path: the constructor, _make and _replace.  All nine have no instance
+__dict__ and refuse attribute assignment, and equal fields give equal
+objects with equal hashes.
 """
 
 import os
@@ -32,6 +33,7 @@ VALIDATED = [
     (RootSystemId, ("A", 3), ("A", True)),
     (RootSystemId, ("A", 3), ("H", 3)),
     (RootSystemId, ("A", 3), ("E", 9)),
+    (GammaWord, (4, [[1, 1]]), (4, [[1, 1], [1, 2]])),
 ]
 
 
@@ -105,17 +107,40 @@ def test_assignment_raises(systems):
         assert not hasattr(obj, "extra")
 
 
-def test_cached_properties_survive_the_frozen_setattr():
+def test_no_value_type_has_a_dict(systems):
+    for obj, _ in instances(systems):
+        name = type(obj).__name__
+        assert not hasattr(obj, "__dict__"), name
+        for cls in type(obj).__mro__[:-2]:
+            assert vars(cls).get("__slots__") == (), (name, cls)
+        with pytest.raises(AttributeError):
+            obj.extra = None
     system = build(RootSystemId("A", 2))
-    assert system.ambient is system.ambient
-    with pytest.raises(AttributeError):
-        system.ambient = None
-    with pytest.raises(AttributeError):
-        del system.ambient
+    for table in ("simple_roots", "positive_roots", "alpha0", "rho", "rho_check"):
+        assert getattr(system, table) == getattr(system, table)
+        with pytest.raises(AttributeError):
+            setattr(system, table, None)
+        with pytest.raises(AttributeError):
+            delattr(system, table)
     ctx = PrecisionContext.for_digits(20)
     assert ctx.residual_bound is ctx.residual_bound
     with pytest.raises(AttributeError):
         ctx.residual_bound = 0
+
+
+def test_word_stores_its_exponents_as_tuples():
+    kept = ((1, 1), (3, -1))
+    assert GammaWord(4, kept).exponents is kept
+    for given in ([(1, 1), (3, -1)], [[1, 1], [3, -1]], ([1, 1], [3, -1]), ((1, 1), [3, -1])):
+        word = GammaWord(4, given)
+        assert word == GammaWord(4, kept) and hash(word) == hash(GammaWord(4, kept))
+        assert type(word.exponents) is tuple and all(type(p) is tuple for p in word.exponents)
+    listed = [[1, 1]]
+    word = GammaWord(4, listed)
+    listed[0][1] = 2
+    listed.append([3, 1])
+    assert word.exponents == ((1, 1),)
+    assert GammaWord(4)._replace(exponents=[[1, 2]]).exponents == ((1, 2),)
 
 
 def test_root_system_ids_sort_by_family_then_rank():
