@@ -1,14 +1,17 @@
 """Irreducible root systems, computed on integers in the simple-root basis.
 
 Every positive root is kept as its integer coefficient vector c in the basis
-of simple roots alpha_1..alpha_r.  The Gram matrix G_ij = 2(alpha_i|alpha_j)
-is integral for all of A-G in the Bourbaki planche coordinates used here,
-and the root-string closure runs on G alone: each root carries its pairings
-2(alpha_j|a) = (c G)_j, and a step by alpha_i adds row i of G.  Every other
-quantity the identities need is an integer read off c and those pairings:
-heights are coefficient sums, the norms 2(a|a) are c . (c G), the marks
-are the coefficients of the highest root, and the Weyl vectors are sums of
-coefficient vectors.  Ambient coordinates (tuples of Fractions, whose
+of simple roots alpha_1..alpha_r, stored as bytes: byte k holds c_(k+1),
+which is at most 14.  The Gram matrix G_ij = 2(alpha_i|alpha_j) is integral
+for all of A-G in the Bourbaki planche coordinates used here, and the
+root-string closure runs on G alone: each root carries its nonzero pairings
+2(alpha_j|a) = (c G)_j, and a step by alpha_i adds row i of G, 1 to the
+height and G_ii to 4(a|rho).  The closure tries only the steps that
+find a root, so a system of rank r costs about r^2 steps, each as dear as
+its nonzero pairings.  Every other quantity the identities need is an
+integer read off c and those tables: the norms 2(a|a) are c . (c G), the
+marks are the coefficients of the highest root, and the Weyl vectors are
+sums of coefficient vectors.  Ambient coordinates (tuples of Fractions, whose
 dimension may exceed the rank for families A and G) are computed on each
 access, for tables and JSON, and never stored.  All pairings are the raw
 coordinate dot product; marks are normalization free, but comarks, double
@@ -21,13 +24,16 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction as Q
-from itertools import chain, compress
+from itertools import chain, product
 from operator import attrgetter, mul
 from typing import Callable, Dict, List, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
-Coeffs = Tuple[int, ...]
+# Coefficients in the simple basis: a root's bytes, or a tuple of ints
+Coeffs = Sequence[int]
 Matrix = Tuple[Tuple[int, ...], ...]
+# generate_positive_roots: coefficient bytes, nonzero pairings, norms, heights, rho_pairings
+Closure = Tuple[List[bytes], List[Dict[int, int]], List[int], List[int], List[int]]
 # rho and rho_check in the simple basis, each as (integer coefficients, denominator)
 Weyl = Tuple[Tuple[Coeffs, int], Tuple[Coeffs, int]]
 
@@ -69,83 +75,106 @@ class RootSystemId(namedtuple("RootSystemId", "family rank")):
         return f"{self.family}{self.rank}"
 
 
-# The closure gives up on a system whose roots reach this height.
-MAX_HEIGHT = 1000
+# Reads a packed key's hex digits, low digit first, as one coefficient byte each.
+_NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
-def generate_positive_roots(gram: Matrix) -> Dict[Coeffs, Coeffs]:
+def generate_positive_roots(gram: Matrix) -> Closure:
     """Close the simple roots under root strings, from the Gram matrix alone.
 
-    gram is G_ij = 2(alpha_i|alpha_j), integral.  Returns each positive
-    root's coefficient vector c, level by level, mapped to its pairings
-    2(alpha_j|a) = (c G)_j.  beta + alpha_i is a root iff
-    p - <beta, alpha_i^> >= 1, where p counts how far the alpha_i-string
-    descends from beta through known roots; with P = (c G) this is
-    (p - 1) G_ii >= 2 P_i.  A step adds row i of G to the parent's
-    pairings, and the new root's norm 2(a|a) = c . P must be positive.
+    gram is G_ij = 2(alpha_i|alpha_j), integral, square and not empty.
+    beta + alpha_i is a root iff p - <beta, alpha_i^> >= 1, where p counts
+    how far the alpha_i-string descends from beta through known roots; with
+    P = (c G) the pairings this is (p - 1) G_ii >= 2 P_i.
 
-    The walk keys each root on one int, 4 bits per coefficient: a step by
-    alpha_i adds 1 << 4i, and the string walk subtracts it.  A coefficient
-    of 15 raises, so no root's key holds 15 in any field, and a step that
-    carries out of a field or a walk that borrows below 0 meets no root.
-    Finite systems stay far below: the largest coefficient is 6, in E8.
+    From beta only the candidate steps are tried, in increasing i: the i
+    with P_i < 0, and the i recorded for beta.  A step by alpha_i that comes
+    to beta, new or known, records i with p + 1 for beta when the rule, read
+    one step ahead with P_i(beta) = P_i + G_ii, lets the alpha_i-string go
+    on past beta.  So every candidate step reaches a root, and p is read,
+    not walked.  A candidate without a record has P_i < 0 and p = 0, and the
+    rule reads 2 P_i <= -G_ii, true as 2 P_i / G_ii is an integer.  No other
+    step finds a root: if beta - alpha_i is not a root, the string starts at
+    beta and P_i >= 0 fails the rule; if it is, the rule failed one step
+    down, or when the record for beta was skipped, and up a string 2 P_i
+    grows by 2 G_ii a step while (p - 1) G_ii grows by G_ii.  By induction
+    up the strings the records are exact on any input, and the roots, their
+    order and the errors are those of trying every i with a walk down the
+    string.
+
+    A step by alpha_i adds row i of G to the nonzero pairings, 1 to the
+    height and G_ii to 4(a|rho).  The new root's norm 2(a|a) = c . P, which
+    must be positive, is the parent's plus (G c)_i + P_i after the step,
+    read off row i, which is c' G c'^T exactly whether or not G is
+    symmetric.
+
+    Returns the parallel lists (coefficients, pairings, norms, heights,
+    rho_pairings) in level order: each root's coefficients as one byte per
+    simple root, and its nonzero pairings as a dict {j: (c G)_j}.
+
+    The closure keys each root on one int, 4 bits per coefficient: a step
+    by alpha_i adds 1 << 4i.  A coefficient of 15 raises, so no root's key
+    holds 15 in any field, and a step that carries out of a field meets no
+    root.  That bound also ends the closure on any input, at height 14r at
+    most.  Finite systems stay far below: the largest coefficient is 6, in
+    E8.
     """
     r = len(gram)
+    if not r or any(len(row) != r for row in gram):
+        raise ClosureError("the Gram matrix must be square and not empty")
+    diag = [row[i] for i, row in enumerate(gram)]
+    for i, g in enumerate(diag):
+        if g <= 0:
+            raise ClosureError(f"2(alpha_{i + 1}|alpha_{i + 1}) = {g} is not positive")
     for i, row in enumerate(gram):
-        if row[i] <= 0:
-            raise ClosureError(f"2(alpha_{i + 1}|alpha_{i + 1}) = {row[i]} is not positive")
-    for i, row in enumerate(gram):
-        if any(2 * g % gram[j][j] for j, g in enumerate(row)):
+        if any(2 * g % diag[j] for j, g in enumerate(row)):
             raise ClosureError(
                 f"non-integral Cartan integer at alpha_{i + 1}; input is not crystallographic"
             )
 
-    steps = [1 << 4 * i for i in range(r)]
-    # packed key -> (coefficients, pairings), in the order the roots are found
-    known: Dict[int, Tuple[Coeffs, Coeffs]] = {
-        steps[i]: (tuple(int(k == i) for k in range(r)), tuple(gram[i])) for i in range(r)
-    }
-    current = list(known)
-    height = 1
-    while current:
-        if height >= MAX_HEIGHT:
-            raise ClosureError(
-                f"no closure below height {MAX_HEIGHT}; "
-                "the simple roots do not generate a finite system"
-            )
-        found: List[int] = []
-        for beta in current:
-            coeffs, pairs = known[beta]
-            for i, step in enumerate(steps):
-                cand = beta + step
-                if cand in known:
-                    continue
-                p = 0
-                below = beta - step
-                while below in known:
-                    p += 1
-                    below -= step
-                if (p - 1) * gram[i][i] >= 2 * pairs[i]:
-                    if coeffs[i] == 14:
-                        raise ClosureError(
-                            f"closure reached coefficient 15 at alpha_{i + 1}; "
-                            "the 4-bit root keys hold at most 14"
-                        )
-                    cand_coeffs = coeffs[:i] + (coeffs[i] + 1,) + coeffs[i + 1:]
-                    cand_pairs = tuple(map(sum, zip(pairs, gram[i])))
-                    if sum(map(mul, cand_coeffs, cand_pairs)) <= 0:
-                        raise ClosureError(
-                            "closure reached a vector of length zero; "
-                            "input is not a finite root base"
-                        )
-                    known[cand] = cand_coeffs, cand_pairs
-                    found.append(cand)
-        current = found
-        height += 1
-    return dict(known.values())
+    rows = [[(j, g) for j, g in enumerate(row) if g] for row in gram]
+    # packed key -> table position; the tables below follow the positions
+    position = {1 << 4 * i: i for i in range(r)}
+    # parents[k]: i -> p for each alpha_i-string that goes on past root k, p roots below it
+    keys, pairings, parents = list(position), [dict(row) for row in rows], [{} for _ in rows]
+    norms, heights, rho_pairings = diag[:], [1] * r, diag[:]
+    # keys grows as the loop reads it: each root is read after every root of lower height.
+    for k, beta in enumerate(keys):
+        pairs, ups = pairings[k], parents[k]
+        for i in sorted({*ups, *[j for j, p in pairs.items() if p < 0]}):
+            cand, p = beta + (1 << 4 * i), ups.get(i, 0)
+            if cand not in position:
+                if (beta >> 4 * i) & 15 == 14:
+                    raise ClosureError(
+                        f"closure reached coefficient 15 at alpha_{i + 1}; "
+                        "the 4-bit root keys hold at most 14"
+                    )
+                new, norm = pairs.copy(), norms[k]
+                for j, g in rows[i]:
+                    norm += g * (beta >> 4 * j & 15)
+                    new[j] = new.get(j, 0) + g
+                    if not new[j]:
+                        del new[j]
+                norm += new.get(i, 0)
+                if norm <= 0:
+                    raise ClosureError(
+                        "closure reached a vector of length zero; input is not a finite root base"
+                    )
+                position[cand] = len(keys)
+                keys.append(cand)
+                pairings.append(new)
+                parents.append({})
+                norms.append(norm)
+                heights.append(heights[k] + 1)
+                rho_pairings.append(rho_pairings[k] + diag[i])
+            # The rule at cand: (p + 1 - 1) G_ii >= 2 P_i(cand) = 2 (P_i + G_ii).
+            if (p - 2) * diag[i] >= 2 * pairs.get(i, 0):
+                parents[position[cand]][i] = p + 1
+    coeffs = [("%0*x" % (r, key))[::-1].encode().translate(_NIBBLES) for key in keys]
+    return coeffs, pairings, norms, heights, rho_pairings
 
 
-def highest_root(positive: Sequence[Coeffs]) -> Coeffs:
+def highest_root(positive: Sequence[bytes]) -> bytes:
     """The unique maximal positive root; its coefficients are the marks n_1..n_r.
 
     The root of greatest height lies in one irreducible component, so it has
@@ -157,13 +186,13 @@ def highest_root(positive: Sequence[Coeffs]) -> Coeffs:
     return theta
 
 
-def weyl_vectors(positive: Sequence[Coeffs], norms: Sequence[int]) -> Weyl:
+def weyl_vectors(positive: Sequence[bytes], norms: Sequence[int]) -> Weyl:
     """rho and rho_check in the simple basis, as integer coefficients over a denominator.
 
     2 rho is the sum of the positive roots.  The coroot of a is 4a / n with
     n = 2(a|a), so with L the lcm of the norms, L rho_check sums 2(L / n) a.
     """
-    by_norm: Dict[int, List[Coeffs]] = {}
+    by_norm: Dict[int, List[bytes]] = {}
     for c, n in zip(positive, norms):
         by_norm.setdefault(n, []).append(c)
     lcm = math.lcm(*by_norm)
@@ -190,13 +219,14 @@ class RootSystem(namedtuple("RootSystem", (
     Coxeter number when the highest root is not normalized to length 2.
 
     The integer tables follow root_coeffs, each root's coefficients c in the
-    simple basis, in the closure's level order: norms 2(a|a), heights the
-    coefficient sums, which are (a|rho_check), and rho_pairings
-    4(a|rho) = sum_k c_k G_kk.  The pairings 2(alpha_j|a) = (c G)_j are kept
-    by column and only where they are not zero: pairing_columns[j - 1] is
-    (positions, pairings), the table positions of the roots a that pair
-    with alpha_j, in table order, and those pairings.  gram is
-    G_ij = 2(alpha_i|alpha_j), and weyl is what weyl_vectors returns.
+    simple basis as bytes (byte k holds c_(k+1)), in the closure's level
+    order: norms 2(a|a), heights the coefficient sums, which are
+    (a|rho_check), and rho_pairings 4(a|rho) = sum_k c_k G_kk.  The pairings
+    2(alpha_j|a) = (c G)_j are kept by column and only where they are not
+    zero: pairing_columns[j - 1] is (positions, pairings), the table
+    positions of the roots a that pair with alpha_j, in table order, and
+    those pairings.  gram is G_ij = 2(alpha_i|alpha_j), and weyl is what
+    weyl_vectors returns.
 
     The ambient Fraction tables simple_roots, positive_roots (entry for
     entry with root_coeffs), alpha0, rho and rho_check are properties,
@@ -261,19 +291,25 @@ class RootSystem(namedtuple("RootSystem", (
 def build(ident: RootSystemId) -> RootSystem:
     """Construct and cross-validate the integer tables of an admissible id."""
     scale, scaled = _planche(ident)
-    scaled_gram = [[2 * sum(map(mul, u, v)) for v in scaled] for u in scaled]
+    scaled_gram = [[0] * len(scaled) for _ in scaled]
+    for column in zip(*scaled):
+        nonzero = [(k, s) for k, s in enumerate(column) if s]
+        for (i, s), (j, t) in product(nonzero, nonzero):
+            scaled_gram[i][j] += 2 * s * t
     if any(g % (scale * scale) for row in scaled_gram for g in row):
         raise ClosureError(f"{ident}: 2(alpha_i|alpha_j) is not integral")
     gram = tuple(tuple(g // (scale * scale) for g in row) for row in scaled_gram)
 
-    closure = generate_positive_roots(gram)
-    coeffs = tuple(closure)
-    pairings = tuple(closure.values())
-    norms = tuple(sum(map(mul, c, p)) for c, p in zip(coeffs, pairings))
-    diag = [row[j] for j, row in enumerate(gram)]
+    coeffs, pairings, norms, heights, rho_pairings = generate_positive_roots(gram)
+    # (position, pairing) per column; alpha_j's own column holds G_jj, so none is empty
+    columns: List[List[Tuple[int, int]]] = [[] for _ in gram]
+    for k, pairs in enumerate(pairings):
+        for j, p in pairs.items():
+            columns[j].append((k, p))
     theta = highest_root(coeffs)
-    marks = (1,) + theta
-    node_norms = (norms[coeffs.index(theta)],) + tuple(diag)
+    marks = (1, *theta)
+    # The closure lists the simple roots first, in index order.
+    node_norms = (norms[coeffs.index(theta)], *norms[:len(gram)])
     system = RootSystem(
         ident=ident,
         marks=marks,
@@ -283,14 +319,11 @@ def build(ident: RootSystemId) -> RootSystem:
         comark_sum=Q(sum(map(mul, node_norms, marks)), 4),
         simply_laced=len(set(norms)) == 1,
         gram=gram,
-        root_coeffs=coeffs,
-        pairing_columns=tuple(
-            (tuple(compress(range(len(column)), column)), tuple(filter(None, column)))
-            for column in zip(*pairings)
-        ),
-        norms=norms,
-        heights=tuple(map(sum, coeffs)),
-        rho_pairings=tuple(sum(map(mul, c, diag)) for c in coeffs),
+        root_coeffs=tuple(coeffs),
+        pairing_columns=tuple(tuple(zip(*column)) for column in columns),
+        norms=tuple(norms),
+        heights=tuple(heights),
+        rho_pairings=tuple(rho_pairings),
         weyl=weyl_vectors(coeffs, norms),
     )
     _validate(system)

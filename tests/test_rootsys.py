@@ -234,6 +234,12 @@ def test_closure_rejects_zero_diagonal():
         generate_positive_roots(((2, 0), (0, 0)))
 
 
+@pytest.mark.parametrize("gram", [(), ((2, -1),), ((2,), (-1, 2)), ((2, -1, 0), (-1, 2))])
+def test_closure_rejects_empty_or_ragged_gram(gram):
+    with pytest.raises(ClosureError, match="square and not empty"):
+        generate_positive_roots(gram)
+
+
 def dense_pairings(system):
     """The full rows 2(alpha_j|a), j = 1..r, rebuilt from the nonzero columns."""
     rows = [[0] * system.rank for _ in system.root_coeffs]
@@ -246,9 +252,11 @@ def dense_pairings(system):
 @pytest.mark.parametrize("family,rank", [("B", 4), ("F", 4), ("G", 2), ("E", 6)])
 def test_closure_carries_pairings_level_by_level(systems, family, rank):
     s = systems[(family, rank)]
-    closure = generate_positive_roots(s.gram)
-    assert [sum(c) for c in closure] == sorted(s.heights)
-    assert closure == dict(zip(s.root_coeffs, dense_pairings(s)))
+    coeffs, pairings, *tables = generate_positive_roots(s.gram)
+    assert [sum(c) for c in coeffs] == sorted(s.heights)
+    assert coeffs == list(s.root_coeffs)
+    assert [tuple(p.get(j, 0) for j in range(rank)) for p in pairings] == dense_pairings(s)
+    assert tables == [list(s.norms), list(s.heights), list(s.rho_pairings)]
 
 
 def test_simple_roots_shapes(systems):
@@ -270,10 +278,10 @@ def test_json_obj(systems):
 
 def test_closure_rejects_reducible_base():
     a1_a1 = ((2, 0), (0, 2))
-    positive = generate_positive_roots(a1_a1)
-    assert positive == {(1, 0): (2, 0), (0, 1): (0, 2)}
+    coeffs, pairings, *_ = generate_positive_roots(a1_a1)
+    assert (coeffs, pairings) == ([b"\x01\x00", b"\x00\x01"], [{0: 2}, {1: 2}])
     with pytest.raises(ValueError, match="not irreducible"):
-        highest_root(list(positive))
+        highest_root(coeffs)
 
 
 @pytest.mark.parametrize(
@@ -293,7 +301,8 @@ def test_integer_tables_match_ambient_coordinates(systems, family, rank):
         assert s.norms[k] == 2 * inner(a, a)
         assert s.heights[k] == inner(a, s.rho_check) == sum(c)
         assert s.rho_pairings[k] == 4 * inner(a, s.rho)
-    assert s.marks[1:] == s.root_coeffs[-1]
+    assert s.marks[1:] == tuple(s.root_coeffs[-1])
+    assert all(type(c) is bytes and len(c) == rank for c in s.root_coeffs)
 
 
 def test_validate_raises_on_doctored_system(systems):
