@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 from contextlib import nullcontext
+from json.encoder import JSONEncoder, encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from . import fateev
@@ -24,10 +24,37 @@ EXIT_USAGE = 2
 # Infinite families stop here unless the user gives an upper rank bound.
 DEFAULT_RANK_CAP = 12
 
+_encode = JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+# Records per encoder call.  A call per record costs about 3 us more per
+# record, about 7 ms over the 2,429 records of `relations 840`; a larger
+# batch has the encoder buffer more chunks at once, 1.2 MB more there at 64.
+RECORD_BATCH = 16
+
 
 def dumps_canonical(obj) -> str:
-    """Canonical JSON: sorted keys, no whitespace; byte-stable across runs."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Canonical JSON: sorted keys, no whitespace; byte-stable across runs.
+
+    The text equals json.dumps(obj, sort_keys=True, separators=(",", ":")),
+    but a dict or a list of records is never handed to the encoder whole,
+    which would buffer it as about one chunk per token.  A dict is written
+    here: its keys sorted, each value through dumps_canonical.  A list of
+    dicts, such as the reports of a verify run or the relations of a grid,
+    is encoded RECORD_BATCH records at a time, each batch's brackets
+    stripped.  Anything else, a list of lists included, is one encoder call.
+
+    Keys must be strings.  A dict written here raises TypeError for any
+    other key, where json.dumps would write {1: 2} as {"1":2}; the records
+    of a list are the encoder's, which converts such keys as json.dumps does.
+    """
+    if isinstance(obj, dict):
+        # Comma, key, colon and value per member, the first comma dropped: the
+        # one join copies each value once, however large.
+        pieces = [p for k in sorted(obj) for p in (",", _quote(k), ":", dumps_canonical(obj[k]))]
+        return "".join(["{", *pieces[1:], "}"])
+    if isinstance(obj, list) and all(isinstance(item, dict) for item in obj):
+        starts = range(0, len(obj), RECORD_BATCH)
+        return f"[{','.join(_encode(obj[i : i + RECORD_BATCH])[1:-1] for i in starts)}]"
+    return _encode(obj)
 
 
 def system_ids(

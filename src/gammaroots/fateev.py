@@ -189,20 +189,6 @@ class VerificationReport(namedtuple("VerificationReport", (
             return self.status == NUMERIC_ONLY
         return self.status == PROVED_EXACT
 
-    def to_json_obj(self) -> dict:
-        return {
-            "family": self.ident.family,
-            "rank": self.ident.rank,
-            "index": self.index,
-            "variant": self.variant,
-            "mode": self.mode,
-            "status": self.status,
-            "lhs_word": self.lhs.to_json_obj(),
-            "rhs_constant": self.rhs.to_json_obj(),
-            "certificate": None if self.certificate is None else self.certificate.to_json_obj(),
-            "numeric_residual": self.numeric_residual,
-        }
-
     def text_line(self) -> str:
         extra = f" residual={self.numeric_residual}" if self.numeric_residual else ""
         return (
@@ -231,11 +217,14 @@ def verify(
     side its entry.  The numeric route, and mpmath with it, is imported
     only when it runs, so exact mode loads neither.
 
-    verdicts, when given, maps (lhs, rhs) to the (status, certificate,
-    residual) of an earlier case of the same run, which verify_all owns: a
-    case whose word and right side equal an earlier one's, built afresh
-    here and compared by value, takes that verdict instead of proving and
-    evaluating again.  Every entry must come from the same mode and ctx.
+    verdicts, when given, is a memo that verify_all owns for one run.  It
+    maps (mode, ctx, lhs, rhs) to the report fields from status on, (status,
+    lhs, rhs, certificate, residual), of the first case with that key.  A
+    later case whose word and right side equal that entry's, built afresh
+    here and compared by value, takes the whole entry: its verdict and its
+    lhs, rhs and certificate objects, so the reports of one identity share
+    one set of objects.  Mode and ctx are part of the key, so an entry never
+    answers a case of another mode or precision.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {', '.join(MODES)}")
@@ -245,13 +234,11 @@ def verify(
     rhs = rhs_constant(system, index, variant, table)
     if verdicts is None:
         verdicts = {}
-    verdict = verdicts.get((lhs, rhs))
-    if verdict is None:
-        verdict = verdicts[lhs, rhs] = _verdict(lhs, rhs, mode, ctx)
-    status, certificate, residual = verdict
-    return VerificationReport(
-        system.ident, index, variant, mode, status, lhs, rhs, certificate, residual
-    )
+    entry = verdicts.get((mode, ctx, lhs, rhs))
+    if entry is None:
+        status, certificate, residual = _verdict(lhs, rhs, mode, ctx)
+        entry = verdicts[mode, ctx, lhs, rhs] = (status, lhs, rhs, certificate, residual)
+    return VerificationReport(system.ident, index, variant, mode, *entry)
 
 
 def _verdict(
@@ -297,11 +284,28 @@ class VerificationSummary(namedtuple("VerificationSummary", "reports")):
         return all(r.passed for r in self.reports)
 
     def to_json_obj(self) -> dict:
-        return {
-            "reports": [r.to_json_obj() for r in self.reports],
-            "counts": self.counts,
-            "passed": self.all_passed,
-        }
+        """The run's JSON: one dict per report, then the counts and the verdict.
+
+        Each distinct lhs, rhs and certificate object becomes JSON once,
+        memoized by id, and the report dicts that hold it share the result:
+        on a verify_all run the cases of one identity share those objects
+        (see verify), so a repeated identity adds no JSON of its own.
+        """
+        distinct = {id(p): p for r in self.reports for p in (r.lhs, r.rhs, r.certificate)}
+        json_of = {key: None if p is None else p.to_json_obj() for key, p in distinct.items()}
+        reports = [{
+            "family": r.ident.family,
+            "rank": r.ident.rank,
+            "index": r.index,
+            "variant": r.variant,
+            "mode": r.mode,
+            "status": r.status,
+            "lhs_word": json_of[id(r.lhs)],
+            "rhs_constant": json_of[id(r.rhs)],
+            "certificate": json_of[id(r.certificate)],
+            "numeric_residual": r.numeric_residual,
+        } for r in self.reports]
+        return {"reports": reports, "counts": self.counts, "passed": self.all_passed}
 
 
 def verify_all(
@@ -317,9 +321,10 @@ def verify_all(
     it, such as the variants that coincide on simply laced systems and the
     roots a diagram symmetry exchanges, take its verdict.  k_root is built
     once per (system, variant) and passed to each case's own verify call.
-    Raises ValueError when no system admits any of the variants.
+    variants None means all three; an empty sequence selects none.  Raises
+    ValueError when no system admits any of the variants.
     """
-    chosen = tuple(variants) if variants else VARIANTS
+    chosen = VARIANTS if variants is None else tuple(variants)
     for variant in chosen:
         _check_variant(variant)
     verdicts: dict = {}

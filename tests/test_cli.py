@@ -3,8 +3,10 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -12,7 +14,7 @@ import gammaroots
 from gammaroots import cli, fateev, numeric
 from gammaroots.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, dumps_canonical, main
 from gammaroots.exact import ONE
-from gammaroots.fateev import VerificationReport, VerificationSummary
+from gammaroots.fateev import VerificationReport, VerificationSummary, verify_all
 from gammaroots.gammaword import GammaWord
 from gammaroots.rootsys import FAMILIES, RANK_RANGE, RootSystemId
 
@@ -502,6 +504,103 @@ def test_missing_subcommand_is_argparse_error(capsys):
 def test_default_rank_cap():
     ranks = [ident.rank for ident in cli.system_ids(("A",), None, None)]
     assert ranks == list(range(1, cli.DEFAULT_RANK_CAP + 1))
+
+
+def _json_dumps(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("argv", [
+    ("table", "E", "8"),
+    ("table", "B", "64"),
+    ("word", "E", "8", "4", "F"),
+    ("relations", "840"),
+    ("verify",),
+])
+def test_dumps_canonical_equals_json_dumps_on_every_command(capsys, monkeypatch, argv):
+    payloads = []
+    original = cli.dumps_canonical
+
+    def recorded(obj):
+        payloads.append(obj)
+        return original(obj)
+
+    monkeypatch.setattr(cli, "dumps_canonical", recorded)
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == EXIT_OK
+    assert out == _json_dumps(payloads[0]) + "\n"
+
+
+# Record list lengths around the batch boundaries of dumps_canonical.
+RECORD_LENGTHS = (1, cli.RECORD_BATCH - 1, cli.RECORD_BATCH, cli.RECORD_BATCH + 1,
+                  2 * cli.RECORD_BATCH + 2, 130)
+TEXTS = ("", "a", "b", "plain", "\u00fcml\u00e4ut", "\u65e5\u672c", "tab\tnew\nline",
+         'quote " back \\ slash', "\x00\x1f\x7f", "\u2028", "\U0001f600", "p/q")
+
+
+def _random_value(rng, depth):
+    """A JSON value: scalars, texts, empty and nested containers, record lists."""
+    kind = rng.randrange(9 if depth < 3 else 3)
+    if kind == 0:
+        return rng.choice((None, True, False, 0, -7, 2**70, 1.5, -0.0, 1e300))
+    if kind == 1:
+        return rng.choice(TEXTS)
+    if kind == 2:
+        return rng.randrange(-10**6, 10**6)
+    if kind == 3:
+        return rng.choice(([], {}, ()))
+    if kind == 4:
+        # The records of a long list hold only shallow values, to keep payloads small.
+        return [_random_record(rng, 3) for _ in range(rng.choice(RECORD_LENGTHS))]
+    if kind == 5:
+        return [_random_record(rng, depth + 1) if rng.random() < 0.5
+                else _random_value(rng, depth + 1) for _ in range(rng.randrange(1, 70))]
+    if kind == 6:
+        return [[_random_value(rng, depth + 1)] for _ in range(rng.randrange(4))]
+    if kind == 7:
+        record = _random_record(rng, depth + 1)
+        return [record, {}, record]
+    return _random_record(rng, depth + 1)
+
+
+def _random_record(rng, depth):
+    return {rng.choice(TEXTS): _random_value(rng, depth) for _ in range(rng.randrange(5))}
+
+
+def test_dumps_canonical_equals_json_dumps_on_random_payloads():
+    rng = random.Random(18)
+    lengths = set()
+    for _ in range(250):
+        payload = _random_value(rng, 0)
+        if isinstance(payload, list) and all(isinstance(item, dict) for item in payload):
+            lengths.add(len(payload))
+        assert dumps_canonical(payload) == _json_dumps(payload)
+    assert set(RECORD_LENGTHS) <= lengths
+    records = [{"k": i, "\u00e9": [i, {"z": None, "a": "\n"}]} for i in range(130)]
+    for n in (0, *RECORD_LENGTHS):
+        for payload in (records[:n], {"r": records[:n], "x": {"y": records[:n]}}):
+            assert dumps_canonical(payload) == _json_dumps(payload)
+
+
+@pytest.mark.parametrize("payload", [{1: 2}, {"a": {1: 2}}, {"a": 1, 2: 3}, {None: 1}])
+def test_dumps_canonical_refuses_keys_that_are_not_text(payload):
+    with pytest.raises(TypeError):
+        dumps_canonical(payload)
+
+
+def test_dumps_canonical_peak_stays_near_its_output(systems):
+    """The document is encoded record batch by record batch, not buffered whole."""
+    payload = verify_all(systems.values(), mode="exact").to_json_obj()
+    payload["mode"], payload["digits"] = "exact", 60
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        text = dumps_canonical(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 400_000
+    assert peak - before < 3 * len(text)
 
 
 def test_exact_verify_leaves_the_numeric_route_unloaded():

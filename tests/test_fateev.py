@@ -13,6 +13,7 @@ from gammaroots.fateev import (
     F_PRIME,
     F_SECOND,
     VARIANTS,
+    VerificationSummary,
     admissible,
     k_root,
     lhs_word,
@@ -669,6 +670,65 @@ def test_a_refused_proof_reaches_every_case_that_shares_the_word(systems, monkey
     assert calls.count(target) == 1
 
 
+def test_reports_of_one_identity_share_its_objects(systems):
+    summary = verify_all(systems.values(), mode="exact")
+    first = {}
+    for report in summary.reports:
+        shared = first.setdefault((report.lhs, report.rhs), report)
+        assert report.lhs is shared.lhs and report.rhs is shared.rhs
+        assert report.certificate is shared.certificate
+    assert len(first) == 349
+    assert len({id(r.lhs) for r in summary.reports}) == 349
+
+
+def test_summary_converts_each_distinct_word_once(systems, monkeypatch):
+    summary = verify_all(systems.values(), mode="exact")
+    converted = []
+    original = GammaWord.to_json_obj
+
+    def counted(word):
+        converted.append(word)
+        return original(word)
+
+    monkeypatch.setattr(GammaWord, "to_json_obj", counted)
+    obj = summary.to_json_obj()
+    assert len(obj["reports"]) == len(summary.reports) == 842
+    assert len(converted) == 349
+    for report, entry in zip(summary.reports, obj["reports"]):
+        assert entry["lhs_word"] == original(report.lhs)
+        assert entry["rhs_constant"] == report.rhs.to_json_obj()
+        assert entry["certificate"] == report.certificate.to_json_obj()
+
+
+def test_verdict_memo_keeps_modes_and_precisions_apart(systems):
+    """An exact verdict does not answer a later both-mode case, nor one precision another."""
+    a3 = systems[("A", 3)]
+    ctx60, ctx30 = numeric.PrecisionContext.for_digits(60), numeric.PrecisionContext.for_digits(30)
+    memo = {}
+    exact = verify(a3, 1, F, "exact", None, None, memo)
+    both = verify(a3, 1, F, "both", ctx60, None, memo)
+    fresh = verify(a3, 1, F, "both", ctx60)
+    assert exact.status == both.status == fateev.PROVED_EXACT
+    assert exact.numeric_residual is None
+    assert both.numeric_residual == fresh.numeric_residual == "0.0"
+    assert verify(a3, 1, F, "both", ctx30, None, memo).numeric_residual == "0.0"
+    assert len(memo) == 3
+    again = verify(a3, 3, F, "both", ctx60, None, memo)
+    assert len(memo) == 3 and again.lhs is both.lhs and again.certificate is both.certificate
+    shared_ctx = {}
+    verify(a3, 1, F, "exact", ctx60, None, shared_ctx)
+    assert verify(a3, 1, F, "both", ctx60, None, shared_ctx).numeric_residual == "0.0"
+    numeric_only = verify(a3, 1, F, "numeric", ctx60, None, shared_ctx)
+    assert numeric_only.status == fateev.NUMERIC_ONLY and numeric_only.certificate is None
+
+
+def test_verify_all_refuses_an_empty_variant_list(systems):
+    g2 = systems[("G", 2)]
+    with pytest.raises(ValueError, match="nothing to verify"):
+        verify_all([g2], [], "exact")
+    assert len(verify_all([g2], None, "exact").reports) == 4
+
+
 def test_verify_all_empty(systems):
     with pytest.raises(ValueError, match="nothing to verify"):
         verify_all([])
@@ -689,7 +749,7 @@ def test_simply_laced_variants_collapse(systems):
 
 def test_report_serialization(systems):
     report = verify(systems[("G", 2)], 1, F_PRIME, mode="both")
-    obj = report.to_json_obj()
+    obj = VerificationSummary((report,)).to_json_obj()["reports"][0]
     assert obj["family"] == "G" and obj["rank"] == 2
     assert obj["status"] == "proved_exact"
     assert obj["lhs_word"]["N"] == 6
