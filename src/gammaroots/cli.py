@@ -9,7 +9,7 @@ from json.encoder import JSONEncoder, encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from . import fateev
-from .exact import DEFAULT_DIGITS, MAX_DIGITS, MIN_DIGITS
+from .exact import DEFAULT_DIGITS, check_digits
 from .gammaword import brace_str
 from .prover import Relation, relations_for
 from .rootsys import FAMILIES, RANK_RANGE, RootSystemId, build
@@ -147,10 +147,7 @@ def cmd_verify(args) -> int:
     rank_max = args.rank if args.rank is not None else args.rank_max
     variants = tuple(dict.fromkeys(args.variant)) if args.variant else fateev.VARIANTS
     # Checked before the precision setup and the output file, in every mode.
-    if args.digits < MIN_DIGITS:
-        raise ValueError(f"--digits must be at least {MIN_DIGITS}, got {args.digits}")
-    if args.digits > MAX_DIGITS:
-        raise ValueError(f"--digits must be at most {MAX_DIGITS}, got {args.digits}")
+    check_digits(args.digits, "--digits")
     idents = system_ids(families, rank_min, rank_max)
     # Whether some selected system admits some selected variant; builds nothing.
     if not any(fateev.admissible_family(i.family, v) for i in idents for v in variants):

@@ -28,6 +28,14 @@ MAX_DIGITS = 1000
 _LOG2_10 = math.log2(10)
 
 
+def check_digits(decimal_digits: int, name: str) -> None:
+    """Refuse a digit count outside MIN_DIGITS..MAX_DIGITS; name is how the caller spells it."""
+    if decimal_digits < MIN_DIGITS:
+        raise ValueError(f"{name} must be at least {MIN_DIGITS}, got {decimal_digits}")
+    if decimal_digits > MAX_DIGITS:
+        raise ValueError(f"{name} must be at most {MAX_DIGITS}, got {decimal_digits}")
+
+
 def working_precision_bits(decimal_digits: int) -> int:
     """Mantissa bits for a decimal accuracy target, with guard room for rounding."""
     if decimal_digits < 1:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from collections import Counter, namedtuple
 from fractions import Fraction as Q
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .exact import FactoredConstant, const_ln, factorize
@@ -52,8 +53,9 @@ def _check_variant(variant: str) -> None:
 
 def _check_case(system: RootSystem, index: int, variant: str) -> None:
     _check_admissible(system, variant)
-    if not 1 <= index <= system.rank:
-        raise ValueError(f"index {index} outside 1..{system.rank}")
+    # A bool is no index, though it is an int.
+    if type(index) is not int or not 1 <= index <= system.rank:
+        raise ValueError(f"index {index!r} is not an int in 1..{system.rank}")
 
 
 def _check_admissible(system: RootSystem, variant: str) -> None:
@@ -91,27 +93,28 @@ def k_root(system: RootSystem, variant: str) -> VariantTable:
     the root's norm; and per simple root its right side, node_i k^(-1/h),
     one object per distinct node value.  k^(-1/h) is prod_p p^(-S_p / W),
     with integer sums S_p = sum_j v_p(node_j) w_j and W = sum_j w_j, the
-    weights w_j being n_j (F, Fprime; W = h) or 4n_j' (Fsecond; W = 4h').
-    4h' and every 4n_j' must be integral.
+    weights w_j being n_j (F, Fprime; W = h) or 4n_j' = g_j n_j (Fsecond;
+    W = 4h'), with g_j = 2(alpha_j|alpha_j) the node norms.
+
+    Every variant's node is node_j = n_j (g_j / 4)^e, e = 0, 1, 2 for F,
+    Fprime, Fsecond: the mark, comark or double comark.  It is read as the
+    integer pair (n_j g_j^e, 4^e), so 4h' is a sum of integer products and
+    no node becomes a Fraction.
     """
     _check_admissible(system, variant)
     numerators, denominator, weights = system.rho_pairings, 4 * system.coxeter_number, system.marks
-    if variant == F:
-        nodes, divisors = system.marks, (4,) * system.rank
-    elif variant == F_PRIME:
+    divisors = (4,) * system.rank
+    if variant == F_PRIME:
         numerators, denominator = system.heights, system.coxeter_number
-        nodes, divisors = system.comarks, (None,) * system.rank
-    else:
-        quarters = (system.comark_sum, *system.comarks)
-        fours = [divmod(4 * q.numerator, q.denominator) for q in quarters]
-        if any(rest for _, rest in fours):
-            raise ValueError(f"{system.ident}: 4h' = {4 * quarters[0]} or a 4n_j' is not integral")
-        denominator, *weights = (four for four, _ in fours)
-        nodes, divisors = system.double_comarks, tuple(row[k] for k, row in enumerate(system.gram))
+        divisors = (None,) * system.rank
+    elif variant == F_SECOND:
+        weights = tuple(map(mul, system.node_norms, system.marks))
+        denominator, divisors = sum(weights), system.node_norms[1:]
+    e = VARIANTS.index(variant)
+    keys = [(mark * norm**e, 4**e) for norm, mark in zip(system.node_norms, system.marks)]
     if not 0 < min(numerators) <= max(numerators) < denominator:
         raise ValueError(f"{system.ident}: an argument x/{denominator} lies outside (0,1)")
     g = math.gcd(denominator, *numerators)
-    keys = [(q.numerator, q.denominator) for q in nodes]
     valuations = {key: _valuations(*key) for key in set(keys)}
     sums: Counter = Counter()
     for key, weight in zip(keys, weights):
@@ -125,9 +128,15 @@ def k_root(system: RootSystem, variant: str) -> VariantTable:
 
 
 def _valuations(numerator: int, denominator: int) -> list[tuple[int, int]]:
-    """The (prime, integer exponent) pairs of numerator / denominator."""
-    below = [(p, -m) for p, m in factorize(denominator).items()]
-    return [*factorize(numerator).items(), *below]
+    """The (prime, nonzero integer exponent) pairs of numerator / denominator.
+
+    The pair need not be in lowest terms: a prime that divides both appears
+    once, with its exponents summed as ints.
+    """
+    exponents = factorize(numerator)
+    for p, m in factorize(denominator).items():
+        exponents[p] = exponents.get(p, 0) - m
+    return [(p, m) for p, m in exponents.items() if m]
 
 
 def _word(system: RootSystem, index: int, table: VariantTable) -> GammaWord:

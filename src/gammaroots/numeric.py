@@ -46,7 +46,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .exact import DEFAULT_DIGITS, MAX_DIGITS, MIN_DIGITS, working_precision_bits
+from .exact import DEFAULT_DIGITS, check_digits, working_precision_bits
 
 # B_2, B_4, ... (B_2k at index k - 1); grown on demand, read-only thereafter.
 _EVEN_BERNOULLI: list[Q] = []
@@ -121,14 +121,7 @@ class PrecisionContext(
 
     @classmethod
     def for_digits(cls, decimal_digits: int = DEFAULT_DIGITS) -> PrecisionContext:
-        if decimal_digits < MIN_DIGITS:
-            raise ValueError(
-                f"decimal_digits must be at least {MIN_DIGITS}, got {decimal_digits}"
-            )
-        if decimal_digits > MAX_DIGITS:
-            raise ValueError(
-                f"decimal_digits must be at most {MAX_DIGITS}, got {decimal_digits}"
-            )
+        check_digits(decimal_digits, "decimal_digits")
         target = -(decimal_digits + 5)
         shift = max(8, math.ceil(0.55 * (decimal_digits + 5)))
         while True:

@@ -15,8 +15,8 @@ sums of coefficient vectors.  Ambient coordinates (tuples of Fractions, whose
 dimension may exceed the rank for families A and G) are computed on each
 access, for tables and JSON, and never stored.  All pairings are the raw
 coordinate dot product; marks are normalization free, but comarks, double
-comarks and the comark sum depend on this realization and are kept as
-exact rationals.
+comarks and the comark sum depend on this realization and are read off the
+node norms on access.
 """
 
 from __future__ import annotations
@@ -177,10 +177,11 @@ def generate_positive_roots(gram: Matrix) -> Closure:
 def highest_root(positive: Sequence[bytes]) -> bytes:
     """The unique maximal positive root; its coefficients are the marks n_1..n_r.
 
-    The root of greatest height lies in one irreducible component, so it has
-    a zero coefficient exactly when the system is reducible.
+    The closure lists roots in level order, so the last root has the greatest
+    height.  That root lies in one irreducible component, so it has a zero
+    coefficient exactly when the system is reducible.
     """
-    theta = max(positive, key=sum)
+    theta = positive[-1]
     if not all(theta):
         raise ValueError("the highest root misses a simple root; the system is not irreducible")
     return theta
@@ -206,21 +207,24 @@ def weyl_vectors(positive: Sequence[bytes], norms: Sequence[int]) -> Weyl:
 
 
 class RootSystem(namedtuple("RootSystem", (
-    "ident marks comarks double_comarks coxeter_number comark_sum simply_laced "
+    "ident marks coxeter_number simply_laced "
     "gram root_coeffs pairing_columns norms heights rho_pairings weyl"
 ))):
     """Everything the identity checks need about one irreducible system.
 
-    marks, comarks and double_comarks are indexed 0..rank; entry 0 belongs to
-    alpha0, the negated highest root.  comark i is (alpha_i|alpha_i) n_i / 2
-    and double comark i is (alpha_i|alpha_i) comark_i / 2, in the raw
-    coordinate normalization.  coxeter_number is the mark sum; comark_sum is
-    its analogue on the comark side and need not match the textbook dual
-    Coxeter number when the highest root is not normalized to length 2.
+    marks, node_norms, comarks and double_comarks are indexed 0..rank; entry
+    0 belongs to alpha0, the negated highest root.  node_norms g_j =
+    2(alpha_j|alpha_j) are integers, and the comark properties are read off
+    them on each access, never stored: comark j is g_j n_j / 4 and double
+    comark j is g_j comark_j / 4, in the raw coordinate normalization.
+    coxeter_number is the mark sum; comark_sum is its analogue on the comark
+    side and need not match the textbook dual Coxeter number when the
+    highest root is not normalized to length 2.
 
     The integer tables follow root_coeffs, each root's coefficients c in the
     simple basis as bytes (byte k holds c_(k+1)), in the closure's level
-    order: norms 2(a|a), heights the coefficient sums, which are
+    order, which lists the simple roots first, in index order, and the
+    highest root last: norms 2(a|a), heights the coefficient sums, which are
     (a|rho_check), and rho_pairings 4(a|rho) = sum_k c_k G_kk.  The pairings
     2(alpha_j|a) = (c G)_j are kept by column and only where they are not
     zero: pairing_columns[j - 1] is (positions, pairings), the table
@@ -250,6 +254,24 @@ class RootSystem(namedtuple("RootSystem", (
 
     def _vector(self, nums: Coeffs, den: int = 1) -> Vector:
         return self._fractions([nums], den)[0]
+
+    @property
+    def node_norms(self) -> Tuple[int, ...]:
+        """g_j = 2(alpha_j|alpha_j) for j = 0..rank, alpha0 first.
+
+        Read off the norms in the closure's level order, which lists the
+        simple roots first, in index order, and the highest root last; the
+        comark data and k_root take the node order from here.
+        """
+        return (self.norms[-1], *self.norms[:self.rank])
+
+    def _node_quarters(self, e: int) -> Tuple[Q, ...]:
+        """n_j (g_j / 4)^e for j = 0..rank."""
+        return tuple(Q(n * g**e, 4**e) for g, n in zip(self.node_norms, self.marks))
+
+    comarks = property(lambda self: self._node_quarters(1))
+    double_comarks = property(lambda self: self._node_quarters(2))
+    comark_sum = property(lambda self: Q(sum(map(mul, self.node_norms, self.marks)), 4))
 
     # The closure lists the simple roots first, in index order.
     simple_roots = property(lambda self: self._fractions(self.root_coeffs[:self.rank]))
@@ -306,17 +328,11 @@ def build(ident: RootSystemId) -> RootSystem:
     for k, pairs in enumerate(pairings):
         for j, p in pairs.items():
             columns[j].append((k, p))
-    theta = highest_root(coeffs)
-    marks = (1, *theta)
-    # The closure lists the simple roots first, in index order.
-    node_norms = (norms[coeffs.index(theta)], *norms[:len(gram)])
+    marks = (1, *highest_root(coeffs))
     system = RootSystem(
         ident=ident,
         marks=marks,
-        comarks=tuple(Q(g * n, 4) for g, n in zip(node_norms, marks)),
-        double_comarks=tuple(Q(g * g * n, 16) for g, n in zip(node_norms, marks)),
         coxeter_number=sum(marks),
-        comark_sum=Q(sum(map(mul, node_norms, marks)), 4),
         simply_laced=len(set(norms)) == 1,
         gram=gram,
         root_coeffs=tuple(coeffs),

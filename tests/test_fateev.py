@@ -329,16 +329,6 @@ def test_non_integral_pairing_raises(systems):
         lhs_word(s._replace(pairing_columns=odd), 1, F)
 
 
-def test_non_integral_second_grid_raises(systems):
-    """4h' is the Fsecond grid: a non-integral one fails, not truncates."""
-    s = systems[("B", 4)]
-    doctored = s._replace(comark_sum=s.comark_sum + Q(1, 8))
-    for call in (lhs_word, rhs_constant):
-        with pytest.raises(ValueError, match="not integral"):
-            call(doctored, 1, F_SECOND)
-    assert lhs_word(doctored, 1, F_PRIME) == lhs_word(s, 1, F_PRIME)
-
-
 def test_argument_outside_the_unit_interval_raises(systems):
     s = systems[("G", 2)]
     for heights in ((0, *s.heights[1:]), (*s.heights[:-1], s.coxeter_number)):
@@ -525,9 +515,14 @@ def test_f_variant_refused_off_hypothesis(systems):
 
 
 def test_index_range_checked(systems):
-    for bad in (0, 4):
-        with pytest.raises(ValueError):
-            lhs_word(systems[("A", 3)], bad, F)
+    """An index is an int in 1..rank; a bool or a float is refused, not looked up."""
+    s = systems[("A", 3)]
+    calls = (lambda i: verify(s, i, F, "exact"), lambda i: lhs_word(s, i, F),
+             lambda i: rhs_constant(s, i, F))
+    for bad in (True, 1.0, 0, s.rank + 1):
+        for call in calls:
+            with pytest.raises(ValueError, match="not an int in 1..3"):
+                call(bad)
 
 
 # -- verification driver ------------------------------------------------------

@@ -14,6 +14,7 @@ from gammaroots.fateev import VARIANTS, verify_all
 from gammaroots.numeric import PrecisionContext
 from gammaroots.rootsys import (
     ClosureError,
+    RootSystem,
     RootSystemId,
     _planche,
     _validate,
@@ -274,6 +275,32 @@ def test_json_obj(systems):
     assert obj["marks"] == [1, 1, 1]
     assert obj["rho"] == ["1", "0", "-1"]
     assert len(obj["positive_roots"]) == 3
+
+
+def test_comark_data_are_read_off_the_node_norms(systems):
+    assert RootSystem._fields == (
+        "ident", "marks", "coxeter_number", "simply_laced", "gram", "root_coeffs",
+        "pairing_columns", "norms", "heights", "rho_pairings", "weyl",
+    )
+    for s in systems.values():
+        # the closure lists the highest root last
+        assert s.root_coeffs[-1] == bytes(s.marks[1:])
+        assert s.node_norms == tuple(2 * inner(a, a) for a in (s.alpha0, *s.simple_roots))
+        assert s.comark_sum == sum(s.comarks)
+
+
+def test_built_systems_store_no_fraction(systems):
+    """No field of a built system holds a Fraction, however deeply nested."""
+    for s in (*systems.values(), build(RootSystemId("B", 64))):
+        for name, value in zip(s._fields, s):
+            stack = [value]
+            while stack:
+                item = stack.pop()
+                assert not isinstance(item, Q), (s.ident, name)
+                if isinstance(item, (tuple, list)):
+                    stack.extend(item)
+                elif isinstance(item, dict):
+                    stack.extend(item.items())
 
 
 def test_closure_rejects_reducible_base():
