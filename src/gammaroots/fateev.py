@@ -173,15 +173,12 @@ def rhs_constant(
 ) -> FactoredConstant:
     """Closed form for one simple root: its node factor times k^(-1/h), from k_root.
 
-    Without k the case is checked and k_root built here.  k, when given,
-    must be k_root(system, variant) of a case the caller has checked:
-    verify_all builds it once per (system, variant), and verify passes it
-    on after checking the case.
+    The case is always checked.  k, when given, must be k_root(system,
+    variant), else it is built here.  verify, which checks its case itself,
+    reads the table's entry directly instead.
     """
-    if k is None:
-        _check_case(system, index, variant)
-        k = k_root(system, variant)
-    return k.rhs[index - 1]
+    _check_case(system, index, variant)
+    return (k_root(system, variant) if k is None else k).rhs[index - 1]
 
 
 class VerificationReport(namedtuple("VerificationReport", (
@@ -240,7 +237,7 @@ def verify(
     _check_case(system, index, variant)
     table = k if k is not None else k_root(system, variant)
     lhs = _word(system, index, table)
-    rhs = rhs_constant(system, index, variant, table)
+    rhs = table.rhs[index - 1]
     if verdicts is None:
         verdicts = {}
     entry = verdicts.get((mode, ctx, lhs, rhs))
@@ -331,11 +328,14 @@ def verify_all(
     roots a diagram symmetry exchanges, take its verdict.  k_root is built
     once per (system, variant) and passed to each case's own verify call.
     variants None means all three; an empty sequence selects none.  Raises
-    ValueError when no system admits any of the variants.
+    ValueError on a variant listed twice, which would report its cases
+    twice, and when no system admits any of the variants.
     """
     chosen = VARIANTS if variants is None else tuple(variants)
-    for variant in chosen:
+    for i, variant in enumerate(chosen):
         _check_variant(variant)
+        if variant in chosen[:i]:
+            raise ValueError(f"variant {variant!r} is listed twice")
     verdicts: dict = {}
     reports = []
     for system in systems:

@@ -10,16 +10,25 @@ once per grid point, so repeated words cost table lookups.
 
 The arithmetic is the operation sequence of the mpf operator form under
 workprec(ctx.bits), rounded to nearest with ties to even after every
-operation.  The logarithms, the descent and the conversions run on raw mpf
-tuples through mpmath.libmp (a * b is mpf_mul, n * a mpf_mul_int, n / a
-mpf_rdiv_int, mpf(n) / m mpf_div of from_int(n) rounded and from_int(m),
-+a mpf_pos), without the object dispatch and context switches.  The
-Stirling sum runs on signed (mantissa, exponent) integers instead: each
-product and sum is formed exactly and rounded to ctx.bits by _round.  On
-operands of at most ctx.bits bits, as every operand there is, mpf_mul and
-mpf_add are correctly rounded, and a value has one canonical mpf, so the
-same sequence of correctly rounded operations gives the same bits in
-either form; the sum only drops libmp's per-call tuple handling.
+operation.  The logarithms, the descent, the word sum and the conversions
+run on raw mpf tuples through mpmath.libmp (a * b is mpf_mul, n * a
+mpf_mul_int, n / a mpf_rdiv_int, mpf(n) / m mpf_div of from_int(n) rounded
+and from_int(m)), without the object dispatch and context switches; the
+operator form's closing +a is left out, as every result is already rounded
+to ctx.bits.  For x = p/q in lowest terms, z = (p + mq)/q and the descent
+prod_k (p + kq)/q^m are already in lowest terms, since gcd(p + kq, q) =
+gcd(p, q) = 1, so their integer numerators and denominators go to mpf_div
+as they are: the same operands a reduced Fraction would give, without
+building one.
+
+The Stirling sum runs on signed (mantissa, exponent) integers instead: each
+product c_k * power, each partial sum and each next power is formed exactly
+and rounded to ctx.bits to nearest with ties to even, the power by _round
+and the product and the sum by the same steps written out, where a call per
+operation would cost more than the operation.  mpf_mul and mpf_add are
+correctly rounded, and a value has one canonical mpf, so the same sequence
+of correctly rounded operations gives the same bits in either form; the
+integer form only drops libmp's per-call tuple handling.
 """
 
 from __future__ import annotations
@@ -40,7 +49,6 @@ from mpmath.libmp import (
     mpf_log,
     mpf_mul,
     mpf_mul_int,
-    mpf_pos,
     mpf_rdiv_int,
     mpf_sub,
     round_nearest,
@@ -50,6 +58,9 @@ from .exact import DEFAULT_DIGITS, check_digits, working_precision_bits
 
 # B_2, B_4, ... (B_2k at index k - 1); grown on demand, read-only thereafter.
 _EVEN_BERNOULLI: list[Q] = []
+# (N, ctx) -> grid N's ln gamma(j/N) at index j as a raw mpf, None until
+# eval_word_ln first reads it; _RATIOS.clear() empties it.
+_RATIOS: dict[tuple, list] = {}
 
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -206,38 +217,46 @@ def ln_gamma(x, ctx: PrecisionContext | None = None) -> mpmath.mpf:
                       + sum_{k=1..K} B_{2k} / (2k (2k-1) z^(2k-1)) + R_K(z),
         |R_K(z)| <= |B_{2K+2}| / ((2K+1)(2K+2) z^(2K+1)),
 
-    and the context keeps that bound below 10^-(decimal_digits + 5).  The
-    descent product is exact: prod_k (p + kq) / q^m for x = p/q.
+    and the context keeps that bound below 10^-(decimal_digits + 5).  For
+    x = p/q in lowest terms, z = (p + mq)/q and the descent product is
+    prod_k (p + kq) / q^m, both exact and both already in lowest terms:
+    gcd(p + kq, q) = gcd(p, q) = 1 for every k.  So the integer numerator
+    and denominator go straight to mpf_div, which is exactly _raw of the
+    reduced Fractions, without building them.
     """
     ctx = ctx or PrecisionContext.for_digits()
     x = Q(x)
-    if not 0 < x < 1:
-        raise ValueError(f"argument must lie in (0,1), got {x}")
     p, q, m = x.numerator, x.denominator, ctx.shift_count
-    z = x + m
-    descent = Q(math.prod(p + k * q for k in range(m)), q**m)
+    if not 0 < p < q:
+        raise ValueError(f"argument must lie in (0,1), got {x}")
     half_ln_2pi, coefficients = _stirling_data(ctx)
     bits, rnd = ctx.bits, round_nearest
-    zf = _raw(z, bits)
+    zf = mpf_div(from_int(p + m * q, bits, rnd), from_int(q), bits, rnd)
     total = mpf_mul(mpf_sub(zf, fhalf, bits, rnd), mpf_log(zf, bits, rnd), bits, rnd)
     total = mpf_add(mpf_sub(total, zf, bits, rnd), half_ln_2pi, bits, rnd)
     inv = mpf_rdiv_int(1, zf, bits, rnd)
-    inv2_man, inv2_exp = _signed(mpf_mul(inv, inv, bits, rnd))
-    power_man, power_exp = _signed(inv)
-    total_man, total_exp = _signed(total)
-    # total += c * power; power *= inv2, each operation rounded as mpf_mul
-    # and mpf_add round it.
-    for c_man, c_exp in coefficients:
-        term_man, term_exp = _round(c_man * power_man, c_exp + power_exp, bits)
-        if total_exp > term_exp:
-            total_man, total_exp = (total_man << (total_exp - term_exp)) + term_man, term_exp
-        else:
-            total_man += term_man << (term_exp - total_exp)
-        total_man, total_exp = _round(total_man, total_exp, bits)
-        power_man, power_exp = _round(power_man * inv2_man, power_exp + inv2_exp, bits)
-    total = from_man_exp(total_man, total_exp, bits, rnd)
-    total = mpf_sub(total, mpf_log(_raw(descent, bits), bits, rnd), bits, rnd)
-    return mpmath.mp.make_mpf(mpf_pos(total, bits, rnd))
+    sq, sq_exp = _signed(mpf_mul(inv, inv, bits, rnd))
+    pw, pw_exp = _signed(inv)
+    acc, acc_exp = _signed(total)
+    # acc += c * pw, then pw *= sq, each product and sum formed exactly and
+    # rounded as _round rounds: the product and the sum written out, which
+    # saves a call per operation, the power through _round.
+    for c, c_exp in coefficients:
+        man, exp = c * pw, c_exp + pw_exp
+        if (shift := man.bit_length() - bits) > 0:
+            t, exp = man >> (shift - 1), exp + shift
+            man = (t + 1) >> 1 if t & 1 and (t & 2 or man & ((1 << (shift - 1)) - 1)) else t >> 1
+        low = exp if exp < acc_exp else acc_exp
+        acc, acc_exp = (acc << (acc_exp - low)) + (man << (exp - low)), low
+        if (shift := acc.bit_length() - bits) > 0:
+            t, acc_exp = acc >> (shift - 1), acc_exp + shift
+            acc = (t + 1) >> 1 if t & 1 and (t & 2 or acc & ((1 << (shift - 1)) - 1)) else t >> 1
+        pw, pw_exp = _round(pw * sq, pw_exp + sq_exp, bits)
+    total = from_man_exp(acc, acc_exp, bits, rnd)
+    descent = from_int(math.prod(range(p, p + m * q, q)), bits, rnd)
+    descent = mpf_div(descent, from_int(q**m), bits, rnd)
+    total = mpf_sub(total, mpf_log(descent, bits, rnd), bits, rnd)
+    return mpmath.mp.make_mpf(total)
 
 
 @lru_cache(maxsize=None)
@@ -245,21 +264,20 @@ def _ln_gamma_cached(x: Q, ctx: PrecisionContext) -> tuple:
     return ln_gamma(x, ctx)._mpf_
 
 
-@lru_cache(maxsize=None)
-def _ln_gamma_ratio(j: int, n: int, ctx: PrecisionContext) -> tuple:
-    """ln gamma(j/n) = ln Gamma(j/n) - ln Gamma((n-j)/n), raw, once per grid point."""
-    left, right = _ln_gamma_cached(Q(j, n), ctx), _ln_gamma_cached(Q(n - j, n), ctx)
-    return mpf_sub(left, right, ctx.bits, round_nearest)
-
-
 def eval_word_ln(word, ctx: PrecisionContext | None = None) -> mpmath.mpf:
     """ln of a word's value: sum_j e_j (ln Gamma(j/N) - ln Gamma((N-j)/N)).
 
-    Worst-case absolute error 2 sum_j |e_j| * 10^-decimal_digits.
+    Each grid point's ln gamma(j/N) is one mpf_sub of the two ln Gamma
+    values, once per (N, ctx), in _RATIOS.  Worst-case absolute error
+    2 sum_j |e_j| * 10^-decimal_digits.
     """
     ctx = ctx or PrecisionContext.for_digits()
     n, bits, rnd = word.denominator, ctx.bits, round_nearest
+    ratios = _RATIOS.get((n, ctx)) or _RATIOS.setdefault((n, ctx), [None] * n)
     total = fzero
     for j, e in word.exponents:
-        total = mpf_add(total, mpf_mul_int(_ln_gamma_ratio(j, n, ctx), e, bits, rnd), bits, rnd)
-    return mpmath.mp.make_mpf(mpf_pos(total, bits, rnd))
+        if (ratio := ratios[j]) is None:
+            left, right = _ln_gamma_cached(Q(j, n), ctx), _ln_gamma_cached(Q(n - j, n), ctx)
+            ratio = ratios[j] = mpf_sub(left, right, bits, rnd)
+        total = mpf_add(total, mpf_mul_int(ratio, e, bits, rnd), bits, rnd)
+    return mpmath.mp.make_mpf(total)

@@ -515,11 +515,16 @@ def test_f_variant_refused_off_hypothesis(systems):
 
 
 def test_index_range_checked(systems):
-    """An index is an int in 1..rank; a bool or a float is refused, not looked up."""
+    """An index is an int in 1..rank; a bool, a float or a str is refused, not looked up.
+
+    rhs_constant checks it with a table given too: index 0 would read the
+    last root's right side, and True the first's.
+    """
     s = systems[("A", 3)]
+    k = k_root(s, F)
     calls = (lambda i: verify(s, i, F, "exact"), lambda i: lhs_word(s, i, F),
-             lambda i: rhs_constant(s, i, F))
-    for bad in (True, 1.0, 0, s.rank + 1):
+             lambda i: rhs_constant(s, i, F), lambda i: rhs_constant(s, i, F, k))
+    for bad in (True, 1.0, "1", 0, s.rank + 1):
         for call in calls:
             with pytest.raises(ValueError, match="not an int in 1..3"):
                 call(bad)
@@ -722,6 +727,16 @@ def test_verify_all_refuses_an_empty_variant_list(systems):
     with pytest.raises(ValueError, match="nothing to verify"):
         verify_all([g2], [], "exact")
     assert len(verify_all([g2], None, "exact").reports) == 4
+
+
+def test_verify_all_refuses_a_repeated_variant(systems):
+    """A variant listed twice would report each of its cases twice."""
+    g2 = systems[("G", 2)]
+    with pytest.raises(ValueError, match="'Fprime' is listed twice"):
+        verify_all([g2], [F_PRIME, F_PRIME], "exact")
+    with pytest.raises(ValueError, match="'F' is listed twice"):
+        verify_all([g2], [F, F_SECOND, F], "exact")
+    assert len(verify_all([g2], [F_SECOND, F_PRIME], "exact").reports) == 4
 
 
 def test_verify_all_empty(systems):

@@ -37,7 +37,6 @@ from gammaroots.numeric import (
     ln_gamma,
     stirling_tail_log10,
 )
-from gammaroots.rootsys import RootSystemId, build
 
 
 @lru_cache(maxsize=None)
@@ -84,14 +83,32 @@ def reference_const_ln(constant, decimal_digits):
         return +total
 
 
-def reference_eval_word_ln(word, ctx):
-    """The word's ln with ln Gamma evaluated afresh for every factor."""
+def reference_eval_word_ln(word, ctx, ln_gamma_of=reference_ln_gamma):
+    """The word's ln with mpf operators, ln Gamma evaluated afresh for every factor.
+
+    ln_gamma_of(x, ctx) gives ln Gamma; by default reference_ln_gamma.
+    """
     n = word.denominator
     with mpmath.workprec(ctx.bits):
         total = mpmath.mpf(0)
         for j, e in word.exponents:
-            total += e * (reference_ln_gamma(Q(j, n), ctx) - reference_ln_gamma(Q(n - j, n), ctx))
+            total += e * (ln_gamma_of(Q(j, n), ctx) - ln_gamma_of(Q(n - j, n), ctx))
         return +total
+
+
+@lru_cache(maxsize=None)
+def cached_reference_ln_gamma(x, ctx):
+    """reference_ln_gamma once per (argument, context): it is a pure function."""
+    return reference_ln_gamma(x, ctx)
+
+
+def reference_residual(word, rhs, ctx):
+    """verify's residual string and pass flag, by mpf operators at the precision in force."""
+    residual = abs(
+        reference_eval_word_ln(word, ctx, cached_reference_ln_gamma)
+        - reference_const_ln(rhs, ctx.decimal_digits)
+    )
+    return mpmath.nstr(residual, 6), residual <= mpmath.mpf(10) ** (10 - ctx.decimal_digits)
 
 
 # Gamma(1/6) logarithm, computed offline at 60 significant digits.
@@ -311,6 +328,36 @@ def test_integer_stirling_sum_matches_libmp_on_random_rationals(digits):
         assert ln_gamma(x, ctx)._mpf_ == libmp_ln_gamma(x, ctx), x
 
 
+def test_numeric_route_matches_references_at_few_bits():
+    """At 2..40 bits rounding ties occur, so the written-out rounding is exercised.
+
+    At working precision a product or sum is almost never an exact tie; with
+    a few bits it sometimes is, and the integer Stirling sum and the word
+    sum must still equal their libmp and mpf-operator references bit for
+    bit.  With no shift the series runs at z = x < 1, where it approximates
+    nothing but its terms stay as large as the sum, so a tie in a product
+    shows.
+    """
+    for bits in range(2, 25):
+        ctx = PrecisionContext(10, bits, 0, 3)
+        for x in _grid_points(39):
+            assert ln_gamma(x, ctx)._mpf_ == libmp_ln_gamma(x, ctx), (x, ctx)
+    rng = random.Random(11)
+    for bits in range(2, 41):
+        ctx = PrecisionContext(10, bits, rng.randrange(1, 12), rng.randrange(1, 12))
+        for _ in range(12):
+            q = rng.randrange(2, 10 ** rng.randrange(1, 6))
+            x = Q(rng.randrange(1, q), q)
+            assert ln_gamma(x, ctx)._mpf_ == libmp_ln_gamma(x, ctx), (x, ctx)
+        for _ in range(6):
+            n = rng.randrange(2, 40)
+            exponents = tuple((j, rng.choice((-1, 1)) * rng.randrange(1, 40))
+                              for j in sorted(rng.sample(range(1, n), min(n - 1, 6))))
+            word = GammaWord(n, exponents)
+            expected = reference_eval_word_ln(word, ctx, cached_reference_ln_gamma)
+            assert eval_word_ln(word, ctx)._mpf_ == expected._mpf_, (word, ctx)
+
+
 def test_round_is_libmp_round_nearest():
     """Ties go to even, for either sign, and a carry may reach a power of two."""
     rng = random.Random(3)
@@ -323,34 +370,59 @@ def test_round_is_libmp_round_nearest():
         assert from_man_exp(*numeric._round(man, exp, bits)) == expected, (man, exp, bits)
 
 
-def _sweep_sides(idents):
-    """(word, right side) of every admissible case of the given systems."""
-    for ident in idents:
-        system = build(ident)
-        for variant in fateev.VARIANTS:
-            if not fateev.admissible(system, variant):
-                continue
-            for index in range(1, system.rank + 1):
-                yield (
-                    fateev.lhs_word(system, index, variant),
-                    fateev.rhs_constant(system, index, variant),
-                )
+@pytest.fixture(scope="module")
+def sweep_sides(systems):
+    """The 349 distinct (word, right side) pairs of the 49-system sweep, in report order."""
+    summary = fateev.verify_all(systems.values(), mode="exact")
+    return list(dict.fromkeys((r.lhs, r.rhs) for r in summary.reports))
 
 
-def test_eval_word_ln_bit_exact_on_paper_words():
-    """Both sides of the G2, F4 and E8 identities, each against its reference."""
-    ctx = PrecisionContext.for_digits(60)
-    idents = [RootSystemId("G", 2), RootSystemId("F", 4), RootSystemId("E", 8)]
-    sides = list(_sweep_sides(idents))
-    assert len(sides) == 2 * 2 + 2 * 4 + 3 * 8
+def _assert_numeric_route_bit_exact(sides, ctx):
+    """eval_word_ln, const_ln and verify's residual against their mpf-operator references.
+
+    Each word is also paired with the next pair's right side, which gives
+    large residuals and failing flags where the pair differs.
+    """
     for word, rhs in sides:
-        assert eval_word_ln(word, ctx) == reference_eval_word_ln(word, ctx), word
+        expected = reference_eval_word_ln(word, ctx, cached_reference_ln_gamma)
+        assert eval_word_ln(word, ctx)._mpf_ == expected._mpf_, word
         expected = reference_const_ln(rhs, ctx.decimal_digits)
-        assert const_ln(rhs, ctx.decimal_digits) == expected, rhs
+        assert const_ln(rhs, ctx.decimal_digits)._mpf_ == expected._mpf_, rhs
+    wrong_sides = [rhs for _, rhs in sides[1:] + sides[:1]]
+    for (word, rhs), wrong in zip(sides, wrong_sides):
+        for side in (rhs, wrong):
+            status, _, residual = fateev._verdict(word, side, "numeric", ctx)
+            assert (residual, status == fateev.NUMERIC_ONLY) == reference_residual(word, side, ctx)
 
 
-def test_ln_gamma_runs_once_per_distinct_argument(monkeypatch):
-    """Every grid lookup that misses reaches the module-level ln_gamma exactly once."""
+def test_eval_word_ln_bit_exact_on_paper_words(sweep_sides):
+    """Every distinct word and right side of the default sweep, at 60 digits."""
+    assert len(sweep_sides) == 349
+    _assert_numeric_route_bit_exact(sweep_sides, PrecisionContext.for_digits(60))
+
+
+@pytest.mark.parametrize("digits", [20, 200])
+def test_numeric_route_bit_exact_on_sampled_sweep_sides(sweep_sides, digits):
+    """A seeded sample at mpmath's default precision, and part of it at 12 bits and at ctx.bits.
+
+    verify forms the residual at the precision in force when it is called.
+    """
+    ctx = PrecisionContext.for_digits(digits)
+    sample = random.Random(digits).sample(sweep_sides, 40)
+    _assert_numeric_route_bit_exact(sample, ctx)
+    for prec in (12, ctx.bits):
+        with mpmath.workprec(prec):
+            _assert_numeric_route_bit_exact(sample[:10], ctx)
+
+
+def test_ln_gamma_runs_once_per_distinct_argument(monkeypatch, systems, sweep_sides):
+    """Every grid lookup that misses reaches the module-level ln_gamma exactly once.
+
+    Over the whole sweep in numeric mode too, with the caches emptied: one
+    ln_gamma call per distinct reduced argument, and one ratio, two cached
+    lookups, per grid point.  ln_gamma is reached through the module
+    attribute, which is what perfbench's tracer wraps.
+    """
     ctx = PrecisionContext.for_digits(37)  # used by no other test, so nothing is cached
     seen = []
 
@@ -365,3 +437,20 @@ def test_ln_gamma_runs_once_per_distinct_argument(monkeypatch):
     assert eval_word_ln(word, ctx) == first
     assert eval_word_ln(GammaWord(4, ((2, 1),)), ctx) == 0
     assert len(seen) == 5
+
+    fresh = lru_cache(maxsize=None)(numeric._ln_gamma_cached.__wrapped__)
+    lookups = []
+
+    def looked_up(x, c):
+        lookups.append(x)
+        return fresh(x, c)
+
+    monkeypatch.setattr(numeric, "_ln_gamma_cached", looked_up)
+    monkeypatch.setattr(numeric, "_RATIOS", {})
+    seen.clear()
+    ctx = PrecisionContext.for_digits(60)
+    fateev.verify_all(systems.values(), mode="numeric", ctx=ctx)
+    points = {(w.denominator, j) for w, _ in sweep_sides for j, _ in w.exponents}
+    arguments = {Q(j, n) for n, j in points} | {Q(n - j, n) for n, j in points}
+    assert sorted(seen) == sorted(arguments) and len(seen) == 267
+    assert len(lookups) == 2 * len(points)
