@@ -266,7 +266,10 @@ def _verdict(
         from .numeric import PrecisionContext, eval_word_ln
 
         ctx = ctx or PrecisionContext.for_digits()
-        residual = abs(eval_word_ln(lhs, ctx) - const_ln(rhs, ctx.decimal_digits))
+        # |lhs - rhs| rounded to nearest at mpmath's default 53 bits, as the CLI runs,
+        # whatever the caller's workprec; mpf_abs with no precision does not round.
+        ends = eval_word_ln(lhs, ctx)._mpf_, const_ln(rhs, ctx.decimal_digits)._mpf_
+        residual = mpmath.mp.make_mpf(mpmath.libmp.mpf_abs(mpmath.libmp.mpf_sub(*ends, 53, "n")))
         residual_str = mpmath.nstr(residual, 6)
         numeric_ok = residual <= ctx.residual_bound
         if status in (None, NOT_IN_LATTICE):

@@ -125,7 +125,7 @@ class PrecisionContext(
     for_digits picks shift_count and stirling_terms so the Stirling tail
     bound stays below 10^-(decimal_digits + 5); the extra mantissa bits keep
     accumulated rounding inside the same margin.  Immutable and stateless:
-    residual_bound reads a memo keyed on the digit count and the precision.
+    residual_bound reads a memo keyed on the digit count.
     """
 
     __slots__ = ()
@@ -149,17 +149,18 @@ class PrecisionContext(
     @property
     def residual_bound(self) -> mpmath.mpf:
         """10^(10 - decimal_digits), the largest residual verify accepts."""
-        return _residual_bound(self.decimal_digits, mpmath.mp.prec)
+        return _residual_bound(self.decimal_digits)
 
 
 @lru_cache(maxsize=None)
-def _residual_bound(decimal_digits: int, prec: int) -> mpmath.mpf:
-    """10^(10 - decimal_digits) at prec bits.
+def _residual_bound(decimal_digits: int) -> mpmath.mpf:
+    """10^(10 - decimal_digits) at 53 bits, once per digit count.
 
-    prec is mpmath's working precision at the call, the precision verify
-    compares residuals at; each pair is computed once per process.
+    verify forms its residuals at mpmath's default 53 bits, whatever
+    precision the caller has set, and so does this bound.
     """
-    return mpmath.mpf(10) ** (10 - decimal_digits)
+    with mpmath.workprec(53):
+        return mpmath.mpf(10) ** (10 - decimal_digits)
 
 
 def _raw(q: Q, bits: int) -> tuple:

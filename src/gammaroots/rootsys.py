@@ -1,22 +1,24 @@
 """Irreducible root systems, computed on integers in the simple-root basis.
 
-Every positive root is kept as its integer coefficient vector c in the basis
-of simple roots alpha_1..alpha_r, stored as bytes: byte k holds c_(k+1),
-which is at most 14.  The Gram matrix G_ij = 2(alpha_i|alpha_j) is integral
-for all of A-G in the Bourbaki planche coordinates used here, and the
-root-string closure runs on G alone: each root carries its nonzero pairings
-2(alpha_j|a) = (c G)_j, and a step by alpha_i adds row i of G, 1 to the
-height and G_ii to 4(a|rho).  The closure tries only the steps that
-find a root, so a system of rank r costs about r^2 steps, each as dear as
-its nonzero pairings.  Every other quantity the identities need is an
-integer read off c and those tables: the norms 2(a|a) are c . (c G), the
-marks are the coefficients of the highest root, and the Weyl vectors are
-sums of coefficient vectors.  Ambient coordinates (tuples of Fractions, whose
-dimension may exceed the rank for families A and G) are computed on each
-access, for tables and JSON, and never stored.  All pairings are the raw
-coordinate dot product; marks are normalization free, but comarks, double
-comarks and the comark sum depend on this realization and are read off the
-node norms on access.
+Every positive root is an integer coefficient vector c in the basis of
+simple roots alpha_1..alpha_r.  The Gram matrix G_ij = 2(alpha_i|alpha_j) is
+integral for all of A-G in the Bourbaki planche coordinates used here, and
+the root-string closure runs on G alone: each root carries its nonzero
+pairings 2(alpha_j|a) = (c G)_j, and a step by alpha_i adds row i of G, 1 to
+the height and G_ii to 4(a|rho).  The closure tries only the steps that find
+a root, so a system of rank r costs about r^2 steps, each as dear as its
+nonzero pairings.  It keeps no coefficient vector: each root records the
+root it was first reached from and the step, so the roots form a tree whose
+paths spell the coefficients.  The norms 2(a|a) = c . (c G) are carried
+step by step, the marks are the steps on the highest root's path, and the
+Weyl vectors are sums over the tree in one reverse pass, so nothing past
+the closure costs more than O(#roots + r^2).  Ambient coordinates (tuples
+of Fractions, whose dimension may exceed the rank for families A and G) are
+computed on each access, for tables and JSON, and never stored; the
+positive roots' in one forward pass over the tree.  All pairings are the
+raw coordinate dot product; marks are normalization free, but comarks,
+double comarks and the comark sum depend on this realization and are read
+off the node norms on access.
 """
 
 from __future__ import annotations
@@ -25,15 +27,12 @@ import math
 from collections import namedtuple
 from fractions import Fraction as Q
 from itertools import chain, product
-from operator import attrgetter, mul
+from operator import add, attrgetter, mul
 from typing import Callable, Dict, List, Sequence, Tuple
 
 Vector = Tuple[Q, ...]
-# Coefficients in the simple basis: a root's bytes, or a tuple of ints
+# Integer vectors: coefficients in the simple basis, or planche sums
 Coeffs = Sequence[int]
-Matrix = Tuple[Tuple[int, ...], ...]
-# generate_positive_roots: coefficient bytes, nonzero pairings, norms, heights, rho_pairings
-Closure = Tuple[List[bytes], List[Dict[int, int]], List[int], List[int], List[int]]
 # rho and rho_check in the simple basis, each as (integer coefficients, denominator)
 Weyl = Tuple[Tuple[Coeffs, int], Tuple[Coeffs, int]]
 
@@ -75,11 +74,7 @@ class RootSystemId(namedtuple("RootSystemId", "family rank")):
         return f"{self.family}{self.rank}"
 
 
-# Reads a packed key's hex digits, low digit first, as one coefficient byte each.
-_NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
-
-
-def generate_positive_roots(gram: Matrix) -> Closure:
+def generate_positive_roots(gram: Sequence[Sequence[int]]) -> tuple:
     """Close the simple roots under root strings, from the Gram matrix alone.
 
     gram is G_ij = 2(alpha_i|alpha_j), integral, square and not empty.
@@ -108,9 +103,13 @@ def generate_positive_roots(gram: Matrix) -> Closure:
     read off row i, which is c' G c'^T exactly whether or not G is
     symmetric.
 
-    Returns the parallel lists (coefficients, pairings, norms, heights,
-    rho_pairings) in level order: each root's coefficients as one byte per
-    simple root, and its nonzero pairings as a dict {j: (c G)_j}.
+    Returns the parallel tables (parents, steps, pairings, norms, heights,
+    rho_pairings) in level order, as lists.  parents and steps are the
+    first-parent tree: root k was first reached from root parents[k] by
+    alpha_(steps[k] + 1), so its coefficients are its parent's plus one at
+    that step.  A simple root has parent -1 and its own index as step, and
+    every parent comes before its children.  The nonzero pairings of a root
+    are a dict {j: (c G)_j}.
 
     The closure keys each root on one int, 4 bits per coefficient: a step
     by alpha_i adds 1 << 4i.  A coefficient of 15 raises, so no root's key
@@ -135,12 +134,15 @@ def generate_positive_roots(gram: Matrix) -> Closure:
     rows = [[(j, g) for j, g in enumerate(row) if g] for row in gram]
     # packed key -> table position; the tables below follow the positions
     position = {1 << 4 * i: i for i in range(r)}
-    # parents[k]: i -> p for each alpha_i-string that goes on past root k, p roots below it
-    keys, pairings, parents = list(position), [dict(row) for row in rows], [{} for _ in rows]
+    # records[k]: i -> p for each alpha_i-string that goes on past root k, p roots below it.
+    # Every step to root k comes from the level below, so k's record is whole, and
+    # dropped, when k is read.
+    keys, pairings, records = list(position), [dict(row) for row in rows], {}
+    parents, steps = [-1] * r, list(range(r))
     norms, heights, rho_pairings = diag[:], [1] * r, diag[:]
     # keys grows as the loop reads it: each root is read after every root of lower height.
     for k, beta in enumerate(keys):
-        pairs, ups = pairings[k], parents[k]
+        pairs, ups = pairings[k], records.pop(k, {})
         for i in sorted({*ups, *[j for j, p in pairs.items() if p < 0]}):
             cand, p = beta + (1 << 4 * i), ups.get(i, 0)
             if cand not in position:
@@ -162,53 +164,66 @@ def generate_positive_roots(gram: Matrix) -> Closure:
                     )
                 position[cand] = len(keys)
                 keys.append(cand)
+                parents.append(k)
+                steps.append(i)
                 pairings.append(new)
-                parents.append({})
                 norms.append(norm)
                 heights.append(heights[k] + 1)
                 rho_pairings.append(rho_pairings[k] + diag[i])
             # The rule at cand: (p + 1 - 1) G_ii >= 2 P_i(cand) = 2 (P_i + G_ii).
             if (p - 2) * diag[i] >= 2 * pairs.get(i, 0):
-                parents[position[cand]][i] = p + 1
-    coeffs = [("%0*x" % (r, key))[::-1].encode().translate(_NIBBLES) for key in keys]
-    return coeffs, pairings, norms, heights, rho_pairings
+                records.setdefault(position[cand], {})[i] = p + 1
+    return parents, steps, pairings, norms, heights, rho_pairings
 
 
-def highest_root(positive: Sequence[bytes]) -> bytes:
-    """The unique maximal positive root; its coefficients are the marks n_1..n_r.
+def highest_root(parents: Sequence[int], steps: Sequence[int]) -> Tuple[int, ...]:
+    """The marks n_1..n_r: the coefficients of the unique maximal positive root.
 
     The closure lists roots in level order, so the last root has the greatest
-    height.  That root lies in one irreducible component, so it has a zero
-    coefficient exactly when the system is reducible.
+    height, and its coefficients count the steps on its path up the
+    first-parent tree, h - 1 of them.  That root lies in one irreducible
+    component, so it has a zero coefficient exactly when the system is
+    reducible.  The rank is the number of simple roots, the roots with
+    parent -1.
     """
-    theta = positive[-1]
-    if not all(theta):
+    marks, k = [0] * parents.count(-1), len(steps) - 1
+    while k >= 0:
+        marks[steps[k]] += 1
+        k = parents[k]
+    if not all(marks):
         raise ValueError("the highest root misses a simple root; the system is not irreducible")
-    return theta
+    return tuple(marks)
 
 
-def weyl_vectors(positive: Sequence[bytes], norms: Sequence[int]) -> Weyl:
+def weyl_vectors(parents: Sequence[int], steps: Sequence[int], norms: Sequence[int]) -> Weyl:
     """rho and rho_check in the simple basis, as integer coefficients over a denominator.
 
-    2 rho is the sum of the positive roots.  The coroot of a is 4a / n with
-    n = 2(a|a), so with L the lcm of the norms, L rho_check sums 2(L / n) a.
+    2 rho is the sum of the positive roots.  A root's coefficients are its
+    parent's plus one at its step, so coefficient k of a root counts the
+    roots on its path up the first-parent tree whose step is alpha_k, and
+    coefficient k of 2 rho is the sum of the subtree sizes of the roots whose
+    step is alpha_k.  The coroot of a is 4a / n with n = 2(a|a), so with L
+    the lcm of the norms, L rho_check sums 2(L / n) a: the same sum with
+    each root weighted 2L / n.  Every parent comes before its children, so
+    one reverse pass over the level order finishes each subtree before it
+    adds it to its parent.  The simple roots, the roots with parent -1,
+    give the rank.
     """
-    by_norm: Dict[int, List[bytes]] = {}
-    for c, n in zip(positive, norms):
-        by_norm.setdefault(n, []).append(c)
-    lcm = math.lcm(*by_norm)
-    two_rho = [0] * len(positive[0])
-    lcm_rho_check = two_rho[:]
-    for n, roots in by_norm.items():
-        for k, total in enumerate(map(sum, zip(*roots))):
-            two_rho[k] += total
-            lcm_rho_check[k] += 2 * (lcm // n) * total
+    lcm, rank = math.lcm(*set(norms)), parents.count(-1)
+    sizes, weights = [1] * len(norms), [2 * (lcm // n) for n in norms]
+    two_rho, lcm_rho_check = [0] * rank, [0] * rank
+    for k, parent, i in zip(range(len(sizes) - 1, -1, -1), reversed(parents), reversed(steps)):
+        two_rho[i] += sizes[k]
+        lcm_rho_check[i] += weights[k]
+        # A simple root's parent -1 names the last root, which was read first.
+        sizes[parent] += sizes[k]
+        weights[parent] += weights[k]
     return (tuple(two_rho), 2), (tuple(lcm_rho_check), lcm)
 
 
 class RootSystem(namedtuple("RootSystem", (
     "ident marks coxeter_number simply_laced "
-    "gram root_coeffs pairing_columns norms heights rho_pairings weyl"
+    "gram parents steps pairing_columns norms heights rho_pairings weyl"
 ))):
     """Everything the identity checks need about one irreducible system.
 
@@ -221,21 +236,25 @@ class RootSystem(namedtuple("RootSystem", (
     side and need not match the textbook dual Coxeter number when the
     highest root is not normalized to length 2.
 
-    The integer tables follow root_coeffs, each root's coefficients c in the
-    simple basis as bytes (byte k holds c_(k+1)), in the closure's level
+    The integer tables list the positive roots in the closure's level
     order, which lists the simple roots first, in index order, and the
-    highest root last: norms 2(a|a), heights the coefficient sums, which are
-    (a|rho_check), and rho_pairings 4(a|rho) = sum_k c_k G_kk.  The pairings
-    2(alpha_j|a) = (c G)_j are kept by column and only where they are not
-    zero: pairing_columns[j - 1] is (positions, pairings), the table
-    positions of the roots a that pair with alpha_j, in table order, and
-    those pairings.  gram is G_ij = 2(alpha_i|alpha_j), and weyl is what
-    weyl_vectors returns.
+    highest root last.  parents and steps, one int per root, are the
+    closure's first-parent tree (see generate_positive_roots): root k is
+    root parents[k] plus alpha_(steps[k] + 1), and a simple root has parent
+    -1.  No coefficient vector c is stored.  norms are 2(a|a), heights the
+    coefficient sums, which are (a|rho_check), and rho_pairings 4(a|rho) =
+    sum_k c_k G_kk.  The pairings 2(alpha_j|a) = (c G)_j are kept by column
+    and only where they are not zero: pairing_columns[j - 1] is (positions,
+    pairings), the table positions of the roots a that pair with alpha_j, in
+    table order, and those pairings.  gram is G_ij = 2(alpha_i|alpha_j), and
+    weyl is what weyl_vectors returns.
 
-    The ambient Fraction tables simple_roots, positive_roots (entry for
-    entry with root_coeffs), alpha0, rho and rho_check are properties,
-    computed from those integers on each access and never stored; no verify
-    path reads them.  The repr leaves out the tables, gram onwards.
+    The ambient Fraction tables simple_roots, positive_roots (in table
+    order), alpha0, rho and rho_check are properties, computed from those
+    integers on each access and never stored; no verify path reads them.
+    positive_roots follows the tree forward, a root being its parent plus
+    its step's planche row (_root_sums).  The repr leaves out the tables,
+    gram onwards.
     """
 
     __slots__ = ()
@@ -247,13 +266,14 @@ class RootSystem(namedtuple("RootSystem", (
     family = property(attrgetter("ident.family"))
     rank = property(attrgetter("ident.rank"))
 
-    def _fractions(self, vectors: Sequence[Coeffs], den: int = 1) -> Tuple[Vector, ...]:
-        """sum_k (c_k / den) alpha_k for each c in vectors."""
-        scale, sums = _ambient(self.ident, vectors)
-        return tuple(map(tuple, _over(sums, den * scale, Q)))
+    def _fractions(self, sums: Sequence[Coeffs], den: int = 1) -> Tuple[Vector, ...]:
+        """Integer planche sums, d times ambient coordinates, over d * den as Fractions."""
+        return tuple(map(tuple, _over(sums, den * _planche(self.ident)[0], Q)))
 
     def _vector(self, nums: Coeffs, den: int = 1) -> Vector:
-        return self._fractions([nums], den)[0]
+        """sum_k (c_k / den) alpha_k, one dense planche column per coordinate."""
+        columns = zip(*_planche(self.ident)[1])
+        return self._fractions([[sum(map(mul, nums, column)) for column in columns]], den)[0]
 
     @property
     def node_norms(self) -> Tuple[int, ...]:
@@ -273,9 +293,8 @@ class RootSystem(namedtuple("RootSystem", (
     double_comarks = property(lambda self: self._node_quarters(2))
     comark_sum = property(lambda self: Q(sum(map(mul, self.node_norms, self.marks)), 4))
 
-    # The closure lists the simple roots first, in index order.
-    simple_roots = property(lambda self: self._fractions(self.root_coeffs[:self.rank]))
-    positive_roots = property(lambda self: self._fractions(self.root_coeffs))
+    simple_roots = property(lambda self: self._fractions(_planche(self.ident)[1]))
+    positive_roots = property(lambda self: self._fractions(_root_sums(self)))
     alpha0 = property(lambda self: self._vector(tuple(-m for m in self.marks[1:])))
     rho = property(lambda self: self._vector(*self.weyl[0]))
     rho_check = property(lambda self: self._vector(*self.weyl[1]))
@@ -290,12 +309,11 @@ class RootSystem(namedtuple("RootSystem", (
         def strs(v):
             return [str(x) for x in v]
 
-        scale, sums = _ambient(self.ident, self.root_coeffs)
-        by_height = [v for _, v in sorted(zip(self.heights, sums))]
+        by_height = [v for _, v in sorted(zip(self.heights, _root_sums(self)))]
         return {
             "family": self.family,
             "rank": self.rank,
-            "positive_root_count": len(self.root_coeffs),
+            "positive_root_count": len(self.heights),
             "coxeter_number": self.coxeter_number,
             "comark_sum": str(self.comark_sum),
             "marks": list(self.marks),
@@ -306,7 +324,7 @@ class RootSystem(namedtuple("RootSystem", (
             "rho": strs(self.rho),
             "rho_check": strs(self.rho_check),
             "simple_roots": list(map(strs, self.simple_roots)),
-            "positive_roots": _over(by_height, scale, lambda x, d: str(Q(x, d))),
+            "positive_roots": _over(by_height, _planche(self.ident)[0], lambda x, d: str(Q(x, d))),
         }
 
 
@@ -322,50 +340,65 @@ def build(ident: RootSystemId) -> RootSystem:
         raise ClosureError(f"{ident}: 2(alpha_i|alpha_j) is not integral")
     gram = tuple(tuple(g // (scale * scale) for g in row) for row in scaled_gram)
 
-    coeffs, pairings, norms, heights, rho_pairings = generate_positive_roots(gram)
+    parents, steps, pairings, norms, heights, rho_pairings = generate_positive_roots(gram)
     # (position, pairing) per column; alpha_j's own column holds G_jj, so none is empty
     columns: List[List[Tuple[int, int]]] = [[] for _ in gram]
     for k, pairs in enumerate(pairings):
         for j, p in pairs.items():
             columns[j].append((k, p))
-    marks = (1, *highest_root(coeffs))
+    marks = (1, *highest_root(parents, steps))
     system = RootSystem(
         ident=ident,
         marks=marks,
         coxeter_number=sum(marks),
         simply_laced=len(set(norms)) == 1,
         gram=gram,
-        root_coeffs=tuple(coeffs),
+        parents=tuple(parents),
+        steps=tuple(steps),
         pairing_columns=tuple(tuple(zip(*column)) for column in columns),
         norms=tuple(norms),
         heights=tuple(heights),
         rho_pairings=tuple(rho_pairings),
-        weyl=weyl_vectors(coeffs, norms),
+        weyl=weyl_vectors(parents, steps, norms),
     )
     _validate(system)
     return system
 
 
 def _validate(system: RootSystem) -> None:
-    """Internal consistency ties between the generated pieces.
+    """Internal consistency ties between the generated pieces, on O(#roots + r^2) data.
 
-    The last tie checks the Weyl vectors in the simple basis: every simple
-    root has height (alpha_k|rho_check) = 1 and 4(alpha_k|rho) = G_kk,
-    which is what makes heights and rho_pairings the word arguments.  As
-    (G x)_k = 2(alpha_k|x), for rho = u / d and rho_check = v / L these read
-    2(G u)_k = d G_kk and (G v)_k = 2L.
+    Each tie reads tables the closure or the tree pass built, never a
+    coefficient vector:
+    - 2 #roots = r h, with #roots the size of the tree and h the mark sum
+      read off its last path, catches a closure that lost or repeated a
+      root, and marks read off a root that is not the highest;
+    - the heights fill [1, h-1] catches a heights table that disagrees with
+      the marks, such as a missing level or a last root below the top;
+    - the heights sum to sum_k (2 rho)_k, as each root's height is the length
+      of its path and the tree pass counts each root once per step on it:
+      this ties the tree to the heights the closure counted, and catches a
+      wrong parent, or a height carried wrong;
+    - the norms have one length exactly for families A, D and E, which
+      catches a norm table of the wrong system;
+    - the Weyl vectors in the simple basis: every simple root has height
+      (alpha_k|rho_check) = 1 and 4(alpha_k|rho) = G_kk, which is what makes
+      heights and rho_pairings the word arguments.  As (G x)_k =
+      2(alpha_k|x), for rho = u / d and rho_check = v / L these read 2(G u)_k
+      = d G_kk and (G v)_k = 2L.  They catch a wrong step in the tree, which
+      leaves every count above as it was, and a wrong norm weight.
     """
-    r, h = system.rank, system.coxeter_number
-    count = len(system.root_coeffs)
+    r, h, heights = system.rank, system.coxeter_number, system.heights
+    count = len(system.parents)
     if 2 * count != r * h:
         raise ClosureError(
             f"{system.ident}: {count} positive roots; the count must equal rank * h / 2"
         )
-    if set(map(sum, system.root_coeffs)) != set(range(1, h)):
-        raise ClosureError(f"{system.ident}: root heights must fill [1, h-1]")
+    (u, d), (v, lcm) = system.weyl
+    if set(heights) != set(range(1, h)) or d * sum(heights) != 2 * sum(u):
+        raise ClosureError(f"{system.ident}: root heights must fill [1, h-1] and sum to 2 rho")
     if system.simply_laced != (system.ident.family in SIMPLY_LACED_FAMILIES):
         raise ClosureError(f"{system.ident}: root lengths disagree with the family")
-    (u, d), (v, lcm) = system.weyl
     for k, row in enumerate(system.gram):
         if 2 * sum(map(mul, row, u)) != d * row[k] or sum(map(mul, row, v)) != 2 * lcm:
             raise ClosureError(f"{system.ident}: rho and rho_check disagree with alpha_{k + 1}")
@@ -413,21 +446,21 @@ def _planche(ident: RootSystemId) -> Tuple[int, Sequence[Tuple[int, ...]]]:
     return 1, _G2_ROWS
 
 
-def _ambient(ident: RootSystemId, vectors: Sequence[Coeffs]) -> Tuple[int, List[Coeffs]]:
-    """The planche scale d, and d * sum_k c_k alpha_k for each c in vectors, as ints.
+def _root_sums(system: RootSystem) -> List[Coeffs]:
+    """d times each positive root in planche coordinates, as ints, in one forward pass.
 
-    Reads the planche rows s_k by sparse column: coordinate j sums c_k s_kj
-    over the rows k with s_kj != 0, so a vector costs the nonzeros of the
-    rows, not rank x dimension.  Every planche column has a nonzero entry;
-    the zip over the columns relies on it.
+    A root's sums are its parent's plus the planche row of its step, and a
+    simple root's are its own row, so the level order, which lists every
+    parent before its children, builds them all without a coefficient
+    vector.  Tables and JSON read it; no verify path does.  The sums are
+    lists: they are garbage once converted, and freed lists give their
+    memory back where small tuples would wait in the interpreter's free
+    lists.
     """
-    scale, scaled = _planche(ident)
-    by_index = tuple(zip(*vectors))
-    columns = (
-        map(sum, zip(*[map(s.__mul__, by_index[k]) for k, s in enumerate(column) if s]))
-        for column in zip(*scaled)
-    )
-    return scale, list(zip(*columns))
+    scaled, sums = _planche(system.ident)[1], []
+    for parent, i in zip(system.parents, system.steps):
+        sums.append(list(map(add, sums[parent], scaled[i])) if parent >= 0 else list(scaled[i]))
+    return sums
 
 
 def _over(vectors: Sequence[Coeffs], den: int, form: Callable[[int, int], object]) -> List[list]:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from gammaroots.fateev import verify_all
 from gammaroots.rootsys import RootSystemId, build
 
 ALL_IDS = (
@@ -27,3 +28,10 @@ def large_systems():
         for family in "ABCD"
         for rank in (*range(13, 25), 32)
     }
+
+
+@pytest.fixture(scope="session")
+def sweep_sides(systems):
+    """The 349 distinct (word, right side) pairs of the 49-system sweep, in report order."""
+    summary = verify_all(systems.values(), mode="exact")
+    return list(dict.fromkeys((r.lhs, r.rhs) for r in summary.reports))

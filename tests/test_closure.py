@@ -1,4 +1,9 @@
-"""The sparse candidate closure against the tuple-slicing closure it replaced."""
+"""The sparse candidate closure and its first-parent tree against reference closures.
+
+reference_positive_roots is the tuple-slicing closure the sparse one
+replaced; byte_closure and reference_weyl_vectors are the closure's
+coefficient bytes and the column-sum Weyl vectors the tree replaced.
+"""
 
 import math
 import random
@@ -7,15 +12,26 @@ from operator import mul
 
 import pytest
 
-from gammaroots.rootsys import ClosureError, RootSystemId, build, generate_positive_roots
+from gammaroots.rootsys import (
+    ClosureError,
+    RootSystemId,
+    build,
+    generate_positive_roots,
+    highest_root,
+    weyl_vectors,
+)
+from test_rootsys import root_coeffs
 
 
-def reference_positive_roots(gram, max_height=1000):
+def reference_positive_roots(gram):
     """The closure on coefficient tuples: every candidate and every string step is a new tuple.
 
     Same rule as generate_positive_roots: beta + alpha_i is a root iff
     (p - 1) G_ii >= 2 P_i, with p the length of the alpha_i-string below
     beta and P = (c G) the pairings, which a step updates by row i of G.
+    A new root with a coefficient past 14, which the packed keys of
+    generate_positive_roots cannot hold, raises before its norm is read;
+    that also ends the closure on any input, at height 14r at most.
     """
     r = len(gram)
     for i, row in enumerate(gram):
@@ -26,10 +42,7 @@ def reference_positive_roots(gram, max_height=1000):
             raise ClosureError(f"non-integral Cartan integer at alpha_{i + 1}")
     known = {tuple(int(k == i) for k in range(r)): tuple(gram[i]) for i in range(r)}
     current = list(known)
-    height = 1
     while current:
-        if height >= max_height:
-            raise ClosureError(f"no closure below height {max_height}")
         found = []
         for beta in current:
             pairs = known[beta]
@@ -42,29 +55,47 @@ def reference_positive_roots(gram, max_height=1000):
                 while head + (c - p - 1,) + tail in known:
                     p += 1
                 if (p - 1) * gram[i][i] >= 2 * pairs[i]:
+                    if c == 14:
+                        raise ClosureError(f"closure reached coefficient 15 at alpha_{i + 1}")
                     cand_pairs = tuple(map(sum, zip(pairs, gram[i])))
                     if sum(map(mul, cand, cand_pairs)) <= 0:
                         raise ClosureError("closure reached a vector of length zero")
                     known[cand] = cand_pairs
                     found.append(cand)
         current = found
-        height += 1
     return known
+
+
+def path_coefficients(parents, steps, k, rank):
+    """Root k's coefficients, counting the steps on its path up the first-parent tree."""
+    c = [0] * rank
+    while k >= 0:
+        c[steps[k]] += 1
+        k = parents[k]
+    return tuple(c)
 
 
 def densified(gram):
     """generate_positive_roots(gram) as reference_positive_roots lists it.
 
     Each root becomes (coefficient tuple, full pairing tuple), in the
-    closure's order.  The coefficients must be bytes, the sparse pairings
-    must hold no zero, and the carried norms, heights and rho pairings must
-    be c . P, sum(c) and sum_k c_k G_kk.
+    closure's order, its coefficients read by following parent and step.
+    The tree must be two lists of ints with every parent before its child
+    and each simple root first, parent -1 and its own index as step; the sparse
+    pairings must hold no zero, and the carried norms, heights and rho
+    pairings must be c . P, sum(c) and sum_k c_k G_kk.
     """
-    coeffs, pairings, norms, heights, rho_pairings = generate_positive_roots(gram)
+    r = len(gram)
+    parents, steps, pairings, norms, heights, rho_pairings = generate_positive_roots(gram)
+    assert type(parents) is type(steps) is list
+    assert (parents[:r], steps[:r]) == ([-1] * r, list(range(r)))
+    assert all(0 <= parent < k for k, parent in enumerate(parents) if k >= r)
     rows = []
-    for c, pairs in zip(coeffs, pairings, strict=True):
-        assert type(c) is bytes and len(c) == len(gram) and all(pairs.values())
-        rows.append((tuple(c), tuple(pairs.get(j, 0) for j in range(len(gram)))))
+    for k, pairs in enumerate(pairings):
+        assert all(pairs.values())
+        c = path_coefficients(parents, steps, k, r)
+        rows.append((c, tuple(pairs.get(j, 0) for j in range(r))))
+    assert len(parents) == len(steps) == len(rows)
     assert norms == [sum(map(mul, c, p)) for c, p in rows]
     assert heights == [sum(c) for c, _ in rows]
     assert rho_pairings == [sum(x * gram[k][k] for k, x in enumerate(c)) for c, _ in rows]
@@ -109,28 +140,49 @@ def random_gram(rng):
     return tuple(map(tuple, gram)), symmetric
 
 
+def matches_the_reference(gram):
+    """Same roots and order as the reference, or the same ClosureError: (error kind, root count).
+
+    The kind is None and the count that of the roots on success; on an
+    error the count is None.
+    The tree is followed for every root's coefficients.  Each error of the
+    reference opens the message of the closure's error.
+    """
+    try:
+        expected = list(reference_positive_roots(gram).items())
+    except ClosureError as error:
+        with pytest.raises(ClosureError) as raised:
+            generate_positive_roots(gram)
+        assert str(raised.value).startswith(str(error)), (gram, str(raised.value))
+        return str(error).split(" at ")[0].split(" = ")[0], None
+    assert densified(gram) == expected, gram
+    return None, len(expected)
+
+
 def test_closure_matches_the_reference_on_random_matrices():
-    """Skipped steps never insert a root: same roots and order, or ClosureError in both."""
+    """Skipped steps never insert a root: same roots and order, or the same ClosureError in both.
+
+    The seeded matrices fail on vectors of length zero.  The climbing
+    matrices below, alone and beside a third node, add the coefficient-15
+    errors of the 4-bit keys, and the closures just below them.
+    """
     rng = random.Random(2010)
     outcomes = Counter()
+    errors = Counter()
     for _ in range(2000):
         gram, symmetric = random_gram(rng)
-        try:
-            # The packed keys stop at coefficient 14, so at height 14r at most.
-            expected = list(reference_positive_roots(gram, 14 * len(gram) + 1).items())
-        except ClosureError:
-            expected = None
-        if expected and max(max(c) for c, _ in expected) > 14:
-            expected = None
-        if expected is None:
-            with pytest.raises(ClosureError):
-                generate_positive_roots(gram)
-        else:
-            assert densified(gram) == expected, gram
-        outcomes[symmetric, expected is None, len(expected or ()) > len(gram)] += 1
+        error, count = matches_the_reference(gram)
+        errors[error] += 1
+        outcomes[symmetric, error is not None, (count or 0) > len(gram)] += 1
     # Failures, and closures past the simple roots, on symmetric input and not.
     assert all(outcomes[symmetric, False, True] > 100 for symmetric in (False, True))
     assert all(outcomes[symmetric, True, False] > 100 for symmetric in (False, True))
+    assert errors["closure reached a vector of length zero"] > 100
+    for k in range(1, 41):
+        (a, b), (c, d) = climbing_matrix(k)
+        for gram in (((a, b), (c, d)), ((a, b, 0), (c, d, -1), (0, -1, 2))):
+            errors[matches_the_reference(gram)[0]] += 1
+    assert errors["closure reached coefficient 15"] == 52, errors
 
 
 def climbing_matrix(k):
@@ -154,8 +206,84 @@ def test_closure_climbs_to_the_largest_coefficient_a_key_holds():
 
 def test_coefficient_past_the_4_bit_keys_raises():
     gram = climbing_matrix(15)
-    assert (1, 15) in reference_positive_roots(gram)
+    with pytest.raises(ClosureError, match="coefficient 15 at alpha_2"):
+        reference_positive_roots(gram)
     with pytest.raises(ClosureError, match="coefficient 15 at alpha_2"):
         generate_positive_roots(gram)
     with pytest.raises(ClosureError, match="coefficient 15"):
         generate_positive_roots(climbing_matrix(40))
+
+
+# Reads a packed key's hex digits, low digit first, as one coefficient byte each.
+_NIBBLES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
+def byte_closure(gram):
+    """The closure before its tree: (coefficient bytes, norms) in level order, for valid input.
+
+    The candidate steps and string records of generate_positive_roots on
+    packed keys, 4 bits per coefficient, each key unpacked to one byte per
+    simple root at the end (byte k holds c_(k+1)).  Finite systems only:
+    it checks nothing.
+    """
+    r = len(gram)
+    diag = [row[i] for i, row in enumerate(gram)]
+    rows = [[(j, g) for j, g in enumerate(row) if g] for row in gram]
+    position = {1 << 4 * i: i for i in range(r)}
+    keys, pairings, records = list(position), [dict(row) for row in rows], [{} for _ in rows]
+    norms = diag[:]
+    for k, beta in enumerate(keys):
+        pairs, ups = pairings[k], records[k]
+        for i in sorted({*ups, *[j for j, p in pairs.items() if p < 0]}):
+            cand, p = beta + (1 << 4 * i), ups.get(i, 0)
+            if cand not in position:
+                new, norm = pairs.copy(), norms[k]
+                for j, g in rows[i]:
+                    norm += g * (beta >> 4 * j & 15)
+                    new[j] = new.get(j, 0) + g
+                    if not new[j]:
+                        del new[j]
+                position[cand] = len(keys)
+                keys.append(cand)
+                pairings.append(new)
+                records.append({})
+                norms.append(norm + new.get(i, 0))
+            if (p - 2) * diag[i] >= 2 * pairs.get(i, 0):
+                records[position[cand]][i] = p + 1
+    return [("%0*x" % (r, key))[::-1].encode().translate(_NIBBLES) for key in keys], norms
+
+
+def reference_weyl_vectors(coeffs, norms):
+    """weyl_vectors as column sums of the coefficient bytes, grouped by norm.
+
+    2 rho sums the positive roots, and L rho_check sums 2(L / n) a with L
+    the lcm of the norms n = 2(a|a).
+    """
+    by_norm = {}
+    for c, n in zip(coeffs, norms):
+        by_norm.setdefault(n, []).append(c)
+    lcm = math.lcm(*by_norm)
+    two_rho = [0] * len(coeffs[0])
+    lcm_rho_check = two_rho[:]
+    for n, roots in by_norm.items():
+        for k, total in enumerate(map(sum, zip(*roots))):
+            two_rho[k] += total
+            lcm_rho_check[k] += 2 * (lcm // n) * total
+    return (tuple(two_rho), 2), (tuple(lcm_rho_check), lcm)
+
+
+def test_tree_matches_the_byte_closure(systems):
+    """The tree's coefficients, marks and Weyl vectors against the bytes and column sums.
+
+    On the 49 sweep systems, A-D at rank 64 and B200.
+    """
+    assert len(systems) == 49
+    chosen = [*systems.values(), *(build(RootSystemId(f, 64)) for f in "ABCD")]
+    for system in [*chosen, build(RootSystemId("B", 200))]:
+        coeffs, norms = byte_closure(system.gram)
+        assert root_coeffs(system) == coeffs, system.ident
+        assert list(system.norms) == norms, system.ident
+        assert system.marks == (1, *coeffs[-1]), system.ident
+        assert highest_root(system.parents, system.steps) == tuple(coeffs[-1])
+        assert system.weyl == reference_weyl_vectors(coeffs, norms), system.ident
+        assert weyl_vectors(system.parents, system.steps, system.norms) == system.weyl

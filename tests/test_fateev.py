@@ -23,7 +23,7 @@ from gammaroots.fateev import (
 )
 from gammaroots.gammaword import GammaWord, word_from_terms
 from test_gammaword import reflection_fold
-from test_rootsys import inner
+from test_rootsys import inner, root_coeffs
 
 
 def coroot(v):
@@ -227,7 +227,7 @@ def pairing_rows(system):
     """Every root's pairings 2(alpha_j|a) = (c G)_j, zero or not, from its coefficients."""
     return [
         tuple(sum(x * g for x, g in zip(c, column)) for column in zip(*system.gram))
-        for c in system.root_coeffs
+        for c in root_coeffs(system)
     ]
 
 
@@ -304,7 +304,7 @@ def test_grid_divisor_from_the_simple_roots(systems, large_systems):
     assert len(chosen) == 12
     for system in [*systems.values(), *chosen]:
         diag = [row[k] for k, row in enumerate(system.gram)]
-        simple_rows = [k for k, c in enumerate(system.root_coeffs) if sum(c) == 1]
+        simple_rows = [k for k, height in enumerate(system.heights) if height == 1]
         assert sorted(system.rho_pairings[k] for k in simple_rows) == sorted(diag)
         for variant in VARIANTS:
             if not admissible(system, variant):

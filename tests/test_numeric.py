@@ -370,18 +370,13 @@ def test_round_is_libmp_round_nearest():
         assert from_man_exp(*numeric._round(man, exp, bits)) == expected, (man, exp, bits)
 
 
-@pytest.fixture(scope="module")
-def sweep_sides(systems):
-    """The 349 distinct (word, right side) pairs of the 49-system sweep, in report order."""
-    summary = fateev.verify_all(systems.values(), mode="exact")
-    return list(dict.fromkeys((r.lhs, r.rhs) for r in summary.reports))
-
-
-def _assert_numeric_route_bit_exact(sides, ctx):
+def _assert_numeric_route_bit_exact(sides, ctx, prec=None):
     """eval_word_ln, const_ln and verify's residual against their mpf-operator references.
 
     Each word is also paired with the next pair's right side, which gives
-    large residuals and failing flags where the pair differs.
+    large residuals and failing flags where the pair differs.  The
+    references run at mpmath's default precision; the route runs under
+    workprec(prec) when prec is given.
     """
     for word, rhs in sides:
         expected = reference_eval_word_ln(word, ctx, cached_reference_ln_gamma)
@@ -391,8 +386,10 @@ def _assert_numeric_route_bit_exact(sides, ctx):
     wrong_sides = [rhs for _, rhs in sides[1:] + sides[:1]]
     for (word, rhs), wrong in zip(sides, wrong_sides):
         for side in (rhs, wrong):
-            status, _, residual = fateev._verdict(word, side, "numeric", ctx)
-            assert (residual, status == fateev.NUMERIC_ONLY) == reference_residual(word, side, ctx)
+            expected = reference_residual(word, side, ctx)
+            with mpmath.workprec(prec or mpmath.mp.prec):
+                status, _, residual = fateev._verdict(word, side, "numeric", ctx)
+            assert (residual, status == fateev.NUMERIC_ONLY) == expected
 
 
 def test_eval_word_ln_bit_exact_on_paper_words(sweep_sides):
@@ -405,14 +402,18 @@ def test_eval_word_ln_bit_exact_on_paper_words(sweep_sides):
 def test_numeric_route_bit_exact_on_sampled_sweep_sides(sweep_sides, digits):
     """A seeded sample at mpmath's default precision, and part of it at 12 bits and at ctx.bits.
 
-    verify forms the residual at the precision in force when it is called.
+    verify forms the residual and its bound at mpmath's default 53 bits,
+    whatever the caller's workprec, so the strings and flags under
+    workprec(12) and workprec(ctx.bits) are the default-precision ones.
     """
     ctx = PrecisionContext.for_digits(digits)
     sample = random.Random(digits).sample(sweep_sides, 40)
     _assert_numeric_route_bit_exact(sample, ctx)
+    bound = mpmath.mpf(10) ** (10 - digits)
     for prec in (12, ctx.bits):
+        _assert_numeric_route_bit_exact(sample[:10], ctx, prec)
         with mpmath.workprec(prec):
-            _assert_numeric_route_bit_exact(sample[:10], ctx)
+            assert ctx.residual_bound == bound
 
 
 def test_ln_gamma_runs_once_per_distinct_argument(monkeypatch, systems, sweep_sides):

@@ -1,6 +1,7 @@
 """Root system construction against closed-form planche data and literal tables."""
 
 import os
+import pickle
 import subprocess
 import sys
 from fractions import Fraction as Q
@@ -21,7 +22,22 @@ from gammaroots.rootsys import (
     build,
     generate_positive_roots,
     highest_root,
+    weyl_vectors,
 )
+
+
+def root_coeffs(system):
+    """Each root's coefficients as bytes (byte k holds c_(k+1)), from the first-parent tree.
+
+    One forward pass over the level order: a root is its parent plus one at
+    its step, and a simple root, parent -1, is one at its own index.
+    """
+    coeffs = []
+    for parent, i in zip(system.parents, system.steps):
+        c = bytearray(coeffs[parent] if parent >= 0 else system.rank)
+        c[i] += 1
+        coeffs.append(bytes(c))
+    return coeffs
 
 
 def inner(u, v):
@@ -243,7 +259,7 @@ def test_closure_rejects_empty_or_ragged_gram(gram):
 
 def dense_pairings(system):
     """The full rows 2(alpha_j|a), j = 1..r, rebuilt from the nonzero columns."""
-    rows = [[0] * system.rank for _ in system.root_coeffs]
+    rows = [[0] * system.rank for _ in system.parents]
     for j, (positions, pairings) in enumerate(system.pairing_columns):
         for k, p in zip(positions, pairings):
             rows[k][j] = p
@@ -253,9 +269,9 @@ def dense_pairings(system):
 @pytest.mark.parametrize("family,rank", [("B", 4), ("F", 4), ("G", 2), ("E", 6)])
 def test_closure_carries_pairings_level_by_level(systems, family, rank):
     s = systems[(family, rank)]
-    coeffs, pairings, *tables = generate_positive_roots(s.gram)
-    assert [sum(c) for c in coeffs] == sorted(s.heights)
-    assert coeffs == list(s.root_coeffs)
+    parents, steps, pairings, *tables = generate_positive_roots(s.gram)
+    assert [sum(c) for c in root_coeffs(s)] == sorted(s.heights)
+    assert (tuple(parents), tuple(steps)) == (s.parents, s.steps)
     assert [tuple(p.get(j, 0) for j in range(rank)) for p in pairings] == dense_pairings(s)
     assert tables == [list(s.norms), list(s.heights), list(s.rho_pairings)]
 
@@ -279,12 +295,12 @@ def test_json_obj(systems):
 
 def test_comark_data_are_read_off_the_node_norms(systems):
     assert RootSystem._fields == (
-        "ident", "marks", "coxeter_number", "simply_laced", "gram", "root_coeffs",
+        "ident", "marks", "coxeter_number", "simply_laced", "gram", "parents", "steps",
         "pairing_columns", "norms", "heights", "rho_pairings", "weyl",
     )
     for s in systems.values():
         # the closure lists the highest root last
-        assert s.root_coeffs[-1] == bytes(s.marks[1:])
+        assert root_coeffs(s)[-1] == bytes(s.marks[1:])
         assert s.node_norms == tuple(2 * inner(a, a) for a in (s.alpha0, *s.simple_roots))
         assert s.comark_sum == sum(s.comarks)
 
@@ -305,10 +321,10 @@ def test_built_systems_store_no_fraction(systems):
 
 def test_closure_rejects_reducible_base():
     a1_a1 = ((2, 0), (0, 2))
-    coeffs, pairings, *_ = generate_positive_roots(a1_a1)
-    assert (coeffs, pairings) == ([b"\x01\x00", b"\x00\x01"], [{0: 2}, {1: 2}])
+    parents, steps, pairings, *_ = generate_positive_roots(a1_a1)
+    assert (parents, steps, pairings) == ([-1, -1], [0, 1], [{0: 2}, {1: 2}])
     with pytest.raises(ValueError, match="not irreducible"):
-        highest_root(coeffs)
+        highest_root(parents, steps)
 
 
 @pytest.mark.parametrize(
@@ -320,51 +336,136 @@ def test_integer_tables_match_ambient_coordinates(systems, family, rank):
     s = systems[(family, rank)]
     simple = s.simple_roots
     assert s.gram == tuple(tuple(2 * inner(u, v) for v in simple) for u in simple)
-    assert len(s.root_coeffs) == len(s.positive_roots)
+    coeffs = root_coeffs(s)
+    assert len(coeffs) == len(s.positive_roots)
     pairings = dense_pairings(s)
-    for k, (c, a) in enumerate(zip(s.root_coeffs, s.positive_roots)):
+    for k, (c, a) in enumerate(zip(coeffs, s.positive_roots)):
         assert a == tuple(sum(x * u[d] for x, u in zip(c, simple)) for d in range(len(a)))
         assert pairings[k] == tuple(2 * inner(u, a) for u in simple)
         assert s.norms[k] == 2 * inner(a, a)
         assert s.heights[k] == inner(a, s.rho_check) == sum(c)
         assert s.rho_pairings[k] == 4 * inner(a, s.rho)
-    assert s.marks[1:] == tuple(s.root_coeffs[-1])
-    assert all(type(c) is bytes and len(c) == rank for c in s.root_coeffs)
+    assert s.marks[1:] == tuple(coeffs[-1])
+    assert all(type(c) is bytes and len(c) == rank for c in coeffs)
+
+
+def regrown(system, parents=None, steps=None, norms=None):
+    """The system on a doctored tree or norm table, its Weyl vectors recomputed from them."""
+    parents = system.parents if parents is None else parents
+    steps = system.steps if steps is None else steps
+    norms = system.norms if norms is None else norms
+    weyl = weyl_vectors(parents, steps, norms)
+    return system._replace(parents=tuple(parents), steps=tuple(steps), norms=norms, weyl=weyl)
+
+
+def doctored_systems(systems):
+    """One doctored D5 per tie of _validate, (message, system), each breaking that tie alone.
+
+    - count: the last root cut off the tree;
+    - heights fill [1, h-1]: the top height lowered and a simple root's
+      raised by one, so the sum stays;
+    - heights sum: a root of height 2 moved to height 3, which leaves the
+      levels filled;
+    - heights sum, on the tree: a root of height 4 hung from a simple root,
+      which shortens its path;
+    - Weyl vectors: one root's step changed, which keeps every path length;
+    - rho_check: one root's norm changed to the other length.
+    """
+    s = systems[("D", 5)]
+    r, heights = s.rank, list(s.heights)
+    cut = s._replace(parents=s.parents[:-1], steps=s.steps[:-1])
+    level = heights[:]
+    level[-1], level[0] = level[-1] - 1, level[0] + 1
+    raised = heights[:]
+    raised[heights.index(2)] = 3
+    assert heights.count(2) > 1 and heights.count(3) > 0
+    hung = list(s.parents)
+    hung[heights.index(4)] = 0
+    moved = list(s.steps)
+    k = heights.index(3)
+    moved[k] = (moved[k] + 1) % r
+    c4 = systems[("C", 4)]
+    norms = list(c4.norms)
+    norms[-1] = next(n for n in norms if n != norms[-1])
+    heights_tie = "root heights must fill \\[1, h-1\\] and sum to 2 rho"
+    return [
+        ("rank \\* h / 2", cut),
+        (heights_tie, s._replace(heights=tuple(level))),
+        (heights_tie, s._replace(heights=tuple(raised))),
+        (heights_tie, regrown(s, parents=hung)),
+        ("rho and rho_check disagree", regrown(s, steps=moved)),
+        ("rho and rho_check disagree", regrown(c4, norms=tuple(norms))),
+    ]
 
 
 def test_validate_raises_on_doctored_system(systems):
+    _validate(systems[("D", 5)])
+    for message, doctored in doctored_systems(systems):
+        with pytest.raises(ClosureError, match=message):
+            _validate(doctored)
+
+
+def test_each_heights_tie_fires_on_its_own(systems):
+    """The fill and the sum each fail alone, the other holding, and the Weyl ties hold."""
     s = systems[("D", 5)]
-    doctored = s._replace(root_coeffs=s.root_coeffs[:-1])
-    with pytest.raises(ClosureError, match="rank \\* h / 2"):
-        _validate(doctored)
-    _validate(s)
+    h = s.coxeter_number
+    (u, d), _ = s.weyl
+    _, (_, level), (_, raised), (_, hung), *_ = doctored_systems(systems)
+    for doctored, fills, sums in ((level, False, True), (raised, True, False)):
+        assert (set(doctored.heights) == set(range(1, h))) is fills
+        assert (d * sum(doctored.heights) == 2 * sum(u)) is sums
+        assert doctored.weyl == s.weyl
+    # On the tree the sum fails though the heights table is the closure's.
+    assert hung.heights == s.heights
+    assert 2 * sum(hung.weyl[0][0]) != hung.weyl[0][1] * sum(s.heights)
 
 
-def test_validation_survives_optimized_mode():
+def test_validation_survives_optimized_mode(systems):
+    """Every system of doctored_systems still raises under python -O."""
+    doctored = [system for _, system in doctored_systems(systems)]
     code = (
-        "from gammaroots.rootsys import ClosureError, RootSystemId, _validate, build\n"
-        "s = build(RootSystemId('A', 3))\n"
-        "try:\n"
-        "    _validate(s._replace(root_coeffs=s.root_coeffs[1:]))\n"
-        "except ClosureError:\n"
-        "    print('raised')\n"
+        "import pickle, sys\n"
+        "from gammaroots.rootsys import ClosureError, _validate\n"
+        "for s in pickle.load(sys.stdin.buffer):\n"
+        "    try:\n"
+        "        _validate(s)\n"
+        "    except ClosureError:\n"
+        "        print('raised')\n"
+        "    else:\n"
+        "        print('passed')\n"
     )
     src = os.path.dirname(os.path.dirname(gammaroots.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run(
-        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-O", "-c", code], env=env, input=pickle.dumps(doctored),
+        capture_output=True, check=True,
     )
-    assert out.stdout.strip() == "raised"
+    assert out.stdout.decode().split() == ["raised"] * len(doctored)
 
 
 def test_validate_checks_the_weyl_vectors_against_the_gram_matrix(systems):
+    """A wrong step moves 2 rho and a wrong norm weight moves L rho_check; both raise.
+
+    Neither changes a path length, so the count and heights ties hold.
+    """
     s = systems[("C", 4)]
+    last = len(s.steps) - 1
+    moved = list(s.steps)
+    moved[last] = (moved[last] + 1) % s.rank
+    doctored = regrown(s, steps=moved)
+    assert doctored.weyl[0] != s.weyl[0] and doctored.heights == s.heights
+    with pytest.raises(ClosureError, match="rho and rho_check disagree with alpha_"):
+        _validate(doctored)
+    norms = list(s.norms)
+    norms[0] = next(n for n in norms if n != norms[0])
+    doctored = regrown(s, norms=tuple(norms))
+    assert doctored.weyl[0] == s.weyl[0] and doctored.weyl[1] != s.weyl[1]
+    with pytest.raises(ClosureError, match="rho and rho_check disagree"):
+        _validate(doctored)
     (two_rho, two), (lcm_rho_check, lcm) = s.weyl
     off = (lcm_rho_check[0] + 1,) + lcm_rho_check[1:]
     with pytest.raises(ClosureError, match="rho and rho_check disagree with alpha_1"):
         _validate(s._replace(weyl=((two_rho, two), (off, lcm))))
-    with pytest.raises(ClosureError, match="rho and rho_check disagree"):
-        _validate(s._replace(weyl=((two_rho, two + 2), (lcm_rho_check, lcm))))
 
 
 def test_verify_never_computes_ambient_coordinates(monkeypatch, capsys):
@@ -375,7 +476,7 @@ def test_verify_never_computes_ambient_coordinates(monkeypatch, capsys):
         raise RuntimeError("ambient coordinates computed")
 
     with monkeypatch.context() as patch:
-        patch.setattr(rootsys, "_ambient", refuse)
+        patch.setattr(rootsys, "_planche", refuse)
         with pytest.raises(RuntimeError, match="ambient coordinates"):
             fresh[0].rho
         ctx = PrecisionContext.for_digits(DEFAULT_DIGITS)
@@ -384,7 +485,7 @@ def test_verify_never_computes_ambient_coordinates(monkeypatch, capsys):
     e8 = fresh[ids.index(("E", 8))]
     assert cli.main(["table", "E", "8", "--format", "json"]) == 0
     assert capsys.readouterr().out == cli.dumps_canonical(e8.to_json_obj()) + "\n"
-    assert len(e8.to_json_obj()["positive_roots"]) == len(e8.root_coeffs) == 120
+    assert len(e8.to_json_obj()["positive_roots"]) == len(e8.parents) == 120
 
 
 def dense_combine(coeffs, scaled):
@@ -411,7 +512,7 @@ def reference_ambient(system):
     (two_rho, two), (lcm_rho_check, lcm) = system.weyl
     return {
         "simple_roots": tuple(tuple(Q(x, scale) for x in row) for row in scaled),
-        "positive_roots": tuple(over(c, 1) for c in system.root_coeffs),
+        "positive_roots": tuple(over(c, 1) for c in root_coeffs(system)),
         "alpha0": over([-m for m in system.marks[1:]], 1),
         "rho": over(two_rho, two),
         "rho_check": over(lcm_rho_check, lcm),

@@ -154,7 +154,7 @@ def test_root_system_repr_names_no_table(systems):
     assert text.startswith("RootSystem(ident=RootSystemId(family='B', rank=12), marks=(1, ")
     assert text.endswith(", simply_laced=False)")
     tables = RootSystem._fields[RootSystem._fields.index("gram"):]
-    assert tables == ("gram", "root_coeffs", "pairing_columns", "norms", "heights",
+    assert tables == ("gram", "parents", "steps", "pairing_columns", "norms", "heights",
                       "rho_pairings", "weyl")
     for name in tables:
         assert f"{name}=" not in text
