@@ -263,13 +263,14 @@ def _verdict(
     if mode == "numeric" or (mode == "both" and status in (PROVED_EXACT, NOT_IN_LATTICE)):
         import mpmath
 
-        from .numeric import PrecisionContext, eval_word_ln
+        from .numeric import RESIDUAL_BITS, PrecisionContext, eval_word_ln
 
         ctx = ctx or PrecisionContext.for_digits()
-        # |lhs - rhs| rounded to nearest at mpmath's default 53 bits, as the CLI runs,
-        # whatever the caller's workprec; mpf_abs with no precision does not round.
+        # |lhs - rhs| rounded to nearest at RESIDUAL_BITS, whatever the caller's
+        # workprec; mpf_abs with no precision does not round.
         ends = eval_word_ln(lhs, ctx)._mpf_, const_ln(rhs, ctx.decimal_digits)._mpf_
-        residual = mpmath.mp.make_mpf(mpmath.libmp.mpf_abs(mpmath.libmp.mpf_sub(*ends, 53, "n")))
+        difference = mpmath.libmp.mpf_sub(*ends, RESIDUAL_BITS, "n")
+        residual = mpmath.mp.make_mpf(mpmath.libmp.mpf_abs(difference))
         residual_str = mpmath.nstr(residual, 6)
         numeric_ok = residual <= ctx.residual_bound
         if status in (None, NOT_IN_LATTICE):

@@ -152,14 +152,15 @@ class PrecisionContext(
         return _residual_bound(self.decimal_digits)
 
 
+# verify forms its residuals and their bound at mpmath's default 53 bits,
+# whatever precision the caller has set, so a caller's workprec moves no report.
+RESIDUAL_BITS = 53
+
+
 @lru_cache(maxsize=None)
 def _residual_bound(decimal_digits: int) -> mpmath.mpf:
-    """10^(10 - decimal_digits) at 53 bits, once per digit count.
-
-    verify forms its residuals at mpmath's default 53 bits, whatever
-    precision the caller has set, and so does this bound.
-    """
-    with mpmath.workprec(53):
+    """10^(10 - decimal_digits) at RESIDUAL_BITS, once per digit count."""
+    with mpmath.workprec(RESIDUAL_BITS):
         return mpmath.mpf(10) ** (10 - decimal_digits)
 
 

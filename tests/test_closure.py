@@ -1,6 +1,6 @@
 """The sparse candidate closure and its first-parent tree against reference closures.
 
-reference_positive_roots is the tuple-slicing closure the sparse one
+reference_closure is the tuple-slicing closure the sparse one
 replaced; byte_closure and reference_weyl_vectors are the closure's
 coefficient bytes and the column-sum Weyl vectors the tree replaced.
 """
@@ -23,15 +23,15 @@ from gammaroots.rootsys import (
 from test_rootsys import root_coeffs
 
 
-def reference_positive_roots(gram):
+def reference_closure(gram, max_height=1000):
     """The closure on coefficient tuples: every candidate and every string step is a new tuple.
 
     Same rule as generate_positive_roots: beta + alpha_i is a root iff
     (p - 1) G_ii >= 2 P_i, with p the length of the alpha_i-string below
     beta and P = (c G) the pairings, which a step updates by row i of G.
-    A new root with a coefficient past 14, which the packed keys of
-    generate_positive_roots cannot hold, raises before its norm is read;
-    that also ends the closure on any input, at height 14r at most.
+    Yields (coefficients, pairings) for each simple root and then for each
+    vector the rule accepts, as it is found; a vector of length zero is
+    yielded, then raises.
     """
     r = len(gram)
     for i, row in enumerate(gram):
@@ -41,8 +41,12 @@ def reference_positive_roots(gram):
         if any(2 * g % gram[j][j] for j, g in enumerate(row)):
             raise ClosureError(f"non-integral Cartan integer at alpha_{i + 1}")
     known = {tuple(int(k == i) for k in range(r)): tuple(gram[i]) for i in range(r)}
+    yield from known.items()
     current = list(known)
+    height = 1
     while current:
+        if height >= max_height:
+            raise ClosureError(f"no closure below height {max_height}")
         found = []
         for beta in current:
             pairs = known[beta]
@@ -55,31 +59,26 @@ def reference_positive_roots(gram):
                 while head + (c - p - 1,) + tail in known:
                     p += 1
                 if (p - 1) * gram[i][i] >= 2 * pairs[i]:
-                    if c == 14:
-                        raise ClosureError(f"closure reached coefficient 15 at alpha_{i + 1}")
                     cand_pairs = tuple(map(sum, zip(pairs, gram[i])))
+                    yield cand, cand_pairs
                     if sum(map(mul, cand, cand_pairs)) <= 0:
                         raise ClosureError("closure reached a vector of length zero")
                     known[cand] = cand_pairs
                     found.append(cand)
         current = found
-    return known
+        height += 1
 
 
-def path_coefficients(parents, steps, k, rank):
-    """Root k's coefficients, counting the steps on its path up the first-parent tree."""
-    c = [0] * rank
-    while k >= 0:
-        c[steps[k]] += 1
-        k = parents[k]
-    return tuple(c)
+def reference_positive_roots(gram, max_height=1000):
+    """The reference closure as a dict, coefficient tuple to pairing tuple, in insertion order."""
+    return dict(reference_closure(gram, max_height))
 
 
 def densified(gram):
     """generate_positive_roots(gram) as reference_positive_roots lists it.
 
     Each root becomes (coefficient tuple, full pairing tuple), in the
-    closure's order, its coefficients read by following parent and step.
+    closure's order, its coefficients read off the tree by root_coeffs.
     The tree must be two lists of ints with every parent before its child
     and each simple root first, parent -1 and its own index as step; the sparse
     pairings must hold no zero, and the carried norms, heights and rho
@@ -91,11 +90,9 @@ def densified(gram):
     assert (parents[:r], steps[:r]) == ([-1] * r, list(range(r)))
     assert all(0 <= parent < k for k, parent in enumerate(parents) if k >= r)
     rows = []
-    for k, pairs in enumerate(pairings):
+    for c, pairs in zip(root_coeffs(parents, steps, r), pairings, strict=True):
         assert all(pairs.values())
-        c = path_coefficients(parents, steps, k, r)
-        rows.append((c, tuple(pairs.get(j, 0) for j in range(r))))
-    assert len(parents) == len(steps) == len(rows)
+        rows.append((tuple(c), tuple(pairs.get(j, 0) for j in range(r))))
     assert norms == [sum(map(mul, c, p)) for c, p in rows]
     assert heights == [sum(c) for c, _ in rows]
     assert rho_pairings == [sum(x * gram[k][k] for k, x in enumerate(c)) for c, _ in rows]
@@ -144,12 +141,19 @@ def matches_the_reference(gram):
     """Same roots and order as the reference, or the same ClosureError: (error kind, root count).
 
     The kind is None and the count that of the roots on success; on an
-    error the count is None.
-    The tree is followed for every root's coefficients.  Each error of the
-    reference opens the message of the closure's error.
+    error the count is None.  Each error of the reference opens the
+    message of the closure's error, and a reference root with a coefficient
+    past 14, which the 4-bit keys cannot hold, stands for the closure's
+    coefficient-15 error.
     """
+    expected = []
     try:
-        expected = list(reference_positive_roots(gram).items())
+        for c, pairs in reference_closure(gram):
+            # The 4-bit keys hold coefficients up to 14; an infinite closure
+            # reaches 15 below height 14r + 2, so this also ends it.
+            if max(c) > 14:
+                raise ClosureError("closure reached coefficient 15")
+            expected.append((c, pairs))
     except ClosureError as error:
         with pytest.raises(ClosureError) as raised:
             generate_positive_roots(gram)
@@ -205,9 +209,9 @@ def test_closure_climbs_to_the_largest_coefficient_a_key_holds():
 
 
 def test_coefficient_past_the_4_bit_keys_raises():
+    """The closure refuses a finite closure, one the keys cannot hold."""
     gram = climbing_matrix(15)
-    with pytest.raises(ClosureError, match="coefficient 15 at alpha_2"):
-        reference_positive_roots(gram)
+    assert (1, 15) in reference_positive_roots(gram)
     with pytest.raises(ClosureError, match="coefficient 15 at alpha_2"):
         generate_positive_roots(gram)
     with pytest.raises(ClosureError, match="coefficient 15"):
@@ -281,7 +285,7 @@ def test_tree_matches_the_byte_closure(systems):
     chosen = [*systems.values(), *(build(RootSystemId(f, 64)) for f in "ABCD")]
     for system in [*chosen, build(RootSystemId("B", 200))]:
         coeffs, norms = byte_closure(system.gram)
-        assert root_coeffs(system) == coeffs, system.ident
+        assert root_coeffs(system.parents, system.steps, system.rank) == coeffs, system.ident
         assert list(system.norms) == norms, system.ident
         assert system.marks == (1, *coeffs[-1]), system.ident
         assert highest_root(system.parents, system.steps) == tuple(coeffs[-1])

@@ -227,7 +227,7 @@ def pairing_rows(system):
     """Every root's pairings 2(alpha_j|a) = (c G)_j, zero or not, from its coefficients."""
     return [
         tuple(sum(x * g for x, g in zip(c, column)) for column in zip(*system.gram))
-        for c in root_coeffs(system)
+        for c in root_coeffs(system.parents, system.steps, system.rank)
     ]
 
 

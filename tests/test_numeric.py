@@ -8,6 +8,7 @@ recurrence, Stirling coefficients and ln primes rebuilt on every call) is
 kept below as a reference, and the cached route must equal it bit for bit.
 """
 
+import contextlib
 import math
 import random
 from fractions import Fraction as Q
@@ -375,19 +376,22 @@ def _assert_numeric_route_bit_exact(sides, ctx, prec=None):
 
     Each word is also paired with the next pair's right side, which gives
     large residuals and failing flags where the pair differs.  The
-    references run at mpmath's default precision; the route runs under
-    workprec(prec) when prec is given.
+    references run at mpmath's default precision; the route, eval_word_ln,
+    const_ln and the verdict, runs under workprec(prec) when prec is given.
     """
+    route = mpmath.workprec(prec) if prec else contextlib.nullcontext()
     for word, rhs in sides:
         expected = reference_eval_word_ln(word, ctx, cached_reference_ln_gamma)
-        assert eval_word_ln(word, ctx)._mpf_ == expected._mpf_, word
+        with route:
+            assert eval_word_ln(word, ctx)._mpf_ == expected._mpf_, word
         expected = reference_const_ln(rhs, ctx.decimal_digits)
-        assert const_ln(rhs, ctx.decimal_digits)._mpf_ == expected._mpf_, rhs
+        with route:
+            assert const_ln(rhs, ctx.decimal_digits)._mpf_ == expected._mpf_, rhs
     wrong_sides = [rhs for _, rhs in sides[1:] + sides[:1]]
     for (word, rhs), wrong in zip(sides, wrong_sides):
         for side in (rhs, wrong):
             expected = reference_residual(word, side, ctx)
-            with mpmath.workprec(prec or mpmath.mp.prec):
+            with route:
                 status, _, residual = fateev._verdict(word, side, "numeric", ctx)
             assert (residual, status == fateev.NUMERIC_ONLY) == expected
 

@@ -26,15 +26,15 @@ from gammaroots.rootsys import (
 )
 
 
-def root_coeffs(system):
+def root_coeffs(parents, steps, rank):
     """Each root's coefficients as bytes (byte k holds c_(k+1)), from the first-parent tree.
 
     One forward pass over the level order: a root is its parent plus one at
     its step, and a simple root, parent -1, is one at its own index.
     """
     coeffs = []
-    for parent, i in zip(system.parents, system.steps):
-        c = bytearray(coeffs[parent] if parent >= 0 else system.rank)
+    for parent, i in zip(parents, steps):
+        c = bytearray(coeffs[parent] if parent >= 0 else rank)
         c[i] += 1
         coeffs.append(bytes(c))
     return coeffs
@@ -270,7 +270,7 @@ def dense_pairings(system):
 def test_closure_carries_pairings_level_by_level(systems, family, rank):
     s = systems[(family, rank)]
     parents, steps, pairings, *tables = generate_positive_roots(s.gram)
-    assert [sum(c) for c in root_coeffs(s)] == sorted(s.heights)
+    assert [sum(c) for c in root_coeffs(parents, steps, rank)] == sorted(s.heights)
     assert (tuple(parents), tuple(steps)) == (s.parents, s.steps)
     assert [tuple(p.get(j, 0) for j in range(rank)) for p in pairings] == dense_pairings(s)
     assert tables == [list(s.norms), list(s.heights), list(s.rho_pairings)]
@@ -300,7 +300,7 @@ def test_comark_data_are_read_off_the_node_norms(systems):
     )
     for s in systems.values():
         # the closure lists the highest root last
-        assert root_coeffs(s)[-1] == bytes(s.marks[1:])
+        assert root_coeffs(s.parents, s.steps, s.rank)[-1] == bytes(s.marks[1:])
         assert s.node_norms == tuple(2 * inner(a, a) for a in (s.alpha0, *s.simple_roots))
         assert s.comark_sum == sum(s.comarks)
 
@@ -336,7 +336,7 @@ def test_integer_tables_match_ambient_coordinates(systems, family, rank):
     s = systems[(family, rank)]
     simple = s.simple_roots
     assert s.gram == tuple(tuple(2 * inner(u, v) for v in simple) for u in simple)
-    coeffs = root_coeffs(s)
+    coeffs = root_coeffs(s.parents, s.steps, s.rank)
     assert len(coeffs) == len(s.positive_roots)
     pairings = dense_pairings(s)
     for k, (c, a) in enumerate(zip(coeffs, s.positive_roots)):
@@ -466,6 +466,9 @@ def test_validate_checks_the_weyl_vectors_against_the_gram_matrix(systems):
     off = (lcm_rho_check[0] + 1,) + lcm_rho_check[1:]
     with pytest.raises(ClosureError, match="rho and rho_check disagree with alpha_1"):
         _validate(s._replace(weyl=((two_rho, two), (off, lcm))))
+    # A wrong 2 rho denominator now fails the heights sum, which reads it first.
+    with pytest.raises(ClosureError, match="root heights must fill \\[1, h-1\\] and sum to 2 rho"):
+        _validate(s._replace(weyl=((two_rho, two + 2), (lcm_rho_check, lcm))))
 
 
 def test_verify_never_computes_ambient_coordinates(monkeypatch, capsys):
@@ -510,9 +513,10 @@ def reference_ambient(system):
         return tuple(Q(x, den * scale) for x in dense_combine(nums, scaled))
 
     (two_rho, two), (lcm_rho_check, lcm) = system.weyl
+    coeffs = root_coeffs(system.parents, system.steps, system.rank)
     return {
         "simple_roots": tuple(tuple(Q(x, scale) for x in row) for row in scaled),
-        "positive_roots": tuple(over(c, 1) for c in root_coeffs(system)),
+        "positive_roots": tuple(over(c, 1) for c in coeffs),
         "alpha0": over([-m for m in system.marks[1:]], 1),
         "rho": over(two_rho, two),
         "rho_check": over(lcm_rho_check, lcm),
