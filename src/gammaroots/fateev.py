@@ -90,23 +90,37 @@ def k_root(system: RootSystem, variant: str) -> VariantTable:
     gcd(D, every x), zero exponents included, which every word of the
     variant lives on; each position's argument x on the 1/N grid, checked
     once to lie in (0, 1); per simple root its divisor d, None where d is
-    the root's norm; and per simple root its right side, node_i k^(-1/h),
-    one object per distinct node value.  k^(-1/h) is prod_p p^(-S_p / W),
-    with integer sums S_p = sum_j v_p(node_j) w_j and W = sum_j w_j, the
-    weights w_j being n_j (F, Fprime; W = h) or 4n_j' = g_j n_j (Fsecond;
-    W = 4h'), with g_j = 2(alpha_j|alpha_j) the node norms.
+    the root's norm and the system has two root lengths; and per simple
+    root its right side, node_i k^(-1/h), one object per distinct node
+    value.  k^(-1/h) is prod_p p^(-S_p / W), with integer sums S_p = sum_j
+    v_p(node_j) w_j and W = sum_j w_j, the weights w_j being n_j (F,
+    Fprime; W = h) or 4n_j' = g_j n_j (Fsecond; W = 4h'), with g_j =
+    2(alpha_j|alpha_j) the node norms.
 
     Every variant's node is node_j = n_j (g_j / 4)^e, e = 0, 1, 2 for F,
     Fprime, Fsecond: the mark, comark or double comark.  It is read as the
     integer pair (n_j g_j^e, 4^e), so 4h' is a sum of integer products and
     no node becomes a Fraction.
+
+    The table is canonical: two variants' tables are equal exactly when
+    every word and every right side of the two are equal.  A case reads
+    nothing of its variant but the table, so equal tables give equal words
+    and right sides.  On a simply laced system every root has 2(a|a) = 4 in
+    the planche realization, so 4(a|rho) = 4 ht(a) and g_j = 4: the three
+    variants share the arguments ht(a)/h, the divisor 4, written as the
+    common norm for Fprime, and the nodes n_j 4^e / 4^e = n_j, whose sums
+    S_p / W are the same fractions; their tables are one.  With two root
+    lengths only Fprime and Fsecond are admissible, and their words lie on
+    different grids: Fprime's is h, as ht(alpha_k) = 1, and Fsecond's is
+    2h - 2 for B_n, h + 2 for C_n, 18 for F4 (h = 12) and 12 for G2 (h =
+    6).  Fprime's None divisors tell the two tables apart as well.
     """
     _check_admissible(system, variant)
     numerators, denominator, weights = system.rho_pairings, 4 * system.coxeter_number, system.marks
     divisors = (4,) * system.rank
     if variant == F_PRIME:
         numerators, denominator = system.heights, system.coxeter_number
-        divisors = (None,) * system.rank
+        divisors = (system.norms[0] if system.simply_laced else None,) * system.rank
     elif variant == F_SECOND:
         weights = tuple(map(mul, system.node_norms, system.marks))
         denominator, divisors = sum(weights), system.node_norms[1:]
@@ -326,11 +340,15 @@ def verify_all(
 ) -> VerificationSummary:
     """Every admissible (system, index, variant) combination, deterministically.
 
-    One verdicts memo serves the whole run (see verify): each distinct
-    (lhs, rhs) pair is proved and evaluated once, and the cases that repeat
-    it, such as the variants that coincide on simply laced systems and the
-    roots a diagram symmetry exchanges, take its verdict.  k_root is built
-    once per (system, variant) and passed to each case's own verify call.
+    k_root is built once per (system, variant), and the variants of a
+    system are grouped by table, which is canonical (see k_root): each
+    table's first variant has one verify call per index, and each other
+    variant of that table, such as Fprime and Fsecond beside F on a simply
+    laced system, takes that report with its variant replaced, sharing its
+    lhs, rhs and certificate objects.  One verdicts memo serves the whole
+    run (see verify): each distinct (lhs, rhs) pair is proved and evaluated
+    once, and the cases that repeat it across tables, such as the roots a
+    diagram symmetry exchanges, take its verdict.
     variants None means all three; an empty sequence selects none.  Raises
     ValueError on a variant listed twice, which would report its cases
     twice, and when no system admits any of the variants.
@@ -343,12 +361,14 @@ def verify_all(
     verdicts: dict = {}
     reports = []
     for system in systems:
+        tables: dict = {}
         for variant in chosen:
-            if not admissible(system, variant):
-                continue
-            table = k_root(system, variant)
+            if admissible(system, variant):
+                tables.setdefault(k_root(system, variant), []).append(variant)
+        for table, (first, *twins) in tables.items():
             for index in range(1, system.rank + 1):
-                reports.append(verify(system, index, variant, mode, ctx, table, verdicts))
+                report = verify(system, index, first, mode, ctx, table, verdicts)
+                reports += [report, *(report._replace(variant=v) for v in twins)]
     if not reports:
         raise ValueError("nothing to verify: no system admits any of the variants")
     reports.sort(key=lambda r: (r.ident, r.index, VARIANTS.index(r.variant)))

@@ -22,8 +22,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 Column = Sequence[int]
 Row = Dict[int, int]
 
-_ZERO = Q(0)
-
 
 def _check_columns(columns: Sequence[Column]) -> int:
     if not columns:
@@ -109,7 +107,7 @@ def nullspace(columns: Sequence[Column]) -> List[List[Q]]:
     for f in range(ncols):
         if f in pivot_set:
             continue
-        vec = [_ZERO] * ncols
+        vec = [Q(0)] * ncols
         vec[f] = Q(1)
         for row, c in zip(rows, pivots):
             vec[c] = Q(-row.get(f, 0), row[c])
@@ -134,7 +132,6 @@ class PreparedSolver:
         for i, row in enumerate(rows):
             row[ncols + i] = 1
         pivots = _eliminate(rows, ncols)
-        self.ncols = ncols
         self.nrows = nrows
         self.pivots = tuple(pivots)
         self.rank = len(pivots)

@@ -4,10 +4,11 @@ Every positive root is an integer coefficient vector c in the basis of
 simple roots alpha_1..alpha_r.  The Gram matrix G_ij = 2(alpha_i|alpha_j) is
 integral for all of A-G in the Bourbaki planche coordinates used here, and
 the root-string closure runs on G alone: each root carries its nonzero
-pairings 2(alpha_j|a) = (c G)_j, and a step by alpha_i adds row i of G, 1 to
-the height and G_ii to 4(a|rho).  The closure tries only the steps that find
-a root, so a system of rank r costs about r^2 steps, each as dear as its
-nonzero pairings.  It keeps no coefficient vector: each root records the
+pairings 2(alpha_j|a) = (c G)_j until it is read, when they move into the
+pairing columns, and a step by alpha_i adds row i of G, 1 to the height and
+G_ii to 4(a|rho).  The closure tries only the steps that find a root, so a
+system of rank r costs about r^2 steps, each as dear as its nonzero
+pairings.  It keeps no coefficient vector: each root records the
 root it was first reached from and the step, so the roots form a tree whose
 paths spell the coefficients.  The norms 2(a|a) = c . (c G) are carried
 step by step, the marks are the steps on the highest root's path, and the
@@ -103,13 +104,16 @@ def generate_positive_roots(gram: Sequence[Sequence[int]]) -> tuple:
     read off row i, which is c' G c'^T exactly whether or not G is
     symmetric.
 
-    Returns the parallel tables (parents, steps, pairings, norms, heights,
-    rho_pairings) in level order, as lists.  parents and steps are the
-    first-parent tree: root k was first reached from root parents[k] by
-    alpha_(steps[k] + 1), so its coefficients are its parent's plus one at
-    that step.  A simple root has parent -1 and its own index as step, and
-    every parent comes before its children.  The nonzero pairings of a root
-    are a dict {j: (c G)_j}.
+    Returns (parents, steps, columns, norms, heights, rho_pairings): the
+    parallel tables in level order, as lists, and the pairing columns.
+    parents and steps are the first-parent tree: root k was first reached
+    from root parents[k] by alpha_(steps[k] + 1), so its coefficients are
+    its parent's plus one at that step.  A simple root has parent -1 and its
+    own index as step, and every parent comes before its children.  The
+    nonzero pairings of a root are a dict {j: (c G)_j} until the root is
+    read; then each pairing (c G)_j goes to column j, which is a pair of
+    lists (positions, pairings), and the dict is dropped.  Roots are read
+    in table order, so each column lists its positions in table order.
 
     The closure keys each root on one int, 4 bits per coefficient: a step
     by alpha_i adds 1 << 4i.  A coefficient of 15 raises, so no root's key
@@ -134,15 +138,19 @@ def generate_positive_roots(gram: Sequence[Sequence[int]]) -> tuple:
     rows = [[(j, g) for j, g in enumerate(row) if g] for row in gram]
     # packed key -> table position; the tables below follow the positions
     position = {1 << 4 * i: i for i in range(r)}
-    # records[k]: i -> p for each alpha_i-string that goes on past root k, p roots below it.
-    # Every step to root k comes from the level below, so k's record is whole, and
-    # dropped, when k is read.
-    keys, pairings, records = list(position), [dict(row) for row in rows], {}
+    # records[k]: i -> p for each alpha_i-string that goes on past root k, p roots below it;
+    # pairings[k]: root k's nonzero pairings {j: (c G)_j}.  Both are dropped when k is
+    # read; every step to root k comes from the level below, so k's record is whole then.
+    keys, pairings, records = list(position), dict(enumerate(map(dict, rows))), {}
+    columns = [([], []) for _ in rows]
     parents, steps = [-1] * r, list(range(r))
     norms, heights, rho_pairings = diag[:], [1] * r, diag[:]
     # keys grows as the loop reads it: each root is read after every root of lower height.
     for k, beta in enumerate(keys):
-        pairs, ups = pairings[k], records.pop(k, {})
+        pairs, ups = pairings.pop(k), records.pop(k, {})
+        for j, value in pairs.items():
+            columns[j][0].append(k)
+            columns[j][1].append(value)
         for i in sorted({*ups, *[j for j, p in pairs.items() if p < 0]}):
             cand, p = beta + (1 << 4 * i), ups.get(i, 0)
             if cand not in position:
@@ -163,17 +171,17 @@ def generate_positive_roots(gram: Sequence[Sequence[int]]) -> tuple:
                         "closure reached a vector of length zero; input is not a finite root base"
                     )
                 position[cand] = len(keys)
+                pairings[len(keys)] = new
                 keys.append(cand)
                 parents.append(k)
                 steps.append(i)
-                pairings.append(new)
                 norms.append(norm)
                 heights.append(heights[k] + 1)
                 rho_pairings.append(rho_pairings[k] + diag[i])
             # The rule at cand: (p + 1 - 1) G_ii >= 2 P_i(cand) = 2 (P_i + G_ii).
             if (p - 2) * diag[i] >= 2 * pairs.get(i, 0):
                 records.setdefault(position[cand], {})[i] = p + 1
-    return parents, steps, pairings, norms, heights, rho_pairings
+    return parents, steps, columns, norms, heights, rho_pairings
 
 
 def highest_root(parents: Sequence[int], steps: Sequence[int]) -> Tuple[int, ...]:
@@ -246,8 +254,9 @@ class RootSystem(namedtuple("RootSystem", (
     sum_k c_k G_kk.  The pairings 2(alpha_j|a) = (c G)_j are kept by column
     and only where they are not zero: pairing_columns[j - 1] is (positions,
     pairings), the table positions of the roots a that pair with alpha_j, in
-    table order, and those pairings.  gram is G_ij = 2(alpha_i|alpha_j), and
-    weyl is what weyl_vectors returns.
+    table order, and those pairings, as the closure collects them; alpha_j's
+    own column holds G_jj, so none is empty.  gram is G_ij =
+    2(alpha_i|alpha_j), and weyl is what weyl_vectors returns.
 
     The ambient Fraction tables simple_roots, positive_roots (in table
     order), alpha0, rho and rho_check are properties, computed from those
@@ -340,12 +349,7 @@ def build(ident: RootSystemId) -> RootSystem:
         raise ClosureError(f"{ident}: 2(alpha_i|alpha_j) is not integral")
     gram = tuple(tuple(g // (scale * scale) for g in row) for row in scaled_gram)
 
-    parents, steps, pairings, norms, heights, rho_pairings = generate_positive_roots(gram)
-    # (position, pairing) per column; alpha_j's own column holds G_jj, so none is empty
-    columns: List[List[Tuple[int, int]]] = [[] for _ in gram]
-    for k, pairs in enumerate(pairings):
-        for j, p in pairs.items():
-            columns[j].append((k, p))
+    parents, steps, columns, norms, heights, rho_pairings = generate_positive_roots(gram)
     marks = (1, *highest_root(parents, steps))
     system = RootSystem(
         ident=ident,
@@ -355,7 +359,7 @@ def build(ident: RootSystemId) -> RootSystem:
         gram=gram,
         parents=tuple(parents),
         steps=tuple(steps),
-        pairing_columns=tuple(tuple(zip(*column)) for column in columns),
+        pairing_columns=tuple((tuple(ks), tuple(ps)) for ks, ps in columns),
         norms=tuple(norms),
         heights=tuple(heights),
         rho_pairings=tuple(rho_pairings),

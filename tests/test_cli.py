@@ -431,6 +431,23 @@ def test_verify_exact_json_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EXACT_JSON_SHA256
 
 
+# sha256 of `verify --family A --family B --family C --family D --rank-min 13
+# --rank-max 40 --mode exact --format json`: 7,420 cases past the default rank
+# cap, taken before verify_all ran one case per distinct variant table and the
+# closure built the pairing columns itself.
+LARGE_RANK_EXACT_JSON_SHA256 = "2cd6cd8129ddb2a8a268a22b1a28d40fbf8d4277013013fc8482fa9dd87f0b4f"
+
+
+def test_verify_large_rank_exact_json_golden_digest(capsys):
+    code, out, err = run(
+        capsys, "verify", "--family", "A", "--family", "B", "--family", "C", "--family", "D",
+        "--rank-min", "13", "--rank-max", "40", "--mode", "exact", "--format", "json",
+    )
+    assert code == EXIT_OK and err == ""
+    assert len(json.loads(out)["reports"]) == 7420
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_RANK_EXACT_JSON_SHA256
+
+
 def _cli_command(*argv):
     """The CLI as a subprocess, with stdout block-buffered whatever the caller's setting."""
     src = os.path.dirname(os.path.dirname(gammaroots.__file__))

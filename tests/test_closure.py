@@ -20,7 +20,7 @@ from gammaroots.rootsys import (
     highest_root,
     weyl_vectors,
 )
-from test_rootsys import root_coeffs
+from test_rootsys import pairing_dicts, root_coeffs
 
 
 def reference_closure(gram, max_height=1000):
@@ -80,18 +80,21 @@ def densified(gram):
     Each root becomes (coefficient tuple, full pairing tuple), in the
     closure's order, its coefficients read off the tree by root_coeffs.
     The tree must be two lists of ints with every parent before its child
-    and each simple root first, parent -1 and its own index as step; the sparse
-    pairings must hold no zero, and the carried norms, heights and rho
-    pairings must be c . P, sum(c) and sum_k c_k G_kk.
+    and each simple root first, parent -1 and its own index as step; the
+    pairing columns must list their positions in table order and hold no
+    zero, each root's pairings rebuilt from them by pairing_dicts, and the
+    carried norms, heights and rho pairings must be c . P, sum(c) and
+    sum_k c_k G_kk.
     """
     r = len(gram)
-    parents, steps, pairings, norms, heights, rho_pairings = generate_positive_roots(gram)
+    parents, steps, columns, norms, heights, rho_pairings = generate_positive_roots(gram)
     assert type(parents) is type(steps) is list
     assert (parents[:r], steps[:r]) == ([-1] * r, list(range(r)))
     assert all(0 <= parent < k for k, parent in enumerate(parents) if k >= r)
     rows = []
+    assert len(columns) == r
+    pairings = pairing_dicts(columns, len(parents))
     for c, pairs in zip(root_coeffs(parents, steps, r), pairings, strict=True):
-        assert all(pairs.values())
         rows.append((tuple(c), tuple(pairs.get(j, 0) for j in range(r))))
     assert norms == [sum(map(mul, c, p)) for c, p in rows]
     assert heights == [sum(c) for c, _ in rows]

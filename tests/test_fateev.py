@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction as Q
-from itertools import repeat
+from itertools import combinations, repeat
 
 import pytest
 
@@ -22,6 +22,7 @@ from gammaroots.fateev import (
     verify_all,
 )
 from gammaroots.gammaword import GammaWord, word_from_terms
+from gammaroots.rootsys import SIMPLY_LACED_FAMILIES, RootSystemId, build
 from test_gammaword import reflection_fold
 from test_rootsys import inner, root_coeffs
 
@@ -594,6 +595,11 @@ def test_verify_all_builds_k_once_per_system_and_variant(systems, monkeypatch):
 
 
 def test_verify_checks_each_case_once(systems, monkeypatch):
+    """verify checks its case once, and verify_all runs one case per (distinct table, index).
+
+    On the sweep that is 494 of the 842 cases: on a simply laced system the
+    three variants share one table, so only F's cases run; no case runs twice.
+    """
     calls = []
     original = fateev._check_case
 
@@ -608,7 +614,16 @@ def test_verify_checks_each_case_once(systems, monkeypatch):
     verify(a3, 2, F, "both", None, k_root(a3, F))
     assert len(calls) == 2
     summary = verify_all([g2, a3], mode="exact")
-    assert len(calls) == 2 + len(summary.reports)
+    assert len(summary.reports) == 4 + 9 and len(calls) == 2 + 4 + 3
+    calls.clear()
+    summary = verify_all(systems.values(), mode="exact")
+    assert len(summary.reports) == 842
+    assert len(calls) == len(set(calls)) == 494
+    assert set(calls) == {
+        (r.ident, r.index, r.variant)
+        for r in summary.reports
+        if r.ident.family not in SIMPLY_LACED_FAMILIES or r.variant == F
+    }
 
 
 def _count_calls(monkeypatch, owner, name, seen):
@@ -636,16 +651,39 @@ def test_verify_all_decides_each_distinct_identity_once(systems, monkeypatch):
 
 @pytest.mark.parametrize("mode", fateev.MODES)
 def test_shared_verdicts_equal_standalone_verify(systems, mode):
+    """Every sweep report, a twin's included, equals a fresh verify with no table and no memo."""
     ctx = numeric.PrecisionContext.for_digits(60)
     summary = verify_all(systems.values(), mode=mode, ctx=ctx)
+    assert len(summary.reports) == 842
     for report in summary.reports:
         alone = verify(systems[report.ident.family, report.ident.rank], report.index,
                        report.variant, mode, ctx)
         for name in report._fields:
             shared, fresh = getattr(report, name), getattr(alone, name)
-            if name == "certificate" and shared is not None:
-                shared, fresh = shared.to_json_obj(), fresh.to_json_obj()
             assert shared == fresh, (report.ident, report.index, report.variant, name)
+
+
+def test_variant_tables_are_equal_exactly_on_simply_laced_systems(systems):
+    """Pairwise equal tables on A, D and E, and only there; equal tables, equal cases.
+
+    Two admissible variants' tables are equal exactly when every word and
+    every right side of the two are, which is what lets verify_all run one
+    table's cases once.
+    """
+    rank_64 = [build(RootSystemId(family, 64)) for family in "ABCD"]
+    for s in (*systems.values(), *rank_64):
+        pairs = list(combinations([v for v in VARIANTS if admissible(s, v)], 2))
+        equal = {(a, b): k_root(s, a) == k_root(s, b) for a, b in pairs}
+        assert set(equal.values()) == {s.simply_laced}, s.ident
+        if s.ident.rank > 12:  # the sweep's systems: every case below, compared
+            continue
+        for a, b in pairs:
+            same_cases = all(
+                lhs_word(s, i, a) == lhs_word(s, i, b)
+                and rhs_constant(s, i, a) == rhs_constant(s, i, b)
+                for i in range(1, s.rank + 1)
+            )
+            assert same_cases == equal[a, b], (s.ident, a, b)
 
 
 def test_a_refused_proof_reaches_every_case_that_shares_the_word(systems, monkeypatch):
@@ -671,6 +709,7 @@ def test_a_refused_proof_reaches_every_case_that_shares_the_word(systems, monkey
 
 
 def test_reports_of_one_identity_share_its_objects(systems):
+    """A twin variant's report, copied from its table's first variant, and a memo hit alike."""
     summary = verify_all(systems.values(), mode="exact")
     first = {}
     for report in summary.reports:

@@ -257,21 +257,36 @@ def test_closure_rejects_empty_or_ragged_gram(gram):
         generate_positive_roots(gram)
 
 
+def pairing_dicts(columns, count):
+    """Each of count roots' nonzero pairings {j: (c G)_j}, rebuilt from the pairing columns.
+
+    Each column must be a pair of equally long sequences, its positions in
+    table order and its pairings not zero.
+    """
+    dicts = [{} for _ in range(count)]
+    for j, (positions, pairings) in enumerate(columns):
+        assert list(positions) == sorted(set(positions)), j
+        for k, p in zip(positions, pairings, strict=True):
+            assert p, (k, j)
+            dicts[k][j] = p
+    return dicts
+
+
 def dense_pairings(system):
     """The full rows 2(alpha_j|a), j = 1..r, rebuilt from the nonzero columns."""
-    rows = [[0] * system.rank for _ in system.parents]
-    for j, (positions, pairings) in enumerate(system.pairing_columns):
-        for k, p in zip(positions, pairings):
-            rows[k][j] = p
-    return [tuple(row) for row in rows]
+    dicts = pairing_dicts(system.pairing_columns, len(system.parents))
+    return [tuple(p.get(j, 0) for j in range(system.rank)) for p in dicts]
 
 
 @pytest.mark.parametrize("family,rank", [("B", 4), ("F", 4), ("G", 2), ("E", 6)])
 def test_closure_carries_pairings_level_by_level(systems, family, rank):
     s = systems[(family, rank)]
-    parents, steps, pairings, *tables = generate_positive_roots(s.gram)
+    parents, steps, columns, *tables = generate_positive_roots(s.gram)
     assert [sum(c) for c in root_coeffs(parents, steps, rank)] == sorted(s.heights)
     assert (tuple(parents), tuple(steps)) == (s.parents, s.steps)
+    assert all(type(ks) is type(ps) is list for ks, ps in columns)
+    assert tuple((tuple(ks), tuple(ps)) for ks, ps in columns) == s.pairing_columns
+    pairings = pairing_dicts(columns, len(parents))
     assert [tuple(p.get(j, 0) for j in range(rank)) for p in pairings] == dense_pairings(s)
     assert tables == [list(s.norms), list(s.heights), list(s.rho_pairings)]
 
@@ -321,8 +336,9 @@ def test_built_systems_store_no_fraction(systems):
 
 def test_closure_rejects_reducible_base():
     a1_a1 = ((2, 0), (0, 2))
-    parents, steps, pairings, *_ = generate_positive_roots(a1_a1)
-    assert (parents, steps, pairings) == ([-1, -1], [0, 1], [{0: 2}, {1: 2}])
+    parents, steps, columns, *_ = generate_positive_roots(a1_a1)
+    assert (parents, steps, columns) == ([-1, -1], [0, 1], [([0], [2]), ([1], [2])])
+    assert pairing_dicts(columns, len(parents)) == [{0: 2}, {1: 2}]
     with pytest.raises(ValueError, match="not irreducible"):
         highest_root(parents, steps)
 
