@@ -60,10 +60,9 @@ def test_a_multiplication_relation_with_a_shifted_index_fails_the_run():
 
     def shifted(n, d, k):
         """The smallest index moved up by one, where that index is free."""
-        (j, e), *rest = vector(n, d, k)
-        if j + 1 in dict(rest):
-            return vector(n, d, k)
-        return ((j + 1, e), *rest)
+        original = vector(n, d, k)
+        (j, e), *rest = original
+        return original if j + 1 in dict(rest) else ((j + 1, e), *rest)
 
     exit_code = doctored_exit(
         prover, "_multiplication_vector", shifted, "exact", RELATION_CACHES
