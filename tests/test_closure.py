@@ -91,9 +91,9 @@ def densified(gram):
     assert type(parents) is type(steps) is list
     assert (parents[:r], steps[:r]) == ([-1] * r, list(range(r)))
     assert all(0 <= parent < k for k, parent in enumerate(parents) if k >= r)
-    rows = []
     assert len(columns) == r
     pairings = pairing_dicts(columns, len(parents))
+    rows = []
     for c, pairs in zip(root_coeffs(parents, steps, r), pairings, strict=True):
         rows.append((tuple(c), tuple(pairs.get(j, 0) for j in range(r))))
     assert norms == [sum(map(mul, c, p)) for c, p in rows]
