@@ -65,6 +65,16 @@ def _is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == {n: 1}
 
 
+def validated_make(cls, iterable):
+    """_make of a validating namedtuple: cls(*iterable), through its checks.
+
+    namedtuple's own _make skips __new__, and _replace calls _make, so each
+    validating value type sets _make = classmethod(validated_make): the
+    constructor, _make and _replace then all validate.
+    """
+    return cls(*iterable)
+
+
 class FactoredConstant(namedtuple("FactoredConstant", "prime_powers")):
     """A positive real number prod_p p^(e_p) with rational exponents.
 
@@ -94,9 +104,7 @@ class FactoredConstant(namedtuple("FactoredConstant", "prime_powers")):
         canonical = tuple(sorted((b, e) for b, e in merged.items() if e != 0))
         return tuple.__new__(cls, (canonical,))
 
-    @classmethod
-    def _make(cls, iterable) -> FactoredConstant:  # _replace calls it: both validate
-        return cls(*iterable)
+    _make = classmethod(validated_make)
 
     @property
     def is_one(self) -> bool:
@@ -122,15 +130,24 @@ class FactoredConstant(namedtuple("FactoredConstant", "prime_powers")):
 ONE = FactoredConstant()
 
 
+def valuations(numerator: int, denominator: int) -> list[tuple[int, int]]:
+    """The (prime, nonzero integer exponent) pairs of numerator / denominator.
+
+    The pair need not be in lowest terms: a prime that divides both appears
+    once, with its exponents summed as ints.
+    """
+    exponents = factorize(numerator)
+    for p, m in factorize(denominator).items():
+        exponents[p] = exponents.get(p, 0) - m
+    return [(p, m) for p, m in exponents.items() if m]
+
+
 def factor_power(base: RationalLike, exponent: RationalLike) -> FactoredConstant:
     """base^exponent as a FactoredConstant; base must be a positive rational."""
     base = Q(base)
-    exponent = Q(exponent)
     if base <= 0:
         raise ValueError(f"base must be positive, got {base}")
-    powers = [(p, m * exponent) for p, m in factorize(base.numerator).items()]
-    powers += [(p, -m * exponent) for p, m in factorize(base.denominator).items()]
-    return FactoredConstant(tuple(powers))
+    return const_pow(FactoredConstant(valuations(base.numerator, base.denominator)), exponent)
 
 
 def const_mul(a: FactoredConstant, b: FactoredConstant) -> FactoredConstant:
@@ -155,13 +172,16 @@ def _ln_prime(p: int, bits: int) -> tuple:
     return mpf_log(from_int(p), bits, round_nearest)
 
 
+@lru_cache(maxsize=None)
 def const_ln(a: FactoredConstant, decimal_digits: int) -> mpmath.mpf:
     """ln(a) with absolute error well below 10^-decimal_digits.
 
     sum_p e_p ln p, computed as mpf(e_num) / e_den * ln p summed from mpf(0)
     at the working precision, but one mpmath.libmp call on raw mpfs per
-    operator (see numeric).  mpmath is imported here, not at module level,
-    so the exact core loads without the big-float library.
+    operator (see numeric).  Memoized: each distinct (constant, digits) is
+    summed once, though many identities share a right side (83 distinct
+    ones among the sweep's 349).  mpmath is imported here, not at module
+    level, so the exact core loads without the big-float library.
     """
     import mpmath
     from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, round_nearest

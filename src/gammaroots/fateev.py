@@ -25,8 +25,8 @@ from fractions import Fraction as Q
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .exact import FactoredConstant, const_ln, factorize
-from .gammaword import GammaWord, brace_str, merge_exponents
+from .exact import FactoredConstant, const_ln, valuations
+from .gammaword import GammaWord, brace_str
 from .prover import Certificate, prove_constant
 from .rootsys import SIMPLY_LACED_FAMILIES, RootSystem
 
@@ -129,36 +129,28 @@ def k_root(system: RootSystem, variant: str) -> VariantTable:
     if not 0 < min(numerators) <= max(numerators) < denominator:
         raise ValueError(f"{system.ident}: an argument x/{denominator} lies outside (0,1)")
     g = math.gcd(denominator, *numerators)
-    valuations = {key: _valuations(*key) for key in set(keys)}
+    powers = {key: valuations(*key) for key in set(keys)}
     sums: Counter = Counter()
     for key, weight in zip(keys, weights):
-        for p, m in valuations[key]:
+        for p, m in powers[key]:
             sums[p] += m * weight
     total = sum(weights)
     k = [(p, Q(-s, total)) for p, s in sums.items()]
-    rhs = {key: FactoredConstant((*valuations[key], *k)) for key in set(keys[1:])}
+    rhs = {key: FactoredConstant((*powers[key], *k)) for key in set(keys[1:])}
     arguments = tuple(x // g for x in numerators)
     return VariantTable(denominator // g, arguments, divisors, tuple(rhs[key] for key in keys[1:]))
 
 
-def _valuations(numerator: int, denominator: int) -> list[tuple[int, int]]:
-    """The (prime, nonzero integer exponent) pairs of numerator / denominator.
-
-    The pair need not be in lowest terms: a prime that divides both appears
-    once, with its exponents summed as ints.
-    """
-    exponents = factorize(numerator)
-    for p, m in factorize(denominator).items():
-        exponents[p] = exponents.get(p, 0) - m
-    return [(p, m) for p, m in exponents.items() if m]
-
-
 def _word(system: RootSystem, index: int, table: VariantTable) -> GammaWord:
-    """alpha_index's word: only the roots in its pairing column carry exponents."""
+    """alpha_index's word: only the roots in its pairing column carry exponents.
+
+    Each root's exponent is added into one dict keyed on its argument as
+    the column is walked; the word is its nonzero entries by argument.
+    """
     i = index - 1
     grid, arguments, divisors, _ = table
     divisor, norms = divisors[i], system.norms
-    terms = []
+    exponents: dict = {}
     positions, pairings = system.pairing_columns[i]
     for position, pairing in zip(positions, pairings):
         exponent, rest = divmod(-2 * pairing, divisor or norms[position])
@@ -167,8 +159,9 @@ def _word(system: RootSystem, index: int, table: VariantTable) -> GammaWord:
                 f"{system.ident}: pairing {-2 * pairing}/{divisor or norms[position]} "
                 f"of alpha_{index} is not integral"
             )
-        terms.append((arguments[position], exponent))
-    return GammaWord(grid, merge_exponents(terms))
+        x = arguments[position]
+        exponents[x] = exponents.get(x, 0) + exponent
+    return GammaWord(grid, tuple(sorted((x, e) for x, e in exponents.items() if e)))
 
 
 def lhs_word(system: RootSystem, index: int, variant: str) -> GammaWord:
@@ -182,17 +175,14 @@ def lhs_word(system: RootSystem, index: int, variant: str) -> GammaWord:
     return _word(system, index, k_root(system, variant))
 
 
-def rhs_constant(
-    system: RootSystem, index: int, variant: str, k: Optional[VariantTable] = None
-) -> FactoredConstant:
+def rhs_constant(system: RootSystem, index: int, variant: str) -> FactoredConstant:
     """Closed form for one simple root: its node factor times k^(-1/h), from k_root.
 
-    The case is always checked.  k, when given, must be k_root(system,
-    variant), else it is built here.  verify, which checks its case itself,
-    reads the table's entry directly instead.
+    The case is always checked.  verify, which checks its case itself, reads
+    the entry of the table it holds directly instead.
     """
     _check_case(system, index, variant)
-    return (k_root(system, variant) if k is None else k).rhs[index - 1]
+    return k_root(system, variant).rhs[index - 1]
 
 
 class VerificationReport(namedtuple("VerificationReport", (
@@ -264,7 +254,13 @@ def verify(
 def _verdict(
     lhs: GammaWord, rhs: FactoredConstant, mode: str, ctx: Optional[PrecisionContext]
 ) -> tuple[str, Optional[Certificate], Optional[str]]:
-    """(status, certificate, residual) of the identity lhs = rhs in the given mode."""
+    """(status, certificate, residual) of the identity lhs = rhs in the given mode.
+
+    The residual |ln lhs - ln rhs| stays a raw libmp tuple: the string is
+    to_str(raw, 6) and the test mpf_le(raw, bound), which is what
+    mpmath.nstr and mpf <= call, so building an mpf object for them would
+    add a wrapper and change no bit.
+    """
     certificate = None
     residual_str = None
     status = None
@@ -275,18 +271,18 @@ def _verdict(
         else:
             status = PROVED_EXACT if certificate.derived_constant == rhs else MISMATCH
     if mode == "numeric" or (mode == "both" and status in (PROVED_EXACT, NOT_IN_LATTICE)):
-        import mpmath
+        from mpmath.libmp import mpf_abs, mpf_le, mpf_sub, round_nearest, to_str
 
         from .numeric import RESIDUAL_BITS, PrecisionContext, eval_word_ln
 
         ctx = ctx or PrecisionContext.for_digits()
         # |lhs - rhs| rounded to nearest at RESIDUAL_BITS, whatever the caller's
-        # workprec; mpf_abs with no precision does not round.
-        ends = eval_word_ln(lhs, ctx)._mpf_, const_ln(rhs, ctx.decimal_digits)._mpf_
-        difference = mpmath.libmp.mpf_sub(*ends, RESIDUAL_BITS, "n")
-        residual = mpmath.mp.make_mpf(mpmath.libmp.mpf_abs(difference))
-        residual_str = mpmath.nstr(residual, 6)
-        numeric_ok = residual <= ctx.residual_bound
+        # workprec (mpf_abs with no precision does not round), kept raw:
+        # nstr(x, 6) and x <= bound call to_str(raw, 6) and mpf_le on it.
+        lhs_ln, rhs_ln = eval_word_ln(lhs, ctx)._mpf_, const_ln(rhs, ctx.decimal_digits)._mpf_
+        residual = mpf_abs(mpf_sub(lhs_ln, rhs_ln, RESIDUAL_BITS, round_nearest))
+        residual_str = to_str(residual, 6)
+        numeric_ok = mpf_le(residual, ctx.residual_bound._mpf_)
         if status in (None, NOT_IN_LATTICE):
             status = NUMERIC_ONLY if numeric_ok else MISMATCH
         elif not numeric_ok:

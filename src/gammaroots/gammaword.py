@@ -11,7 +11,7 @@ import math
 from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Tuple
 
-from .exact import DEFAULT_DIGITS
+from .exact import DEFAULT_DIGITS, validated_make
 
 if TYPE_CHECKING:
     import mpmath
@@ -51,9 +51,7 @@ class GammaWord(namedtuple("GammaWord", "denominator exponents")):
             exponents = tuple(map(tuple, exponents))
         return tuple.__new__(cls, (denominator, exponents))
 
-    @classmethod
-    def _make(cls, iterable) -> GammaWord:  # _replace calls it: both validate
-        return cls(*iterable)
+    _make = classmethod(validated_make)
 
     def to_json_obj(self) -> dict:
         """JSON form; "coeff" is always [], the JSON of the constant 1, kept in the format."""
@@ -62,14 +60,6 @@ class GammaWord(namedtuple("GammaWord", "denominator exponents")):
             "terms": [{"j": j, "exponent": e} for j, e in self.exponents],
             "coeff": [],
         }
-
-
-def merge_exponents(pairs: Iterable[Tuple[int, int]]) -> Tuple[Tuple[int, int], ...]:
-    """(index, exponent) pairs summed per index, zeros dropped, by index: GammaWord's form."""
-    agg: dict[int, int] = {}
-    for j, e in pairs:
-        agg[j] = agg.get(j, 0) + e
-    return tuple(sorted((j, e) for j, e in agg.items() if e))
 
 
 def word_from_terms(terms: Iterable[Tuple[int, int]], denominator: int) -> GammaWord:
@@ -84,7 +74,10 @@ def word_from_terms(terms: Iterable[Tuple[int, int]], denominator: int) -> Gamma
         if not 0 < x < denominator:
             raise ValueError(f"argument {x}/{denominator} outside (0,1)")
     g = math.gcd(denominator, *(x for x, _ in items))
-    return GammaWord(denominator // g, merge_exponents((x // g, e) for x, e in items))
+    merged: dict[int, int] = {}
+    for x, e in items:
+        merged[x // g] = merged.get(x // g, 0) + e
+    return GammaWord(denominator // g, tuple(sorted((j, e) for j, e in merged.items() if e)))
 
 
 def eval_ln(w: GammaWord, decimal_digits: int = DEFAULT_DIGITS) -> mpmath.mpf:

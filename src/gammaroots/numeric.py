@@ -19,7 +19,10 @@ to ctx.bits.  For x = p/q in lowest terms, z = (p + mq)/q and the descent
 prod_k (p + kq)/q^m are already in lowest terms, since gcd(p + kq, q) =
 gcd(p, q) = 1, so their integer numerators and denominators go to mpf_div
 as they are: the same operands a reduced Fraction would give, without
-building one.
+building one.  ln gamma(j/N) = ln Gamma(j/N) - ln Gamma((N-j)/N) is one
+mpf_sub, and ln gamma((N-j)/N) is its mpf_neg: rounding to nearest with
+ties to even is symmetric under negation, so mpf_sub(b, a) is exactly
+mpf_neg(mpf_sub(a, b)), and the negation is the subtraction's bits.
 
 The Stirling sum runs on signed (mantissa, exponent) integers instead: each
 product c_k * power, each partial sum and each next power is formed exactly
@@ -49,17 +52,18 @@ from mpmath.libmp import (
     mpf_log,
     mpf_mul,
     mpf_mul_int,
+    mpf_neg,
     mpf_rdiv_int,
     mpf_sub,
     round_nearest,
 )
 
-from .exact import DEFAULT_DIGITS, check_digits, working_precision_bits
+from .exact import DEFAULT_DIGITS, check_digits, validated_make, working_precision_bits
 
 # B_2, B_4, ... (B_2k at index k - 1); grown on demand, read-only thereafter.
 _EVEN_BERNOULLI: list[Q] = []
 # (N, ctx) -> grid N's ln gamma(j/N) at index j as a raw mpf, None until
-# eval_word_ln first reads it; _RATIOS.clear() empties it.
+# eval_word_ln first reads j or N - j; _RATIOS.clear() empties it.
 _RATIOS: dict[tuple, list] = {}
 
 
@@ -122,29 +126,52 @@ class PrecisionContext(
 ):
     """Evaluation parameters: target digits, mantissa bits, shift, series length.
 
-    for_digits picks shift_count and stirling_terms so the Stirling tail
-    bound stays below 10^-(decimal_digits + 5); the extra mantissa bits keep
-    accumulated rounding inside the same margin.  Immutable and stateless:
-    residual_bound reads a memo keyed on the digit count.
+    Every construction path validates, the constructor, _make and _replace:
+    the fields are ints, the digits lie in MIN_DIGITS..MAX_DIGITS, bits is
+    at least working_precision_bits(decimal_digits), and 1 <= stirling_terms
+    <= 3 shift_count with the Stirling tail bound at z = shift_count below
+    10^-(decimal_digits + 5).  The extra mantissa bits keep accumulated
+    rounding inside the same margin, so ln_gamma's error bound holds for
+    every context.  Up to K = 3z < pi z the series terms still decrease, and
+    a longer series is refused before its Bernoulli numbers are built.
+    Immutable and stateless: residual_bound reads a memo keyed on the digit
+    count.
     """
 
     __slots__ = ()
 
+    def __new__(cls, decimal_digits: int, bits: int, shift_count: int, stirling_terms: int):
+        fields = (decimal_digits, bits, shift_count, stirling_terms)
+        # A bool is no int here, and a float would truncate.
+        if any(type(f) is not int for f in fields):
+            raise ValueError(f"precision fields must be ints, got {fields!r}")
+        check_digits(decimal_digits, "decimal_digits")
+        if not (0 < stirling_terms <= 3 * shift_count
+                and bits >= working_precision_bits(decimal_digits)
+                and stirling_tail_log10(shift_count, stirling_terms) <= -(decimal_digits + 5)):
+            raise ValueError(f"{fields}: bits, shift or terms short of what the digits need")
+        return tuple.__new__(cls, fields)
+
+    _make = classmethod(validated_make)
+
     @classmethod
     def for_digits(cls, decimal_digits: int = DEFAULT_DIGITS) -> PrecisionContext:
+        """The least series for the working precision of the digits, at shift max(8, 0.55 (d + 5)).
+
+        At z = shift the smallest tail bound, near K = pi z, is about
+        10^(-2.7 z), below 10^-(d + 5) for z >= 0.55 (d + 5): some K <= 3z
+        meets the bound for every admissible digit count.
+        """
         check_digits(decimal_digits, "decimal_digits")
         target = -(decimal_digits + 5)
         shift = max(8, math.ceil(0.55 * (decimal_digits + 5)))
-        while True:
-            for terms in range(1, 3 * shift + 1):
-                if stirling_tail_log10(shift, terms) <= target:
-                    return cls(
-                        decimal_digits,
-                        working_precision_bits(decimal_digits),
-                        shift,
-                        terms,
-                    )
-            shift += 8
+        terms = next(k for k in range(1, 3 * shift + 1) if stirling_tail_log10(shift, k) <= target)
+        return cls(
+            decimal_digits,
+            working_precision_bits(decimal_digits),
+            shift,
+            terms,
+        )
 
     @property
     def residual_bound(self) -> mpmath.mpf:
@@ -262,16 +289,21 @@ def ln_gamma(x, ctx: PrecisionContext | None = None) -> mpmath.mpf:
 
 
 @lru_cache(maxsize=None)
-def _ln_gamma_cached(x: Q, ctx: PrecisionContext) -> tuple:
-    return ln_gamma(x, ctx)._mpf_
+def _ln_gamma_cached(p: int, q: int, ctx: PrecisionContext) -> tuple:
+    """ln Gamma(p/q) as a raw mpf, p/q in lowest terms: a key of ints, hashed in C."""
+    return ln_gamma(Q(p, q), ctx)._mpf_
 
 
 def eval_word_ln(word, ctx: PrecisionContext | None = None) -> mpmath.mpf:
     """ln of a word's value: sum_j e_j (ln Gamma(j/N) - ln Gamma((N-j)/N)).
 
     Each grid point's ln gamma(j/N) is one mpf_sub of the two ln Gamma
-    values, once per (N, ctx), in _RATIOS.  Worst-case absolute error
-    2 sum_j |e_j| * 10^-decimal_digits.
+    values, once per (N, ctx), in _RATIOS, which reads them from a cache
+    keyed on the reduced pair (p, q) = (j, N) / gcd(j, N).  The same miss
+    fills ln gamma((N-j)/N) as mpf_neg of it: rounding to nearest with ties
+    to even is symmetric under negation, so mpf_sub(b, a) is exactly
+    mpf_neg(mpf_sub(a, b)), the bits a second subtraction would give.
+    Worst-case absolute error 2 sum_j |e_j| * 10^-decimal_digits.
     """
     ctx = ctx or PrecisionContext.for_digits()
     n, bits, rnd = word.denominator, ctx.bits, round_nearest
@@ -279,7 +311,8 @@ def eval_word_ln(word, ctx: PrecisionContext | None = None) -> mpmath.mpf:
     total = fzero
     for j, e in word.exponents:
         if (ratio := ratios[j]) is None:
-            left, right = _ln_gamma_cached(Q(j, n), ctx), _ln_gamma_cached(Q(n - j, n), ctx)
-            ratio = ratios[j] = mpf_sub(left, right, bits, rnd)
+            p, q = j // (g := math.gcd(j, n)), n // g
+            ratio = mpf_sub(_ln_gamma_cached(p, q, ctx), _ln_gamma_cached(q - p, q, ctx), bits, rnd)
+            ratios[j], ratios[n - j] = ratio, mpf_neg(ratio)
         total = mpf_add(total, mpf_mul_int(ratio, e, bits, rnd), bits, rnd)
     return mpmath.mp.make_mpf(total)

@@ -256,14 +256,10 @@ def kernel_consistency(n: int) -> tuple[bool, Optional[Tuple[Tuple[str, Q], ...]
 
     This is what makes the derived constant independent of which particular
     solution the eliminator picks.  Returns (True, None), or (False, witness)
-    with the offending combination as (tag, coefficient) pairs.
+    with the offending combination as (tag, coefficient) pairs.  The
+    relations are relations_for(n), read through the module attribute.
     """
-    return _kernel_consistency(relations_for(n), n)
-
-
-def _kernel_consistency(
-    relations: Sequence[Relation], n: int
-) -> tuple[bool, Optional[Tuple[Tuple[str, Q], ...]]]:
+    relations = relations_for(n)
     columns = [_dense(r.vector, n) for r in relations]
     for combination in linalg.nullspace(columns):
         if not _combine_values(relations, combination).is_one:

@@ -31,6 +31,8 @@ from itertools import chain, product
 from operator import add, attrgetter, mul
 from typing import Callable, Dict, List, Sequence, Tuple
 
+from .exact import validated_make
+
 Vector = Tuple[Q, ...]
 # Integer vectors: coefficients in the simple basis, or planche sums
 Coeffs = Sequence[int]
@@ -67,9 +69,7 @@ class RootSystemId(namedtuple("RootSystemId", "family rank")):
             raise ValueError(f"family {family} admits rank {span}, got {rank}")
         return tuple.__new__(cls, (family, rank))
 
-    @classmethod
-    def _make(cls, iterable) -> RootSystemId:  # _replace calls it: both validate
-        return cls(*iterable)
+    _make = classmethod(validated_make)
 
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"

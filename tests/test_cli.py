@@ -431,6 +431,26 @@ def test_verify_exact_json_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EXACT_JSON_SHA256
 
 
+# sha256 of `verify --mode numeric --format json` and of `verify --mode both
+# --digits 200` on G, F, E and B, taken before the ln gamma table filled each
+# complement by negation and the residual was formed on raw mpfs: both print
+# every case's residual string, so they pin the numeric route's bits.
+NUMERIC_JSON_SHA256 = "da1edbaa60010a80037934585cea2f7d9c4f6934edddbbd5431542aa72866df2"
+BOTH_200_DIGITS_JSON_SHA256 = "d3e88f9a5e0db588f81a471dee6da243597e165f357f8a06c15659c44163e02e"
+
+
+@pytest.mark.parametrize("args,digest", [
+    (("--mode", "numeric"), NUMERIC_JSON_SHA256),
+    (("--mode", "both", "--digits", "200", "--family", "G", "--family", "F",
+      "--family", "E", "--family", "B"), BOTH_200_DIGITS_JSON_SHA256),
+])
+def test_verify_residual_golden_digests(capsys, args, digest):
+    code, out, err = run(capsys, "verify", *args, "--format", "json")
+    assert code == EXIT_OK and err == ""
+    assert '"numeric_residual":"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # sha256 of `verify --family A --family B --family C --family D --rank-min 13
 # --rank-max 40 --mode exact --format json`: 7,420 cases past the default rank
 # cap, taken before verify_all ran one case per distinct variant table and the

@@ -404,7 +404,7 @@ def test_right_sides_match_the_chained_construction_on_every_sweep_case(systems)
             for index in range(1, system.rank + 1):
                 expected = chained_rhs_constant(system, index, variant)
                 assert rhs_constant(system, index, variant) == expected
-                assert rhs_constant(system, index, variant, root) == expected
+                assert root.rhs[index - 1] == expected
                 count += 1
     assert count == 842
 
@@ -466,7 +466,7 @@ def _matches_per_case_construction(system):
             word = column_lhs_word(system, index, variant)
             assert lhs_word(system, index, variant) == word, case
             expected = per_case_rhs_constant(system, index, variant, root)
-            assert rhs_constant(system, index, variant, table) == expected, case
+            assert table.rhs[index - 1] == expected, case
             assert rhs_constant(system, index, variant) == expected, case
             count += 1
     return count
@@ -518,13 +518,13 @@ def test_f_variant_refused_off_hypothesis(systems):
 def test_index_range_checked(systems):
     """An index is an int in 1..rank; a bool, a float or a str is refused, not looked up.
 
-    rhs_constant checks it with a table given too: index 0 would read the
-    last root's right side, and True the first's.
+    verify checks it with a table given too: index 0 would read the last
+    root's right side, and True the first's.
     """
     s = systems[("A", 3)]
     k = k_root(s, F)
     calls = (lambda i: verify(s, i, F, "exact"), lambda i: lhs_word(s, i, F),
-             lambda i: rhs_constant(s, i, F), lambda i: rhs_constant(s, i, F, k))
+             lambda i: rhs_constant(s, i, F), lambda i: verify(s, i, F, "exact", k=k))
     for bad in (True, 1.0, "1", 0, s.rank + 1):
         for call in calls:
             with pytest.raises(ValueError, match="not an int in 1..3"):

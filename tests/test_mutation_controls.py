@@ -4,16 +4,18 @@ A passing run shows little unless each check it relies on would refuse a
 wrong answer.  Each test below replaces one piece of the exact or numeric
 route with a wrong copy, runs `gammaroots verify` on a small selection
 through cli.main, and requires exit 1; the same run undoctored, before and
-after, exits 0.  The relation tables are memoized, so the caches a doctored
-relation formula would poison are emptied before and after it runs.
+after, exits 0.  The relation tables and the ln gamma ratio tables are
+memoized, so the caches a doctored piece would poison are emptied before
+and after it runs.
 """
 
 import os
+from functools import lru_cache
 
 import mpmath
 import pytest
 
-from gammaroots import cli, linalg, numeric, prover
+from gammaroots import cli, exact, fateev, linalg, numeric, prover
 from gammaroots.cli import EXIT_OK, EXIT_VERIFICATION_FAILED
 
 # G2, F4 and B2..B4: 30 cases, some proved with multiplication relations.
@@ -28,17 +30,21 @@ def run_verify(mode):
 def doctored_exit(owner, name, doctored, mode, caches=()):
     """run_verify(mode) with owner.name replaced by doctored, the caches emptied around it."""
     assert run_verify(mode) == EXIT_OK
-    for cache in caches:
-        cache.cache_clear()
+    empty(caches)
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(owner, name, doctored)
             code = run_verify(mode)
     finally:
-        for cache in caches:
-            cache.cache_clear()
+        empty(caches)
     assert run_verify(mode) == EXIT_OK
     return code
+
+
+def empty(caches):
+    """Clear each lru_cache, or each dict, such as numeric._RATIOS."""
+    for cache in caches:
+        (cache.cache_clear if hasattr(cache, "cache_clear") else cache.clear)()
 
 
 def test_a_solver_answer_off_by_one_fails_the_run():
@@ -75,3 +81,31 @@ def test_a_zero_residual_bound_fails_the_run():
         return mpmath.mpf(0)
 
     assert doctored_exit(numeric, "_residual_bound", zero, "numeric") == EXIT_VERIFICATION_FAILED
+
+
+@pytest.mark.parametrize("mode", ["numeric", "both"])
+def test_a_complement_filled_with_the_wrong_sign_fails_the_run(mode):
+    """ratio[N - j] filled as ratio[j] itself, not as its negation."""
+    def same_sign(raw):
+        return raw
+
+    exit_code = doctored_exit(numeric, "mpf_neg", same_sign, mode, (numeric._RATIOS,))
+    assert exit_code == EXIT_VERIFICATION_FAILED
+
+
+@pytest.mark.parametrize("mode", ["numeric", "both"])
+def test_a_cached_right_side_log_off_by_twice_the_bound_fails_the_run(mode):
+    """Each cached ln rhs shifted by 2 * 10^(10 - digits), at the working precision.
+
+    One ulp of a 60-digit log, about 10^-73, lies far inside the 10^-50
+    bound, as any rounding error must; twice the bound is the least shift
+    the check has to refuse.
+    """
+    ln = exact.const_ln.__wrapped__
+
+    @lru_cache(maxsize=None)
+    def shifted(a, decimal_digits):
+        with mpmath.workprec(exact.working_precision_bits(decimal_digits)):
+            return ln(a, decimal_digits) + 2 * mpmath.mpf(10) ** (10 - decimal_digits)
+
+    assert doctored_exit(fateev, "const_ln", shifted, mode) == EXIT_VERIFICATION_FAILED

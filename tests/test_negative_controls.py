@@ -19,7 +19,7 @@ from fractions import Fraction as Q
 
 from gammaroots.exact import FactoredConstant, const_mul
 from gammaroots.fateev import MISMATCH, MODES, NOT_IN_LATTICE, PROVED_EXACT, _verdict
-from gammaroots.gammaword import GammaWord, merge_exponents
+from gammaroots.gammaword import GammaWord, word_from_terms
 from gammaroots.numeric import PrecisionContext
 
 # The sweep's one pair on N = 2 (A1, alpha_1, every variant).
@@ -31,7 +31,8 @@ def times_gamma_of_one_over_n(word):
     n, exponents = word.denominator, word.exponents
     if n == 2:
         n, exponents = 4, [(2 * j, e) for j, e in exponents]
-    return GammaWord(n, merge_exponents([*exponents, (1, 1)]))
+    # The term at 1 keeps the grid: word_from_terms reduces it by gcd(N, 1, ...) = 1.
+    return word_from_terms([*exponents, (1, 1)], n)
 
 
 def test_the_half_grid_pair_is_the_only_one(sweep_sides):

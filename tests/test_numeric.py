@@ -29,7 +29,7 @@ from mpmath.libmp import (
 )
 
 from gammaroots import fateev, numeric
-from gammaroots.exact import const_ln, working_precision_bits
+from gammaroots.exact import MAX_DIGITS, MIN_DIGITS, const_ln, working_precision_bits
 from gammaroots.gammaword import GammaWord
 from gammaroots.numeric import (
     PrecisionContext,
@@ -135,6 +135,54 @@ def test_precision_context_meets_tail_bound():
         PrecisionContext.for_digits(9)
     with pytest.raises(ValueError, match="at most 1000"):
         PrecisionContext.for_digits(1001)
+
+
+def test_the_first_shift_has_a_series_for_every_digit_count():
+    """for_digits tries one shift: at every admissible digit count some K <= 3 shift will do."""
+    for digits in range(MIN_DIGITS, MAX_DIGITS + 1):
+        ctx = PrecisionContext.for_digits(digits)
+        assert ctx.shift_count == max(8, math.ceil(0.55 * (digits + 5))), digits
+        assert stirling_tail_log10(ctx.shift_count, ctx.stirling_terms) <= -(digits + 5)
+
+
+def unchecked_context(decimal_digits, bits, shift_count, stirling_terms):
+    """A PrecisionContext the constructor would refuse, built as the bare tuple.
+
+    The few-bit checks below need contexts short of the working precision
+    and of the Stirling tail bound, where rounding ties occur.
+    """
+    return tuple.__new__(PrecisionContext, (decimal_digits, bits, shift_count, stirling_terms))
+
+
+def test_a_context_short_of_the_bounds_raises():
+    """Built unchecked, (60, 243, 0, 3) gives ln Gamma(1/2) = 0.58878, not ln sqrt(pi) = 0.57236."""
+    doctored = unchecked_context(60, 243, 0, 3)
+    assert mpmath.nstr(ln_gamma(Q(1, 2), doctored), 5) == "0.58878"
+    ctx = PrecisionContext.for_digits(60)
+    digits, bits, shift, terms = ctx
+    refused = [
+        (60, 243, 0, 3),
+        (digits, bits - 1, shift, terms),
+        (digits, bits, shift, terms - 1),
+        (digits, bits, shift, 3 * shift + 1),
+        (digits, bits, shift, 0),
+        (9, bits, shift, terms),
+        (1001, bits, shift, terms),
+        (digits, float(bits), shift, terms),
+        (digits, bits, True, terms),
+    ]
+    for fields in refused:
+        for make in (
+            lambda: PrecisionContext(*fields),
+            lambda: PrecisionContext._make(fields),
+            lambda: ctx._replace(**dict(zip(PrecisionContext._fields, fields))),
+        ):
+            with pytest.raises(ValueError):
+                make()
+    # More bits, a longer shift or more terms only tighten the error.
+    assert PrecisionContext(digits, bits + 7, shift + 3, terms + 1)._replace(bits=bits) == (
+        digits, bits, shift + 3, terms + 1)
+    assert PrecisionContext._make(ctx) == ctx
 
 
 def test_ln_gamma_half():
@@ -340,12 +388,12 @@ def test_numeric_route_matches_references_at_few_bits():
     shows.
     """
     for bits in range(2, 25):
-        ctx = PrecisionContext(10, bits, 0, 3)
+        ctx = unchecked_context(10, bits, 0, 3)
         for x in _grid_points(39):
             assert ln_gamma(x, ctx)._mpf_ == libmp_ln_gamma(x, ctx), (x, ctx)
     rng = random.Random(11)
     for bits in range(2, 41):
-        ctx = PrecisionContext(10, bits, rng.randrange(1, 12), rng.randrange(1, 12))
+        ctx = unchecked_context(10, bits, rng.randrange(1, 12), rng.randrange(1, 12))
         for _ in range(12):
             q = rng.randrange(2, 10 ** rng.randrange(1, 6))
             x = Q(rng.randrange(1, q), q)
@@ -402,6 +450,34 @@ def test_eval_word_ln_bit_exact_on_paper_words(sweep_sides):
     _assert_numeric_route_bit_exact(sweep_sides, PrecisionContext.for_digits(60))
 
 
+def complement(word):
+    """The word with each exponent moved from j to N - j, which reads the negated ratios."""
+    n = word.denominator
+    return GammaWord(n, tuple(sorted((n - j, e) for j, e in word.exponents)))
+
+
+def _assert_complements_bit_exact(ctx, max_n=96):
+    """On every grid N <= max_n, ratio[N - j] is the subtraction done the other way round.
+
+    Each grid's table is filled from its lower half, so every entry above
+    N/2 is a complement, mpf_neg(ratio[j]); each must equal mpf_sub(ln
+    Gamma((N-j)/N), ln Gamma(j/N)) at ctx.bits, subtracted here.
+    """
+    for n in range(2, max_n + 1):
+        numeric._RATIOS.pop((n, ctx), None)
+        eval_word_ln(GammaWord(n, tuple((j, 1) for j in range(1, n // 2 + 1))), ctx)
+        table = numeric._RATIOS[n, ctx]
+        for j in range(1, n):
+            g = math.gcd(j, n)
+            left, right = (numeric._ln_gamma_cached(k // g, n // g, ctx) for k in (j, n - j))
+            assert table[j] == mpf_sub(left, right, ctx.bits, round_nearest), (n, j, ctx)
+
+
+# Few-bit contexts, where the ratio subtractions round at ties: the two
+# digit counts below split bits 2..24 between them.
+TIE_BITS = {20: range(2, 13), 200: range(13, 25)}
+
+
 @pytest.mark.parametrize("digits", [20, 200])
 def test_numeric_route_bit_exact_on_sampled_sweep_sides(sweep_sides, digits):
     """A seeded sample at mpmath's default precision, and part of it at 12 bits and at ctx.bits.
@@ -409,15 +485,27 @@ def test_numeric_route_bit_exact_on_sampled_sweep_sides(sweep_sides, digits):
     verify forms the residual and its bound at mpmath's default 53 bits,
     whatever the caller's workprec, so the strings and flags under
     workprec(12) and workprec(ctx.bits) are the default-precision ones.
+
+    Each sampled word's complement is one more input: with the tables
+    emptied, it reads the entries its word's misses filled by negation.
+    The same holds at few-bit contexts, and on every grid N <= 96 each
+    complement equals the subtraction done the other way round.
     """
     ctx = PrecisionContext.for_digits(digits)
     sample = random.Random(digits).sample(sweep_sides, 40)
-    _assert_numeric_route_bit_exact(sample, ctx)
+    numeric._RATIOS.clear()
+    sides = [*sample, *((complement(w), rhs) for w, rhs in sample)]
+    _assert_numeric_route_bit_exact(sides, ctx)
     bound = mpmath.mpf(10) ** (10 - digits)
     for prec in (12, ctx.bits):
         _assert_numeric_route_bit_exact(sample[:10], ctx, prec)
         with mpmath.workprec(prec):
             assert ctx.residual_bound == bound
+    _assert_complements_bit_exact(ctx)
+    for bits in TIE_BITS[digits]:
+        tie_ctx = unchecked_context(10, bits, 0, 3)
+        _assert_numeric_route_bit_exact(sides[:10] + sides[40:50], tie_ctx)
+        _assert_complements_bit_exact(tie_ctx)
 
 
 def test_ln_gamma_runs_once_per_distinct_argument(monkeypatch, systems, sweep_sides):
@@ -425,8 +513,10 @@ def test_ln_gamma_runs_once_per_distinct_argument(monkeypatch, systems, sweep_si
 
     Over the whole sweep in numeric mode too, with the caches emptied: one
     ln_gamma call per distinct reduced argument, and one ratio, two cached
-    lookups, per grid point.  ln_gamma is reached through the module
-    attribute, which is what perfbench's tracer wraps.
+    lookups of reduced integer pairs, per complementary pair {j, N - j} of
+    grid points, as the miss at j fills N - j by negation.  ln_gamma is
+    reached through the module attribute, which is what perfbench's tracer
+    wraps.
     """
     ctx = PrecisionContext.for_digits(37)  # used by no other test, so nothing is cached
     seen = []
@@ -446,9 +536,9 @@ def test_ln_gamma_runs_once_per_distinct_argument(monkeypatch, systems, sweep_si
     fresh = lru_cache(maxsize=None)(numeric._ln_gamma_cached.__wrapped__)
     lookups = []
 
-    def looked_up(x, c):
-        lookups.append(x)
-        return fresh(x, c)
+    def looked_up(p, q, c):
+        lookups.append((p, q))
+        return fresh(p, q, c)
 
     monkeypatch.setattr(numeric, "_ln_gamma_cached", looked_up)
     monkeypatch.setattr(numeric, "_RATIOS", {})
@@ -458,4 +548,7 @@ def test_ln_gamma_runs_once_per_distinct_argument(monkeypatch, systems, sweep_si
     points = {(w.denominator, j) for w, _ in sweep_sides for j, _ in w.exponents}
     arguments = {Q(j, n) for n, j in points} | {Q(n - j, n) for n, j in points}
     assert sorted(seen) == sorted(arguments) and len(seen) == 267
-    assert len(lookups) == 2 * len(points)
+    pairs = {(n, min(j, n - j)) for n, j in points}
+    assert len(lookups) == 2 * len(pairs) and len(pairs) < len(points)
+    assert all(math.gcd(p, q) == 1 for p, q in lookups)
+    assert {Q(p, q) for p, q in lookups} == arguments

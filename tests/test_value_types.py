@@ -1,7 +1,7 @@
 """The nine value types: validated, immutable namedtuples with value equality.
 
-FactoredConstant, GammaWord and RootSystemId validate on every construction
-path: the constructor, _make and _replace.  All nine have no instance
+FactoredConstant, GammaWord, RootSystemId and PrecisionContext validate on
+every construction path: the constructor, _make and _replace.  All nine have no instance
 __dict__ and refuse attribute assignment, and equal fields give equal
 objects with equal hashes.
 """
@@ -21,6 +21,8 @@ from gammaroots.numeric import PrecisionContext
 from gammaroots.prover import Certificate, Relation, prove_constant, reflection_relations
 from gammaroots.rootsys import RootSystem, RootSystemId, build
 
+CTX_20 = tuple(PrecisionContext.for_digits(20))
+
 # (type, valid fields, invalid fields)
 VALIDATED = [
     (FactoredConstant, (((2, Q(1, 2)),),), (((4, 1),),)),
@@ -34,6 +36,9 @@ VALIDATED = [
     (RootSystemId, ("A", 3), ("H", 3)),
     (RootSystemId, ("A", 3), ("E", 9)),
     (GammaWord, (4, [[1, 1]]), (4, [[1, 1], [1, 2]])),
+    (PrecisionContext, CTX_20, (20, CTX_20[1], 0, 3)),
+    (PrecisionContext, CTX_20, (20, CTX_20[1] - 1, *CTX_20[2:])),
+    (PrecisionContext, CTX_20, (20, CTX_20[1], CTX_20[2], True)),
 ]
 
 
