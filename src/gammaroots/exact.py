@@ -1,7 +1,8 @@
 """Exact arithmetic for positive constants of the form prod_p p^(e_p).
 
-Rational numbers are stdlib fractions.Fraction throughout the package:
-always lowest terms, positive denominator, unbounded integers.
+A stored rational is two ints, numerator and denominator, in lowest terms
+with a positive denominator.  Callers may pass and read fractions.Fraction,
+but the proof path builds none.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import TYPE_CHECKING, Tuple, Union
+from typing import TYPE_CHECKING, Iterable, Tuple, Union
 
 if TYPE_CHECKING:
     import mpmath
@@ -75,56 +76,81 @@ def validated_make(cls, iterable):
     return cls(*iterable)
 
 
-class FactoredConstant(namedtuple("FactoredConstant", "prime_powers")):
+def ratio(value: RationalLike, denominator: int = 1) -> tuple[int, int]:
+    """value / denominator as ints (numerator, denominator) in lowest terms, denominator >= 1.
+
+    value must be an int or a Fraction, denominator a positive int: nothing
+    is coerced, as a float is no exact rational and a bool no int here.
+    """
+    if type(value) is not int and not isinstance(value, Q):
+        raise ValueError(f"{value!r} is not an int or Fraction")
+    if type(denominator) is not int or denominator < 1:
+        raise ValueError(f"denominator {denominator!r} is not a positive int")
+    g = math.gcd(value.numerator, value.denominator * denominator)
+    return value.numerator // g, value.denominator * denominator // g
+
+
+def fraction_str(numerator: int, denominator: int) -> str:
+    """str(Fraction(numerator, denominator)) for a pair in lowest terms."""
+    return str(numerator) if denominator == 1 else f"{numerator}/{denominator}"
+
+
+class FactoredConstant(namedtuple("FactoredConstant", "powers")):
     """A positive real number prod_p p^(e_p) with rational exponents.
 
-    Canonical form: prime bases strictly increasing, no zero exponents.  The
-    logarithms of distinct primes are linearly independent over the
-    rationals, so structural equality coincides with equality of real values.
+    Canonical form: powers holds one (p, numerator, denominator) int triple
+    per prime with e_p != 0, primes increasing, e_p in lowest terms with a
+    positive denominator.  Logarithms of distinct primes are independent
+    over the rationals, so equal values are equal tuples of ints.
+
+    The constructor takes (p, e_p) pairs, e_p an int or a Fraction, or
+    (p, numerator, denominator) triples as stored; over takes int numerators
+    over one denominator.  Both sum a repeated prime.  prime_powers reads
+    the (p, Fraction) pairs.
     """
 
     __slots__ = ()
 
-    def __new__(cls, prime_powers: Tuple[Tuple[int, Q], ...] = ()) -> FactoredConstant:
-        merged: dict[int, Q] = {}
-        for base, exponent in prime_powers:
-            # No coercion: int() would truncate a float base, and a float
-            # exponent is no exact rational.  A bool is no int here either.
-            if type(base) is not int:
-                raise ValueError(f"base {base!r} is not an int")
-            if not _is_prime(base):
-                raise ValueError(f"base {base} is not prime")
-            if not isinstance(exponent, Q):
-                if type(exponent) is not int:
-                    raise ValueError(f"exponent {exponent!r} is not an int or Fraction")
-                exponent = Q(exponent)
-            if base in merged:
-                exponent += merged[base]
-            merged[base] = exponent
-        canonical = tuple(sorted((b, e) for b, e in merged.items() if e != 0))
-        return tuple.__new__(cls, (canonical,))
+    def __new__(cls, powers: Iterable[tuple] = ()) -> FactoredConstant:
+        triples = [(p, *ratio(value, *denominator)) for p, value, *denominator in powers]
+        denominator = math.lcm(*(d for _, _, d in triples))
+        return cls.over([(p, n * (denominator // d)) for p, n, d in triples], denominator)
 
     _make = classmethod(validated_make)
 
+    @classmethod
+    def over(cls, terms: Iterable[Tuple[int, int]], denominator: int) -> FactoredConstant:
+        """prod p^(m / denominator) over the (p, m) terms, p prime: one gcd per prime."""
+        sums: dict[int, int] = {}
+        for p, m in terms:
+            if type(p) is not int or type(m) is not int:
+                raise ValueError(f"base {p!r} or numerator {m!r} is not an int")
+            if not _is_prime(p):
+                raise ValueError(f"base {p} is not prime")
+            sums[p] = sums.get(p, 0) + m
+        if type(denominator) is not int or denominator < 1:
+            raise ValueError(f"denominator {denominator!r} is not a positive int")
+        powers = ((p, m // (g := math.gcd(m, denominator)), denominator // g)
+                  for p, m in sorted(sums.items()) if m)
+        return tuple.__new__(cls, (tuple(powers),))
+
+    @property
+    def prime_powers(self) -> Tuple[Tuple[int, Q], ...]:
+        """(p, e_p) pairs, e_p a Fraction."""
+        return tuple((p, Q(n, d)) for p, n, d in self.powers)
+
     @property
     def is_one(self) -> bool:
-        return not self.prime_powers
+        return not self.powers
 
     def to_json_obj(self) -> list[dict]:
         """Base/exponent entries in increasing base order."""
-        return [
-            {
-                "base": b,
-                "exponent_numerator": e.numerator,
-                "exponent_denominator": e.denominator,
-            }
-            for b, e in self.prime_powers
-        ]
+        keys = ("base", "exponent_numerator", "exponent_denominator")
+        return [dict(zip(keys, triple)) for triple in self.powers]
 
     def __str__(self) -> str:
-        if self.is_one:
-            return "1"
-        return "*".join(str(b) if e == 1 else f"{b}^({e})" for b, e in self.prime_powers)
+        text = (str(p) if n == d == 1 else f"{p}^({fraction_str(n, d)})" for p, n, d in self.powers)
+        return "*".join(text) or "1"
 
 
 ONE = FactoredConstant()
@@ -143,25 +169,25 @@ def valuations(numerator: int, denominator: int) -> list[tuple[int, int]]:
 
 
 def factor_power(base: RationalLike, exponent: RationalLike) -> FactoredConstant:
-    """base^exponent as a FactoredConstant; base must be a positive rational."""
-    base = Q(base)
-    if base <= 0:
+    """base^exponent as a FactoredConstant; base must be a positive rational.
+
+    base and exponent must each be an int or a Fraction, as in ratio.
+    """
+    numerator, denominator = ratio(base)
+    if numerator <= 0:
         raise ValueError(f"base must be positive, got {base}")
-    return const_pow(FactoredConstant(valuations(base.numerator, base.denominator)), exponent)
+    return const_pow(FactoredConstant.over(valuations(numerator, denominator), 1), exponent)
 
 
 def const_mul(a: FactoredConstant, b: FactoredConstant) -> FactoredConstant:
     """Exact product of two factored constants."""
-    merged = dict(a.prime_powers)
-    for base, e in b.prime_powers:
-        merged[base] = merged.get(base, Q(0)) + e
-    return FactoredConstant(tuple(merged.items()))
+    return FactoredConstant(a.powers + b.powers)
 
 
 def const_pow(a: FactoredConstant, exponent: RationalLike) -> FactoredConstant:
-    """Exact rational power of a factored constant."""
-    e = Q(exponent)
-    return FactoredConstant(tuple((b, ex * e) for b, ex in a.prime_powers))
+    """Exact rational power of a factored constant; exponent an int or a Fraction, as in ratio."""
+    numerator, denominator = ratio(exponent)
+    return FactoredConstant(tuple((p, n * numerator, d * denominator) for p, n, d in a.powers))
 
 
 @lru_cache(maxsize=None)
@@ -188,7 +214,7 @@ def const_ln(a: FactoredConstant, decimal_digits: int) -> mpmath.mpf:
 
     bits, rnd = working_precision_bits(decimal_digits), round_nearest
     total = fzero
-    for base, e in a.prime_powers:
-        exponent = mpf_div(from_int(e.numerator, bits, rnd), from_int(e.denominator), bits, rnd)
+    for base, numerator, denominator in a.powers:
+        exponent = mpf_div(from_int(numerator, bits, rnd), from_int(denominator), bits, rnd)
         total = mpf_add(total, mpf_mul(exponent, _ln_prime(base, bits), bits, rnd), bits, rnd)
     return mpmath.mp.make_mpf(mpf_pos(total, bits, rnd))

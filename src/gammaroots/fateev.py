@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter, namedtuple
-from fractions import Fraction as Q
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -95,7 +94,8 @@ def k_root(system: RootSystem, variant: str) -> VariantTable:
     value.  k^(-1/h) is prod_p p^(-S_p / W), with integer sums S_p = sum_j
     v_p(node_j) w_j and W = sum_j w_j, the weights w_j being n_j (F,
     Fprime; W = h) or 4n_j' = g_j n_j (Fsecond; W = 4h'), with g_j =
-    2(alpha_j|alpha_j) the node norms.
+    2(alpha_j|alpha_j) the node norms.  A right side is one
+    FactoredConstant.over on v_p(node_i) W and each -v_p(node_j) w_j over W.
 
     Every variant's node is node_j = n_j (g_j / 4)^e, e = 0, 1, 2 for F,
     Fprime, Fsecond: the mark, comark or double comark.  It is read as the
@@ -130,13 +130,10 @@ def k_root(system: RootSystem, variant: str) -> VariantTable:
         raise ValueError(f"{system.ident}: an argument x/{denominator} lies outside (0,1)")
     g = math.gcd(denominator, *numerators)
     powers = {key: valuations(*key) for key in set(keys)}
-    sums: Counter = Counter()
-    for key, weight in zip(keys, weights):
-        for p, m in powers[key]:
-            sums[p] += m * weight
     total = sum(weights)
-    k = [(p, Q(-s, total)) for p, s in sums.items()]
-    rhs = {key: FactoredConstant((*powers[key], *k)) for key in set(keys[1:])}
+    k = [(p, -m * weight) for key, weight in zip(keys, weights) for p, m in powers[key]]
+    node = {key: [(p, m * total) for p, m in powers[key]] for key in set(keys[1:])}
+    rhs = {key: FactoredConstant.over(node[key] + k, total) for key in node}
     arguments = tuple(x // g for x in numerators)
     return VariantTable(denominator // g, arguments, divisors, tuple(rhs[key] for key in keys[1:]))
 

@@ -7,9 +7,10 @@ Columns and targets are integer vectors.  A row update, in place, is
 row_i = a row_i - b row_r with a = p/g, b = f/g and g = gcd(p, f), where p
 is the pivot and f the row's entry in the pivot column; a row scaled by
 a != 1 is then divided by its gcd (after Bareiss, Math. Comp. 22, 1968).
-No Fraction arithmetic runs inside the elimination, and Fractions appear
-only in the answers.  Vectors of unknowns are indexed by column: the solver
-and nullspace take their input as a list of column vectors.
+No Fraction arithmetic runs inside the elimination, the solver answers in
+ints, and Fractions appear only in nullspace's basis.  Vectors of unknowns
+are indexed by column: the solver and nullspace take their input as a list
+of column vectors.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ class PreparedSolver:
 
     Eliminating the integer rows of [A | I] once records an integer row
     transform T with T A = R, where row r of R has the pivot value p_r at
-    pivot column c_r and zero at every other pivot column.  A target b is
+    pivot column c_r and zero at every other pivot column, each row negated
+    if need be so that p_r > 0.  A target b is
     consistent iff the transform rows below the rank annihilate it, and the
     particular solution with free variables zero is x[c_r] = (T b)_r / p_r.
     """
@@ -132,6 +134,9 @@ class PreparedSolver:
         for i, row in enumerate(rows):
             row[ncols + i] = 1
         pivots = _eliminate(rows, ncols)
+        for r, c in enumerate(pivots):
+            if rows[r][c] < 0:
+                rows[r] = {k: -v for k, v in rows[r].items()}
         self.nrows = nrows
         self.pivots = tuple(pivots)
         self.rank = len(pivots)
@@ -145,12 +150,13 @@ class PreparedSolver:
                     transform[k - ncols].append((r, v))
         self.transform = tuple(tuple(col) for col in transform)
 
-    def solve(self, target: Sequence[int]) -> Optional[List[Tuple[int, Q]]]:
+    def solve(self, target: Sequence[int]) -> Optional[List[Tuple[int, int, int]]]:
         """One exact solution x of sum_j x_j columns[j] = target, or None.
 
         Free variables are set to zero, so the answer is deterministic.  The
-        solution comes as its nonzero entries (column, x_column) in column
-        order; every column not listed is zero.
+        solution comes as its nonzero entries in column order, each as the
+        ints (column, numerator, denominator) of x_column in lowest terms,
+        denominator >= 1; every column not listed is zero.
         """
         if len(target) != self.nrows:
             raise ValueError("dimension mismatch")
@@ -161,6 +167,5 @@ class PreparedSolver:
                     transformed[r] += t * b
         if any(transformed[self.rank:]):
             return None
-        return [
-            (c, Q(y, p)) for y, c, p in zip(transformed, self.pivots, self.pivot_values) if y
-        ]
+        pivots = zip(transformed, self.pivots, self.pivot_values)
+        return [(c, y // (g := math.gcd(y, p)), p // g) for y, c, p in pivots if y]

@@ -39,7 +39,7 @@ the solution on them stay the same.
 Reflections have value one, and multiplication(p, k) has the value
 p^((N - 2pk)/N), so the derived constant's exponent of p is
 sum_k x_(p,k) (N - 2pk)/N.  It is summed in integers, over the common
-denominator of the x_m times N, and becomes one Fraction per prime.
+denominator of the x_m times N, and reduced with one gcd per prime.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ import math
 from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exact import ONE, FactoredConstant, factorize
+from .exact import ONE, FactoredConstant, factorize, fraction_str, ratio, validated_make
 from .gammaword import GammaWord
 
 
@@ -99,7 +99,7 @@ def _multiplication_vector(n: int, d: int, k: int) -> Tuple[Tuple[int, int], ...
 
 def _multiplication(n: int, d: int, k: int, primes: Sequence[Tuple[int, int]]) -> Relation:
     """multiplication(d, k) on the 1/N grid; primes is the factorization of d as (p, m) pairs."""
-    value = FactoredConstant(tuple((p, Q(m * (n - 2 * d * k), n)) for p, m in primes))
+    value = FactoredConstant.over([(p, m * (n - 2 * d * k)) for p, m in primes], n)
     return Relation(_multiplication_tag(d, k), _multiplication_vector(n, d, k), value)
 
 
@@ -154,19 +154,33 @@ def relation_word(relation: Relation, n: int) -> GammaWord:
     return GammaWord(n, relation.vector)
 
 
-class Certificate(namedtuple("Certificate", "coefficients derived_constant")):
+class Certificate(namedtuple("Certificate", "terms derived_constant")):
     """Rational relation coefficients reproducing a word's exponent vector.
 
     The certified statement: the gamma part of the word equals
     derived_constant = prod over (tag, coefficient) entries of value(tag)^coefficient.
+    Canonical form: terms holds (tag, numerator, denominator) int triples,
+    each coefficient in lowest terms with a positive denominator.  The
+    constructor takes (tag, coefficient) pairs, an int or a Fraction, or
+    such triples; coefficients reads the (tag, Fraction) pairs.
     """
 
     __slots__ = ()
 
+    def __new__(cls, terms: Sequence[tuple], derived_constant: FactoredConstant) -> Certificate:
+        terms = tuple((tag, *ratio(value, *denominator)) for tag, value, *denominator in terms)
+        return tuple.__new__(cls, (terms, derived_constant))
+
+    _make = classmethod(validated_make)
+
+    @property
+    def coefficients(self) -> Tuple[Tuple[str, Q], ...]:
+        return tuple((tag, Q(n, d)) for tag, n, d in self.terms)
+
     def to_json_obj(self) -> dict:
         return {
             "relations": [
-                {"tag": tag, "coefficient": str(c)} for tag, c in self.coefficients
+                {"tag": tag, "coefficient": fraction_str(n, d)} for tag, n, d in self.terms
             ],
             "derived_constant": self.derived_constant.to_json_obj(),
         }
@@ -228,27 +242,27 @@ def prove_constant(word: GammaWord) -> Optional[Certificate]:
     if solution is None:
         return None
     relations = _solver_relations(n)
-    used = [(relations[c], x) for c, x in solution]
     # The residual v - sum_m x_m M_m at j <= N/2, in integers over the common
     # denominator of the x_m: entry j is the coefficient of the reflection at j.
     # The derived constant's exponent of p, sum_k x_(p,k) (N - 2pk)/N, is
     # summed over the same denominator times N.
-    denominator = math.lcm(*(x.denominator for _, x in used))
+    denominator = math.lcm(*(d for _, _, d in solution))
     residual = {j: e * denominator for j, e in word.exponents if 2 * j <= n}
-    exponents: Dict[int, int] = {}
-    for (p, k, vector), x in used:
-        scaled = x.numerator * (denominator // x.denominator)
-        exponents[p] = exponents.get(p, 0) + scaled * (n - 2 * p * k)
+    powers = []
+    for c, x, d in solution:
+        p, k, vector = relations[c]
+        scaled = x * (denominator // d)
+        powers.append((p, scaled * (n - 2 * p * k)))
         for j, e in vector:
             if 2 * j <= n:
                 residual[j] = residual.get(j, 0) - scaled * e
-    coefficients = tuple(
-        (_reflection_tag(j, n), Q(r, denominator)) for j, r in sorted(residual.items()) if r
-    ) + tuple((_multiplication_tag(p, k), x) for (p, k, _), x in used)
-    derived = FactoredConstant(
-        tuple((p, Q(e, denominator * n)) for p, e in exponents.items() if e)
-    )
-    return Certificate(coefficients, derived)
+    # Canonical as built, so the constructor is skipped: solve reduces each
+    # x_m, and each reflection coefficient is reduced here.
+    terms = [(_reflection_tag(j, n), r // (g := math.gcd(r, denominator)), denominator // g)
+             for j, r in sorted(residual.items()) if r]
+    terms += [(_multiplication_tag(*relations[c][:2]), x, d) for c, x, d in solution]
+    derived = FactoredConstant.over(powers, denominator * n)
+    return tuple.__new__(Certificate, (tuple(terms), derived))
 
 
 def kernel_consistency(n: int) -> tuple[bool, Optional[Tuple[Tuple[str, Q], ...]]]:
@@ -263,10 +277,5 @@ def kernel_consistency(n: int) -> tuple[bool, Optional[Tuple[Tuple[str, Q], ...]
     columns = [_dense(r.vector, n) for r in relations]
     for combination in linalg.nullspace(columns):
         if not _combine_values(relations, combination).is_one:
-            witness = tuple(
-                (relation.tag, c)
-                for relation, c in zip(relations, combination)
-                if c
-            )
-            return False, witness
+            return False, tuple((r.tag, c) for r, c in zip(relations, combination) if c)
     return True, None

@@ -380,6 +380,43 @@ TABLE_TEXT_SHA256 = "903386e941419a5cf80a9d023a95e0c247655d094257fd46cebd89057d3
 EXACT_JSON_SHA256 = "fdc53f33428b0e46fd04fe753cb58cc2db0dc6794c96b874f710330cb637aa7b"
 
 
+def test_verify_exact_json_golden_digest_under_optimized_mode():
+    """`python -O -m gammaroots.cli verify --mode exact --format json` prints the pinned bytes.
+
+    -O strips assert statements, so this run shows that nothing the exact
+    route checks or computes rests on one; the checks the constructors make
+    still raise there.
+    """
+    src = os.path.dirname(os.path.dirname(gammaroots.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "gammaroots.cli", "verify", "--mode", "exact",
+         "--format", "json"],
+        env=env, capture_output=True, check=True,
+    )
+    assert hashlib.sha256(out.stdout).hexdigest() == EXACT_JSON_SHA256
+    code = (
+        "from gammaroots.exact import ONE, FactoredConstant, const_pow, factor_power\n"
+        "from gammaroots.prover import Certificate\n"
+        "bad = [lambda: FactoredConstant(((4, 1),)), lambda: FactoredConstant(((2, 0.5),)),\n"
+        "       lambda: FactoredConstant.over([(2, 1)], 0),\n"
+        "       lambda: FactoredConstant(((2, 1, 0),)),\n"
+        "       lambda: Certificate([('t', 0.5)], ONE), lambda: const_pow(ONE, True),\n"
+        "       lambda: factor_power(0.1, 1)]\n"
+        "for make in bad:\n"
+        "    try:\n"
+        "        make()\n"
+        "    except ValueError:\n"
+        "        print('raised')\n"
+        "    else:\n"
+        "        print('passed')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["raised"] * 7
+
+
 # sha256 of `relations N --format json` concatenated over N = 2..96, taken
 # before the relation values were built from each divisor's factorization.
 RELATIONS_JSON_SHA256 = "72d7870c618e1eada7458bf0ddb539a4ce1013e16355f1ad13877f25db589a92"

@@ -1,6 +1,7 @@
 """Factored-constant arithmetic: canonical form, exact ops, logarithms."""
 
 import json
+import math
 import random
 from fractions import Fraction as Q
 
@@ -16,6 +17,7 @@ from gammaroots.exact import (
     const_pow,
     factor_power,
 )
+from gammaroots.prover import Certificate
 
 
 def test_factor_power_basic():
@@ -94,6 +96,85 @@ def test_rejects_float_exponent():
     assert FactoredConstant(((3, 1), (2, Q(1, 2)))).prime_powers == ((2, Q(1, 2)), (3, Q(1)))
 
 
+NOT_RATIONAL = (0.1, 0.5, 1.0, "1/2", True, False)
+
+
+def test_const_pow_refuses_an_exponent_that_is_no_int_or_fraction():
+    """The constructor's rule: a float, a str or a bool exponent raises, never coerced."""
+    value = FactoredConstant(((2, Q(1, 3)),))
+    for exponent in NOT_RATIONAL:
+        with pytest.raises(ValueError, match="not an int or Fraction"):
+            const_pow(value, exponent)
+    assert const_pow(value, Q(3, 2)) == FactoredConstant(((2, Q(1, 2)),))
+    assert const_pow(value, 3) == FactoredConstant(((2, 1),))
+
+
+def test_factor_power_refuses_a_base_or_exponent_that_is_no_int_or_fraction():
+    for bad in NOT_RATIONAL:
+        with pytest.raises(ValueError, match="not an int or Fraction"):
+            factor_power(bad, 1)
+        with pytest.raises(ValueError, match="not an int or Fraction"):
+            factor_power(12, bad)
+    assert factor_power(Q(12), Q(1, 2)) == factor_power(12, Q(1, 2))
+
+
+def test_integer_path_matches_the_pair_constructor_and_a_fraction_reference():
+    """FactoredConstant.over, the pair constructor and the triple constructor agree.
+
+    Seeded random exponents, compared with a plain Fraction reference: equal
+    objects and hashes, the same to_json_obj and str, and only ints stored.
+    The cases cover repeated bases, sums that cancel to zero, negative
+    numerators and integral exponents; Certificate terms are checked the
+    same way, from pairs and from unreduced triples.
+    """
+    rng = random.Random(24)
+    primes = (2, 3, 5, 7, 11, 13)
+    seen = dict.fromkeys(("repeated", "cancelled", "negative", "integral"), 0)
+    for _ in range(600):
+        pairs = []
+        for _ in range(rng.randint(0, 7)):
+            e = Q(rng.randint(-12, 12), rng.randint(1, 9))
+            pairs.append((rng.choice(primes), e.numerator if e.denominator == 1 else e))
+        if pairs and rng.random() < 0.3:
+            p = pairs[0][0]
+            pairs.append((p, -sum(e for b, e in pairs if b == p)))
+        reference: dict = {}
+        for p, e in pairs:
+            reference[p] = reference.get(p, Q(0)) + e
+        want = sorted((p, e) for p, e in reference.items() if e)
+        seen["repeated"] += len(reference) < len(pairs)
+        seen["cancelled"] += len(want) < len(reference)
+        seen["negative"] += any(e < 0 for _, e in want)
+        seen["integral"] += any(e.denominator == 1 for _, e in want)
+
+        denominator = rng.randint(1, 4) * math.lcm(*(Q(e).denominator for _, e in pairs))
+        by_pairs = FactoredConstant(pairs)
+        by_ints = FactoredConstant.over([(p, int(e * denominator)) for p, e in pairs], denominator)
+        by_triples = FactoredConstant([(p, int(e * denominator), denominator) for p, e in pairs])
+        assert by_pairs == by_ints == by_triples == FactoredConstant(by_ints.powers)
+        assert hash(by_pairs) == hash(by_ints) == hash(by_triples)
+        assert by_ints.powers == tuple((p, e.numerator, e.denominator) for p, e in want)
+        assert all(type(x) is int for triple in by_ints.powers for x in triple)
+        assert by_ints.prime_powers == tuple(want)
+        assert by_ints.to_json_obj() == [
+            {"base": p, "exponent_numerator": e.numerator, "exponent_denominator": e.denominator}
+            for p, e in want
+        ]
+        text = "*".join(str(p) if e == 1 else f"{p}^({e})" for p, e in want)
+        assert str(by_ints) == (text or "1")
+
+        tags = [(f"t{i}", e) for i, (_, e) in enumerate(pairs)]
+        scaled = [(tag, int(e * denominator), denominator) for tag, e in tags]
+        certificate = Certificate(tags, by_ints)
+        assert certificate == Certificate(scaled, by_pairs)
+        assert hash(certificate) == hash(Certificate(scaled, by_pairs))
+        assert certificate.coefficients == tuple((tag, Q(e)) for tag, e in tags)
+        assert certificate.to_json_obj()["relations"] == [
+            {"tag": tag, "coefficient": str(Q(e))} for tag, e in tags
+        ]
+    assert min(seen.values()) > 20, seen
+
+
 def test_composite_base_still_raises_once_primes_are_cached():
     for p in (2, 3, 5, 7, 11):
         FactoredConstant(((p, Q(1)),))
@@ -105,6 +186,23 @@ def test_composite_base_still_raises_once_primes_are_cached():
         # the check runs on every construction, not only the first
         with pytest.raises(ValueError):
             FactoredConstant(((composite, Q(-1)),))
+
+
+def test_integer_path_validates_its_terms_and_denominator():
+    for terms, denominator in (
+        ([(4, 1)], 1), ([(2.0, 1)], 1), ([(True, 1)], 1), ([(2, Q(1))], 1), ([(2, 1.0)], 1),
+        ([(2, 1)], 0), ([(2, 1)], -3), ([(2, 1)], 2.0), ([], True), ([(2, 0), (6, 0)], 1),
+    ):
+        with pytest.raises(ValueError):
+            FactoredConstant.over(terms, denominator)
+    for triple in ((2, 1, 0), (2, 1, -2), (2, 1, 2.0), (2, 0.5, 1), (2, 1, True)):
+        with pytest.raises(ValueError):
+            FactoredConstant((triple,))
+        with pytest.raises(ValueError):
+            Certificate([("t", *triple[1:])], ONE)
+    assert FactoredConstant.over([(3, 4), (2, -6), (3, 2)], 12) == FactoredConstant(
+        ((2, Q(-1, 2)), (3, Q(1, 2)))
+    )
 
 
 def test_equality_means_equal_value():

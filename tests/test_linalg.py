@@ -5,6 +5,7 @@ Gauss-Jordan over Fractions it replaced, written out so the two can be
 compared on the same inputs.
 """
 
+import math
 import random
 from fractions import Fraction as Q
 
@@ -73,15 +74,21 @@ def reference_nullspace(columns):
 
 
 def densify(solution, ncols):
-    """The solver's nonzero (column, value) pairs as a dense list; None stays None."""
+    """The solver's (column, numerator, denominator) triples as a dense Fraction list.
+
+    Each entry must be nonzero and in lowest terms with a positive
+    denominator, both ints; None stays None.
+    """
     if solution is None:
         return None
-    columns = [c for c, _ in solution]
+    columns = [c for c, _, _ in solution]
     assert columns == sorted(set(columns)), "entries must come once each, in column order"
-    assert all(x for _, x in solution), "only nonzero entries are listed"
+    for _, n, d in solution:
+        assert type(n) is int and type(d) is int, "answers are ints, not Fractions"
+        assert n and d >= 1 and math.gcd(n, d) == 1, "only nonzero entries, in lowest terms"
     x = [Q(0)] * ncols
-    for c, value in solution:
-        x[c] = value
+    for c, n, d in solution:
+        x[c] = Q(n, d)
     return x
 
 
@@ -104,7 +111,7 @@ def _targets(rng, cols):
 
 
 def test_solve_unique():
-    assert PreparedSolver([[1, 0], [1, 1]]).solve([3, 2]) == [(0, Q(1)), (1, Q(2))]
+    assert PreparedSolver([[1, 0], [1, 1]]).solve([3, 2]) == [(0, 1, 1), (1, 2, 1)]
 
 
 def test_solve_inconsistent():
@@ -114,7 +121,7 @@ def test_solve_inconsistent():
 def test_solve_underdetermined_sets_free_vars_to_zero():
     cols = [[1, 0], [1, 0], [0, 1]]
     # the free column 1 is zero, so it is not listed
-    assert PreparedSolver(cols).solve([5, 7]) == [(0, Q(5)), (2, Q(7))]
+    assert PreparedSolver(cols).solve([5, 7]) == [(0, 5, 1), (2, 7, 1)]
 
 
 def test_nullspace_basis_annihilates():
@@ -197,7 +204,8 @@ def test_prepared_solver_integer_targets_rational_solutions():
     # the third column is the sum of the first two, so it stays free
     cols = [[2, 1], [0, 3], [2, 4]]
     prepared = PreparedSolver(cols)
-    assert prepared.solve([2, 4]) == [(0, Q(1)), (1, Q(1))]
+    assert prepared.solve([2, 4]) == [(0, 1, 1), (1, 1, 1)]
+    assert prepared.solve([1, 1]) == [(0, 1, 2), (1, 1, 6)]
     x = densify(prepared.solve([1, 1]), 3)
     assert x == reference_solve_many(cols, [[1, 1]])[0] == [Q(1, 2), Q(1, 6), Q(0)]
     assert [sum(x[j] * cols[j][i] for j in range(3)) for i in range(2)] == [1, 1]

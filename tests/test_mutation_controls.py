@@ -53,11 +53,36 @@ def test_a_solver_answer_off_by_one_fails_the_run():
     def off_by_one(self, target):
         solution = solve(self, target)
         if solution:
-            (column, x), *rest = solution
-            solution = [(column, x + 1), *rest]
+            (column, numerator, denominator), *rest = solution
+            solution = [(column, numerator + denominator, denominator), *rest]
         return solution
 
     exit_code = doctored_exit(linalg.PreparedSolver, "solve", off_by_one, "exact")
+    assert exit_code == EXIT_VERIFICATION_FAILED
+
+
+@pytest.mark.parametrize("mode", ["exact", "both"])
+def test_a_right_side_exponent_numerator_off_by_one_fails_the_run(mode):
+    """k_root's FactoredConstant.over with its first numerator raised by one.
+
+    Only the name fateev reads is doctored, so the prover's derived
+    constants stay right while each right side with a term, a constant
+    other than 1, is 1/W off in one exponent.
+    """
+    over = exact.FactoredConstant.over
+
+    class OffByOne(exact.FactoredConstant):
+        __slots__ = ()
+
+        @classmethod
+        def over(cls, terms, denominator):
+            terms = list(terms)
+            if terms:
+                p, m = terms[0]
+                terms[0] = (p, m + 1)
+            return over(terms, denominator)
+
+    exit_code = doctored_exit(fateev, "FactoredConstant", OffByOne, mode)
     assert exit_code == EXIT_VERIFICATION_FAILED
 
 

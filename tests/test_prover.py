@@ -24,6 +24,7 @@ from gammaroots.exact import (
     factor_power,
     factorize,
 )
+from gammaroots.fateev import VARIANTS, admissible, k_root, verify_all
 from gammaroots.gammaword import GammaWord
 from gammaroots.linalg import PreparedSolver
 from gammaroots.numeric import PrecisionContext, eval_word_ln
@@ -180,8 +181,8 @@ def test_reduced_solver_matches_the_full_multiplication_set():
         reference = PreparedSolver(columns)
         assert [full[c].tag for c in reference.pivots] == [reduced[c] for c in solver.pivots]
         for target in columns:
-            want = [(full[c].tag, x) for c, x in reference.solve(target)]
-            assert [(reduced[c], x) for c, x in solver.solve(target)] == want, n
+            want = [(full[c].tag, *x) for c, *x in reference.solve(target)]
+            assert [(reduced[c], *x) for c, *x in solver.solve(target)] == want, n
 
 
 def test_relation_counts():
@@ -384,14 +385,18 @@ def test_certificates_match_fraction_reference(n):
 LATTICE_SEED_1_SHA256 = "3c843c1f277660e0e2ab86f4a1f716499a055b5479a3ee9680f1a78e72c6e528"
 
 
-def test_lattice_certificates_golden_digest():
+def lattice_words(seed):
+    """The benchmark's lattice words for seed, as GammaWords."""
     spec = importlib.util.spec_from_file_location("perfbench_replay_golden", REPLAY)
     replay = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(replay)
-    certificates = [
-        prove_constant(GammaWord(w["N"], tuple((j, e) for j, e in w["terms"])))
-        for w in replay.lattice_words(1)
+    return [
+        GammaWord(w["N"], tuple((j, e) for j, e in w["terms"])) for w in replay.lattice_words(seed)
     ]
+
+
+def test_lattice_certificates_golden_digest():
+    certificates = [prove_constant(word) for word in lattice_words(1)]
     text = json.dumps(
         [None if c is None else c.to_json_obj() for c in certificates], separators=(",", ":")
     )
@@ -480,3 +485,57 @@ def test_importing_prover_leaves_the_front_end_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_exact_values_store_only_ints_and_tags(systems):
+    """No stored field of a right side, certificate or derived constant holds a Fraction.
+
+    Checked recursively over every k_root right side of the 49 sweep systems
+    and every certificate, with its derived constant, of the sweep and of the
+    lattice words for seed 1: each leaf is an int, or a str tag.  Only the
+    readers prime_powers and coefficients build Fractions.
+    """
+    right_sides = [
+        rhs
+        for s in systems.values()
+        for variant in VARIANTS
+        if admissible(s, variant)
+        for rhs in k_root(s, variant).rhs
+    ]
+    sweep = [r.certificate for r in verify_all(systems.values(), mode="exact").reports]
+    lattice = [c for c in map(prove_constant, lattice_words(1)) if c is not None]
+    assert len(right_sides) == 842 and len(sweep) == 842 and len(lattice) > 300
+    for certificate in sweep + lattice:
+        assert type(certificate) is Certificate
+        assert type(certificate.derived_constant) is FactoredConstant
+    for value in right_sides + sweep + lattice:
+        stack = [value]
+        while stack:
+            item = stack.pop()
+            if isinstance(item, tuple):
+                stack.extend(item)
+            else:
+                assert type(item) in (int, str), (value, item)
+
+
+def test_the_exact_route_builds_no_fraction(systems, monkeypatch):
+    """verify_all in exact mode and prove_constant with its JSON construct no Fraction.
+
+    Over the 49 sweep systems and the lattice words for seed 1, built
+    beforehand, every Fraction construction is counted; the count must
+    stay zero.
+    """
+    words = lattice_words(1)
+    built = []
+    new = Q.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", counting)
+    summary = verify_all(systems.values(), mode="exact")
+    certificates = [prove_constant(word) for word in words]
+    json.dumps([None if c is None else c.to_json_obj() for c in certificates])
+    assert built == []
+    assert summary.all_passed and any(certificates)

@@ -1,7 +1,8 @@
 """The nine value types: validated, immutable namedtuples with value equality.
 
-FactoredConstant, GammaWord, RootSystemId and PrecisionContext validate on
-every construction path: the constructor, _make and _replace.  All nine have no instance
+FactoredConstant, GammaWord, RootSystemId, PrecisionContext and the terms of
+Certificate validate on every construction path: the constructor, _make and
+_replace.  All nine have no instance
 __dict__ and refuse attribute assignment, and equal fields give equal
 objects with equal hashes.
 """
@@ -14,7 +15,7 @@ from fractions import Fraction as Q
 import pytest
 
 import gammaroots
-from gammaroots.exact import FactoredConstant
+from gammaroots.exact import ONE, FactoredConstant
 from gammaroots.fateev import F, VerificationReport, VerificationSummary, verify, verify_all
 from gammaroots.gammaword import GammaWord
 from gammaroots.numeric import PrecisionContext
@@ -39,6 +40,7 @@ VALIDATED = [
     (PrecisionContext, CTX_20, (20, CTX_20[1], 0, 3)),
     (PrecisionContext, CTX_20, (20, CTX_20[1] - 1, *CTX_20[2:])),
     (PrecisionContext, CTX_20, (20, CTX_20[1], CTX_20[2], True)),
+    (Certificate, ((("half", Q(1, 2)),), ONE), ((("half", 0.5),), ONE)),
 ]
 
 
@@ -60,11 +62,11 @@ def test_replace_validates_one_field():
     with pytest.raises(ValueError, match="strictly increasing|outside"):
         GammaWord(4, ((1, 1),))._replace(exponents=((0, 1),))
     with pytest.raises(ValueError, match="not prime"):
-        FactoredConstant(((2, 1),))._replace(prime_powers=((6, 1),))
+        FactoredConstant(((2, 1),))._replace(powers=((6, 1),))
     with pytest.raises(ValueError, match="admits rank"):
         RootSystemId("G", 2)._replace(rank=3)
     # _replace canonicalizes as the constructor does
-    assert FactoredConstant()._replace(prime_powers=((3, 1), (2, 0))).prime_powers == ((3, 1),)
+    assert FactoredConstant()._replace(powers=((3, 1), (2, 0))).powers == ((3, 1, 1),)
 
 
 def instances(systems):
