@@ -76,16 +76,18 @@ def validated_make(cls, iterable):
     return cls(*iterable)
 
 
-def ratio(value: RationalLike, denominator: int = 1) -> tuple[int, int]:
+def ratio(value: RationalLike, denominator: int = 1, *extra: int) -> tuple[int, int]:
     """value / denominator as ints (numerator, denominator) in lowest terms, denominator >= 1.
 
-    value must be an int or a Fraction, denominator a positive int: nothing
-    is coerced, as a float is no exact rational and a bool no int here.
+    value must be an int or a Fraction, denominator one positive int: nothing
+    is coerced, as a float is no exact rational and a bool no int here.  The
+    constructors pass an entry's fields after its first here, so an entry
+    with a field too many is refused as well.
     """
     if type(value) is not int and not isinstance(value, Q):
         raise ValueError(f"{value!r} is not an int or Fraction")
-    if type(denominator) is not int or denominator < 1:
-        raise ValueError(f"denominator {denominator!r} is not a positive int")
+    if extra or type(denominator) is not int or denominator < 1:
+        raise ValueError(f"expected one positive int denominator, got {(denominator, *extra)!r}")
     g = math.gcd(value.numerator, value.denominator * denominator)
     return value.numerator // g, value.denominator * denominator // g
 
@@ -171,11 +173,10 @@ def valuations(numerator: int, denominator: int) -> list[tuple[int, int]]:
 def factor_power(base: RationalLike, exponent: RationalLike) -> FactoredConstant:
     """base^exponent as a FactoredConstant; base must be a positive rational.
 
-    base and exponent must each be an int or a Fraction, as in ratio.
+    base and exponent must each be an int or a Fraction, as in ratio.  A
+    base of zero or below is refused by factorize.
     """
     numerator, denominator = ratio(base)
-    if numerator <= 0:
-        raise ValueError(f"base must be positive, got {base}")
     return const_pow(FactoredConstant.over(valuations(numerator, denominator), 1), exponent)
 
 

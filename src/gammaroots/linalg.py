@@ -48,11 +48,13 @@ def _eliminate(rows: List[Row], ncols: int) -> List[int]:
     """Fraction-free Gauss-Jordan on columns 0..ncols-1; returns the pivot columns.
 
     Rows are reordered and rewritten in place.  Afterwards row r < rank holds
-    its pivot value at pivots[r] and zero at every other pivot column, and the
-    rows from rank on are zero in columns below ncols.  Entries at columns
-    >= ncols (a carried transform) take part in every row operation but are
-    never pivoted on.  The pivot columns are the greedy column basis, the same
-    set Gauss-Jordan over the rationals picks, whichever row supplies a pivot.
+    its pivot value, positive, at pivots[r] and zero at every other pivot
+    column: a row that supplies a negative pivot is negated, and every later
+    update scales it by a positive factor.  The rows from rank on are zero
+    in columns below ncols.  Entries at columns >= ncols (a carried
+    transform) take part in every row operation but are never pivoted on.
+    The pivot columns are the greedy column basis, the same set Gauss-Jordan
+    over the rationals picks, whichever row supplies a pivot.
     """
     pivots: List[int] = []
     nrows = len(rows)
@@ -65,6 +67,8 @@ def _eliminate(rows: List[Row], ncols: int) -> List[int]:
         # The smallest pivot entry, then the sparsest row, keeps entries small.
         best = min(candidates, key=lambda i: (abs(rows[i][c]), len(rows[i])))
         rows[r], rows[best] = rows[best], rows[r]
+        if rows[r][c] < 0:
+            rows[r] = {k: -v for k, v in rows[r].items()}
         pivot_row = rows[r]
         p = pivot_row[c]
         for i in holders:
@@ -121,10 +125,10 @@ class PreparedSolver:
 
     Eliminating the integer rows of [A | I] once records an integer row
     transform T with T A = R, where row r of R has the pivot value p_r at
-    pivot column c_r and zero at every other pivot column, each row negated
-    if need be so that p_r > 0.  A target b is
-    consistent iff the transform rows below the rank annihilate it, and the
-    particular solution with free variables zero is x[c_r] = (T b)_r / p_r.
+    pivot column c_r and zero at every other pivot column, with p_r > 0.  A
+    target b is consistent iff the transform rows below the rank annihilate
+    it, and the particular solution with free variables zero is x[c_r] =
+    (T b)_r / p_r.
     """
 
     def __init__(self, columns: Sequence[Column]):
@@ -134,9 +138,6 @@ class PreparedSolver:
         for i, row in enumerate(rows):
             row[ncols + i] = 1
         pivots = _eliminate(rows, ncols)
-        for r, c in enumerate(pivots):
-            if rows[r][c] < 0:
-                rows[r] = {k: -v for k, v in rows[r].items()}
         self.nrows = nrows
         self.pivots = tuple(pivots)
         self.rank = len(pivots)
@@ -155,8 +156,10 @@ class PreparedSolver:
 
         Free variables are set to zero, so the answer is deterministic.  The
         solution comes as its nonzero entries in column order, each as the
-        ints (column, numerator, denominator) of x_column in lowest terms,
-        denominator >= 1; every column not listed is zero.
+        ints (column, (T b)_r, p_r) with x_column = (T b)_r / p_r: the
+        denominator is the pivot value, positive, and the pair is not
+        reduced, as the consumer reduces it once; every column not listed
+        is zero.
         """
         if len(target) != self.nrows:
             raise ValueError("dimension mismatch")
@@ -167,5 +170,4 @@ class PreparedSolver:
                     transformed[r] += t * b
         if any(transformed[self.rank:]):
             return None
-        pivots = zip(transformed, self.pivots, self.pivot_values)
-        return [(c, y // (g := math.gcd(y, p)), p // g) for y, c, p in pivots if y]
+        return [(c, y, p) for y, c, p in zip(transformed, self.pivots, self.pivot_values) if y]

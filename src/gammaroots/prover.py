@@ -245,7 +245,8 @@ def prove_constant(word: GammaWord) -> Optional[Certificate]:
     # The residual v - sum_m x_m M_m at j <= N/2, in integers over the common
     # denominator of the x_m: entry j is the coefficient of the reflection at j.
     # The derived constant's exponent of p, sum_k x_(p,k) (N - 2pk)/N, is
-    # summed over the same denominator times N.
+    # summed over the same denominator times N.  The Certificate constructor
+    # brings each coefficient to lowest terms.
     denominator = math.lcm(*(d for _, _, d in solution))
     residual = {j: e * denominator for j, e in word.exponents if 2 * j <= n}
     powers = []
@@ -256,13 +257,10 @@ def prove_constant(word: GammaWord) -> Optional[Certificate]:
         for j, e in vector:
             if 2 * j <= n:
                 residual[j] = residual.get(j, 0) - scaled * e
-    # Canonical as built, so the constructor is skipped: solve reduces each
-    # x_m, and each reflection coefficient is reduced here.
-    terms = [(_reflection_tag(j, n), r // (g := math.gcd(r, denominator)), denominator // g)
-             for j, r in sorted(residual.items()) if r]
+    terms = [(_reflection_tag(j, n), r, denominator) for j, r in sorted(residual.items()) if r]
     terms += [(_multiplication_tag(*relations[c][:2]), x, d) for c, x, d in solution]
     derived = FactoredConstant.over(powers, denominator * n)
-    return tuple.__new__(Certificate, (tuple(terms), derived))
+    return Certificate(terms, derived)
 
 
 def kernel_consistency(n: int) -> tuple[bool, Optional[Tuple[Tuple[str, Q], ...]]]:
@@ -277,5 +275,10 @@ def kernel_consistency(n: int) -> tuple[bool, Optional[Tuple[Tuple[str, Q], ...]
     columns = [_dense(r.vector, n) for r in relations]
     for combination in linalg.nullspace(columns):
         if not _combine_values(relations, combination).is_one:
-            return False, tuple((r.tag, c) for r, c in zip(relations, combination) if c)
+            witness = tuple(
+                (relation.tag, c)
+                for relation, c in zip(relations, combination)
+                if c
+            )
+            return False, witness
     return True, None

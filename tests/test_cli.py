@@ -401,6 +401,7 @@ def test_verify_exact_json_golden_digest_under_optimized_mode():
         "bad = [lambda: FactoredConstant(((4, 1),)), lambda: FactoredConstant(((2, 0.5),)),\n"
         "       lambda: FactoredConstant.over([(2, 1)], 0),\n"
         "       lambda: FactoredConstant(((2, 1, 0),)),\n"
+        "       lambda: FactoredConstant(((2, 1, 2, 3),)),\n"
         "       lambda: Certificate([('t', 0.5)], ONE), lambda: const_pow(ONE, True),\n"
         "       lambda: factor_power(0.1, 1)]\n"
         "for make in bad:\n"
@@ -414,7 +415,7 @@ def test_verify_exact_json_golden_digest_under_optimized_mode():
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["raised"] * 7
+    assert out.stdout.split() == ["raised"] * 8
 
 
 # sha256 of `relations N --format json` concatenated over N = 2..96, taken

@@ -118,6 +118,12 @@ def test_factor_power_refuses_a_base_or_exponent_that_is_no_int_or_fraction():
     assert factor_power(Q(12), Q(1, 2)) == factor_power(12, Q(1, 2))
 
 
+def test_factor_power_refuses_a_base_of_zero_or_below():
+    for base in (0, -2, Q(-1, 2), -1):
+        with pytest.raises(ValueError, match="non-positive"):
+            factor_power(base, 1)
+
+
 def test_integer_path_matches_the_pair_constructor_and_a_fraction_reference():
     """FactoredConstant.over, the pair constructor and the triple constructor agree.
 
@@ -200,6 +206,16 @@ def test_integer_path_validates_its_terms_and_denominator():
             FactoredConstant((triple,))
         with pytest.raises(ValueError):
             Certificate([("t", *triple[1:])], ONE)
+    # An entry of one field, or of four or more, is no pair or triple.
+    for entry in ((2,), (2, 1, 2, 3), (2, 1, 1, 1, 1), (2, Q(1, 2), 1, 1)):
+        with pytest.raises(ValueError):
+            FactoredConstant((entry,))
+        with pytest.raises(ValueError):
+            FactoredConstant._make(((entry,),))
+        with pytest.raises(ValueError):
+            Certificate([("t", *entry[1:])], ONE)
+        with pytest.raises(ValueError):
+            Certificate((), ONE)._replace(terms=[("t", *entry[1:])])
     assert FactoredConstant.over([(3, 4), (2, -6), (3, 2)], 12) == FactoredConstant(
         ((2, Q(-1, 2)), (3, Q(1, 2)))
     )

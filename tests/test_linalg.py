@@ -5,7 +5,6 @@ Gauss-Jordan over Fractions it replaced, written out so the two can be
 compared on the same inputs.
 """
 
-import math
 import random
 from fractions import Fraction as Q
 
@@ -73,19 +72,20 @@ def reference_nullspace(columns):
     return basis
 
 
-def densify(solution, ncols):
+def densify(solution, ncols, prepared):
     """The solver's (column, numerator, denominator) triples as a dense Fraction list.
 
-    Each entry must be nonzero and in lowest terms with a positive
-    denominator, both ints; None stays None.
+    Each entry must be a nonzero int numerator over its column's pivot
+    value, a positive int; None stays None.
     """
     if solution is None:
         return None
     columns = [c for c, _, _ in solution]
     assert columns == sorted(set(columns)), "entries must come once each, in column order"
-    for _, n, d in solution:
+    pivot_value = dict(zip(prepared.pivots, prepared.pivot_values))
+    for c, n, d in solution:
         assert type(n) is int and type(d) is int, "answers are ints, not Fractions"
-        assert n and d >= 1 and math.gcd(n, d) == 1, "only nonzero entries, in lowest terms"
+        assert n and d == pivot_value[c] >= 1, "only nonzero entries, over the pivot value"
     x = [Q(0)] * ncols
     for c, n, d in solution:
         x[c] = Q(n, d)
@@ -95,7 +95,7 @@ def densify(solution, ncols):
 def _assert_matches_reference(cols, targets):
     prepared = PreparedSolver(cols)
     for target, want in zip(targets, reference_solve_many(cols, targets)):
-        assert densify(prepared.solve(target), len(cols)) == want
+        assert densify(prepared.solve(target), len(cols), prepared) == want
     assert nullspace(cols) == reference_nullspace(cols)
 
 
@@ -153,7 +153,7 @@ def test_prepared_solver_matches_direct():
             else:
                 target = [rng.randint(-4, 4) for _ in range(nrows)]
             want = reference_solve_many(cols, [target])[0]
-            assert densify(prepared.solve(target), ncols) == want
+            assert densify(prepared.solve(target), ncols, prepared) == want
 
 
 def test_dimension_mismatch():
@@ -204,8 +204,10 @@ def test_prepared_solver_integer_targets_rational_solutions():
     # the third column is the sum of the first two, so it stays free
     cols = [[2, 1], [0, 3], [2, 4]]
     prepared = PreparedSolver(cols)
-    assert prepared.solve([2, 4]) == [(0, 1, 1), (1, 1, 1)]
+    # Each answer is over its column's pivot value, unreduced.
+    assert prepared.pivot_values == (2, 6)
+    assert prepared.solve([2, 4]) == [(0, 2, 2), (1, 6, 6)]
     assert prepared.solve([1, 1]) == [(0, 1, 2), (1, 1, 6)]
-    x = densify(prepared.solve([1, 1]), 3)
+    x = densify(prepared.solve([1, 1]), 3, prepared)
     assert x == reference_solve_many(cols, [[1, 1]])[0] == [Q(1, 2), Q(1, 6), Q(0)]
     assert [sum(x[j] * cols[j][i] for j in range(3)) for i in range(2)] == [1, 1]

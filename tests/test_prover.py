@@ -181,8 +181,8 @@ def test_reduced_solver_matches_the_full_multiplication_set():
         reference = PreparedSolver(columns)
         assert [full[c].tag for c in reference.pivots] == [reduced[c] for c in solver.pivots]
         for target in columns:
-            want = [(full[c].tag, *x) for c, *x in reference.solve(target)]
-            assert [(reduced[c], *x) for c, *x in solver.solve(target)] == want, n
+            want = [(full[c].tag, Q(*x)) for c, *x in reference.solve(target)]
+            assert [(reduced[c], Q(*x)) for c, *x in solver.solve(target)] == want, n
 
 
 def test_relation_counts():
