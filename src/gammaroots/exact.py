@@ -1,8 +1,10 @@
 """Exact arithmetic for positive constants of the form prod_p p^(e_p).
 
 A stored rational is two ints, numerator and denominator, in lowest terms
-with a positive denominator.  Callers may pass and read fractions.Fraction,
-but the proof path builds none.
+with a positive denominator, and linalg, prover and this module hand
+rationals to each other only in that form.  Where a caller passes an
+exponent or a base it may be an int or a fractions.Fraction, read once by
+ratio; nothing here hands a Fraction back.
 """
 
 from __future__ import annotations
@@ -107,8 +109,7 @@ class FactoredConstant(namedtuple("FactoredConstant", "powers")):
 
     The constructor takes (p, e_p) pairs, e_p an int or a Fraction, or
     (p, numerator, denominator) triples as stored; over takes int numerators
-    over one denominator.  Both sum a repeated prime.  prime_powers reads
-    the (p, Fraction) pairs.
+    over one denominator.  Both sum a repeated prime.
     """
 
     __slots__ = ()
@@ -135,11 +136,6 @@ class FactoredConstant(namedtuple("FactoredConstant", "powers")):
         powers = ((p, m // (g := math.gcd(m, denominator)), denominator // g)
                   for p, m in sorted(sums.items()) if m)
         return tuple.__new__(cls, (tuple(powers),))
-
-    @property
-    def prime_powers(self) -> Tuple[Tuple[int, Q], ...]:
-        """(p, e_p) pairs, e_p a Fraction."""
-        return tuple((p, Q(n, d)) for p, n, d in self.powers)
 
     @property
     def is_one(self) -> bool:

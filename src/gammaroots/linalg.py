@@ -7,16 +7,15 @@ Columns and targets are integer vectors.  A row update, in place, is
 row_i = a row_i - b row_r with a = p/g, b = f/g and g = gcd(p, f), where p
 is the pivot and f the row's entry in the pivot column; a row scaled by
 a != 1 is then divided by its gcd (after Bareiss, Math. Comp. 22, 1968).
-No Fraction arithmetic runs inside the elimination, the solver answers in
-ints, and Fractions appear only in nullspace's basis.  Vectors of unknowns
-are indexed by column: the solver and nullspace take their input as a list
-of column vectors.
+No Fraction arithmetic runs anywhere here: the solver and nullspace take
+their input as a list of column vectors and answer in ints, a vector of
+unknowns as its nonzero entries in column order, each entry the ints
+(column, numerator, denominator) with a positive denominator.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction as Q
 from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -101,23 +100,21 @@ def _eliminate(rows: List[Row], ncols: int) -> List[int]:
     return pivots
 
 
-def nullspace(columns: Sequence[Column]) -> List[List[Q]]:
-    """Basis of {x : sum_j x_j columns[j] = 0}, one vector per free column."""
+def nullspace(columns: Sequence[Column]) -> List[List[Tuple[int, int, int]]]:
+    """Basis of {x : sum_j x_j columns[j] = 0}, one vector per free column f.
+
+    Each vector comes as solve answers: its nonzero entries in column order,
+    (c, -R[r][f], p_r) at pivot column c = pivots[r], with p_r the pivot
+    value, positive, and (f, 1, 1) last.  Row r of the eliminated matrix R is
+    zero before its pivot column, so only pivots before f can have an entry.
+    """
     _check_columns(columns)
     ncols = len(columns)
     rows = _integer_rows(columns)
     pivots = _eliminate(rows, ncols)
-    pivot_set = set(pivots)
-    basis: List[List[Q]] = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        vec = [Q(0)] * ncols
-        vec[f] = Q(1)
-        for row, c in zip(rows, pivots):
-            vec[c] = Q(-row.get(f, 0), row[c])
-        basis.append(vec)
-    return basis
+    free = sorted(set(range(ncols)).difference(pivots))
+    return [[(c, -row[f], row[c]) for row, c in zip(rows, pivots) if f in row] + [(f, 1, 1)]
+            for f in free]
 
 
 class PreparedSolver:

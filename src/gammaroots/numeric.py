@@ -58,7 +58,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .exact import DEFAULT_DIGITS, check_digits, validated_make, working_precision_bits
+from .exact import DEFAULT_DIGITS, check_digits, ratio, validated_make, working_precision_bits
 
 # B_2, B_4, ... (B_2k at index k - 1); grown on demand, read-only thereafter.
 _EVEN_BERNOULLI: list[Q] = []
@@ -251,11 +251,11 @@ def ln_gamma(x, ctx: PrecisionContext | None = None) -> mpmath.mpf:
     prod_k (p + kq) / q^m, both exact and both already in lowest terms:
     gcd(p + kq, q) = gcd(p, q) = 1 for every k.  So the integer numerator
     and denominator go straight to mpf_div, which is exactly _raw of the
-    reduced Fractions, without building them.
+    reduced Fractions, without building them.  x must be an int or a
+    Fraction, as exact.ratio reads it: a float, a str or a bool is refused.
     """
     ctx = ctx or PrecisionContext.for_digits()
-    x = Q(x)
-    p, q, m = x.numerator, x.denominator, ctx.shift_count
+    (p, q), m = ratio(x), ctx.shift_count
     if not 0 < p < q:
         raise ValueError(f"argument must lie in (0,1), got {x}")
     half_ln_2pi, coefficients = _stirling_data(ctx)

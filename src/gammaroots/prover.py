@@ -161,14 +161,14 @@ class Certificate(namedtuple("Certificate", "terms derived_constant")):
     derived_constant = prod over (tag, coefficient) entries of value(tag)^coefficient.
     Canonical form: terms holds (tag, numerator, denominator) int triples,
     each coefficient in lowest terms with a positive denominator.  The
-    constructor takes (tag, coefficient) pairs, an int or a Fraction, or
-    such triples; coefficients reads the (tag, Fraction) pairs.
+    constructor takes such triples, reduced or not, and refuses any other
+    entry; coefficients reads the (tag, Fraction) pairs.
     """
 
     __slots__ = ()
 
     def __new__(cls, terms: Sequence[tuple], derived_constant: FactoredConstant) -> Certificate:
-        terms = tuple((tag, *ratio(value, *denominator)) for tag, value, *denominator in terms)
+        terms = tuple((tag, *ratio(n, d)) for tag, n, d in terms)
         return tuple.__new__(cls, (terms, derived_constant))
 
     _make = classmethod(validated_make)
@@ -211,16 +211,6 @@ def _prepared_solver(n: int) -> Optional[linalg.PreparedSolver]:
     if not relations:
         return None
     return linalg.PreparedSolver([_fold(vector, n) for _, _, vector in relations])
-
-
-def _combine_values(relations: Sequence[Relation], coefficients: Sequence[Q]) -> FactoredConstant:
-    """prod value^c over the relations, merged once: the constant sums repeated bases."""
-    return FactoredConstant(tuple(
-        (p, e * c)
-        for relation, c in zip(relations, coefficients)
-        if c
-        for p, e in relation.value.prime_powers
-    ))
 
 
 def prove_constant(word: GammaWord) -> Optional[Certificate]:
@@ -267,18 +257,17 @@ def kernel_consistency(n: int) -> tuple[bool, Optional[Tuple[Tuple[str, Q], ...]
     """Check that every rational dependency among the relations has value one.
 
     This is what makes the derived constant independent of which particular
-    solution the eliminator picks.  Returns (True, None), or (False, witness)
-    with the offending combination as (tag, coefficient) pairs.  The
-    relations are relations_for(n), read through the module attribute.
+    solution the eliminator picks.  Each nullspace vector's entry x/y at a
+    relation with value prod p^(e/d) contributes the triples (p, e x, d y),
+    which the FactoredConstant constructor sums per prime.  Returns
+    (True, None), or (False, witness) with the offending combination as
+    (tag, coefficient) pairs, the coefficients Fractions.  The relations are
+    relations_for(n), read through the module attribute.
     """
     relations = relations_for(n)
     columns = [_dense(r.vector, n) for r in relations]
-    for combination in linalg.nullspace(columns):
-        if not _combine_values(relations, combination).is_one:
-            witness = tuple(
-                (relation.tag, c)
-                for relation, c in zip(relations, combination)
-                if c
-            )
-            return False, witness
+    for vector in linalg.nullspace(columns):
+        powers = [(p, e * x, d * y) for c, x, y in vector for p, e, d in relations[c].value.powers]
+        if not FactoredConstant(powers).is_one:
+            return False, tuple((relations[c].tag, Q(x, y)) for c, x, y in vector)
     return True, None

@@ -432,6 +432,17 @@ def test_relations_json_golden_digest(capsys):
     assert hashlib.sha256("".join(outputs).encode()).hexdigest() == RELATIONS_JSON_SHA256
 
 
+# sha256 of `relations 840 --format json`: the 2,429 relations of the largest
+# grid the large-grid certificate golden uses, with their exact values.
+RELATIONS_840_JSON_SHA256 = "6eef00414d791fdc1725b9cb363f43c71dba6c194f458e987fa05b99a7d795fd"
+
+
+def test_relations_840_json_golden_digest(capsys):
+    code, out, err = run(capsys, "relations", "840", "--format", "json")
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == RELATIONS_840_JSON_SHA256
+
+
 def _default_sweep_ids():
     for family in FAMILIES:
         lo, hi = RANK_RANGE[family]

@@ -61,7 +61,7 @@ def test_const_pow():
 
 def test_canonical_form():
     c = FactoredConstant(((3, Q(1)), (2, Q(0)), (2, Q(2))))
-    assert c.prime_powers == ((2, Q(2)), (3, Q(1)))
+    assert c.powers == ((2, 2, 1), (3, 1, 1))
     assert FactoredConstant(((2, Q(1)), (2, Q(-1)))) == ONE
 
 
@@ -93,7 +93,7 @@ def test_rejects_float_exponent():
         with pytest.raises(ValueError, match="not an int or Fraction"):
             FactoredConstant(((3, exponent),))
     # ints and Fractions are exact and stay accepted
-    assert FactoredConstant(((3, 1), (2, Q(1, 2)))).prime_powers == ((2, Q(1, 2)), (3, Q(1)))
+    assert FactoredConstant(((3, 1), (2, Q(1, 2)))).powers == ((2, 1, 2), (3, 1, 1))
 
 
 NOT_RATIONAL = (0.1, 0.5, 1.0, "1/2", True, False)
@@ -131,7 +131,8 @@ def test_integer_path_matches_the_pair_constructor_and_a_fraction_reference():
     objects and hashes, the same to_json_obj and str, and only ints stored.
     The cases cover repeated bases, sums that cancel to zero, negative
     numerators and integral exponents; Certificate terms are checked the
-    same way, from pairs and from unreduced triples.
+    same way, from reduced and from unreduced triples, and a (tag,
+    coefficient) pair is refused.
     """
     rng = random.Random(24)
     primes = (2, 3, 5, 7, 11, 13)
@@ -161,7 +162,6 @@ def test_integer_path_matches_the_pair_constructor_and_a_fraction_reference():
         assert hash(by_pairs) == hash(by_ints) == hash(by_triples)
         assert by_ints.powers == tuple((p, e.numerator, e.denominator) for p, e in want)
         assert all(type(x) is int for triple in by_ints.powers for x in triple)
-        assert by_ints.prime_powers == tuple(want)
         assert by_ints.to_json_obj() == [
             {"base": p, "exponent_numerator": e.numerator, "exponent_denominator": e.denominator}
             for p, e in want
@@ -170,10 +170,15 @@ def test_integer_path_matches_the_pair_constructor_and_a_fraction_reference():
         assert str(by_ints) == (text or "1")
 
         tags = [(f"t{i}", e) for i, (_, e) in enumerate(pairs)]
+        reduced = [(tag, Q(e).numerator, Q(e).denominator) for tag, e in tags]
         scaled = [(tag, int(e * denominator), denominator) for tag, e in tags]
-        certificate = Certificate(tags, by_ints)
+        certificate = Certificate(reduced, by_ints)
         assert certificate == Certificate(scaled, by_pairs)
         assert hash(certificate) == hash(Certificate(scaled, by_pairs))
+        assert certificate.terms == tuple(reduced)
+        if tags:
+            with pytest.raises(ValueError):
+                Certificate(tags, by_ints)
         assert certificate.coefficients == tuple((tag, Q(e)) for tag, e in tags)
         assert certificate.to_json_obj()["relations"] == [
             {"tag": tag, "coefficient": str(Q(e))} for tag, e in tags

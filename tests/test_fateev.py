@@ -349,7 +349,7 @@ def k_constant(system, variant):
     else:
         pairs = zip(system.double_comarks, system.comarks)
     return FactoredConstant(
-        tuple(f for base, e in pairs for f in factor_power(base, e).prime_powers)
+        tuple(f for base, e in pairs for f in factor_power(base, e).powers)
     )
 
 
@@ -451,7 +451,7 @@ def per_case_rhs_constant(system, index, variant, root):
         node = system.comarks[index]
     else:
         node = system.double_comarks[index]
-    return FactoredConstant((*factor_power(node, 1).prime_powers, *root.prime_powers))
+    return FactoredConstant((*factor_power(node, 1).powers, *root.powers))
 
 
 def _matches_per_case_construction(system):

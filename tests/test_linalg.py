@@ -72,20 +72,23 @@ def reference_nullspace(columns):
     return basis
 
 
-def densify(solution, ncols, prepared):
-    """The solver's (column, numerator, denominator) triples as a dense Fraction list.
+def densify(solution, ncols, prepared=None):
+    """The (column, numerator, denominator) triples of solve or nullspace as a dense Fraction list.
 
-    Each entry must be a nonzero int numerator over its column's pivot
-    value, a positive int; None stays None.
+    Each entry must be a nonzero int numerator over a positive int, listed
+    once in column order; given the prepared solver, the denominator must be
+    its column's pivot value.  None stays None.
     """
     if solution is None:
         return None
     columns = [c for c, _, _ in solution]
     assert columns == sorted(set(columns)), "entries must come once each, in column order"
-    pivot_value = dict(zip(prepared.pivots, prepared.pivot_values))
     for c, n, d in solution:
         assert type(n) is int and type(d) is int, "answers are ints, not Fractions"
-        assert n and d == pivot_value[c] >= 1, "only nonzero entries, over the pivot value"
+        assert n and d >= 1, "only nonzero entries, over a positive denominator"
+    if prepared is not None:
+        pivot_value = dict(zip(prepared.pivots, prepared.pivot_values))
+        assert all(d == pivot_value[c] for c, _, d in solution), "over the pivot value"
     x = [Q(0)] * ncols
     for c, n, d in solution:
         x[c] = Q(n, d)
@@ -96,7 +99,10 @@ def _assert_matches_reference(cols, targets):
     prepared = PreparedSolver(cols)
     for target, want in zip(targets, reference_solve_many(cols, targets)):
         assert densify(prepared.solve(target), len(cols), prepared) == want
-    assert nullspace(cols) == reference_nullspace(cols)
+    basis = nullspace(cols)
+    assert [densify(vector, len(cols)) for vector in basis] == reference_nullspace(cols)
+    # The free column closes each vector with a one.
+    assert all(vector[-1][1:] == (1, 1) for vector in basis)
 
 
 def _targets(rng, cols):
@@ -127,10 +133,16 @@ def test_solve_underdetermined_sets_free_vars_to_zero():
 def test_nullspace_basis_annihilates():
     cols = [[1, 0], [1, 0], [0, 1]]
     basis = nullspace(cols)
-    assert len(basis) == 1
-    for vec in basis:
+    assert basis == [[(0, -1, 1), (1, 1, 1)]]
+    for vector in basis:
         for i in range(2):
-            assert sum(vec[j] * cols[j][i] for j in range(3)) == 0
+            assert sum(Q(n, d) * cols[j][i] for j, n, d in vector) == 0
+
+
+def test_nullspace_answers_over_the_pivot_values():
+    # Column 2 is free.  Row [1, 3, 4] supplies the pivot 1 of column 0, and
+    # the pivot of column 1 is 6; the answer is not reduced, as in solve.
+    assert nullspace([[2, 1], [0, 3], [2, 4]]) == [[(0, -1, 1), (1, -6, 6), (2, 1, 1)]]
 
 
 def test_nullspace_trivial():

@@ -4,7 +4,8 @@ A passing run shows little unless each check it relies on would refuse a
 wrong answer.  Each test below replaces one piece of the exact or numeric
 route with a wrong copy, runs `gammaroots verify` on a small selection
 through cli.main, and requires exit 1; the same run undoctored, before and
-after, exits 0.  The relation tables and the ln gamma ratio tables are
+after, exits 0; the kernel check, which verify does not run, is run on
+its own the same way.  The relation tables and the ln gamma ratio tables are
 memoized, so the caches a doctored piece would poison are emptied before
 and after it runs.
 """
@@ -99,6 +100,37 @@ def test_a_multiplication_relation_with_a_shifted_index_fails_the_run():
         prover, "_multiplication_vector", shifted, "exact", RELATION_CACHES
     )
     assert exit_code == EXIT_VERIFICATION_FAILED
+
+
+def test_a_kernel_vector_off_by_one_fails_the_kernel_check():
+    """The nullspace prover reads with one numerator at a multiplication column raised by one.
+
+    verify never runs the kernel check, so this control runs
+    kernel_consistency itself, on the grids up to the sweep's 46: the
+    doctored nullspace must make it return (False, witness) on some grid,
+    and every grid is consistent undoctored, before and after.
+    """
+    nullspace = linalg.nullspace
+
+    def off_by_one(columns):
+        basis = nullspace(columns)
+        # Columns are the relations_for order: the N // 2 reflections first.
+        first = (len(columns[0]) + 1) // 2
+        for vector in basis:
+            for i, (c, numerator, denominator) in enumerate(vector):
+                if c >= first:
+                    vector[i] = (c, numerator + 1, denominator)
+                    return basis
+        return basis
+
+    grids = range(2, 47)
+    assert all(prover.kernel_consistency(n) == (True, None) for n in grids)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "nullspace", off_by_one)
+        verdicts = [prover.kernel_consistency(n) for n in grids]
+    assert all(prover.kernel_consistency(n) == (True, None) for n in grids)
+    failed = [witness for consistent, witness in verdicts if not consistent]
+    assert failed and all(any(tag.startswith("multiplication") for tag, _ in w) for w in failed)
 
 
 def test_a_zero_residual_bound_fails_the_run():

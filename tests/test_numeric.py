@@ -79,8 +79,8 @@ def reference_const_ln(constant, decimal_digits):
     """sum_p e_p ln p with ln p recomputed for every base."""
     with mpmath.workprec(working_precision_bits(decimal_digits)):
         total = mpmath.mpf(0)
-        for base, e in constant.prime_powers:
-            total += mpmath.mpf(e.numerator) / e.denominator * mpmath.ln(base)
+        for base, numerator, denominator in constant.powers:
+            total += mpmath.mpf(numerator) / denominator * mpmath.ln(base)
         return +total
 
 
@@ -205,6 +205,22 @@ def test_ln_gamma_domain():
     for bad in (Q(0), Q(1), Q(3, 2), Q(-1, 4)):
         with pytest.raises(ValueError):
             ln_gamma(bad, ctx)
+
+
+def test_ln_gamma_refuses_an_argument_that_is_no_int_or_fraction():
+    """A float, a str or a bool is no exact rational, so it raises, never coerced.
+
+    An int is read, and refused only because none lies in (0,1); a
+    Fraction evaluates.
+    """
+    ctx = PrecisionContext.for_digits(20)
+    for bad in (0.1, "1/3", True):
+        with pytest.raises(ValueError, match="not an int or Fraction"):
+            ln_gamma(bad, ctx)
+    for outside in (0, 1):
+        with pytest.raises(ValueError, match=r"must lie in \(0,1\)"):
+            ln_gamma(outside, ctx)
+    assert ln_gamma(Q(1, 3), ctx) == reference_ln_gamma(Q(1, 3), ctx)
 
 
 def test_reflection_functional_equation():

@@ -31,7 +31,6 @@ from gammaroots.numeric import PrecisionContext, eval_word_ln
 from gammaroots.prover import (
     Certificate,
     Relation,
-    _combine_values,
     _fold,
     _prepared_solver,
     _solver_relations,
@@ -42,7 +41,7 @@ from gammaroots.prover import (
     relation_word,
     relations_for,
 )
-from test_linalg import reference_solve_many
+from test_linalg import reference_nullspace, reference_solve_many
 
 import gammaroots
 
@@ -281,6 +280,26 @@ def test_kernel_consistency_small_grids(n):
     assert kernel_consistency(n) == (True, None)
 
 
+def test_kernel_consistency_builds_no_fraction(monkeypatch):
+    """The kernel check on every grid the lattice words use, N = 2..96, constructs no Fraction.
+
+    The acceptance gate checks N <= 46, the sweep's grids.  Here every
+    grid up to 96 is consistent, and a Fraction is built only for the
+    witness of an inconsistent one.
+    """
+    built = []
+    new = Q.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Q, "__new__", counting)
+    verdicts = [kernel_consistency(n) for n in range(2, 97)]
+    assert built == []
+    assert verdicts == [(True, None)] * 95
+
+
 def test_kernel_inconsistency_detected(monkeypatch):
     # two relations with equal vectors but different values cannot coexist
     doctored = (
@@ -293,19 +312,52 @@ def test_kernel_inconsistency_detected(monkeypatch):
     assert {tag for tag, _ in witness} == {"good", "bad"}
 
 
-def test_combine_values_matches_pairwise_products():
+def fraction_product(pairs):
+    """prod value^c over (relation, Fraction c) pairs, summed per prime in Fractions.
+
+    The reference for the prover's integer combinations: it shares no code
+    with prover, and FactoredConstant only stores the sums.
+    """
+    exponents = {}
+    for relation, c in pairs:
+        for p, e, d in relation.value.powers:
+            exponents[p] = exponents.get(p, 0) + Q(e, d) * c
+    return FactoredConstant([(p, e) for p, e in exponents.items() if e])
+
+
+def test_kernel_combination_matches_a_fraction_reference(monkeypatch):
+    """kernel_consistency's verdict and witness against the reference nullspace and product.
+
+    Each grid's relations keep their vectors, and a seeded few have their
+    value multiplied by a prime power, so some dependencies lose value one.
+    The witness must be the first reference basis vector whose Fraction
+    product is not one, as nonzero (tag, Fraction) pairs, or None when there
+    is none.
+    """
     rng = random.Random(12)
+    inconsistent = 0
     for n in (6, 12, 30, 46):
         relations = relations_for(n)
-        for _ in range(10):
-            coefficients = [
-                Q(rng.randint(-7, 7), rng.randint(1, 6)) if rng.random() < 0.3 else Q(0)
-                for _ in relations
-            ]
-            expected = ONE
-            for relation, c in zip(relations, coefficients):
-                expected = const_mul(expected, const_pow(relation.value, c))
-            assert _combine_values(relations, coefficients) == expected
+        columns = [[0] * (n - 1) for _ in relations]
+        for column, relation in zip(columns, relations):
+            for j, e in relation.vector:
+                column[j - 1] = e
+        basis = reference_nullspace(columns)
+        for trial in range(10):
+            doctored = tuple(
+                r._replace(value=const_mul(r.value, factor_power(rng.choice((2, 3, 5)), 1)))
+                if trial and rng.random() < 0.1 else r
+                for r in relations
+            )
+            want = next(
+                (tuple((r.tag, c) for r, c in zip(doctored, vector) if c)
+                 for vector in basis if not fraction_product(zip(doctored, vector)).is_one),
+                None,
+            )
+            monkeypatch.setattr(prover, "relations_for", lambda n: doctored)
+            assert kernel_consistency(n) == (want is None, want), (n, trial)
+            inconsistent += want is not None
+    assert 0 < inconsistent < 36
 
 
 def test_certificate_json_obj():
@@ -369,8 +421,8 @@ def test_certificates_match_fraction_reference(n):
         want = None
         if solution is not None:
             want = Certificate(
-                tuple((r.tag, c) for r, c in zip(relations, solution) if c),
-                _combine_values(relations, solution),
+                [(r.tag, c.numerator, c.denominator) for r, c in zip(relations, solution) if c],
+                fraction_product(zip(relations, solution)),
             )
             proved += 1
         assert prove_constant(word) == want, word
@@ -493,7 +545,7 @@ def test_exact_values_store_only_ints_and_tags(systems):
     Checked recursively over every k_root right side of the 49 sweep systems
     and every certificate, with its derived constant, of the sweep and of the
     lattice words for seed 1: each leaf is an int, or a str tag.  Only the
-    readers prime_powers and coefficients build Fractions.
+    reader coefficients builds Fractions.
     """
     right_sides = [
         rhs

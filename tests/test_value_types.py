@@ -40,7 +40,9 @@ VALIDATED = [
     (PrecisionContext, CTX_20, (20, CTX_20[1], 0, 3)),
     (PrecisionContext, CTX_20, (20, CTX_20[1] - 1, *CTX_20[2:])),
     (PrecisionContext, CTX_20, (20, CTX_20[1], CTX_20[2], True)),
-    (Certificate, ((("half", Q(1, 2)),), ONE), ((("half", 0.5),), ONE)),
+    (Certificate, ((("half", 1, 2),), ONE), ((("half", 0.5, 1),), ONE)),
+    (Certificate, ((("half", 1, 2),), ONE), ((("half", Q(1, 2)),), ONE)),
+    (Certificate, ((("half", 1, 2),), ONE), ((("half", 1),), ONE)),
 ]
 
 
