@@ -11,7 +11,7 @@ from typing import TYPE_CHECKING, List, Optional, Sequence
 from . import fateev
 from .exact import DEFAULT_DIGITS, check_digits
 from .gammaword import brace_str
-from .prover import Relation, relations_for
+from .prover import RankError, Relation, relations_for
 from .rootsys import FAMILIES, RANK_RANGE, RootSystemId, build
 
 if TYPE_CHECKING:
@@ -250,9 +250,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # fail again.  Not all output was delivered, so this is no success.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_VERIFICATION_FAILED
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RankError) as exc:
+        # A relation lattice of the wrong rank fails the proof; it is no usage error.
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_VERIFICATION_FAILED if isinstance(exc, RankError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -115,7 +115,10 @@ class FactoredConstant(namedtuple("FactoredConstant", "powers")):
     __slots__ = ()
 
     def __new__(cls, powers: Iterable[tuple] = ()) -> FactoredConstant:
-        triples = [(p, *ratio(value, *denominator)) for p, value, *denominator in powers]
+        try:
+            triples = [(p, *ratio(value, *denominator)) for p, value, *denominator in powers]
+        except TypeError:
+            raise ValueError(f"the entries of {powers!r} must be pairs or triples") from None
         denominator = math.lcm(*(d for _, _, d in triples))
         return cls.over([(p, n * (denominator // d)) for p, n, d in triples], denominator)
 

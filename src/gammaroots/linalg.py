@@ -16,6 +16,7 @@ unknowns as its nonzero entries in column order, each entry the ints
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import compress
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -54,13 +55,18 @@ def _eliminate(rows: List[Row], ncols: int) -> List[int]:
     transform) take part in every row operation but are never pivoted on.
     The pivot columns are the greedy column basis, the same set Gauss-Jordan
     over the rationals picks, whichever row supplies a pivot.
+
+    Per pivot, the rows holding its column are found in one scan, in row
+    order, so the candidates at or below r are a bisection away; the pivot
+    row's items are read once and subtracted from each holder; and a pivot
+    of 1, which divides every entry, needs no gcd and scales no row.
     """
     pivots: List[int] = []
     nrows = len(rows)
     for c in range(ncols):
         r = len(pivots)
         holders = [i for i, row in enumerate(rows) if c in row]
-        candidates = [i for i in holders if i >= r]
+        candidates = holders[bisect_left(holders, r):]
         if not candidates:
             continue
         # The smallest pivot entry, then the sparsest row, keeps entries small.
@@ -68,20 +74,20 @@ def _eliminate(rows: List[Row], ncols: int) -> List[int]:
         rows[r], rows[best] = rows[best], rows[r]
         if rows[r][c] < 0:
             rows[r] = {k: -v for k, v in rows[r].items()}
-        pivot_row = rows[r]
-        p = pivot_row[c]
+        pivot_items = tuple(rows[r].items())
+        p = rows[r][c]
         for i in holders:
             if i == best:
                 continue
             # The swap moved the row that was at r to best.
             row = rows[best if i == r else i]
             f = row[c]
-            g = math.gcd(p, f)
-            a, b = p // g, f // g
+            # A pivot of 1 divides every f: no scaling, so no gcd to take.
+            a, b = (1, f) if p == 1 else (p // (g := math.gcd(p, f)), f // g)
             if a != 1:
                 for k, v in row.items():
                     row[k] = a * v
-            for k, v in pivot_row.items():
+            for k, v in pivot_items:
                 v = row.get(k, 0) - b * v
                 if v:
                     row[k] = v
@@ -135,7 +141,6 @@ class PreparedSolver:
         for i, row in enumerate(rows):
             row[ncols + i] = 1
         pivots = _eliminate(rows, ncols)
-        self.nrows = nrows
         self.pivots = tuple(pivots)
         self.rank = len(pivots)
         self.pivot_values = tuple(rows[r][c] for r, c in enumerate(pivots))
@@ -158,9 +163,9 @@ class PreparedSolver:
         reduced, as the consumer reduces it once; every column not listed
         is zero.
         """
-        if len(target) != self.nrows:
+        if len(target) != len(self.transform):
             raise ValueError("dimension mismatch")
-        transformed = [0] * self.nrows
+        transformed = [0] * len(target)
         for b, column in zip(target, self.transform):
             if b:
                 for r, t in column:

@@ -40,19 +40,29 @@ Reflections have value one, and multiplication(p, k) has the value
 p^((N - 2pk)/N), so the derived constant's exponent of p is
 sum_k x_(p,k) (N - 2pk)/N.  It is summed in integers, over the common
 denominator of the x_m times N, and reduced with one gcd per prime.
+
+A certificate is assembled from per-grid data built once per N: the
+reflection tags, and per solver column its tag, p, the weight N - 2pk and
+its entries at j <= N/2, which are all the residual reads.  A proof then
+formats no tag and scans no relation's full vector.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exact import ONE, FactoredConstant, factorize, fraction_str, ratio, validated_make
+from .exact import ONE, FactoredConstant, factorize, fraction_str, validated_make
 from .gammaword import GammaWord
+
+
+class RankError(ArithmeticError):
+    """The solver relations on a grid do not have the rank the theory gives them."""
 
 
 class Relation(namedtuple("Relation", "tag vector value")):
@@ -66,23 +76,26 @@ def _check_grid(n: int) -> None:
         raise ValueError(f"grid denominator must be an integer >= 2, got {n}")
 
 
-def _reflection_tag(j: int, n: int) -> str:
-    """Tag of the reflection relation at 1 <= j <= N/2: half when 2j = N."""
-    return "half" if 2 * j == n else f"reflection({j})"
+@lru_cache(maxsize=None)
+def _reflection_tag(j: int) -> str:
+    """Tag of the reflection pairing j with N - j, j < N/2; the one at 2j = N is half.
+
+    Memoized, as the multiplication tags are: a tag names the same relation
+    on every grid, so all grids share one string per tag.
+    """
+    return f"reflection({j})"
 
 
 def reflection_relations(n: int) -> List[Relation]:
     """gamma(j/N) gamma((N-j)/N) = 1 for j < N/2, plus gamma(1/2) = 1 for even N."""
     _check_grid(n)
-    out = [
-        Relation(_reflection_tag(j, n), ((j, 1), (n - j, 1)), ONE)
-        for j in range(1, (n + 1) // 2)
-    ]
+    out = [Relation(_reflection_tag(j), ((j, 1), (n - j, 1)), ONE) for j in range(1, (n + 1) // 2)]
     if n % 2 == 0:
-        out.append(Relation(_reflection_tag(n // 2, n), ((n // 2, 1),), ONE))
+        out.append(Relation("half", ((n // 2, 1),), ONE))
     return out
 
 
+@lru_cache(maxsize=None)
 def _multiplication_tag(d: int, k: int) -> str:
     return f"multiplication({d},{k})"
 
@@ -130,13 +143,33 @@ def _solver_relations(n: int) -> Tuple[Tuple[int, int, Tuple[Tuple[int, int], ..
     They are the sub-tuple of multiplication_relations(n) whose columns can
     be pivots (the module docstring gives the reason), as (p, k, vector)
     triples: multiplication(p, k) has the value p^((N - 2pk)/N), and
-    prove_constant builds a tag only for the relations a certificate cites.
+    _certificate_data builds the tags once per grid.
     """
     return tuple(
         (p, k, _multiplication_vector(n, p, k))
         for p in sorted(factorize(n))
         for k in range(1, (n // p + 1) // 2)
     )
+
+
+@lru_cache(maxsize=None)
+def _certificate_data(n: int) -> tuple:
+    """What prove_constant reads per grid, built once per N.
+
+    The pair (reflection tags, columns): the tag of the reflection at j at
+    position j - 1, for 1 <= j <= N/2, and per solver column, in
+    _solver_relations(n) order, (tag, p, N - 2pk, entries at j <= N/2).
+    A vector is sorted by j, so its entries at j <= N/2 are a prefix, and
+    the slice holds the vector's own (j, e) pair objects.  The tags are the
+    memoized ones, shared by all grids and by the certificates.
+    """
+    # The reflection at N/2, for even N, is half.
+    tags = tuple(map(_reflection_tag, range(1, (n + 1) // 2))) + ("half",) * (n % 2 == 0)
+    columns = tuple(
+        (_multiplication_tag(p, k), p, n - 2 * p * k, v[: bisect_right(v, (n // 2, math.inf))])
+        for p, k, v in _solver_relations(n)
+    )
+    return tags, columns
 
 
 @lru_cache(maxsize=None)
@@ -162,14 +195,26 @@ class Certificate(namedtuple("Certificate", "terms derived_constant")):
     Canonical form: terms holds (tag, numerator, denominator) int triples,
     each coefficient in lowest terms with a positive denominator.  The
     constructor takes such triples, reduced or not, and refuses any other
-    entry; coefficients reads the (tag, Fraction) pairs.
+    entry with ValueError: it checks each numerator and denominator itself
+    (an int, not a bool, Fraction or float, over an int >= 1) and reduces
+    it with one gcd.  It is the only construction path, _make and _replace
+    included.  coefficients reads the (tag, Fraction) pairs.
     """
 
     __slots__ = ()
 
     def __new__(cls, terms: Sequence[tuple], derived_constant: FactoredConstant) -> Certificate:
-        terms = tuple((tag, *ratio(n, d)) for tag, n, d in terms)
-        return tuple.__new__(cls, (terms, derived_constant))
+        reduced = []
+        for term in terms:
+            try:
+                tag, n, d = term
+            except (TypeError, ValueError):
+                raise ValueError(f"{term!r} is no (tag, numerator, denominator) triple") from None
+            if type(n) is not int or type(d) is not int or d < 1:
+                raise ValueError(f"coefficient {n!r}/{d!r} is not an int over a positive int")
+            g = math.gcd(n, d)
+            reduced.append((tag, n // g, d // g))
+        return tuple.__new__(cls, (tuple(reduced), derived_constant))
 
     _make = classmethod(validated_make)
 
@@ -206,11 +251,37 @@ def _fold(pairs: Sequence[Tuple[int, int]], n: int) -> List[int]:
 
 @lru_cache(maxsize=None)
 def _prepared_solver(n: int) -> Optional[linalg.PreparedSolver]:
-    """The solver on the folded _solver_relations(n); None where there are none."""
+    """The solver on the folded _solver_relations(n); None where there are none.
+
+    Its rank must be (N - 1)//2 - phi(N)//2, phi Euler's totient, and any
+    other rank raises RankError, so every grid a run proves on is tied to a
+    theorem, not only the grids the kernel check covers.  By the criterion
+    of Koblitz and Ogus (appendix to Deligne, Proc. Symp. Pure Math. 33,
+    1979), an exponent vector g lies in the relation span iff
+    B_u(g) = sum_j g_j (2 <u j/N> - 1) is the same for every unit u mod N,
+    where <x> is the fractional part.  B_(-u) = -B_u, so for N >= 3 that asks
+    B_u(g) = 0 for one u of each pair +-u: phi(N)/2 conditions, none for
+    N = 2.  They are independent: take one of the phi(N)/2 odd characters
+    mod N, induced by the primitive chi mod f; then
+    g = sum over units a mod f of chi(a) e_(aN/f) gives
+    B_u(g) = conj(chi)(u) sum_a chi(a) (2a/f - 1) = 2 conj(chi)(u) B_(1,chi),
+    and the Bernoulli number B_(1,chi) of an odd primitive character is not
+    zero (it is -L(0, chi), and L(1, conj chi) != 0).  So u -> B_u(g) takes
+    every odd character as a value, the conditions have rank phi(N)//2, and
+    the span has dimension N - 1 - phi(N)//2.  The fold's kernel is the span of the N//2
+    reflections, and the solver relations span the fold of the whole span
+    (module docstring), so their folds have rank
+    N - 1 - phi(N)//2 - N//2 = (N - 1)//2 - phi(N)//2.  The rank held on
+    every N = 2..400 when the check was written.
+    """
     relations = _solver_relations(n)
-    if not relations:
-        return None
-    return linalg.PreparedSolver([_fold(vector, n) for _, _, vector in relations])
+    solver = linalg.PreparedSolver([_fold(v, n) for _, _, v in relations]) if relations else None
+    primes = factorize(n)
+    expected = (n - 1) // 2 - n // math.prod(primes) * math.prod(p - 1 for p in primes) // 2
+    rank = solver.rank if solver else 0
+    if rank != expected:
+        raise RankError(f"the solver relations on the 1/{n} grid have rank {rank}, not {expected}")
+    return solver
 
 
 def prove_constant(word: GammaWord) -> Optional[Certificate]:
@@ -231,7 +302,7 @@ def prove_constant(word: GammaWord) -> Optional[Certificate]:
         solution = solver.solve(folded)
     if solution is None:
         return None
-    relations = _solver_relations(n)
+    tags, columns = _certificate_data(n)
     # The residual v - sum_m x_m M_m at j <= N/2, in integers over the common
     # denominator of the x_m: entry j is the coefficient of the reflection at j.
     # The derived constant's exponent of p, sum_k x_(p,k) (N - 2pk)/N, is
@@ -241,14 +312,13 @@ def prove_constant(word: GammaWord) -> Optional[Certificate]:
     residual = {j: e * denominator for j, e in word.exponents if 2 * j <= n}
     powers = []
     for c, x, d in solution:
-        p, k, vector = relations[c]
+        _, p, weight, entries = columns[c]
         scaled = x * (denominator // d)
-        powers.append((p, scaled * (n - 2 * p * k)))
-        for j, e in vector:
-            if 2 * j <= n:
-                residual[j] = residual.get(j, 0) - scaled * e
-    terms = [(_reflection_tag(j, n), r, denominator) for j, r in sorted(residual.items()) if r]
-    terms += [(_multiplication_tag(*relations[c][:2]), x, d) for c, x, d in solution]
+        powers.append((p, scaled * weight))
+        for j, e in entries:
+            residual[j] = residual.get(j, 0) - scaled * e
+    terms = [(tags[j - 1], r, denominator) for j, r in sorted(residual.items()) if r]
+    terms += [(columns[c][0], x, d) for c, x, d in solution]
     derived = FactoredConstant.over(powers, denominator * n)
     return Certificate(terms, derived)
 

@@ -221,6 +221,27 @@ def test_integer_path_validates_its_terms_and_denominator():
             Certificate([("t", *entry[1:])], ONE)
         with pytest.raises(ValueError):
             Certificate((), ONE)._replace(terms=[("t", *entry[1:])])
+    # An entry that is no sequence at all, and a Certificate numerator that is
+    # a Fraction or a bool: each raises ValueError on every construction path.
+    for entry in (5, None):
+        for make in (
+            lambda: FactoredConstant([entry]),
+            lambda: FactoredConstant._make(([entry],)),
+            lambda: ONE._replace(powers=[entry]),
+            lambda: Certificate([entry], ONE),
+            lambda: Certificate._make(([entry], ONE)),
+            lambda: Certificate((), ONE)._replace(terms=[entry]),
+        ):
+            with pytest.raises(ValueError):
+                make()
+    for numerator in (Q(1, 2), Q(2), True):
+        for make in (
+            lambda: Certificate([("t", numerator, 1)], ONE),
+            lambda: Certificate._make(([("t", numerator, 1)], ONE)),
+            lambda: Certificate((), ONE)._replace(terms=[("t", numerator, 1)]),
+        ):
+            with pytest.raises(ValueError):
+                make()
     assert FactoredConstant.over([(3, 4), (2, -6), (3, 2)], 12) == FactoredConstant(
         ((2, Q(-1, 2)), (3, Q(1, 2)))
     )

@@ -21,7 +21,9 @@ from gammaroots.cli import EXIT_OK, EXIT_VERIFICATION_FAILED
 
 # G2, F4 and B2..B4: 30 cases, some proved with multiplication relations.
 SELECTION = ("--family", "G", "--family", "F", "--family", "B", "--rank-max", "4")
-RELATION_CACHES = (prover._solver_relations, prover._prepared_solver, prover.relations_for)
+RELATION_CACHES = (
+    prover._solver_relations, prover._prepared_solver, prover._certificate_data, prover.relations_for
+)
 
 
 def run_verify(mode):
@@ -131,6 +133,45 @@ def test_a_kernel_vector_off_by_one_fails_the_kernel_check():
     assert all(prover.kernel_consistency(n) == (True, None) for n in grids)
     failed = [witness for consistent, witness in verdicts if not consistent]
     assert failed and all(any(tag.startswith("multiplication") for tag, _ in w) for w in failed)
+
+
+def test_a_zeroed_folded_column_fails_the_rank_check():
+    """The solver built with its first folded column zeroed, on every grid up to 96.
+
+    That column, multiplication(p, 1) for the smallest prime p, is always a
+    pivot, so zeroing it lowers the rank exactly where the other columns do
+    not span it; _prepared_solver must raise on those grids, of which there
+    are some, and on no other, and on none undoctored, before and after.
+    """
+    prepared = linalg.PreparedSolver
+
+    class Zeroed(prepared):
+        def __init__(self, columns):
+            first, *rest = columns
+            super().__init__([[0] * len(first), *rest])
+
+    grids = range(2, 97)
+    lowered = set()
+    for n in grids:
+        solver = prover._prepared_solver(n)
+        rest = [prover._fold(v, n) for _, _, v in prover._solver_relations(n)[1:]]
+        if solver is not None and solver.rank > (prepared(rest).rank if rest else 0):
+            lowered.add(n)
+    raised = set()
+    empty(RELATION_CACHES)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "PreparedSolver", Zeroed)
+            for n in grids:
+                try:
+                    prover._prepared_solver(n)
+                except prover.RankError:
+                    raised.add(n)
+    finally:
+        empty(RELATION_CACHES)
+    assert 6 in raised and raised == lowered
+    for n in grids:
+        prover._prepared_solver(n)
 
 
 def test_a_zero_residual_bound_fails_the_run():

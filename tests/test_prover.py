@@ -484,6 +484,26 @@ def test_large_grid_certificates_golden_digest():
     assert hashlib.sha256(text.encode()).hexdigest() == LARGE_GRID_PIVOTS_SHA256
 
 
+# sha256 of the prepared solver's integer form on every grid N = 2..400: per
+# grid, the JSON of [N, None] where there is no solver relation, else of
+# [N, [pivots, pivot values, transform]], taken before the elimination loop
+# skipped the gcd at pivot 1.  Every certificate is read off these numbers.
+SOLVER_FORM_SHA256 = "02a4992167ca353f8867061a3d59e301abcbbad0b736a53ff83fec73e01e746e"
+
+
+def test_solver_integer_form_golden_digest():
+    digest = hashlib.sha256()
+    for n in range(2, 401):
+        solver = _prepared_solver(n)
+        form = None if solver is None else [
+            list(solver.pivots),
+            list(solver.pivot_values),
+            [[list(entry) for entry in column] for column in solver.transform],
+        ]
+        digest.update(json.dumps([n, form], separators=(",", ":")).encode())
+    assert digest.hexdigest() == SOLVER_FORM_SHA256
+
+
 def koblitz_ogus_in_span(word):
     """Membership in the relation span by the Koblitz-Ogus criterion.
 
