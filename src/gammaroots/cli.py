@@ -174,7 +174,9 @@ def cmd_verify(args) -> int:
             from .numeric import PrecisionContext
 
             ctx = PrecisionContext.for_digits(args.digits)
-        summary = fateev.verify_all([build(i) for i in idents], variants, args.mode, ctx)
+        # A generator: verify_all builds each system as it reaches it and keeps
+        # none, so one system is held at a time.
+        summary = fateev.verify_all((build(i) for i in idents), variants, args.mode, ctx)
         if args.format == "json":
             payload = summary.to_json_obj()
             payload["mode"] = args.mode

@@ -24,7 +24,7 @@ from collections import Counter, namedtuple
 from operator import mul
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from .exact import FactoredConstant, const_ln, valuations
+from .exact import FactoredConstant, valuations
 from .gammaword import GammaWord, brace_str
 from .prover import Certificate, prove_constant
 from .rootsys import SIMPLY_LACED_FAMILIES, RootSystem
@@ -215,7 +215,8 @@ def verify(
 ) -> VerificationReport:
     """Check one identity instance by exact proof, numeric comparison, or both.
 
-    Numeric comparisons accept |ln lhs - ln rhs| <= 10^(10 - decimal_digits).
+    Numeric comparisons accept |ln lhs - ln rhs| <= 10^(10 - decimal_digits),
+    as numeric.residual decides.
     In both mode the numeric route runs as a cross-check of an exact proof
     and as a fallback diagnostic when the word is outside the lattice; the
     report only counts as passed with a proof.  The case is checked once,
@@ -253,10 +254,9 @@ def _verdict(
 ) -> tuple[str, Optional[Certificate], Optional[str]]:
     """(status, certificate, residual) of the identity lhs = rhs in the given mode.
 
-    The residual |ln lhs - ln rhs| stays a raw libmp tuple: the string is
-    to_str(raw, 6) and the test mpf_le(raw, bound), which is what
-    mpmath.nstr and mpf <= call, so building an mpf object for them would
-    add a wrapper and change no bit.
+    The numeric route's verdict, the residual string and whether it lies
+    within the bound, is numeric.residual's: this function only combines
+    it with the proof.
     """
     certificate = None
     residual_str = None
@@ -268,18 +268,9 @@ def _verdict(
         else:
             status = PROVED_EXACT if certificate.derived_constant == rhs else MISMATCH
     if mode == "numeric" or (mode == "both" and status in (PROVED_EXACT, NOT_IN_LATTICE)):
-        from mpmath.libmp import mpf_abs, mpf_le, mpf_sub, round_nearest, to_str
+        from .numeric import residual
 
-        from .numeric import RESIDUAL_BITS, PrecisionContext, eval_word_ln
-
-        ctx = ctx or PrecisionContext.for_digits()
-        # |lhs - rhs| rounded to nearest at RESIDUAL_BITS, whatever the caller's
-        # workprec (mpf_abs with no precision does not round), kept raw:
-        # nstr(x, 6) and x <= bound call to_str(raw, 6) and mpf_le on it.
-        lhs_ln, rhs_ln = eval_word_ln(lhs, ctx)._mpf_, const_ln(rhs, ctx.decimal_digits)._mpf_
-        residual = mpf_abs(mpf_sub(lhs_ln, rhs_ln, RESIDUAL_BITS, round_nearest))
-        residual_str = to_str(residual, 6)
-        numeric_ok = mpf_le(residual, ctx.residual_bound._mpf_)
+        residual_str, numeric_ok = residual(lhs, rhs, ctx)
         if status in (None, NOT_IN_LATTICE):
             status = NUMERIC_ONLY if numeric_ok else MISMATCH
         elif not numeric_ok:
@@ -341,7 +332,9 @@ def verify_all(
     lhs, rhs and certificate objects.  One verdicts memo serves the whole
     run (see verify): each distinct (lhs, rhs) pair is proved and evaluated
     once, and the cases that repeat it across tables, such as the roots a
-    diagram symmetry exchanges, take its verdict.
+    diagram symmetry exchanges, take its verdict.  systems is walked once
+    and no system is kept, so a generator of builds, as cli passes, holds
+    one system at a time.
     variants None means all three; an empty sequence selects none.  Raises
     ValueError on a variant listed twice, which would report its cases
     twice, and when no system admits any of the variants.

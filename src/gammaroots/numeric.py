@@ -4,9 +4,12 @@ The identities this package checks are proved exactly; this module is the
 independent numeric cross-check, so it computes ln Gamma from first
 principles: an integer argument shift in exact rational arithmetic, then the
 Stirling series with exact Bernoulli coefficients and an explicit tail bound.
-mpmath supplies only the big-float substrate (ln, pi, arithmetic).  What does
-not depend on the argument is built once per PrecisionContext, and ln gamma
-once per grid point, so repeated words cost table lookups.
+mpmath supplies only the big-float substrate (ln, pi, arithmetic).  The
+whole cross-check lives here, and one number sets it: the digit count,
+from which PrecisionContext derives every other field, and against which
+residual accepts or refuses an identity.  What does not depend on the
+argument is built once per context, and each ln gamma ratio once per
+reduced point below 1/2, so repeated words cost table lookups.
 
 The arithmetic is the operation sequence of the mpf operator form under
 workprec(ctx.bits), rounded to nearest with ties to even after every
@@ -19,10 +22,11 @@ to ctx.bits.  For x = p/q in lowest terms, z = (p + mq)/q and the descent
 prod_k (p + kq)/q^m are already in lowest terms, since gcd(p + kq, q) =
 gcd(p, q) = 1, so their integer numerators and denominators go to mpf_div
 as they are: the same operands a reduced Fraction would give, without
-building one.  ln gamma(j/N) = ln Gamma(j/N) - ln Gamma((N-j)/N) is one
-mpf_sub, and ln gamma((N-j)/N) is its mpf_neg: rounding to nearest with
-ties to even is symmetric under negation, so mpf_sub(b, a) is exactly
-mpf_neg(mpf_sub(a, b)), and the negation is the subtraction's bits.
+building one.  ln gamma(p/q) = ln Gamma(p/q) - ln Gamma((q-p)/q) is one
+mpf_sub for p/q < 1/2, and ln gamma((q-p)/q) is its mpf_neg: rounding to
+nearest with ties to even is symmetric under negation, so mpf_sub(b, a) is
+exactly mpf_neg(mpf_sub(a, b)), and the negation is the subtraction's bits.
+ln gamma(1/2) is exactly zero, the subtraction of one value from itself.
 
 The Stirling sum runs on signed (mantissa, exponent) integers instead: each
 product c_k * power, each partial sum and each next power is formed exactly
@@ -47,8 +51,10 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     fzero,
+    mpf_abs,
     mpf_add,
     mpf_div,
+    mpf_le,
     mpf_log,
     mpf_mul,
     mpf_mul_int,
@@ -56,15 +62,15 @@ from mpmath.libmp import (
     mpf_rdiv_int,
     mpf_sub,
     round_nearest,
+    to_str,
 )
 
-from .exact import DEFAULT_DIGITS, check_digits, ratio, validated_make, working_precision_bits
+from .exact import (
+    DEFAULT_DIGITS, check_digits, const_ln, ratio, validated_make, working_precision_bits
+)
 
 # B_2, B_4, ... (B_2k at index k - 1); grown on demand, read-only thereafter.
 _EVEN_BERNOULLI: list[Q] = []
-# (N, ctx) -> grid N's ln gamma(j/N) at index j as a raw mpf, None until
-# eval_word_ln first reads j or N - j; _RATIOS.clear() empties it.
-_RATIOS: dict[tuple, list] = {}
 
 
 def _tangent_numbers(n: int) -> list[int]:
@@ -121,62 +127,59 @@ def stirling_tail_log10(shift: int, terms: int) -> float:
     )
 
 
+@lru_cache(maxsize=None, typed=True)
+def _context_fields(decimal_digits: int) -> tuple[int, int, int, int]:
+    """The fields of the digit count's one context: (digits, bits, shift, terms).
+
+    The digits are an int in MIN_DIGITS..MAX_DIGITS, bits is
+    working_precision_bits(digits), the shift is max(8, ceil(0.55 (d + 5)))
+    and terms the least K whose Stirling tail bound at z = shift lies below
+    10^-(d + 5).  At z = shift the smallest tail bound, near K = pi z, is
+    about 10^(-2.7 z), below 10^-(d + 5) for z >= 0.55 (d + 5): some K <= 3z
+    meets the bound for every admissible digit count, and up to K = 3z <
+    pi z the series terms still decrease.  Typed, so a float or a bool is
+    a key of its own, refused here, never read as the equal int's entry.
+    """
+    # A bool is no int here, and a float would truncate.
+    if type(decimal_digits) is not int:
+        raise ValueError(f"decimal_digits must be an int, got {decimal_digits!r}")
+    check_digits(decimal_digits, "decimal_digits")
+    target = -(decimal_digits + 5)
+    shift = max(8, math.ceil(0.55 * (decimal_digits + 5)))
+    terms = next(k for k in range(1, 3 * shift + 1) if stirling_tail_log10(shift, k) <= target)
+    return decimal_digits, working_precision_bits(decimal_digits), shift, terms
+
+
 class PrecisionContext(
     namedtuple("PrecisionContext", "decimal_digits bits shift_count stirling_terms")
 ):
-    """Evaluation parameters: target digits, mantissa bits, shift, series length.
+    """Evaluation parameters of one digit count: digits, mantissa bits, shift, series length.
 
-    Every construction path validates, the constructor, _make and _replace:
-    the fields are ints, the digits lie in MIN_DIGITS..MAX_DIGITS, bits is
-    at least working_precision_bits(decimal_digits), and 1 <= stirling_terms
-    <= 3 shift_count with the Stirling tail bound at z = shift_count below
-    10^-(decimal_digits + 5).  The extra mantissa bits keep accumulated
-    rounding inside the same margin, so ln_gamma's error bound holds for
-    every context.  Up to K = 3z < pi z the series terms still decrease, and
-    a longer series is refused before its Bernoulli numbers are built.
-    Immutable and stateless: residual_bound reads a memo keyed on the digit
-    count.
+    The digit count sets the other three fields (see _context_fields): the
+    working precision, the shift and the shortest Stirling series whose
+    tail bound lies below 10^-(decimal_digits + 5).  The extra mantissa
+    bits keep accumulated rounding inside the same margin, so ln_gamma's
+    error bound holds for every context.  Every construction path, the
+    constructor, _make and _replace, raises ValueError on a field that is
+    no int or differs from the derived value, so every context any path
+    builds is for_digits of its digit count.  Immutable and stateless.
     """
 
     __slots__ = ()
 
     def __new__(cls, decimal_digits: int, bits: int, shift_count: int, stirling_terms: int):
         fields = (decimal_digits, bits, shift_count, stirling_terms)
-        # A bool is no int here, and a float would truncate.
-        if any(type(f) is not int for f in fields):
-            raise ValueError(f"precision fields must be ints, got {fields!r}")
-        check_digits(decimal_digits, "decimal_digits")
-        if not (0 < stirling_terms <= 3 * shift_count
-                and bits >= working_precision_bits(decimal_digits)
-                and stirling_tail_log10(shift_count, stirling_terms) <= -(decimal_digits + 5)):
-            raise ValueError(f"{fields}: bits, shift or terms short of what the digits need")
+        # A bool or a float equal to the derived int is refused too.
+        if any(type(f) is not int for f in fields) or fields != _context_fields(decimal_digits):
+            raise ValueError(f"{fields!r} is not the context its digit count derives")
         return tuple.__new__(cls, fields)
 
     _make = classmethod(validated_make)
 
     @classmethod
     def for_digits(cls, decimal_digits: int = DEFAULT_DIGITS) -> PrecisionContext:
-        """The least series for the working precision of the digits, at shift max(8, 0.55 (d + 5)).
-
-        At z = shift the smallest tail bound, near K = pi z, is about
-        10^(-2.7 z), below 10^-(d + 5) for z >= 0.55 (d + 5): some K <= 3z
-        meets the bound for every admissible digit count.
-        """
-        check_digits(decimal_digits, "decimal_digits")
-        target = -(decimal_digits + 5)
-        shift = max(8, math.ceil(0.55 * (decimal_digits + 5)))
-        terms = next(k for k in range(1, 3 * shift + 1) if stirling_tail_log10(shift, k) <= target)
-        return cls(
-            decimal_digits,
-            working_precision_bits(decimal_digits),
-            shift,
-            terms,
-        )
-
-    @property
-    def residual_bound(self) -> mpmath.mpf:
-        """10^(10 - decimal_digits), the largest residual verify accepts."""
-        return _residual_bound(self.decimal_digits)
+        """The context of the digit count, an int in MIN_DIGITS..MAX_DIGITS, else ValueError."""
+        return cls(*_context_fields(decimal_digits))
 
 
 # verify forms its residuals and their bound at mpmath's default 53 bits,
@@ -236,7 +239,7 @@ def _stirling_data(ctx: PrecisionContext) -> tuple[tuple, tuple[tuple[int, int],
     return half_ln_2pi, coefficients
 
 
-def ln_gamma(x, ctx: PrecisionContext | None = None) -> mpmath.mpf:
+def ln_gamma(x, ctx: PrecisionContext) -> mpmath.mpf:
     """ln Gamma(x) for rational x in (0,1), absolute error below 10^-decimal_digits.
 
     Gamma(x) = Gamma(x + m) / (x (x+1) ... (x+m-1)) with m = ctx.shift_count,
@@ -254,7 +257,6 @@ def ln_gamma(x, ctx: PrecisionContext | None = None) -> mpmath.mpf:
     reduced Fractions, without building them.  x must be an int or a
     Fraction, as exact.ratio reads it: a float, a str or a bool is refused.
     """
-    ctx = ctx or PrecisionContext.for_digits()
     (p, q), m = ratio(x), ctx.shift_count
     if not 0 < p < q:
         raise ValueError(f"argument must lie in (0,1), got {x}")
@@ -289,30 +291,48 @@ def ln_gamma(x, ctx: PrecisionContext | None = None) -> mpmath.mpf:
 
 
 @lru_cache(maxsize=None)
-def _ln_gamma_cached(p: int, q: int, ctx: PrecisionContext) -> tuple:
-    """ln Gamma(p/q) as a raw mpf, p/q in lowest terms: a key of ints, hashed in C."""
-    return ln_gamma(Q(p, q), ctx)._mpf_
+def _ln_ratio(p: int, q: int, ctx: PrecisionContext) -> tuple:
+    """ln gamma(p/q) = ln Gamma(p/q) - ln Gamma((q-p)/q) as a raw mpf, p/q < 1/2 in lowest terms.
+
+    Keyed on ints and the context, hashed in C; ln_gamma is reached through
+    the module attribute, two calls per miss.
+    """
+    lower, upper = ln_gamma(Q(p, q), ctx)._mpf_, ln_gamma(Q(q - p, q), ctx)._mpf_
+    return mpf_sub(lower, upper, ctx.bits, round_nearest)
 
 
-def eval_word_ln(word, ctx: PrecisionContext | None = None) -> mpmath.mpf:
+def eval_word_ln(word, ctx: PrecisionContext) -> mpmath.mpf:
     """ln of a word's value: sum_j e_j (ln Gamma(j/N) - ln Gamma((N-j)/N)).
 
-    Each grid point's ln gamma(j/N) is one mpf_sub of the two ln Gamma
-    values, once per (N, ctx), in _RATIOS, which reads them from a cache
-    keyed on the reduced pair (p, q) = (j, N) / gcd(j, N).  The same miss
-    fills ln gamma((N-j)/N) as mpf_neg of it: rounding to nearest with ties
-    to even is symmetric under negation, so mpf_sub(b, a) is exactly
-    mpf_neg(mpf_sub(a, b)), the bits a second subtraction would give.
+    Each factor reads its grid point reduced to p/q, (p, q) = (j, N) /
+    gcd(j, N): below 1/2 as _ln_ratio(p, q), above as mpf_neg of
+    _ln_ratio(q - p, q), the bits the subtraction done the other way round
+    gives (see the module docstring), and at 1/2 as zero, which adds
+    nothing.  One table serves every grid and every word.
     Worst-case absolute error 2 sum_j |e_j| * 10^-decimal_digits.
     """
-    ctx = ctx or PrecisionContext.for_digits()
     n, bits, rnd = word.denominator, ctx.bits, round_nearest
-    ratios = _RATIOS.get((n, ctx)) or _RATIOS.setdefault((n, ctx), [None] * n)
     total = fzero
     for j, e in word.exponents:
-        if (ratio := ratios[j]) is None:
-            p, q = j // (g := math.gcd(j, n)), n // g
-            ratio = mpf_sub(_ln_gamma_cached(p, q, ctx), _ln_gamma_cached(q - p, q, ctx), bits, rnd)
-            ratios[j], ratios[n - j] = ratio, mpf_neg(ratio)
-        total = mpf_add(total, mpf_mul_int(ratio, e, bits, rnd), bits, rnd)
+        p, q = j // (g := math.gcd(j, n)), n // g
+        if 2 * p != q:
+            ratio = _ln_ratio(p, q, ctx) if 2 * p < q else mpf_neg(_ln_ratio(q - p, q, ctx))
+            total = mpf_add(total, mpf_mul_int(ratio, e, bits, rnd), bits, rnd)
     return mpmath.mp.make_mpf(total)
+
+
+def residual(lhs, rhs, ctx: PrecisionContext | None = None) -> tuple[str, bool]:
+    """verify's numeric verdict on lhs = rhs: |ln lhs - ln rhs| as printed, and whether it passes.
+
+    Both sides are evaluated at ctx, the word by eval_word_ln and the
+    constant by const_ln, and their difference is rounded to nearest at
+    RESIDUAL_BITS, whatever the caller's workprec (mpf_abs with no
+    precision does not round).  It stays a raw mpf: the string is
+    to_str(raw, 6) and the test mpf_le(raw, 10^(10 - decimal_digits)),
+    which is what mpmath.nstr and mpf <= call.  This one function is the
+    numeric route's acceptance rule.
+    """
+    ctx = ctx or PrecisionContext.for_digits()
+    lhs_ln, rhs_ln = eval_word_ln(lhs, ctx)._mpf_, const_ln(rhs, ctx.decimal_digits)._mpf_
+    raw = mpf_abs(mpf_sub(lhs_ln, rhs_ln, RESIDUAL_BITS, round_nearest))
+    return to_str(raw, 6), mpf_le(raw, _residual_bound(ctx.decimal_digits)._mpf_)

@@ -50,7 +50,7 @@ formats no tag and scans no relation's full vector.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -103,11 +103,13 @@ def _multiplication_tag(d: int, k: int) -> str:
 def _multiplication_vector(n: int, d: int, k: int) -> Tuple[Tuple[int, int], ...]:
     """The exponent vector of multiplication(d, k) on the 1/N grid."""
     step = n // d
-    # gamma(dk/N) cancels one of the d factors k + i N/d when dk = k mod N/d.
+    # gamma(dk/N) cancels one of the d factors k + i N/d when dk = k mod N/d;
+    # otherwise it joins the ascending factors at its place.
     top = d * k
+    vector = [(j, 1) for j in range(k, n, step) if j != top]
     if (top - k) % step:
-        return tuple(sorted([(j, 1) for j in range(k, n, step)] + [(top, -1)]))
-    return tuple((j, 1) for j in range(k, n, step) if j != top)
+        insort(vector, (top, -1))
+    return tuple(vector)
 
 
 def _multiplication(n: int, d: int, k: int, primes: Sequence[Tuple[int, int]]) -> Relation:

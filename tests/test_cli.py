@@ -242,18 +242,21 @@ def _spy_verify_calls(monkeypatch):
 
 
 def test_verify_call_order(capsys, monkeypatch):
-    """Precision setup, then the builds, then the checks: the order the benchmark driver mirrors."""
+    """Precision setup, then the checks, which build each system as they reach it.
+
+    verify_all takes a generator of builds, so one system is held at a time.
+    """
     calls = _spy_verify_calls(monkeypatch)
     code, _, _ = run(capsys, "verify", "--family", "G", "--family", "F", "--mode", "both")
     assert code == EXIT_OK
-    assert calls == ["for_digits", "build", "build", "verify_all"]
+    assert calls == ["for_digits", "verify_all", "build", "build"]
 
 
 def test_exact_verify_sets_up_no_precision(capsys, monkeypatch):
     calls = _spy_verify_calls(monkeypatch)
     code, _, _ = run(capsys, "verify", "--family", "G", "--family", "F", "--mode", "exact")
     assert code == EXIT_OK
-    assert calls == ["build", "build", "verify_all"]
+    assert calls == ["verify_all", "build", "build"]
 
 
 def test_rank_bounds_zero_are_not_ignored():
@@ -494,6 +497,27 @@ BOTH_200_DIGITS_JSON_SHA256 = "d3e88f9a5e0db588f81a471dee6da243597e165f357f8a06c
       "--family", "E", "--family", "B"), BOTH_200_DIGITS_JSON_SHA256),
 ])
 def test_verify_residual_golden_digests(capsys, args, digest):
+    code, out, err = run(capsys, "verify", *args, "--format", "json")
+    assert code == EXIT_OK and err == ""
+    assert '"numeric_residual":"' in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of `verify --mode both --digits 10 --format json`, where the bound
+# 10^(10 - digits) is 1, and of `verify --family E --family F --family G
+# --mode numeric --digits 800 --format json`, taken before the numeric
+# verdict moved into numeric.residual and the ln gamma table onto reduced
+# lower-half arguments.
+DIGITS_10_JSON_SHA256 = "9612a6f863024bde35fba1cf3fe6df044fe8c7de087fc2aa94a58ca29c4ec7bc"
+EFG_NUMERIC_800_JSON_SHA256 = "59b7c5c1884fc8d0bababaa7c4bd9930e60e83b0eb5b39250eb97cca1756a75e"
+
+
+@pytest.mark.parametrize("args,digest", [
+    (("--mode", "both", "--digits", "10"), DIGITS_10_JSON_SHA256),
+    (("--family", "E", "--family", "F", "--family", "G", "--mode", "numeric",
+      "--digits", "800"), EFG_NUMERIC_800_JSON_SHA256),
+])
+def test_verify_digit_count_golden_digests(capsys, args, digest):
     code, out, err = run(capsys, "verify", *args, "--format", "json")
     assert code == EXIT_OK and err == ""
     assert '"numeric_residual":"' in out

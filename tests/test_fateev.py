@@ -1,8 +1,10 @@
 """Identity words, closed-form constants, and verification reports."""
 
+import ast
 import math
 from fractions import Fraction as Q
 from itertools import combinations, repeat
+from pathlib import Path
 
 import pytest
 
@@ -805,3 +807,24 @@ def test_report_serialization(systems):
     assert obj["certificate"] is not None
     line = report.text_line()
     assert "proved_exact" in line and "G2" in line
+
+
+def test_fateev_leaves_the_numeric_verdict_to_numeric():
+    """fateev imports no mpmath name, and neither const_ln nor RESIDUAL_BITS.
+
+    The residual, its rounding and its bound are numeric.residual's, so the
+    acceptance rule of the numeric route lives in one module.
+    """
+    tree = ast.parse(Path(fateev.__file__).read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(alias.name, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [(node.module or "", alias.name) for alias in node.names]
+    assert imported and not [m for m, _ in imported if m.split(".")[0] == "mpmath"]
+    names = {name for _, name in imported}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert not {"const_ln", "RESIDUAL_BITS", "mpmath"} & (names | used)
+    assert ("numeric", "residual") in imported

@@ -5,7 +5,7 @@ wrong answer.  Each test below replaces one piece of the exact or numeric
 route with a wrong copy, runs `gammaroots verify` on a small selection
 through cli.main, and requires exit 1; the same run undoctored, before and
 after, exits 0; the kernel check, which verify does not run, is run on
-its own the same way.  The relation tables and the ln gamma ratio tables are
+its own the same way.  The relation tables and the ln gamma ratio table are
 memoized, so the caches a doctored piece would poison are emptied before
 and after it runs.
 """
@@ -45,7 +45,7 @@ def doctored_exit(owner, name, doctored, mode, caches=()):
 
 
 def empty(caches):
-    """Clear each lru_cache, or each dict, such as numeric._RATIOS."""
+    """Clear each lru_cache, such as numeric._ln_ratio, or each dict."""
     for cache in caches:
         (cache.cache_clear if hasattr(cache, "cache_clear") else cache.clear)()
 
@@ -102,6 +102,27 @@ def test_a_multiplication_relation_with_a_shifted_index_fails_the_run():
         prover, "_multiplication_vector", shifted, "exact", RELATION_CACHES
     )
     assert exit_code == EXIT_VERIFICATION_FAILED
+
+
+def test_a_multiplication_relation_doubled_keeps_the_rank_and_fails_the_run(capsys):
+    """Every exponent of every multiplication vector doubled, its value left as it is.
+
+    Doubling a vector keeps the span of the relations and so the rank of
+    every grid: the rank check passes, no error reaches stderr, and the
+    run must fail on the certificates, whose derived constants use the
+    halved coefficients the doubled vectors need.
+    """
+    vector = prover._multiplication_vector
+
+    def doubled(n, d, k):
+        return tuple((j, 2 * e) for j, e in vector(n, d, k))
+
+    capsys.readouterr()
+    exit_code = doctored_exit(
+        prover, "_multiplication_vector", doubled, "exact", RELATION_CACHES
+    )
+    assert exit_code == EXIT_VERIFICATION_FAILED
+    assert capsys.readouterr().err == ""
 
 
 def test_a_kernel_vector_off_by_one_fails_the_kernel_check():
@@ -183,11 +204,11 @@ def test_a_zero_residual_bound_fails_the_run():
 
 @pytest.mark.parametrize("mode", ["numeric", "both"])
 def test_a_complement_filled_with_the_wrong_sign_fails_the_run(mode):
-    """ratio[N - j] filled as ratio[j] itself, not as its negation."""
+    """A point above 1/2 read as its lower half's ratio itself, not as its negation."""
     def same_sign(raw):
         return raw
 
-    exit_code = doctored_exit(numeric, "mpf_neg", same_sign, mode, (numeric._RATIOS,))
+    exit_code = doctored_exit(numeric, "mpf_neg", same_sign, mode, (numeric._ln_ratio,))
     assert exit_code == EXIT_VERIFICATION_FAILED
 
 
@@ -206,4 +227,4 @@ def test_a_cached_right_side_log_off_by_twice_the_bound_fails_the_run(mode):
         with mpmath.workprec(exact.working_precision_bits(decimal_digits)):
             return ln(a, decimal_digits) + 2 * mpmath.mpf(10) ** (10 - decimal_digits)
 
-    assert doctored_exit(fateev, "const_ln", shifted, mode) == EXIT_VERIFICATION_FAILED
+    assert doctored_exit(numeric, "const_ln", shifted, mode) == EXIT_VERIFICATION_FAILED

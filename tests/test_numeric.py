@@ -155,7 +155,12 @@ def unchecked_context(decimal_digits, bits, shift_count, stirling_terms):
 
 
 def test_a_context_short_of_the_bounds_raises():
-    """Built unchecked, (60, 243, 0, 3) gives ln Gamma(1/2) = 0.58878, not ln sqrt(pi) = 0.57236."""
+    """Built unchecked, (60, 243, 0, 3) gives ln Gamma(1/2) = 0.58878, not ln sqrt(pi) = 0.57236.
+
+    A context is the one its digit count derives: fields short of the
+    bounds, of another type, or beyond the derived values, more bits, a
+    longer shift or more terms, are all refused on every construction path.
+    """
     doctored = unchecked_context(60, 243, 0, 3)
     assert mpmath.nstr(ln_gamma(Q(1, 2), doctored), 5) == "0.58878"
     ctx = PrecisionContext.for_digits(60)
@@ -170,6 +175,11 @@ def test_a_context_short_of_the_bounds_raises():
         (1001, bits, shift, terms),
         (digits, float(bits), shift, terms),
         (digits, bits, True, terms),
+        (digits, bits + 7, shift + 3, terms + 1),
+        (digits, bits + 1, shift, terms),
+        (digits, bits, shift + 1, terms),
+        (digits, bits, shift, terms + 1),
+        (digits - 1, bits, shift, terms),
     ]
     for fields in refused:
         for make in (
@@ -179,10 +189,9 @@ def test_a_context_short_of_the_bounds_raises():
         ):
             with pytest.raises(ValueError):
                 make()
-    # More bits, a longer shift or more terms only tighten the error.
-    assert PrecisionContext(digits, bits + 7, shift + 3, terms + 1)._replace(bits=bits) == (
-        digits, bits, shift + 3, terms + 1)
-    assert PrecisionContext._make(ctx) == ctx
+    assert PrecisionContext._make(ctx) == ctx == PrecisionContext(*ctx) == ctx._replace(bits=bits)
+    assert ctx == PrecisionContext(
+        decimal_digits=digits, bits=bits, shift_count=shift, stirling_terms=terms)
 
 
 def test_ln_gamma_half():
@@ -472,21 +481,29 @@ def complement(word):
     return GammaWord(n, tuple(sorted((n - j, e) for j, e in word.exponents)))
 
 
-def _assert_complements_bit_exact(ctx, max_n=96):
-    """On every grid N <= max_n, ratio[N - j] is the subtraction done the other way round.
+@lru_cache(maxsize=None)
+def cached_ln_gamma(x, ctx):
+    """ln_gamma(x, ctx) once per (argument, context): it is a pure function."""
+    return ln_gamma(x, ctx)
 
-    Each grid's table is filled from its lower half, so every entry above
-    N/2 is a complement, mpf_neg(ratio[j]); each must equal mpf_sub(ln
-    Gamma((N-j)/N), ln Gamma(j/N)) at ctx.bits, subtracted here.
+
+def _assert_complements_bit_exact(ctx, max_n=96):
+    """On every grid N <= max_n, gamma(j/N) above 1/2 reads the subtraction done the other way round.
+
+    eval_word_ln reads a point above 1/2 as mpf_neg of its lower half's
+    entry; each such complement, read through eval_word_ln as the word
+    gamma(j/N)^1, must equal mpf_sub(ln Gamma(j/N), ln Gamma((N-j)/N)) at
+    ctx.bits, subtracted here, and gamma(1/2) must read as zero.  The
+    table's misses and the subtraction here share one ln_gamma memo, so
+    each ln Gamma is evaluated once.
     """
-    for n in range(2, max_n + 1):
-        numeric._RATIOS.pop((n, ctx), None)
-        eval_word_ln(GammaWord(n, tuple((j, 1) for j in range(1, n // 2 + 1))), ctx)
-        table = numeric._RATIOS[n, ctx]
-        for j in range(1, n):
-            g = math.gcd(j, n)
-            left, right = (numeric._ln_gamma_cached(k // g, n // g, ctx) for k in (j, n - j))
-            assert table[j] == mpf_sub(left, right, ctx.bits, round_nearest), (n, j, ctx)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numeric, "ln_gamma", cached_ln_gamma)
+        for n in range(2, max_n + 1):
+            for j in range((n + 1) // 2, n):
+                left, right = (cached_ln_gamma(Q(k, n), ctx)._mpf_ for k in (j, n - j))
+                expected = mpf_sub(left, right, ctx.bits, round_nearest)
+                assert eval_word_ln(GammaWord(n, ((j, 1),)), ctx)._mpf_ == expected, (n, j, ctx)
 
 
 # Few-bit contexts, where the ratio subtractions round at ties: the two
@@ -502,21 +519,22 @@ def test_numeric_route_bit_exact_on_sampled_sweep_sides(sweep_sides, digits):
     whatever the caller's workprec, so the strings and flags under
     workprec(12) and workprec(ctx.bits) are the default-precision ones.
 
-    Each sampled word's complement is one more input: with the tables
-    emptied, it reads the entries its word's misses filled by negation.
-    The same holds at few-bit contexts, and on every grid N <= 96 each
-    complement equals the subtraction done the other way round.
+    Each sampled word's complement is one more input: with the table
+    emptied, it reads by negation the entries its word's factors read
+    directly, and the other way round.  The same holds at few-bit
+    contexts, and on every grid N <= 96 each complement equals the
+    subtraction done the other way round.
     """
     ctx = PrecisionContext.for_digits(digits)
     sample = random.Random(digits).sample(sweep_sides, 40)
-    numeric._RATIOS.clear()
+    numeric._ln_ratio.cache_clear()
     sides = [*sample, *((complement(w), rhs) for w, rhs in sample)]
     _assert_numeric_route_bit_exact(sides, ctx)
     bound = mpmath.mpf(10) ** (10 - digits)
     for prec in (12, ctx.bits):
         _assert_numeric_route_bit_exact(sample[:10], ctx, prec)
         with mpmath.workprec(prec):
-            assert ctx.residual_bound == bound
+            assert numeric._residual_bound(digits) == bound
     _assert_complements_bit_exact(ctx)
     for bits in TIE_BITS[digits]:
         tie_ctx = unchecked_context(10, bits, 0, 3)
@@ -525,46 +543,47 @@ def test_numeric_route_bit_exact_on_sampled_sweep_sides(sweep_sides, digits):
 
 
 def test_ln_gamma_runs_once_per_distinct_argument(monkeypatch, systems, sweep_sides):
-    """Every grid lookup that misses reaches the module-level ln_gamma exactly once.
+    """Every ratio lookup that misses reaches the module-level ln_gamma exactly twice.
 
-    Over the whole sweep in numeric mode too, with the caches emptied: one
-    ln_gamma call per distinct reduced argument, and one ratio, two cached
-    lookups of reduced integer pairs, per complementary pair {j, N - j} of
-    grid points, as the miss at j fills N - j by negation.  ln_gamma is
-    reached through the module attribute, which is what perfbench's tracer
-    wraps.
+    Over the whole sweep in numeric mode too, with the table emptied: one
+    ln_gamma call per distinct reduced argument other than 1/2, whose
+    ratio reads as zero, two per miss of _ln_ratio, and one lookup of a
+    reduced lower-half pair per factor off 1/2, as a point above 1/2 reads
+    its lower half negated.  ln_gamma is reached through the module
+    attribute, which is what perfbench's tracer wraps.
     """
     ctx = PrecisionContext.for_digits(37)  # used by no other test, so nothing is cached
     seen = []
 
-    def counted(x, c=None):
+    def counted(x, c):
         seen.append(x)
         return ln_gamma(x, c)
 
     monkeypatch.setattr(numeric, "ln_gamma", counted)
     word = GammaWord(12, ((1, 2), (5, -1), (6, 3), (7, 1), (11, -2)))
     first = eval_word_ln(word, ctx)
-    assert sorted(seen) == [Q(1, 12), Q(5, 12), Q(1, 2), Q(7, 12), Q(11, 12)]
+    assert sorted(seen) == [Q(1, 12), Q(5, 12), Q(7, 12), Q(11, 12)]
     assert eval_word_ln(word, ctx) == first
     assert eval_word_ln(GammaWord(4, ((2, 1),)), ctx) == 0
-    assert len(seen) == 5
+    assert len(seen) == 4
 
-    fresh = lru_cache(maxsize=None)(numeric._ln_gamma_cached.__wrapped__)
+    fresh = lru_cache(maxsize=None)(numeric._ln_ratio.__wrapped__)
     lookups = []
 
     def looked_up(p, q, c):
         lookups.append((p, q))
         return fresh(p, q, c)
 
-    monkeypatch.setattr(numeric, "_ln_gamma_cached", looked_up)
-    monkeypatch.setattr(numeric, "_RATIOS", {})
+    monkeypatch.setattr(numeric, "_ln_ratio", looked_up)
     seen.clear()
     ctx = PrecisionContext.for_digits(60)
     fateev.verify_all(systems.values(), mode="numeric", ctx=ctx)
     points = {(w.denominator, j) for w, _ in sweep_sides for j, _ in w.exponents}
     arguments = {Q(j, n) for n, j in points} | {Q(n - j, n) for n, j in points}
-    assert sorted(seen) == sorted(arguments) and len(seen) == 267
-    pairs = {(n, min(j, n - j)) for n, j in points}
-    assert len(lookups) == 2 * len(pairs) and len(pairs) < len(points)
-    assert all(math.gcd(p, q) == 1 for p, q in lookups)
-    assert {Q(p, q) for p, q in lookups} == arguments
+    assert Q(1, 2) in arguments
+    assert sorted(seen) == sorted(arguments - {Q(1, 2)}) and len(seen) == 266
+    assert len(seen) == 2 * fresh.cache_info().misses
+    factors = [(n, j) for w, _ in sweep_sides for n in [w.denominator] for j, _ in w.exponents]
+    assert len(lookups) == sum(2 * j != n for n, j in factors)
+    assert all(math.gcd(p, q) == 1 and 2 * p < q for p, q in lookups)
+    assert {Q(p, q) for p, q in lookups} | {Q(q - p, q) for p, q in lookups} == set(seen)

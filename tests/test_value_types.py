@@ -131,10 +131,6 @@ def test_no_value_type_has_a_dict(systems):
             setattr(system, table, None)
         with pytest.raises(AttributeError):
             delattr(system, table)
-    ctx = PrecisionContext.for_digits(20)
-    assert ctx.residual_bound is ctx.residual_bound
-    with pytest.raises(AttributeError):
-        ctx.residual_bound = 0
 
 
 def test_word_stores_its_exponents_as_tuples():
