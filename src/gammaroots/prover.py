@@ -41,10 +41,11 @@ p^((N - 2pk)/N), so the derived constant's exponent of p is
 sum_k x_(p,k) (N - 2pk)/N.  It is summed in integers, over the common
 denominator of the x_m times N, and reduced with one gcd per prime.
 
-A certificate is assembled from per-grid data built once per N: the
-reflection tags, and per solver column its tag, p, the weight N - 2pk and
-its entries at j <= N/2, which are all the residual reads.  A proof then
-formats no tag and scans no relation's full vector.
+One table per grid, _grid(n), built in one pass over the solver relations,
+holds all a proof reads: the reflection tags, per solver column its tag, p,
+the weight N - 2pk and its entries at j <= N/2, which are all the residual
+reads, and the solver on the folds, its rank checked.  A proof then formats
+no tag and scans no relation's full vector.
 """
 
 from __future__ import annotations
@@ -139,42 +140,6 @@ def multiplication_relations(n: int) -> List[Relation]:
 
 
 @lru_cache(maxsize=None)
-def _solver_relations(n: int) -> Tuple[Tuple[int, int, Tuple[Tuple[int, int], ...]], ...]:
-    """The multiplication relations the solver eliminates: d prime and 2dk < N.
-
-    They are the sub-tuple of multiplication_relations(n) whose columns can
-    be pivots (the module docstring gives the reason), as (p, k, vector)
-    triples: multiplication(p, k) has the value p^((N - 2pk)/N), and
-    _certificate_data builds the tags once per grid.
-    """
-    return tuple(
-        (p, k, _multiplication_vector(n, p, k))
-        for p in sorted(factorize(n))
-        for k in range(1, (n // p + 1) // 2)
-    )
-
-
-@lru_cache(maxsize=None)
-def _certificate_data(n: int) -> tuple:
-    """What prove_constant reads per grid, built once per N.
-
-    The pair (reflection tags, columns): the tag of the reflection at j at
-    position j - 1, for 1 <= j <= N/2, and per solver column, in
-    _solver_relations(n) order, (tag, p, N - 2pk, entries at j <= N/2).
-    A vector is sorted by j, so its entries at j <= N/2 are a prefix, and
-    the slice holds the vector's own (j, e) pair objects.  The tags are the
-    memoized ones, shared by all grids and by the certificates.
-    """
-    # The reflection at N/2, for even N, is half.
-    tags = tuple(map(_reflection_tag, range(1, (n + 1) // 2))) + ("half",) * (n % 2 == 0)
-    columns = tuple(
-        (_multiplication_tag(p, k), p, n - 2 * p * k, v[: bisect_right(v, (n // 2, math.inf))])
-        for p, k, v in _solver_relations(n)
-    )
-    return tags, columns
-
-
-@lru_cache(maxsize=None)
 def relations_for(n: int) -> Tuple[Relation, ...]:
     """All relations on the 1/N grid in deterministic order, reflections first.
 
@@ -252,14 +217,26 @@ def _fold(pairs: Sequence[Tuple[int, int]], n: int) -> List[int]:
 
 
 @lru_cache(maxsize=None)
-def _prepared_solver(n: int) -> Optional[linalg.PreparedSolver]:
-    """The solver on the folded _solver_relations(n); None where there are none.
+def _grid(n: int) -> tuple:
+    """What prove_constant reads per grid, built in one pass once per N.
 
-    Its rank must be (N - 1)//2 - phi(N)//2, phi Euler's totient, and any
-    other rank raises RankError, so every grid a run proves on is tied to a
-    theorem, not only the grids the kernel check covers.  By the criterion
-    of Koblitz and Ogus (appendix to Deligne, Proc. Symp. Pure Math. 33,
-    1979), an exponent vector g lies in the relation span iff
+    The triple (reflection tags, columns, solver).  The tag of the
+    reflection at j sits at position j - 1, for 1 <= j <= N/2.  The solver
+    relations are the multiplications with d prime and 2dk < N, in
+    multiplication_relations(n) order (the module docstring gives the
+    reason), and each gives one column (tag, p, N - 2pk, entries at
+    j <= N/2): multiplication(p, k) has the value p^((N - 2pk)/N).  A vector
+    is sorted by j, so its entries at j <= N/2 are a prefix, and the slice
+    holds the vector's own (j, e) pair objects.  The tags are the memoized
+    ones, shared by all grids and by the certificates.  The solver is the
+    linalg.PreparedSolver on the relations' folds, or None where there are
+    none; no full vector is kept.
+
+    The solver's rank must be (N - 1)//2 - phi(N)//2, phi Euler's totient,
+    and any other rank raises RankError, so every grid a run proves on is
+    tied to a theorem, not only the grids the kernel check covers.  By the
+    criterion of Koblitz and Ogus (appendix to Deligne, Proc. Symp. Pure
+    Math. 33, 1979), an exponent vector g lies in the relation span iff
     B_u(g) = sum_j g_j (2 <u j/N> - 1) is the same for every unit u mod N,
     where <x> is the fractional part.  B_(-u) = -B_u, so for N >= 3 that asks
     B_u(g) = 0 for one u of each pair +-u: phi(N)/2 conditions, none for
@@ -276,14 +253,22 @@ def _prepared_solver(n: int) -> Optional[linalg.PreparedSolver]:
     N - 1 - phi(N)//2 - N//2 = (N - 1)//2 - phi(N)//2.  The rank held on
     every N = 2..400 when the check was written.
     """
-    relations = _solver_relations(n)
-    solver = linalg.PreparedSolver([_fold(v, n) for _, _, v in relations]) if relations else None
+    # The reflection at N/2, for even N, is half.
+    tags = tuple(map(_reflection_tag, range(1, (n + 1) // 2))) + ("half",) * (n % 2 == 0)
     primes = factorize(n)
+    columns, folds = [], []
+    for p in sorted(primes):
+        for k in range(1, (n // p + 1) // 2):
+            v = _multiplication_vector(n, p, k)
+            prefix = v[: bisect_right(v, (n // 2, math.inf))]
+            columns.append((_multiplication_tag(p, k), p, n - 2 * p * k, prefix))
+            folds.append(_fold(v, n))
+    solver = linalg.PreparedSolver(folds) if folds else None
     expected = (n - 1) // 2 - n // math.prod(primes) * math.prod(p - 1 for p in primes) // 2
     rank = solver.rank if solver else 0
     if rank != expected:
         raise RankError(f"the solver relations on the 1/{n} grid have rank {rank}, not {expected}")
-    return solver
+    return tags, tuple(columns), solver
 
 
 def prove_constant(word: GammaWord) -> Optional[Certificate]:
@@ -296,7 +281,7 @@ def prove_constant(word: GammaWord) -> Optional[Certificate]:
         return Certificate((), ONE)
     n = word.denominator
     folded = _fold(word.exponents, n)
-    solver = _prepared_solver(n)
+    tags, columns, solver = _grid(n)
     if solver is None:
         # No relation to eliminate (N prime, or N = 4): the fold must vanish.
         solution = None if any(folded) else []
@@ -304,7 +289,6 @@ def prove_constant(word: GammaWord) -> Optional[Certificate]:
         solution = solver.solve(folded)
     if solution is None:
         return None
-    tags, columns = _certificate_data(n)
     # The residual v - sum_m x_m M_m at j <= N/2, in integers over the common
     # denominator of the x_m: entry j is the coefficient of the reflection at j.
     # The derived constant's exponent of p, sum_k x_(p,k) (N - 2pk)/N, is

@@ -541,6 +541,27 @@ def test_verify_large_rank_exact_json_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == LARGE_RANK_EXACT_JSON_SHA256
 
 
+# sha256 of `verify --family A --family B --family C --family D --rank-min 13
+# --rank-max 64 --mode exact --format json`: 20,020 cases on grids up to
+# N = 254, past the lattice words' N <= 96, so the prover's per-grid tables
+# at large N reach a pinned output.  Taken before those tables were built in
+# one pass per grid.
+LARGE_RANK_64_EXACT_JSON_SHA256 = "58b1aa93b1f3c5803cd86c63b66d39ac1aed00fa2d8d4f45454b5ca926c72ad5"
+
+
+def test_verify_rank_64_exact_json_golden_digest(capsys, tmp_path):
+    target = tmp_path / "ranks-13-64.json"
+    code, out, err = run(
+        capsys, "verify", "--family", "A", "--family", "B", "--family", "C", "--family", "D",
+        "--rank-min", "13", "--rank-max", "64", "--mode", "exact", "--format", "json",
+        "--output", str(target),
+    )
+    assert code == EXIT_OK and out == err == ""
+    data = target.read_bytes()
+    assert data.count(b'"status":"proved_exact"') == 20020
+    assert hashlib.sha256(data).hexdigest() == LARGE_RANK_64_EXACT_JSON_SHA256
+
+
 def _cli_command(*argv):
     """The CLI as a subprocess, with stdout block-buffered whatever the caller's setting."""
     src = os.path.dirname(os.path.dirname(gammaroots.__file__))

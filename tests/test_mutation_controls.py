@@ -4,10 +4,10 @@ A passing run shows little unless each check it relies on would refuse a
 wrong answer.  Each test below replaces one piece of the exact or numeric
 route with a wrong copy, runs `gammaroots verify` on a small selection
 through cli.main, and requires exit 1; the same run undoctored, before and
-after, exits 0; the kernel check, which verify does not run, is run on
-its own the same way.  The relation tables and the ln gamma ratio table are
-memoized, so the caches a doctored piece would poison are emptied before
-and after it runs.
+after, exits 0.  The kernel check and the certificate replay, which verify
+does not run, are run on their own the same way.  The relation tables and
+the ln gamma ratio table are memoized, so the caches a doctored piece would
+poison are emptied before and after it runs.
 """
 
 import os
@@ -18,12 +18,11 @@ import pytest
 
 from gammaroots import cli, exact, fateev, linalg, numeric, prover
 from gammaroots.cli import EXIT_OK, EXIT_VERIFICATION_FAILED
+from test_prover import grid_and_folds, refused_certificates
 
 # G2, F4 and B2..B4: 30 cases, some proved with multiplication relations.
 SELECTION = ("--family", "G", "--family", "F", "--family", "B", "--rank-max", "4")
-RELATION_CACHES = (
-    prover._solver_relations, prover._prepared_solver, prover._certificate_data, prover.relations_for
-)
+RELATION_CACHES = (prover._grid, prover.relations_for)
 
 
 def run_verify(mode):
@@ -161,7 +160,7 @@ def test_a_zeroed_folded_column_fails_the_rank_check():
 
     That column, multiplication(p, 1) for the smallest prime p, is always a
     pivot, so zeroing it lowers the rank exactly where the other columns do
-    not span it; _prepared_solver must raise on those grids, of which there
+    not span it; _grid must raise on those grids, of which there
     are some, and on no other, and on none undoctored, before and after.
     """
     prepared = linalg.PreparedSolver
@@ -174,8 +173,8 @@ def test_a_zeroed_folded_column_fails_the_rank_check():
     grids = range(2, 97)
     lowered = set()
     for n in grids:
-        solver = prover._prepared_solver(n)
-        rest = [prover._fold(v, n) for _, _, v in prover._solver_relations(n)[1:]]
+        (_, _, solver), folds = grid_and_folds(n)
+        rest = folds[1:]
         if solver is not None and solver.rank > (prepared(rest).rank if rest else 0):
             lowered.add(n)
     raised = set()
@@ -185,14 +184,44 @@ def test_a_zeroed_folded_column_fails_the_rank_check():
             patch.setattr(linalg, "PreparedSolver", Zeroed)
             for n in grids:
                 try:
-                    prover._prepared_solver(n)
+                    prover._grid(n)
                 except prover.RankError:
                     raised.add(n)
     finally:
         empty(RELATION_CACHES)
     assert 6 in raised and raised == lowered
     for n in grids:
-        prover._prepared_solver(n)
+        prover._grid(n)
+
+
+def test_doubled_certificate_column_entries_are_refused_by_the_replay(sweep_sides):
+    """_grid's column entries doubled, on the 349 distinct sweep identities.
+
+    The entries feed only the residual, whose coefficients are those of the
+    reflections, of value one, so every derived constant, all verify
+    compares, stays the same.  verify does not replay certificates, so this
+    control runs the benchmark's replay itself: it must refuse some
+    certificates, and none undoctored, before and after.
+    """
+    grid = prover._grid
+
+    def doubled(n):
+        tags, columns, solver = grid(n)
+        columns = tuple(
+            (tag, p, weight, tuple((j, 2 * e) for j, e in entries))
+            for tag, p, weight, entries in columns
+        )
+        return tags, columns, solver
+
+    words = [word for word, _ in sweep_sides]
+    honest = [prover.prove_constant(word).derived_constant for word in words]
+    assert refused_certificates(words) == []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(prover, "_grid", doubled)
+        refused = refused_certificates(words)
+        derived = [prover.prove_constant(word).derived_constant for word in words]
+    assert refused_certificates(words) == []
+    assert refused and derived == honest
 
 
 def test_a_zero_residual_bound_fails_the_run():

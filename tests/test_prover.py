@@ -14,7 +14,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from gammaroots import prover
+from gammaroots import linalg, prover
 from gammaroots.exact import (
     ONE,
     FactoredConstant,
@@ -32,8 +32,7 @@ from gammaroots.prover import (
     Certificate,
     Relation,
     _fold,
-    _prepared_solver,
-    _solver_relations,
+    _grid,
     kernel_consistency,
     multiplication_relations,
     prove_constant,
@@ -132,17 +131,39 @@ def test_multiplication_at_n_over_d_minus_k_is_the_reflection_image():
             assert const_mul(relation.value, image.value).is_one, (n, relation.tag)
 
 
-def _solver_tag(relation):
-    """The tag of a solver relation, given as a (p, k, vector) triple."""
-    p, k, _ = relation
-    return f"multiplication({p},{k})"
+def grid_and_folds(n):
+    """_grid(n), built afresh, and the folded columns it hands linalg.PreparedSolver.
+
+    The folds are [] where it hands none.  _grid's cache is emptied before
+    and after, so the grid is built while the recording solver is in place
+    and no recording solver stays cached.
+    """
+    received = []
+
+    class Recording(PreparedSolver):
+        def __init__(self, columns):
+            received.append(columns)
+            super().__init__(columns)
+
+    _grid.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(linalg, "PreparedSolver", Recording)
+            table = _grid(n)
+    finally:
+        _grid.cache_clear()
+    assert len(received) <= 1
+    return table, received[0] if received else []
 
 
 def test_solver_relations_are_the_prime_order_half():
     """The solver's relations: the multiplications with d prime and 2dk < N, in order.
 
-    Each (p, k, vector) triple names the relation of its tag, carries its
-    vector, and the value p^((N - 2pk)/N) the prover sums is its value.
+    Each column of _grid(n) carries the tag, p and weight N - 2pk of the
+    relation of its tag, the value p^((N - 2pk)/N) the prover sums is that
+    relation's value, and its entries are the relation's vector at j <= N/2.
+    The fold the solver receives for it is the fold of the relation's
+    vector; prefix and fold together fix the whole vector.
     """
     for n in range(2, 401):
         # multiplication_relations(n) is relations_for(n) past the reflections,
@@ -151,15 +172,20 @@ def test_solver_relations_are_the_prime_order_half():
         relations = multiplication_relations(n)
         assert [r.tag for r in relations] == [f"multiplication({d},{k})" for d, k in indices]
         want = [
-            r
+            (r, d, k)
             for r, (d, k) in zip(relations, indices)
             if factorize(d) == {d: 1} and 2 * d * k < n
         ]
-        got = _solver_relations(n)
-        assert [_solver_tag(r) for r in got] == [r.tag for r in want], n
-        assert [vector for _, _, vector in got] == [r.vector for r in want], n
-        values = [FactoredConstant(((p, Q(n - 2 * p * k, n)),)) for p, k, _ in got]
-        assert values == [r.value for r in want], n
+        (_, columns, _), folds = grid_and_folds(n)
+        assert [column[:3] for column in columns] == [
+            (r.tag, d, n - 2 * d * k) for r, d, k in want
+        ], n
+        assert [entries for *_, entries in columns] == [
+            tuple((j, e) for j, e in r.vector if 2 * j <= n) for r, _, _ in want
+        ], n
+        assert folds == [_fold(r.vector, n) for r, _, _ in want], n
+        values = [FactoredConstant(((p, Q(weight, n)),)) for _, p, weight, _ in columns]
+        assert values == [r.value for r, _, _ in want], n
 
 
 def test_reduced_solver_matches_the_full_multiplication_set():
@@ -170,8 +196,8 @@ def test_reduced_solver_matches_the_full_multiplication_set():
     """
     for n in range(2, 151):
         full = relations_for(n)[n // 2:]
-        reduced = [_solver_tag(r) for r in _solver_relations(n)]
-        solver = _prepared_solver(n)
+        _, columns, solver = _grid(n)
+        reduced = [tag for tag, *_ in columns]
         if solver is None:
             assert not reduced
             assert all(not any(_fold(r.vector, n)) for r in full), n
@@ -276,16 +302,11 @@ def test_proved_words_evaluate_to_their_constant():
 
 
 @pytest.mark.parametrize("n", range(2, 97))
-def test_kernel_consistency_small_grids(n):
-    assert kernel_consistency(n) == (True, None)
+def test_kernel_consistency_small_grids(n, monkeypatch):
+    """The kernel check on each grid the lattice words use is consistent and constructs no Fraction.
 
-
-def test_kernel_consistency_builds_no_fraction(monkeypatch):
-    """The kernel check on every grid the lattice words use, N = 2..96, constructs no Fraction.
-
-    The acceptance gate checks N <= 46, the sweep's grids.  Here every
-    grid up to 96 is consistent, and a Fraction is built only for the
-    witness of an inconsistent one.
+    The acceptance gate checks N <= 46, the sweep's grids.  A Fraction is
+    built only for the witness of an inconsistent grid.
     """
     built = []
     new = Q.__new__
@@ -295,9 +316,9 @@ def test_kernel_consistency_builds_no_fraction(monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Q, "__new__", counting)
-    verdicts = [kernel_consistency(n) for n in range(2, 97)]
+    verdict = kernel_consistency(n)
+    assert verdict == (True, None)
     assert built == []
-    assert verdicts == [(True, None)] * 95
 
 
 def test_kernel_inconsistency_detected(monkeypatch):
@@ -437,13 +458,19 @@ def test_certificates_match_fraction_reference(n):
 LATTICE_SEED_1_SHA256 = "3c843c1f277660e0e2ab86f4a1f716499a055b5479a3ee9680f1a78e72c6e528"
 
 
-def lattice_words(seed):
-    """The benchmark's lattice words for seed, as GammaWords."""
+def load_replay():
+    """perfbench/replay.py, the benchmark's checker, which imports nothing from gammaroots."""
     spec = importlib.util.spec_from_file_location("perfbench_replay_golden", REPLAY)
     replay = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(replay)
+    return replay
+
+
+def lattice_words(seed):
+    """The benchmark's lattice words for seed, as GammaWords."""
     return [
-        GammaWord(w["N"], tuple((j, e) for j, e in w["terms"])) for w in replay.lattice_words(seed)
+        GammaWord(w["N"], tuple((j, e) for j, e in w["terms"]))
+        for w in load_replay().lattice_words(seed)
     ]
 
 
@@ -453,6 +480,44 @@ def test_lattice_certificates_golden_digest():
         [None if c is None else c.to_json_obj() for c in certificates], separators=(",", ":")
     )
     assert hashlib.sha256(text.encode()).hexdigest() == LATTICE_SEED_1_SHA256
+
+
+def refused_certificates(words):
+    """The words whose certificate perfbench/replay.py's check_certificate refuses.
+
+    The replay rebuilds each cited relation from its tag by formula, sums
+    the coefficients times the vectors, which must give the word's exponent
+    vector, and the values, which must give the derived constant.  A word
+    without a certificate counts as refused.
+    """
+    check = load_replay().check_certificate
+    refused = []
+    for word in words:
+        certificate = prove_constant(word)
+        if certificate is None or check(
+            word.denominator, dict(word.exponents), certificate.to_json_obj()
+        ) is None:
+            refused.append(word)
+    return refused
+
+
+def test_every_sweep_and_lattice_certificate_replays(sweep_sides):
+    """The certificates of the 349 distinct sweep identities and of the seed-1 lattice words replay.
+
+    verify compares only the derived constant, and reflections have value
+    one, so it would pass wrong reflection coefficients; the replay checks
+    every coefficient.  The lattice words are checked as the benchmark
+    checks them: an in-span word must prove to the constant it was built
+    from, and an out-of-span word must get no certificate.
+    """
+    assert refused_certificates([word for word, _ in sweep_sides]) == []
+    replay = load_replay()
+    words = replay.lattice_words(1)
+    certificates = [prove_constant(word) for word in lattice_words(1)]
+    tally = replay.Tally()
+    replay.check_lattice(words, [c and c.to_json_obj() for c in certificates], tally)
+    assert tally.attempted == len(words) > 700
+    assert tally.failed == 0, tally.errors
 
 
 # Large grids past the Fraction reference (N <= 96) and the reduced-vs-full
@@ -474,8 +539,8 @@ def test_large_grid_certificates_golden_digest():
             certificate = prove_constant(word)
             proved += certificate is not None
             certificates.append(None if certificate is None else certificate.to_json_obj())
-        relations = _solver_relations(n)
-        pivots.append([n, [_solver_tag(relations[c]) for c in _prepared_solver(n).pivots]])
+        _, columns, solver = _grid(n)
+        pivots.append([n, [columns[c][0] for c in solver.pivots]])
     assert proved == 40
     assert [len(tags) for _, tags in pivots] == [43, 80, 99, 161, 323]
     text = json.dumps(certificates, separators=(",", ":"))
@@ -494,7 +559,7 @@ SOLVER_FORM_SHA256 = "02a4992167ca353f8867061a3d59e301abcbbad0b736a53ff83fec73e0
 def test_solver_integer_form_golden_digest():
     digest = hashlib.sha256()
     for n in range(2, 401):
-        solver = _prepared_solver(n)
+        solver = _grid(n)[2]
         form = None if solver is None else [
             list(solver.pivots),
             list(solver.pivot_values),
