@@ -4,8 +4,7 @@ The identities this package checks are proved exactly; this module is the
 independent numeric cross-check, so it computes ln Gamma from first
 principles: an integer argument shift in exact rational arithmetic, then the
 Stirling series with exact Bernoulli coefficients and an explicit tail bound.
-mpmath supplies only the big-float substrate (ln, pi, arithmetic).  The
-whole cross-check lives here, and one number sets it: the digit count,
+The whole cross-check lives here, and one number sets it: the digit count,
 from which PrecisionContext derives every other field, and against which
 residual accepts or refuses an identity.  What does not depend on the
 argument is built once per context, and each ln gamma ratio once per
@@ -13,29 +12,33 @@ reduced point below 1/2, so repeated words cost table lookups.
 
 The arithmetic is the operation sequence of the mpf operator form under
 workprec(ctx.bits), rounded to nearest with ties to even after every
-operation.  The logarithms, the descent, the word sum and the conversions
-run on raw mpf tuples through mpmath.libmp (a * b is mpf_mul, n * a
-mpf_mul_int, n / a mpf_rdiv_int, mpf(n) / m mpf_div of from_int(n) rounded
-and from_int(m)), without the object dispatch and context switches; the
-operator form's closing +a is left out, as every result is already rounded
-to ctx.bits.  For x = p/q in lowest terms, z = (p + mq)/q and the descent
-prod_k (p + kq)/q^m are already in lowest terms, since gcd(p + kq, q) =
-gcd(p, q) = 1, so their integer numerators and denominators go to mpf_div
-as they are: the same operands a reduced Fraction would give, without
-building one.  ln gamma(p/q) = ln Gamma(p/q) - ln Gamma((q-p)/q) is one
-mpf_sub for p/q < 1/2, and ln gamma((q-p)/q) is its mpf_neg: rounding to
-nearest with ties to even is symmetric under negation, so mpf_sub(b, a) is
-exactly mpf_neg(mpf_sub(a, b)), and the negation is the subtraction's bits.
-ln gamma(1/2) is exactly zero, the subtraction of one value from itself.
+operation, on integers: every intermediate value of ln_gamma and of the
+word sum is a signed (mantissa, exponent) pair, and each operation is
+formed exactly and rounded by one primitive.  _round rounds a product (a * b
+is mpf_mul, e * a mpf_mul_int), _quotient is mpf(n) / m and 1 / a (mpf_div
+of from_int(n) rounded and from_int(m)), and _sum is a + b and a - b
+(mpf_add, mpf_sub); the Stirling loop writes its three roundings per term
+out inline, where a call per operation would cost more than the operation.
+libmp's operations are correctly rounded, and a value has one canonical
+mpf, so the same sequence of correctly rounded operations gives the same
+bits in either form; the integer form only drops libmp's per-call tuple
+handling.  mpmath.libmp keeps the two logarithms of each ln_gamma
+(mpf_log of z and of the descent), ln(2 pi)/2 once per context, const_ln
+of the right side, and the residual's 53-bit subtraction, to_str and
+mpf_le.  ln_gamma and eval_word_ln return an mpf, converted once at the
+end; the operator form's closing +a is left out, as every result is
+already rounded to ctx.bits.
 
-The Stirling sum runs on signed (mantissa, exponent) integers instead: each
-product c_k * power, each partial sum and each next power is formed exactly
-and rounded to ctx.bits to nearest with ties to even, the power by _round
-and the product and the sum by the same steps written out, where a call per
-operation would cost more than the operation.  mpf_mul and mpf_add are
-correctly rounded, and a value has one canonical mpf, so the same sequence
-of correctly rounded operations gives the same bits in either form; the
-integer form only drops libmp's per-call tuple handling.
+For x = p/q in lowest terms, z = (p + mq)/q and the descent prod_k (p +
+kq)/q^m are already in lowest terms, since gcd(p + kq, q) = gcd(p, q) = 1,
+so their integer numerators and denominators go to _quotient as they are:
+the same operands a reduced Fraction would give, without building one.
+ln gamma(p/q) = ln Gamma(p/q) - ln Gamma((q-p)/q) is one _sum for p/q <
+1/2, and a factor gamma((q-p)/q)^e reads it times -e: rounding to nearest
+with ties to even is symmetric under negation, so the rounded -e * (a - b)
+has exactly the bits of e * (b - a), the subtraction done the other way
+round.  ln gamma(1/2) is exactly zero, the subtraction of one value from
+itself.
 """
 
 from __future__ import annotations
@@ -46,24 +49,7 @@ from fractions import Fraction as Q
 from functools import lru_cache
 
 import mpmath
-from mpmath.libmp import (
-    fhalf,
-    from_int,
-    from_man_exp,
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_le,
-    mpf_log,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_neg,
-    mpf_rdiv_int,
-    mpf_sub,
-    round_nearest,
-    to_str,
-)
+from mpmath.libmp import from_man_exp, mpf_abs, mpf_le, mpf_log, mpf_sub, round_nearest, to_str
 
 from .exact import (
     DEFAULT_DIGITS, check_digits, const_ln, ratio, validated_make, working_precision_bits
@@ -194,12 +180,6 @@ def _residual_bound(decimal_digits: int) -> mpmath.mpf:
         return mpmath.mpf(10) ** (10 - decimal_digits)
 
 
-def _raw(q: Q, bits: int) -> tuple:
-    """mpf(q.numerator) / q.denominator at bits, as a raw mpf."""
-    numerator = from_int(q.numerator, bits, round_nearest)
-    return mpf_div(numerator, from_int(q.denominator), bits, round_nearest)
-
-
 def _signed(raw: tuple) -> tuple[int, int]:
     """A finite raw mpf as (signed mantissa, exponent)."""
     sign, man, exp, _ = raw
@@ -223,20 +203,50 @@ def _round(man: int, exp: int, bits: int) -> tuple[int, int]:
     return t >> 1, exp + shift
 
 
-@lru_cache(maxsize=None)
-def _stirling_data(ctx: PrecisionContext) -> tuple[tuple, tuple[tuple[int, int], ...]]:
-    """ln(2 pi)/2 and the Stirling coefficients, rounded to ctx.bits.
+def _quotient(a: int, b: int, bits: int) -> tuple[int, int]:
+    """a rounded to bits, then over b > 0 rounded: mpf_div(from_int(a, bits), from_int(b), bits).
 
-    ln(2 pi)/2 is a raw mpf; B_2k / (2k (2k-1)) for k = 1..stirling_terms
-    are (signed mantissa, exponent) pairs for ln_gamma's integer sum.
+    As in mpf_div, the dividend's exponent stays apart: only its rounded
+    mantissa is divided, to at least bits + 2 quotient bits, and a nonzero
+    remainder appends one sticky bit.  The floor quotient and the exact one
+    then lie strictly between the same two integers, and every rounding
+    boundary at bits is an integer there, so _round gives both the same
+    answer, for either sign.
+    """
+    a, exp = _round(a, 0, bits)
+    extra = bits + b.bit_length() - a.bit_length() + 2
+    quot, rem = divmod(a << extra, b)
+    if rem:
+        quot, extra = 2 * quot + 1, extra + 1
+    return _round(quot, exp - extra, bits)
+
+
+def _sum(a: int, a_exp: int, b: int, b_exp: int, bits: int) -> tuple[int, int]:
+    """a 2^a_exp + b 2^b_exp formed exactly and rounded by _round: mpf_add's bits.
+
+    An exact zero sum is (0, exponent), which reads as libmp's fzero.
+    """
+    if a_exp > b_exp:
+        a, a_exp, b, b_exp = b, b_exp, a, a_exp
+    return _round(a + (b << (b_exp - a_exp)), a_exp, bits)
+
+
+@lru_cache(maxsize=None)
+def _stirling_data(ctx: PrecisionContext) -> tuple[tuple[int, int], tuple[tuple[int, int], ...]]:
+    """ln(2 pi)/2 and the Stirling coefficients B_2k / (2k (2k-1)), k = 1..stirling_terms.
+
+    Each a (signed mantissa, exponent) pair rounded to ctx.bits, for
+    ln_gamma's integer arithmetic; ln(2 pi)/2 comes from mpmath.
     """
     with mpmath.workprec(ctx.bits):
-        half_ln_2pi = (mpmath.ln(2 * mpmath.pi) / 2)._mpf_
-    coefficients = tuple(
-        _signed(_raw(bernoulli(2 * k) / ((2 * k) * (2 * k - 1)), ctx.bits))
-        for k in range(1, ctx.stirling_terms + 1)
-    )
-    return half_ln_2pi, coefficients
+        half_ln_2pi = _signed((mpmath.ln(2 * mpmath.pi) / 2)._mpf_)
+    terms = (bernoulli(2 * k) / ((2 * k) * (2 * k - 1)) for k in range(1, ctx.stirling_terms + 1))
+    return half_ln_2pi, tuple(_quotient(c.numerator, c.denominator, ctx.bits) for c in terms)
+
+
+def _ln(man: int, exp: int, bits: int) -> tuple[int, int]:
+    """ln(man * 2^exp) for man > 0, by libmp's mpf_log at bits, as a signed pair."""
+    return _signed(mpf_log(from_man_exp(man, exp), bits, round_nearest))
 
 
 def ln_gamma(x, ctx: PrecisionContext) -> mpmath.mpf:
@@ -253,25 +263,26 @@ def ln_gamma(x, ctx: PrecisionContext) -> mpmath.mpf:
     x = p/q in lowest terms, z = (p + mq)/q and the descent product is
     prod_k (p + kq) / q^m, both exact and both already in lowest terms:
     gcd(p + kq, q) = gcd(p, q) = 1 for every k.  So the integer numerator
-    and denominator go straight to mpf_div, which is exactly _raw of the
-    reduced Fractions, without building them.  x must be an int or a
+    and denominator go straight to _quotient, the operands a reduced
+    Fraction would give, without building one.  x must be an int or a
     Fraction, as exact.ratio reads it: a float, a str or a bool is refused.
     """
     (p, q), m = ratio(x), ctx.shift_count
     if not 0 < p < q:
         raise ValueError(f"argument must lie in (0,1), got {x}")
     half_ln_2pi, coefficients = _stirling_data(ctx)
-    bits, rnd = ctx.bits, round_nearest
-    zf = mpf_div(from_int(p + m * q, bits, rnd), from_int(q), bits, rnd)
-    total = mpf_mul(mpf_sub(zf, fhalf, bits, rnd), mpf_log(zf, bits, rnd), bits, rnd)
-    total = mpf_add(mpf_sub(total, zf, bits, rnd), half_ln_2pi, bits, rnd)
-    inv = mpf_rdiv_int(1, zf, bits, rnd)
-    sq, sq_exp = _signed(mpf_mul(inv, inv, bits, rnd))
-    pw, pw_exp = _signed(inv)
-    acc, acc_exp = _signed(total)
-    # acc += c * pw, then pw *= sq, each product and sum formed exactly and
-    # rounded as _round rounds: the product and the sum written out, which
-    # saves a call per operation, the power through _round.
+    bits = ctx.bits
+    z, z_exp = _quotient(p + m * q, q, bits)
+    ln_z, ln_z_exp = _ln(z, z_exp, bits)
+    acc, acc_exp = _sum(z, z_exp, -1, -1, bits)
+    acc, acc_exp = _round(acc * ln_z, acc_exp + ln_z_exp, bits)
+    acc, acc_exp = _sum(acc, acc_exp, -z, z_exp, bits)
+    acc, acc_exp = _sum(acc, acc_exp, *half_ln_2pi, bits)
+    pw, pw_exp = _quotient(1, z, bits)
+    pw_exp -= z_exp
+    sq, sq_exp = _round(pw * pw, 2 * pw_exp, bits)
+    # acc += c * pw, then pw *= sq: each product and sum formed exactly and
+    # rounded as _round rounds, written out, which saves a call per operation.
     for c, c_exp in coefficients:
         man, exp = c * pw, c_exp + pw_exp
         if (shift := man.bit_length() - bits) > 0:
@@ -282,43 +293,51 @@ def ln_gamma(x, ctx: PrecisionContext) -> mpmath.mpf:
         if (shift := acc.bit_length() - bits) > 0:
             t, acc_exp = acc >> (shift - 1), acc_exp + shift
             acc = (t + 1) >> 1 if t & 1 and (t & 2 or acc & ((1 << (shift - 1)) - 1)) else t >> 1
-        pw, pw_exp = _round(pw * sq, pw_exp + sq_exp, bits)
-    total = from_man_exp(acc, acc_exp, bits, rnd)
-    descent = from_int(math.prod(range(p, p + m * q, q)), bits, rnd)
-    descent = mpf_div(descent, from_int(q**m), bits, rnd)
-    total = mpf_sub(total, mpf_log(descent, bits, rnd), bits, rnd)
-    return mpmath.mp.make_mpf(total)
+        pw, pw_exp = pw * sq, pw_exp + sq_exp
+        if (shift := pw.bit_length() - bits) > 0:
+            t, pw_exp = pw >> (shift - 1), pw_exp + shift
+            pw = (t + 1) >> 1 if t & 1 and (t & 2 or pw & ((1 << (shift - 1)) - 1)) else t >> 1
+    descent, descent_exp = _quotient(math.prod(range(p, p + m * q, q)), q**m, bits)
+    ln_descent, ln_descent_exp = _ln(descent, descent_exp, bits)
+    acc, acc_exp = _sum(acc, acc_exp, -ln_descent, ln_descent_exp, bits)
+    return mpmath.mp.make_mpf(from_man_exp(acc, acc_exp))
 
 
 @lru_cache(maxsize=None)
-def _ln_ratio(p: int, q: int, ctx: PrecisionContext) -> tuple:
-    """ln gamma(p/q) = ln Gamma(p/q) - ln Gamma((q-p)/q) as a raw mpf, p/q < 1/2 in lowest terms.
+def _ln_ratio(p: int, q: int, ctx: PrecisionContext) -> tuple[int, int]:
+    """ln gamma(p/q) = ln Gamma(p/q) - ln Gamma((q-p)/q), a signed pair, p/q < 1/2 in lowest terms.
 
     Keyed on ints and the context, hashed in C; ln_gamma is reached through
     the module attribute, two calls per miss.
     """
-    lower, upper = ln_gamma(Q(p, q), ctx)._mpf_, ln_gamma(Q(q - p, q), ctx)._mpf_
-    return mpf_sub(lower, upper, ctx.bits, round_nearest)
+    lower, lower_exp = _signed(ln_gamma(Q(p, q), ctx)._mpf_)
+    upper, upper_exp = _signed(ln_gamma(Q(q - p, q), ctx)._mpf_)
+    return _sum(lower, lower_exp, -upper, upper_exp, ctx.bits)
 
 
 def eval_word_ln(word, ctx: PrecisionContext) -> mpmath.mpf:
     """ln of a word's value: sum_j e_j (ln Gamma(j/N) - ln Gamma((N-j)/N)).
 
     Each factor reads its grid point reduced to p/q, (p, q) = (j, N) /
-    gcd(j, N): below 1/2 as _ln_ratio(p, q), above as mpf_neg of
-    _ln_ratio(q - p, q), the bits the subtraction done the other way round
-    gives (see the module docstring), and at 1/2 as zero, which adds
-    nothing.  One table serves every grid and every word.
+    gcd(j, N): below 1/2 as _ln_ratio(p, q), above as -e_j times
+    _ln_ratio(q - p, q), the bits of e_j times the subtraction done the
+    other way round (see the module docstring), and at 1/2 as zero, which
+    adds nothing.  Each product and each sum is rounded once, on signed
+    pairs, and the total becomes an mpf at the end.  One table serves
+    every grid and every word.
     Worst-case absolute error 2 sum_j |e_j| * 10^-decimal_digits.
     """
-    n, bits, rnd = word.denominator, ctx.bits, round_nearest
-    total = fzero
+    n, bits = word.denominator, ctx.bits
+    acc, acc_exp = 0, 0
     for j, e in word.exponents:
         p, q = j // (g := math.gcd(j, n)), n // g
         if 2 * p != q:
-            ratio = _ln_ratio(p, q, ctx) if 2 * p < q else mpf_neg(_ln_ratio(q - p, q, ctx))
-            total = mpf_add(total, mpf_mul_int(ratio, e, bits, rnd), bits, rnd)
-    return mpmath.mp.make_mpf(total)
+            if 2 * p > q:
+                p, e = q - p, -e
+            man, exp = _ln_ratio(p, q, ctx)
+            man, exp = _round(e * man, exp, bits)
+            acc, acc_exp = _sum(acc, acc_exp, man, exp, bits)
+    return mpmath.mp.make_mpf(from_man_exp(acc, acc_exp))
 
 
 def residual(lhs, rhs, ctx: PrecisionContext | None = None) -> tuple[str, bool]:

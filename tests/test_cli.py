@@ -384,29 +384,33 @@ EXACT_JSON_SHA256 = "fdc53f33428b0e46fd04fe753cb58cc2db0dc6794c96b874f710330cb63
 
 
 def test_verify_exact_json_golden_digest_under_optimized_mode():
-    """`python -O -m gammaroots.cli verify --mode exact --format json` prints the pinned bytes.
+    """`python -O -m gammaroots.cli verify --format json` prints the pinned bytes, --mode exact too.
 
-    -O strips assert statements, so this run shows that nothing the exact
-    route checks or computes rests on one; the checks the constructors make
-    still raise there.
+    -O strips assert statements, so these runs show that nothing the exact
+    route or the numeric route (the default mode, both) checks or computes
+    rests on one; the checks the constructors, PrecisionContext and
+    ln_gamma make still raise there.
     """
     src = os.path.dirname(os.path.dirname(gammaroots.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-O", "-m", "gammaroots.cli", "verify", "--mode", "exact",
-         "--format", "json"],
-        env=env, capture_output=True, check=True,
-    )
-    assert hashlib.sha256(out.stdout).hexdigest() == EXACT_JSON_SHA256
+    for mode, digest in ((("--mode", "exact"), EXACT_JSON_SHA256), ((), DEFAULT_JSON_SHA256)):
+        out = subprocess.run(
+            [sys.executable, "-O", "-m", "gammaroots.cli", "verify", *mode, "--format", "json"],
+            env=env, capture_output=True, check=True,
+        )
+        assert hashlib.sha256(out.stdout).hexdigest() == digest, mode
     code = (
         "from gammaroots.exact import ONE, FactoredConstant, const_pow, factor_power\n"
+        "from gammaroots.numeric import PrecisionContext, ln_gamma\n"
         "from gammaroots.prover import Certificate\n"
+        "ctx = PrecisionContext.for_digits(60)\n"
         "bad = [lambda: FactoredConstant(((4, 1),)), lambda: FactoredConstant(((2, 0.5),)),\n"
         "       lambda: FactoredConstant.over([(2, 1)], 0),\n"
         "       lambda: FactoredConstant(((2, 1, 0),)),\n"
         "       lambda: FactoredConstant(((2, 1, 2, 3),)),\n"
         "       lambda: Certificate([('t', 0.5)], ONE), lambda: const_pow(ONE, True),\n"
-        "       lambda: factor_power(0.1, 1)]\n"
+        "       lambda: factor_power(0.1, 1), lambda: PrecisionContext(60, 1, 1, 1),\n"
+        "       lambda: ln_gamma(0.25, ctx)]\n"
         "for make in bad:\n"
         "    try:\n"
         "        make()\n"
@@ -418,7 +422,7 @@ def test_verify_exact_json_golden_digest_under_optimized_mode():
     out = subprocess.run(
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.split() == ["raised"] * 8
+    assert out.stdout.split() == ["raised"] * 10
 
 
 # sha256 of `relations N --format json` concatenated over N = 2..96, taken

@@ -10,6 +10,8 @@ the ln gamma ratio table are memoized, so the caches a doctored piece would
 poison are emptied before and after it runs.
 """
 
+import ast
+import inspect
 import os
 from functools import lru_cache
 
@@ -18,6 +20,7 @@ import pytest
 
 from gammaroots import cli, exact, fateev, linalg, numeric, prover
 from gammaroots.cli import EXIT_OK, EXIT_VERIFICATION_FAILED
+from gammaroots.gammaword import GammaWord
 from test_prover import grid_and_folds, refused_certificates
 
 # G2, F4 and B2..B4: 30 cases, some proved with multiplication relations.
@@ -231,13 +234,43 @@ def test_a_zero_residual_bound_fails_the_run():
     assert doctored_exit(numeric, "_residual_bound", zero, "numeric") == EXIT_VERIFICATION_FAILED
 
 
+def without_complement_negation():
+    """A copy of numeric.eval_word_ln with the one negation in it, -e of a complement, taken out.
+
+    The copy is compiled from the source, in a copy of the module's
+    namespace, so it reads the same _ln_ratio table and leaves numeric as
+    it is.  A point above 1/2 then reads its lower half's entry times e,
+    not times -e: the sign of the ratio it fills is wrong, and nothing else.
+    """
+    tree = ast.parse(inspect.getsource(numeric.eval_word_ln))
+    negations = [node for node in ast.walk(tree)
+                 if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)]
+    assert [ast.unparse(node) for node in negations] == ["-e"]
+
+    class Unnegated(ast.NodeTransformer):
+        def visit_UnaryOp(self, node):
+            return node.operand if node is negations[0] else node
+
+    namespace = dict(vars(numeric))
+    exec(compile(ast.fix_missing_locations(Unnegated().visit(tree)), numeric.__file__, "exec"),
+         namespace)
+    return namespace["eval_word_ln"]
+
+
 @pytest.mark.parametrize("mode", ["numeric", "both"])
 def test_a_complement_filled_with_the_wrong_sign_fails_the_run(mode):
-    """A point above 1/2 read as its lower half's ratio itself, not as its negation."""
-    def same_sign(raw):
-        return raw
+    """A point above 1/2 read as its lower half's ratio itself, not as its negation.
 
-    exit_code = doctored_exit(numeric, "mpf_neg", same_sign, mode, (numeric._ln_ratio,))
+    A word whose points all lie below 1/2 reads the same as undoctored, and
+    one whose points all lie above reads negated (an exact zero sum).
+    """
+    same_sign = without_complement_negation()
+    ctx = numeric.PrecisionContext.for_digits()
+    below, above = GammaWord(12, ((1, 2), (5, -1))), GammaWord(12, ((7, 1), (11, -2)))
+    assert same_sign(below, ctx) == numeric.eval_word_ln(below, ctx)
+    wrong = same_sign(above, ctx)
+    assert wrong != 0 and wrong + numeric.eval_word_ln(above, ctx) == 0
+    exit_code = doctored_exit(numeric, "eval_word_ln", same_sign, mode, (numeric._ln_ratio,))
     assert exit_code == EXIT_VERIFICATION_FAILED
 
 

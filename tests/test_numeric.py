@@ -18,8 +18,11 @@ import mpmath
 import pytest
 from mpmath.libmp import (
     fhalf,
+    from_int,
     from_man_exp,
+    fzero,
     mpf_add,
+    mpf_div,
     mpf_log,
     mpf_mul,
     mpf_pos,
@@ -28,7 +31,7 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from gammaroots import fateev, numeric
+from gammaroots import fateev, numeric, prover
 from gammaroots.exact import MAX_DIGITS, MIN_DIGITS, const_ln, working_precision_bits
 from gammaroots.gammaword import GammaWord
 from gammaroots.numeric import (
@@ -346,12 +349,18 @@ def test_ln_gamma_bit_exact_at_other_precisions(digits):
         assert ln_gamma(x, ctx) == reference_ln_gamma(x, ctx, table), x
 
 
+def libmp_quotient(q, bits):
+    """mpf(q.numerator) / q.denominator at bits as a raw mpf: two libmp calls."""
+    numerator = from_int(q.numerator, bits, round_nearest)
+    return mpf_div(numerator, from_int(q.denominator), bits, round_nearest)
+
+
 @lru_cache(maxsize=None)
 def _libmp_stirling_data(ctx):
     with mpmath.workprec(ctx.bits):
         half_ln_2pi = (mpmath.ln(2 * mpmath.pi) / 2)._mpf_
     coefficients = tuple(
-        numeric._raw(bernoulli(2 * k) / ((2 * k) * (2 * k - 1)), ctx.bits)
+        libmp_quotient(bernoulli(2 * k) / ((2 * k) * (2 * k - 1)), ctx.bits)
         for k in range(1, ctx.stirling_terms + 1)
     )
     return half_ln_2pi, coefficients
@@ -368,7 +377,7 @@ def libmp_ln_gamma(x, ctx):
     descent = Q(math.prod(p + k * q for k in range(m)), q**m)
     half_ln_2pi, coefficients = _libmp_stirling_data(ctx)
     bits, rnd = ctx.bits, round_nearest
-    zf = numeric._raw(x + m, bits)
+    zf = libmp_quotient(x + m, bits)
     total = mpf_mul(mpf_sub(zf, fhalf, bits, rnd), mpf_log(zf, bits, rnd), bits, rnd)
     total = mpf_add(mpf_sub(total, zf, bits, rnd), half_ln_2pi, bits, rnd)
     inv = mpf_rdiv_int(1, zf, bits, rnd)
@@ -377,7 +386,7 @@ def libmp_ln_gamma(x, ctx):
     for c in coefficients:
         total = mpf_add(total, mpf_mul(c, power, bits, rnd), bits, rnd)
         power = mpf_mul(power, inv2, bits, rnd)
-    total = mpf_sub(total, mpf_log(numeric._raw(descent, bits), bits, rnd), bits, rnd)
+    total = mpf_sub(total, mpf_log(libmp_quotient(descent, bits), bits, rnd), bits, rnd)
     return mpf_pos(total, bits, rnd)
 
 
@@ -442,6 +451,92 @@ def test_round_is_libmp_round_nearest():
         exp = rng.randrange(-50, 50)
         expected = from_man_exp(man, exp, bits, round_nearest)
         assert from_man_exp(*numeric._round(man, exp, bits)) == expected, (man, exp, bits)
+
+
+# Working precisions the primitives are compared at: every few-bit width,
+# the 60-digit context's 243 bits, 2,680 and the 800-digit context's 2,701.
+PRIMITIVE_BITS = (*range(2, 65), 243, 2680, 2701)
+
+
+def _signed_operand(rng, max_bits):
+    """A nonzero int from rng, of 1..max_bits bits and either sign."""
+    return rng.choice((1, -1)) * (rng.getrandbits(rng.randrange(1, max_bits + 1)) | 1)
+
+
+def test_quotient_is_libmp_mpf_div():
+    """_quotient(a, b, bits) is mpf_div(from_int(a, bits), from_int(b), bits), to the bit.
+
+    Random dividends above and below bits and of either sign, over random
+    divisors, ones and powers of two; dividends whose own rounding is an
+    exact tie, odd at bits + 1 bits; and 3 * 2^k - 1 over 3, whose dividend
+    rounds up to 3 * 2^k, a carry, so that the quotient is the power of two
+    2^k.
+    """
+    assert {PrecisionContext.for_digits(d).bits for d in (60, 800)} == {243, 2701}
+    rng = random.Random(29)
+    for bits in PRIMITIVE_BITS:
+        cases = [(_signed_operand(rng, 3 * bits), rng.getrandbits(rng.randrange(1, bits + 12)) | 1)
+                 for _ in range(60)]
+        cases += [(_signed_operand(rng, 3 * bits), 1 << rng.randrange(0, 40)) for _ in range(10)]
+        cases += [(_signed_operand(rng, 3 * bits), 1) for _ in range(5)]
+        for _ in range(10):
+            tie = (rng.getrandbits(bits) | (1 << bits) | 1) << rng.randrange(0, 8)
+            cases.append((rng.choice((1, -1)) * tie, rng.choice((1, 3, 7, 1 << 5))))
+        for k in (bits, bits + 1, bits + 5):
+            cases += [((3 << k) - 1, 3), (1 - (3 << k), 3)]
+        for a, b in cases:
+            expected = mpf_div(from_int(a, bits, round_nearest), from_int(b), bits, round_nearest)
+            assert from_man_exp(*numeric._quotient(a, b, bits)) == expected, (a, b, bits)
+
+
+def test_sum_is_libmp_mpf_add():
+    """_sum is mpf_add at bits, to the bit, on (signed mantissa, exponent) pairs.
+
+    Random operands of either sign and exponents far apart and near; exact
+    zero sums, with the two sides' exponents equal and not; a zero operand;
+    sums odd at bits + 1 bits, exact ties; and 2^bits - 1 plus a half ulp,
+    which carries into a power of two.
+    """
+    rng = random.Random(2680)
+    for bits in PRIMITIVE_BITS:
+        cases = []
+        for _ in range(60):
+            a, b = _signed_operand(rng, bits + 2), _signed_operand(rng, bits + 2)
+            cases.append((a, rng.randrange(-bits, bits), b, rng.randrange(-3 * bits, 3 * bits)))
+        for _ in range(10):
+            a, exp, shift = _signed_operand(rng, bits), rng.randrange(-bits, bits), rng.randrange(8)
+            wide, top = _signed_operand(rng, 2 * bits), rng.getrandbits(bits) | (1 << (bits - 1))
+            cases += [(a, exp, -a, exp), (a << shift, exp, -a, exp + shift)]
+            cases += [(0, exp, wide, exp - 3), (0, exp - 3, wide, exp), (a, exp, 0, exp + bits)]
+            cases.append((rng.choice((1, -1)) * top, exp + 1, rng.choice((1, -1)), exp))
+        for sign in (1, -1):
+            cases += [(sign * ((1 << bits) - 1), 1, sign, 0), (sign << bits, 0, sign, -1)]
+        for a, a_exp, b, b_exp in cases:
+            expected = mpf_add(from_man_exp(a, a_exp), from_man_exp(b, b_exp), bits, round_nearest)
+            got = numeric._sum(a, a_exp, b, b_exp, bits)
+            assert from_man_exp(*got) == expected, (a, a_exp, b, b_exp, bits)
+    assert from_man_exp(*numeric._sum(5, -3, -5, -3, 2)) == fzero
+
+
+def test_eval_word_ln_bit_exact_on_every_relation_word():
+    """Every relation word on the grids N <= 46 against the mpf-operator reference.
+
+    At 10, 60 and 200 digits.  A reflection word gamma(j/N) gamma((N-j)/N)
+    and the half word gamma(1/2) sum to exactly zero, and a multiplication
+    word cancels in part, so the integer sum's zero path runs here.
+    """
+    words = [(relation.tag, prover.relation_word(relation, n))
+             for n in range(2, 47) for relation in prover.relations_for(n)]
+    assert len(words) == 1066
+    for digits in (10, 60, 200):
+        ctx, zeros = PrecisionContext.for_digits(digits), {False: 0, True: 0}
+        for tag, word in words:
+            expected = reference_eval_word_ln(word, ctx, cached_reference_ln_gamma)
+            got = eval_word_ln(word, ctx)._mpf_
+            assert got == expected._mpf_, (digits, word)
+            zeros[tag.startswith("multiplication")] += got == fzero
+        # Every reflection and half word, and some multiplication words.
+        assert zeros[False] == 506 + 23 and zeros[True], (digits, zeros)
 
 
 def _assert_numeric_route_bit_exact(sides, ctx, prec=None):
