@@ -169,8 +169,8 @@ def cmd_verify(args) -> int:
     # Opened before the run, so an unwritable path fails before any work.
     with open(args.output, "w", encoding="utf-8") if args.output else nullcontext() as out:
         ctx = None
-        if args.mode != "exact":
-            # The numeric route, and mpmath with it, loads only when a mode uses it.
+        if fateev.MODES[args.mode][1]:
+            # The numeric route, and mpmath with it, loads only when the mode cross-checks.
             from .numeric import PrecisionContext
 
             ctx = PrecisionContext.for_digits(args.digits)

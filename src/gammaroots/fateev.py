@@ -37,7 +37,8 @@ F_PRIME = "Fprime"
 F_SECOND = "Fsecond"
 VARIANTS = (F, F_PRIME, F_SECOND)
 
-MODES = ("exact", "numeric", "both")
+# Each mode's stages, (proves, cross-checks): the one place that says which run.
+MODES = {"exact": (True, False), "numeric": (False, True), "both": (True, True)}
 
 PROVED_EXACT = "proved_exact"
 NUMERIC_ONLY = "numeric_only"
@@ -191,10 +192,8 @@ class VerificationReport(namedtuple("VerificationReport", (
 
     @property
     def passed(self) -> bool:
-        """Exact and both modes demand a proof; numeric mode a passing residual."""
-        if self.mode == "numeric":
-            return self.status == NUMERIC_ONLY
-        return self.status == PROVED_EXACT
+        """Whether the status is the strongest the mode's stages can give (see MODES)."""
+        return self.status == (PROVED_EXACT if MODES[self.mode][0] else NUMERIC_ONLY)
 
     def text_line(self) -> str:
         extra = f" residual={self.numeric_residual}" if self.numeric_residual else ""
@@ -213,13 +212,11 @@ def verify(
     k: Optional[VariantTable] = None,
     verdicts: Optional[dict] = None,
 ) -> VerificationReport:
-    """Check one identity instance by exact proof, numeric comparison, or both.
+    """Check one identity instance by the stages its mode runs (see _verdict).
 
-    Numeric comparisons accept |ln lhs - ln rhs| <= 10^(10 - decimal_digits),
-    as numeric.residual decides.
-    In both mode the numeric route runs as a cross-check of an exact proof
-    and as a fallback diagnostic when the word is outside the lattice; the
-    report only counts as passed with a proof.  The case is checked once,
+    Whether a numeric cross-check passes is numeric.residual's to decide.
+    The report counts as passed only with the strongest status its mode can
+    give: proved_exact where the mode proves.  The case is checked once,
     here.  k, when given, must be k_root(system, variant), else it is built
     here; the word is one walk of the case's pairing column on it, the right
     side its entry.  The numeric route, and mpmath with it, is imported
@@ -254,27 +251,26 @@ def _verdict(
 ) -> tuple[str, Optional[Certificate], Optional[str]]:
     """(status, certificate, residual) of the identity lhs = rhs in the given mode.
 
-    The numeric route's verdict, the residual string and whether it lies
-    within the bound, is numeric.residual's: this function only combines
-    it with the proof.
+    The mode runs the stages MODES gives it, in order.  The proof stage
+    gives not_in_lattice, proved_exact or mismatch.  The cross-check stage
+    runs unless the proof refuted the identity (mismatch): a failed
+    cross-check gives mismatch, and a passed one keeps proved_exact and
+    otherwise gives numeric_only.  The cross-check's verdict, the residual
+    string and whether it lies within the bound, is numeric.residual's.
     """
-    certificate = None
+    proves, cross_checks = MODES[mode]
+    # The proof stage.
+    certificate = prove_constant(lhs) if proves else None
+    status = NOT_IN_LATTICE if proves else None
+    if certificate is not None:
+        status = PROVED_EXACT if certificate.derived_constant == rhs else MISMATCH
+    # The cross-check stage.
     residual_str = None
-    status = None
-    if mode in ("exact", "both"):
-        certificate = prove_constant(lhs)
-        if certificate is None:
-            status = NOT_IN_LATTICE
-        else:
-            status = PROVED_EXACT if certificate.derived_constant == rhs else MISMATCH
-    if mode == "numeric" or (mode == "both" and status in (PROVED_EXACT, NOT_IN_LATTICE)):
+    if cross_checks and status != MISMATCH:
         from .numeric import residual
 
         residual_str, numeric_ok = residual(lhs, rhs, ctx)
-        if status in (None, NOT_IN_LATTICE):
-            status = NUMERIC_ONLY if numeric_ok else MISMATCH
-        elif not numeric_ok:
-            status = MISMATCH
+        status = MISMATCH if not numeric_ok else status if status == PROVED_EXACT else NUMERIC_ONLY
     return status, certificate, residual_str
 
 

@@ -139,12 +139,13 @@ def multiplication_relations(n: int) -> List[Relation]:
     return out
 
 
-@lru_cache(maxsize=None)
 def relations_for(n: int) -> Tuple[Relation, ...]:
     """All relations on the 1/N grid in deterministic order, reflections first.
 
     There are N // 2 reflections, and the one at position j - 1 pairs j with
-    N - j (half when 2j = N).
+    N - j (half when 2j = N).  Built afresh on each call: no verify path
+    reads it, and the relations command and kernel_consistency read one
+    grid once.
     """
     return tuple(reflection_relations(n) + multiplication_relations(n))
 

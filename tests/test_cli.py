@@ -487,6 +487,22 @@ def test_verify_exact_json_golden_digest(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == EXACT_JSON_SHA256
 
 
+# sha256 of the text form of `verify` (mode both) and of `verify --mode
+# exact`: one text_line per case, then the closing counts line.  Taken before
+# the verdict ran as one proof stage and one cross-check stage.
+@pytest.mark.parametrize("args,digest", [
+    ((), "d68691df4ce239864e34bb2226294fffee4295271d53f1a2c9e2b7917298062d"),
+    (("--mode", "exact"), "a4e8bd395fa75511bb5267aec433f9bc1829a045fee2b3a589f4b6bb7b839505"),
+])
+def test_verify_text_golden_digests(capsys, tmp_path, args, digest):
+    target = tmp_path / "verify.txt"
+    code, out, err = run(capsys, "verify", *args, "--output", str(target))
+    assert code == EXIT_OK and out == err == ""
+    data = target.read_bytes()
+    assert data.endswith(b"842 checks (proved_exact: 842) -> PASS\n")
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
 # sha256 of `verify --mode numeric --format json` and of `verify --mode both
 # --digits 200` on G, F, E and B, taken before the ln gamma table filled each
 # complement by negation and the residual was formed on raw mpfs: both print

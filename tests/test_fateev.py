@@ -14,6 +14,11 @@ from gammaroots.fateev import (
     F,
     F_PRIME,
     F_SECOND,
+    MISMATCH,
+    MODES,
+    NOT_IN_LATTICE,
+    NUMERIC_ONLY,
+    PROVED_EXACT,
     VARIANTS,
     VerificationSummary,
     admissible,
@@ -24,6 +29,7 @@ from gammaroots.fateev import (
     verify_all,
 )
 from gammaroots.gammaword import GammaWord, word_from_terms
+from gammaroots.prover import Certificate
 from gammaroots.rootsys import SIMPLY_LACED_FAMILIES, RootSystemId, build
 from test_gammaword import reflection_fold
 from test_rootsys import inner, root_coeffs
@@ -761,6 +767,73 @@ def test_verdict_memo_keeps_modes_and_precisions_apart(systems):
     assert verify(a3, 1, F, "both", ctx60, None, shared_ctx).numeric_residual == "0.0"
     numeric_only = verify(a3, 1, F, "numeric", ctx60, None, shared_ctx)
     assert numeric_only.status == fateev.NUMERIC_ONLY and numeric_only.certificate is None
+
+
+# The stage rule, one row per (mode, proof answer, cross-check answer).  The
+# proof answers a certificate of the right side, one of another constant, or
+# none; the cross-check agrees or not.  Each row gives the status, the stages
+# that run as (proof, cross-check) and whether the report passes.  A refuted
+# proof skips the cross-check, and a failed cross-check refutes a proof.
+STAGE_RULE = [
+    ("exact", "right", True, PROVED_EXACT, (True, False), True),
+    ("exact", "right", False, PROVED_EXACT, (True, False), True),
+    ("exact", "wrong", True, MISMATCH, (True, False), False),
+    ("exact", "wrong", False, MISMATCH, (True, False), False),
+    ("exact", None, True, NOT_IN_LATTICE, (True, False), False),
+    ("exact", None, False, NOT_IN_LATTICE, (True, False), False),
+    ("numeric", "right", True, NUMERIC_ONLY, (False, True), True),
+    ("numeric", "right", False, MISMATCH, (False, True), False),
+    ("numeric", "wrong", True, NUMERIC_ONLY, (False, True), True),
+    ("numeric", "wrong", False, MISMATCH, (False, True), False),
+    ("numeric", None, True, NUMERIC_ONLY, (False, True), True),
+    ("numeric", None, False, MISMATCH, (False, True), False),
+    ("both", "right", True, PROVED_EXACT, (True, True), True),
+    ("both", "right", False, MISMATCH, (True, True), False),
+    ("both", "wrong", True, MISMATCH, (True, False), False),
+    ("both", "wrong", False, MISMATCH, (True, False), False),
+    ("both", None, True, NUMERIC_ONLY, (True, True), False),
+    ("both", None, False, MISMATCH, (True, True), False),
+]
+
+
+def test_the_stage_rule_covers_every_mode_and_answer():
+    rows = [row[:3] for row in STAGE_RULE]
+    assert len(set(rows)) == len(rows) == 18
+    assert set(rows) == {
+        (mode, proof, agrees)
+        for mode in MODES for proof in ("right", "wrong", None) for agrees in (True, False)
+    }
+
+
+@pytest.mark.parametrize("mode,proof,agrees,status,stages,passed", STAGE_RULE, ids=[
+    f"{m}-{p}-{'agrees' if a else 'disagrees'}" for m, p, a, *_ in STAGE_RULE
+])
+def test_verify_runs_the_stages_of_its_mode(
+    systems, monkeypatch, mode, proof, agrees, status, stages, passed
+):
+    """verify on canned proof and cross-check answers: status, fields, stages run, passed."""
+    g2 = systems[("G", 2)]
+    rhs = rhs_constant(g2, 1, F_PRIME)
+    wrong = const_mul(rhs, C((2, 1, 6)))
+    certificate = {"right": Certificate((), rhs), "wrong": Certificate((), wrong), None: None}
+    proved, checked = [], []
+
+    def canned_proof(word):
+        proved.append(word)
+        return certificate[proof]
+
+    def canned_check(lhs, rhs, ctx):
+        checked.append(lhs)
+        return "canned", agrees
+
+    monkeypatch.setattr(fateev, "prove_constant", canned_proof)
+    monkeypatch.setattr(numeric, "residual", canned_check)
+    report = verify(g2, 1, F_PRIME, mode)
+    assert report.status == status
+    assert (len(proved), len(checked)) == tuple(map(int, stages))
+    assert report.certificate is (certificate[proof] if stages[0] else None)
+    assert report.numeric_residual == ("canned" if stages[1] else None)
+    assert report.passed is passed
 
 
 def test_verify_all_refuses_an_empty_variant_list(systems):

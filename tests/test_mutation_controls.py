@@ -5,9 +5,9 @@ wrong answer.  Each test below replaces one piece of the exact or numeric
 route with a wrong copy, runs `gammaroots verify` on a small selection
 through cli.main, and requires exit 1; the same run undoctored, before and
 after, exits 0.  The kernel check and the certificate replay, which verify
-does not run, are run on their own the same way.  The relation tables and
-the ln gamma ratio table are memoized, so the caches a doctored piece would
-poison are emptied before and after it runs.
+does not run, are run on their own the same way.  The prover's per-grid
+table and the ln gamma ratio table are memoized, so the caches a doctored
+piece would poison are emptied before and after it runs.
 """
 
 import ast
@@ -25,7 +25,7 @@ from test_prover import grid_and_folds, refused_certificates
 
 # G2, F4 and B2..B4: 30 cases, some proved with multiplication relations.
 SELECTION = ("--family", "G", "--family", "F", "--family", "B", "--rank-max", "4")
-RELATION_CACHES = (prover._grid, prover.relations_for)
+RELATION_CACHES = (prover._grid,)
 
 
 def run_verify(mode):

@@ -166,10 +166,9 @@ def test_solver_relations_are_the_prime_order_half():
     vector; prefix and fold together fix the whole vector.
     """
     for n in range(2, 401):
-        # multiplication_relations(n) is relations_for(n) past the reflections,
-        # built here without filling relations_for's cache with 400 grids.
+        # The multiplications: relations_for(n) past its N // 2 reflections.
         indices = [(d, k) for d in range(2, n + 1) if n % d == 0 for k in range(1, n // d)]
-        relations = multiplication_relations(n)
+        relations = relations_for(n)[n // 2:]
         assert [r.tag for r in relations] == [f"multiplication({d},{k})" for d, k in indices]
         want = [
             (r, d, k)
