@@ -9,7 +9,7 @@ from json.encoder import JSONEncoder, encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from . import fateev
-from .exact import DEFAULT_DIGITS, check_digits
+from .exact import DEFAULT_DIGITS, UndecidedRounding, check_digits
 from .gammaword import brace_str
 from .prover import RankError, Relation, relations_for
 from .rootsys import FAMILIES, RANK_RANGE, RootSystemId, build
@@ -57,9 +57,8 @@ def dumps_canonical(obj) -> str:
     return _encode(obj)
 
 
-def system_ids(
-    families: Sequence[str], rank_min: Optional[int], rank_max: Optional[int]
-) -> List[RootSystemId]:
+def system_ids(families: Sequence[str], rank_min: Optional[int],
+               rank_max: Optional[int]) -> List[RootSystemId]:
     """The systems of the families within the rank bounds, family by family."""
     out = []
     for family in families:
@@ -123,14 +122,8 @@ def cmd_word(args) -> int:
 def cmd_relations(args) -> int:
     relations = relations_for(args.denominator)
     if args.format == "json":
-        payload = [
-            {
-                "tag": r.tag,
-                "vector": [{"j": j, "exponent": e} for j, e in r.vector],
-                "value": r.value.to_json_obj(),
-            }
-            for r in relations
-        ]
+        payload = [{"tag": r.tag, "vector": [{"j": j, "exponent": e} for j, e in r.vector],
+                    "value": r.value.to_json_obj()} for r in relations]
         print(dumps_canonical(payload))
         return EXIT_OK
     lines = [f"{len(relations)} relations on the 1/{args.denominator} grid"]
@@ -151,12 +144,8 @@ def cmd_verify(args) -> int:
     idents = system_ids(families, rank_min, rank_max)
     # Whether some selected system admits some selected variant; builds nothing.
     if not any(fateev.admissible_family(i.family, v) for i in idents for v in variants):
-        if (
-            rank_max is None
-            and rank_min is not None
-            and rank_min > DEFAULT_RANK_CAP
-            and any(RANK_RANGE[family][1] is None for family in families)
-        ):
+        if (rank_max is None and rank_min is not None and rank_min > DEFAULT_RANK_CAP
+                and any(RANK_RANGE[family][1] is None for family in families)):
             raise ValueError(
                 f"nothing to verify: --rank-min {rank_min} is above the default "
                 f"rank cap {DEFAULT_RANK_CAP} of the infinite families; "
@@ -170,7 +159,7 @@ def cmd_verify(args) -> int:
     with open(args.output, "w", encoding="utf-8") if args.output else nullcontext() as out:
         ctx = None
         if fateev.MODES[args.mode][1]:
-            # The numeric route, and mpmath with it, loads only when the mode cross-checks.
+            # The numeric route loads only when the mode cross-checks.
             from .numeric import PrecisionContext
 
             ctx = PrecisionContext.for_digits(args.digits)
@@ -252,10 +241,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         # fail again.  Not all output was delivered, so this is no success.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_VERIFICATION_FAILED
-    except (OSError, ValueError, RankError) as exc:
-        # A relation lattice of the wrong rank fails the proof; it is no usage error.
+    except (OSError, ValueError, RankError, UndecidedRounding) as exc:
+        # A relation lattice of the wrong rank fails the proof, and a rounding
+        # test that never decides fails the cross-check: neither is a usage error.
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFICATION_FAILED if isinstance(exc, RankError) else EXIT_USAGE
+        return EXIT_USAGE if isinstance(exc, (OSError, ValueError)) else EXIT_VERIFICATION_FAILED
 
 
 if __name__ == "__main__":

@@ -31,6 +31,10 @@ MAX_DIGITS = 1000
 _LOG2_10 = math.log2(10)
 
 
+class UndecidedRounding(ArithmeticError):
+    """A rounding test that did not decide within its guard ceiling; no value is guessed."""
+
+
 def check_digits(decimal_digits: int, name: str) -> None:
     """Refuse a digit count outside MIN_DIGITS..MAX_DIGITS; name is how the caller spells it."""
     if decimal_digits < MIN_DIGITS:
@@ -191,30 +195,44 @@ def const_pow(a: FactoredConstant, exponent: RationalLike) -> FactoredConstant:
 
 
 @lru_cache(maxsize=None)
-def _ln_prime(p: int, bits: int) -> tuple:
-    """ln p at bits, as a raw mpf."""
-    from mpmath.libmp import from_int, mpf_log, round_nearest
+def const_ln_pair(a: FactoredConstant, decimal_digits: int) -> tuple[int, int]:
+    """ln(a) as a signed (mantissa, exponent) pair, absolute error well below 10^-decimal_digits.
 
-    return mpf_log(from_int(p), bits, round_nearest)
-
-
-@lru_cache(maxsize=None)
-def const_ln(a: FactoredConstant, decimal_digits: int) -> mpmath.mpf:
-    """ln(a) with absolute error well below 10^-decimal_digits.
-
-    sum_p e_p ln p, computed as mpf(e_num) / e_den * ln p summed from mpf(0)
-    at the working precision, but one mpmath.libmp call on raw mpfs per
-    operator (see numeric).  Memoized: each distinct (constant, digits) is
-    summed once, though many identities share a right side (83 distinct
-    ones among the sweep's 349).  mpmath is imported here, not at module
-    level, so the exact core loads without the big-float library.
+    sum_p e_p ln p at the working precision, rounded where the mpf operator
+    form mpf(e_num) / e_den * ln p, summed from mpf(0), rounds: the quotient
+    by numeric's _quotient, ln p correctly rounded by its _ln, the product
+    by _round and the sum by _sum, so the bits are that form's.  Memoized: each
+    distinct (constant, digits) is summed once, though many identities
+    share a right side (83 distinct ones among the sweep's 349).  numeric
+    is imported here, not at module level, so the exact core loads without
+    it.
     """
-    import mpmath
-    from mpmath.libmp import from_int, fzero, mpf_add, mpf_div, mpf_mul, mpf_pos, round_nearest
+    from .numeric import _ln, _quotient, _round, _sum
 
-    bits, rnd = working_precision_bits(decimal_digits), round_nearest
-    total = fzero
+    bits, total, total_exp = working_precision_bits(decimal_digits), 0, 0
     for base, numerator, denominator in a.powers:
-        exponent = mpf_div(from_int(numerator, bits, rnd), from_int(denominator), bits, rnd)
-        total = mpf_add(total, mpf_mul(exponent, _ln_prime(base, bits), bits, rnd), bits, rnd)
-    return mpmath.mp.make_mpf(mpf_pos(total, bits, rnd))
+        (e, e_exp), (ln, ln_exp) = _quotient(numerator, denominator, bits), _ln(base, 0, bits)
+        term = _round(e * ln, e_exp + ln_exp, bits)
+        total, total_exp = _sum(total, total_exp, *term, bits)
+    return total, total_exp
+
+
+def const_ln(a: FactoredConstant, decimal_digits: int) -> mpmath.mpf:
+    """const_ln_pair(a, decimal_digits) as an mpf, for callers that do mpf arithmetic.
+
+    The acceptance gate subtracts and prints these; mpmath loads only
+    here, through to_mpf.  verify reads const_ln_pair and loads none.
+    """
+    return to_mpf(const_ln_pair(a, decimal_digits))
+
+
+def to_mpf(pair: tuple[int, int]) -> mpmath.mpf:
+    """A signed (mantissa, exponent) pair as an mpmath.mpf, mpmath imported here, not at load.
+
+    The public functions that return an mpf, const_ln and
+    numeric.eval_word_ln (and gammaword.eval_ln through it), call it;
+    verify never does.
+    """
+    import mpmath.libmp
+
+    return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(*pair))

@@ -203,15 +203,9 @@ class VerificationReport(namedtuple("VerificationReport", (
         )
 
 
-def verify(
-    system: RootSystem,
-    index: int,
-    variant: str,
-    mode: str = "both",
-    ctx: Optional[PrecisionContext] = None,
-    k: Optional[VariantTable] = None,
-    verdicts: Optional[dict] = None,
-) -> VerificationReport:
+def verify(system: RootSystem, index: int, variant: str, mode: str = "both",
+           ctx: Optional[PrecisionContext] = None, k: Optional[VariantTable] = None,
+           verdicts: Optional[dict] = None) -> VerificationReport:
     """Check one identity instance by the stages its mode runs (see _verdict).
 
     Whether a numeric cross-check passes is numeric.residual's to decide.
@@ -219,8 +213,8 @@ def verify(
     give: proved_exact where the mode proves.  The case is checked once,
     here.  k, when given, must be k_root(system, variant), else it is built
     here; the word is one walk of the case's pairing column on it, the right
-    side its entry.  The numeric route, and mpmath with it, is imported
-    only when it runs, so exact mode loads neither.
+    side its entry.  The numeric route is imported only when it runs, so
+    exact mode loads none of it, and no mode loads mpmath.
 
     verdicts, when given, is a memo that verify_all owns for one run.  It
     maps (mode, ctx, lhs, rhs) to the report fields from status on, (status,
@@ -312,12 +306,8 @@ class VerificationSummary(namedtuple("VerificationSummary", "reports")):
         return {"reports": reports, "counts": self.counts, "passed": self.all_passed}
 
 
-def verify_all(
-    systems: Iterable[RootSystem],
-    variants: Optional[Sequence[str]] = None,
-    mode: str = "both",
-    ctx: Optional[PrecisionContext] = None,
-) -> VerificationSummary:
+def verify_all(systems: Iterable[RootSystem], variants: Optional[Sequence[str]] = None,
+               mode: str = "both", ctx: Optional[PrecisionContext] = None) -> VerificationSummary:
     """Every admissible (system, index, variant) combination, deterministically.
 
     k_root is built once per (system, variant), and the variants of a

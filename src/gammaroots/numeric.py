@@ -22,12 +22,17 @@ out inline, where a call per operation would cost more than the operation.
 libmp's operations are correctly rounded, and a value has one canonical
 mpf, so the same sequence of correctly rounded operations gives the same
 bits in either form; the integer form only drops libmp's per-call tuple
-handling.  mpmath.libmp keeps the two logarithms of each ln_gamma
-(mpf_log of z and of the descent), ln(2 pi)/2 once per context, const_ln
-of the right side, and the residual's 53-bit subtraction, to_str and
-mpf_le.  ln_gamma and eval_word_ln return an mpf, converted once at the
-end; the operator form's closing +a is left out, as every result is
-already rounded to ctx.bits.
+handling.  The logarithms are integer code too: _ln is the correctly
+rounded logarithm, by a fixed-point series and Ziv's rounding test
+(Brent & Zimmermann, Modern Computer Arithmetic, ch. 3-4), and equals
+mpf_log on every argument the pinned runs take; pi, for ln(2 pi)/2, is
+correctly rounded the same way.  exact.const_ln_pair sums the right side
+from these primitives, and residual subtracts, compares and prints with
+integers alone, so verify loads no mpmath in any mode.  mpmath is left to
+the public mpf returns, eval_word_ln and exact.const_ln, built from the
+pairs by exact.to_mpf for the acceptance gate's mpf arithmetic, and to
+the tests that compare against it.  The operator form's closing +a is
+left out, as every result is already rounded to ctx.bits.
 
 For x = p/q in lowest terms, z = (p + mq)/q and the descent prod_k (p +
 kq)/q^m are already in lowest terms, since gcd(p + kq, q) = gcd(p, q) = 1,
@@ -47,13 +52,13 @@ import math
 from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-import mpmath
-from mpmath.libmp import from_man_exp, mpf_abs, mpf_le, mpf_log, mpf_sub, round_nearest, to_str
+from .exact import DEFAULT_DIGITS, UndecidedRounding, check_digits, const_ln_pair, ratio, to_mpf
+from .exact import validated_make, working_precision_bits
 
-from .exact import (
-    DEFAULT_DIGITS, check_digits, const_ln, ratio, validated_make, working_precision_bits
-)
+if TYPE_CHECKING:
+    import mpmath
 
 # B_2, B_4, ... (B_2k at index k - 1); grown on demand, read-only thereafter.
 _EVEN_BERNOULLI: list[Q] = []
@@ -102,15 +107,9 @@ def bernoulli(n: int) -> Q:
 
 def stirling_tail_log10(shift: int, terms: int) -> float:
     """log10 of the tail bound |B_{2K+2}| / ((2K+1)(2K+2) z^(2K+1)) at z = shift."""
-    k = terms
-    b = bernoulli(2 * k + 2)
-    return (
-        math.log10(abs(b.numerator))
-        - math.log10(b.denominator)
-        - math.log10(2 * k + 1)
-        - math.log10(2 * k + 2)
-        - (2 * k + 1) * math.log10(shift)
-    )
+    k, b = terms, bernoulli(2 * terms + 2)
+    return (math.log10(abs(b.numerator)) - math.log10(b.denominator) - math.log10(2 * k + 1)
+            - math.log10(2 * k + 2) - (2 * k + 1) * math.log10(shift))
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -169,21 +168,8 @@ class PrecisionContext(
 
 
 # verify forms its residuals and their bound at mpmath's default 53 bits,
-# whatever precision the caller has set, so a caller's workprec moves no report.
+# in integers, so no precision a caller sets in mpmath moves a report.
 RESIDUAL_BITS = 53
-
-
-@lru_cache(maxsize=None)
-def _residual_bound(decimal_digits: int) -> mpmath.mpf:
-    """10^(10 - decimal_digits) at RESIDUAL_BITS, once per digit count."""
-    with mpmath.workprec(RESIDUAL_BITS):
-        return mpmath.mpf(10) ** (10 - decimal_digits)
-
-
-def _signed(raw: tuple) -> tuple[int, int]:
-    """A finite raw mpf as (signed mantissa, exponent)."""
-    sign, man, exp, _ = raw
-    return -man if sign else man, exp
 
 
 def _round(man: int, exp: int, bits: int) -> tuple[int, int]:
@@ -231,26 +217,118 @@ def _sum(a: int, a_exp: int, b: int, b_exp: int, bits: int) -> tuple[int, int]:
     return _round(a + (b << (b_exp - a_exp)), a_exp, bits)
 
 
+def _arctan(t: int, prec: int, sign: int, divisor: int = 0) -> tuple[int, int]:
+    """sum_j sign^j t^(2j+1) / (2j+1) in fixed point at prec bits, and its number of terms J.
+
+    atanh for sign 1, atan for sign -1, at t 2^-prec in [0, 1/2].  Each
+    power is the last times t^2, or over divisor when t = 2^prec // q and
+    divisor = q^2, which costs no product.  Every product and quotient is
+    floored: each power lies below the exact one by under 3 units of
+    2^-prec, each term errs by under 4, and the terms past the first zero
+    power sum to under 4, so the result lies within 4 (J + 1) units of the
+    series at t, and an error of t moves it by at most twice as much.
+    """
+    total, power, square, j = 0, t, t * t >> prec, 1
+    while power:
+        total += sign ** (j >> 1) * (power // j)
+        power, j = power // divisor if divisor else power * square >> prec, j + 2
+    return total, j >> 1
+
+
+def _machin(prec: int, *terms: tuple[int, int, int]) -> int:
+    """sum c arctan(1/q) over the (c, q, sign) terms, at prec bits within 2 units of 2^-prec.
+
+    The terms are summed at the least power of two of at least prec + 20
+    bits, once per power, and floored to prec: below 65,536 bits their
+    _arctan bounds, with 1/q floored, stay under 2^20 units there.  ln 2 is
+    2 atanh(1/3), (2, 3, 1), and pi 16 atan(1/5) - 4 atan(1/239), PI.
+    """
+    fine = 1 << (prec + 20).bit_length()
+    return _machin_sum(fine, terms) >> fine - prec
+
+
+@lru_cache(maxsize=None)
+def _machin_sum(fine: int, terms: tuple[tuple[int, int, int], ...]) -> int:
+    return sum(c * _arctan((1 << fine) // q, fine, sign, q * q)[0] for c, q, sign in terms)
+
+
+PI = ((16, 5, -1), (-4, 239, -1))
+
+# Guard bits of the first try of _correctly_rounded, doubled on each retry
+# while they stay at or below the ceiling.
+FIRST_GUARD, GUARD_CEILING = 24, 1 << 14
+
+
+def _correctly_rounded(approx, bits: int) -> tuple[int, int]:
+    """A value rounded to bits, to nearest with ties to even, by Ziv's rounding test.
+
+    approx(guard) gives (v, error, prec): the value lies within error units
+    of v 2^-prec, with about guard bits beyond bits.  When v - error and v +
+    error round to the same pair, so does every point between them, the
+    value included; otherwise the guard doubles.  A value on a rounding
+    boundary would never decide, and none of the transcendental values
+    here is one; past GUARD_CEILING this raises, so it never guesses.
+    """
+    guard = FIRST_GUARD
+    while guard <= GUARD_CEILING:
+        v, error, prec = approx(guard)
+        if (rounded := _round(v - error, -prec, bits)) == _round(v + error, -prec, bits):
+            return rounded
+        guard *= 2
+    raise UndecidedRounding(f"the rounding test did not decide within {GUARD_CEILING} guard bits")
+
+
+def _ln(man: int, exp: int, bits: int) -> tuple[int, int]:
+    """ln(man * 2^exp) for man > 0, correctly rounded to bits, as a signed pair.
+
+    x = m 2^k with m = man / 2^c in [2/3, 4/3), and ln x = k ln 2 + 2^(s+1)
+    atanh(t) with t = (y - 1) / (y + 1), y = m^(1/2^s) from s = roots
+    integer square roots: more roots shorten the series, and fewer are
+    taken the closer x lies to 1.  In fixed point at prec bits, y errs by
+    under 3 units (each floored root multiplies the error before it by at
+    most 0.62 and adds under one), t by under 4, ln 2 by under 2, so the
+    stated error below bounds the sum.  |ln x| is at least 2^-2 when k !=
+    0, and 2^(-near-2) when k = 0, |m - 1| being about 2^-near; prec counts
+    those bits too, so that the result has bits + guard of them, plus what
+    the error bound takes.  ln 1 is exactly zero.
+    """
+    c = (n := man.bit_length()) - (3 * man < 2 << n)
+    k, d = exp + c, man - (1 << c)
+    if not k and not d:
+        return 0, 0
+    near = 0 if k else c - abs(d).bit_length()
+    roots = max(0, math.isqrt(bits) // 3 - near)
+
+    def approx(guard):
+        prec = bits + guard + roots + k.bit_length() + near + 2
+        one, y = 1 << prec, (man << prec) >> c
+        for _ in range(roots):
+            y = math.isqrt(y << prec)
+        series, terms = _arctan((abs(y - one) << prec) // (y + one), prec, 1)
+        ln_m = (series if y >= one else -series) << roots + 1
+        ln_2k = k * _machin(prec, (2, 3, 1)) if k else 0
+        return ln_2k + ln_m, 2 * abs(k) + (4 * terms + 12 << roots + 1), prec
+
+    return _correctly_rounded(approx, bits)
+
+
 @lru_cache(maxsize=None)
 def _stirling_data(ctx: PrecisionContext) -> tuple[tuple[int, int], tuple[tuple[int, int], ...]]:
     """ln(2 pi)/2 and the Stirling coefficients B_2k / (2k (2k-1)), k = 1..stirling_terms.
 
     Each a (signed mantissa, exponent) pair rounded to ctx.bits, for
-    ln_gamma's integer arithmetic; ln(2 pi)/2 comes from mpmath.
+    ln_gamma's integer arithmetic.  ln(2 pi)/2 is as mpmath forms it under
+    workprec(ctx.bits): pi rounded, doubled, its logarithm rounded, halved.
     """
-    with mpmath.workprec(ctx.bits):
-        half_ln_2pi = _signed((mpmath.ln(2 * mpmath.pi) / 2)._mpf_)
+    bits = ctx.bits
+    pi, pi_exp = _correctly_rounded(lambda g: (_machin(bits + g, *PI), 2, bits + g), bits)
+    ln, ln_exp = _ln(pi, pi_exp + 1, bits)
     terms = (bernoulli(2 * k) / ((2 * k) * (2 * k - 1)) for k in range(1, ctx.stirling_terms + 1))
-    return half_ln_2pi, tuple(_quotient(c.numerator, c.denominator, ctx.bits) for c in terms)
+    return (ln, ln_exp - 1), tuple(_quotient(c.numerator, c.denominator, bits) for c in terms)
 
 
-def _ln(man: int, exp: int, bits: int) -> tuple[int, int]:
-    """ln(man * 2^exp) for man > 0, by libmp's mpf_log at bits, as a signed pair."""
-    return _signed(mpf_log(from_man_exp(man, exp), bits, round_nearest))
-
-
-def ln_gamma(x, ctx: PrecisionContext) -> mpmath.mpf:
-    """ln Gamma(x) for rational x in (0,1), absolute error below 10^-decimal_digits.
+def ln_gamma(x, ctx: PrecisionContext) -> tuple[int, int]:
+    """ln Gamma(x) for rational x in (0,1), a signed pair, absolute error below 10^-decimal_digits.
 
     Gamma(x) = Gamma(x + m) / (x (x+1) ... (x+m-1)) with m = ctx.shift_count,
     then Stirling at z = x + m:
@@ -270,8 +348,7 @@ def ln_gamma(x, ctx: PrecisionContext) -> mpmath.mpf:
     (p, q), m = ratio(x), ctx.shift_count
     if not 0 < p < q:
         raise ValueError(f"argument must lie in (0,1), got {x}")
-    half_ln_2pi, coefficients = _stirling_data(ctx)
-    bits = ctx.bits
+    (half_ln_2pi, coefficients), bits = _stirling_data(ctx), ctx.bits
     z, z_exp = _quotient(p + m * q, q, bits)
     ln_z, ln_z_exp = _ln(z, z_exp, bits)
     acc, acc_exp = _sum(z, z_exp, -1, -1, bits)
@@ -281,9 +358,15 @@ def ln_gamma(x, ctx: PrecisionContext) -> mpmath.mpf:
     pw, pw_exp = _quotient(1, z, bits)
     pw_exp -= z_exp
     sq, sq_exp = _round(pw * pw, 2 * pw_exp, bits)
-    # acc += c * pw, then pw *= sq: each product and sum formed exactly and
-    # rounded as _round rounds, written out, which saves a call per operation.
-    for c, c_exp in coefficients:
+    # pw *= sq from the second term on, then acc += c * pw: each product and
+    # sum formed exactly and rounded as _round rounds, written out, which
+    # saves a call per operation.  No power is formed past the last term.
+    for k, (c, c_exp) in enumerate(coefficients):
+        if k:
+            pw, pw_exp = pw * sq, pw_exp + sq_exp
+            if (shift := pw.bit_length() - bits) > 0:
+                t, pw_exp = pw >> (shift - 1), pw_exp + shift
+                pw = (t + 1) >> 1 if t & 1 and (t & 2 or pw & ((1 << (shift - 1)) - 1)) else t >> 1
         man, exp = c * pw, c_exp + pw_exp
         if (shift := man.bit_length() - bits) > 0:
             t, exp = man >> (shift - 1), exp + shift
@@ -293,14 +376,9 @@ def ln_gamma(x, ctx: PrecisionContext) -> mpmath.mpf:
         if (shift := acc.bit_length() - bits) > 0:
             t, acc_exp = acc >> (shift - 1), acc_exp + shift
             acc = (t + 1) >> 1 if t & 1 and (t & 2 or acc & ((1 << (shift - 1)) - 1)) else t >> 1
-        pw, pw_exp = pw * sq, pw_exp + sq_exp
-        if (shift := pw.bit_length() - bits) > 0:
-            t, pw_exp = pw >> (shift - 1), pw_exp + shift
-            pw = (t + 1) >> 1 if t & 1 and (t & 2 or pw & ((1 << (shift - 1)) - 1)) else t >> 1
     descent, descent_exp = _quotient(math.prod(range(p, p + m * q, q)), q**m, bits)
     ln_descent, ln_descent_exp = _ln(descent, descent_exp, bits)
-    acc, acc_exp = _sum(acc, acc_exp, -ln_descent, ln_descent_exp, bits)
-    return mpmath.mp.make_mpf(from_man_exp(acc, acc_exp))
+    return _sum(acc, acc_exp, -ln_descent, ln_descent_exp, bits)
 
 
 @lru_cache(maxsize=None)
@@ -310,21 +388,20 @@ def _ln_ratio(p: int, q: int, ctx: PrecisionContext) -> tuple[int, int]:
     Keyed on ints and the context, hashed in C; ln_gamma is reached through
     the module attribute, two calls per miss.
     """
-    lower, lower_exp = _signed(ln_gamma(Q(p, q), ctx)._mpf_)
-    upper, upper_exp = _signed(ln_gamma(Q(q - p, q), ctx)._mpf_)
-    return _sum(lower, lower_exp, -upper, upper_exp, ctx.bits)
+    lower = ln_gamma(Q(p, q), ctx)
+    upper, upper_exp = ln_gamma(Q(q - p, q), ctx)
+    return _sum(*lower, -upper, upper_exp, ctx.bits)
 
 
-def eval_word_ln(word, ctx: PrecisionContext) -> mpmath.mpf:
-    """ln of a word's value: sum_j e_j (ln Gamma(j/N) - ln Gamma((N-j)/N)).
+def word_ln_pair(word, ctx: PrecisionContext) -> tuple[int, int]:
+    """ln of a word's value as a signed pair: sum_j e_j (ln Gamma(j/N) - ln Gamma((N-j)/N)).
 
     Each factor reads its grid point reduced to p/q, (p, q) = (j, N) /
     gcd(j, N): below 1/2 as _ln_ratio(p, q), above as -e_j times
     _ln_ratio(q - p, q), the bits of e_j times the subtraction done the
     other way round (see the module docstring), and at 1/2 as zero, which
-    adds nothing.  Each product and each sum is rounded once, on signed
-    pairs, and the total becomes an mpf at the end.  One table serves
-    every grid and every word.
+    adds nothing.  Each product and each sum is rounded once.  One table
+    serves every grid and every word.
     Worst-case absolute error 2 sum_j |e_j| * 10^-decimal_digits.
     """
     n, bits = word.denominator, ctx.bits
@@ -337,21 +414,68 @@ def eval_word_ln(word, ctx: PrecisionContext) -> mpmath.mpf:
             man, exp = _ln_ratio(p, q, ctx)
             man, exp = _round(e * man, exp, bits)
             acc, acc_exp = _sum(acc, acc_exp, man, exp, bits)
-    return mpmath.mp.make_mpf(from_man_exp(acc, acc_exp))
+    return acc, acc_exp
+
+
+def eval_word_ln(word, ctx: PrecisionContext) -> mpmath.mpf:
+    """word_ln_pair(word, ctx) as an mpf."""
+    return to_mpf(word_ln_pair(word, ctx))
+
+
+@lru_cache(maxsize=None)
+def _bound(decimal_digits: int) -> tuple[int, int]:
+    """10^(10 - decimal_digits) at RESIDUAL_BITS as mpmath's mpf(10) ** (10 - d) rounds it.
+
+    mpf_pow_int forms 10^(d - 10) at RESIDUAL_BITS + 5 bits before it
+    inverts it, and 1 over that is rounded to RESIDUAL_BITS.  Past 10^333 it
+    truncates partial products at more bits instead of rounding the exact
+    power; both give the same bound at every digit count 10..1000.
+    """
+    power, exp = _round(10 ** (decimal_digits - 10), 0, RESIDUAL_BITS + 5)
+    return _quotient(1, power << exp, RESIDUAL_BITS)
+
+
+def _six_digits(man: int, exp: int) -> str:
+    """man 2^exp >= 0 as mpmath's to_str prints it with 6 digits, on to_str's integer steps.
+
+    to_digits_exp floors the value to 39 bits, then to a decimal integer of
+    about 12 digits; to_str keeps 6 of them, rounding half up on the
+    seventh, and prints the leading digit's exponent e in fixed point for
+    -5 < e < 6, else as digits, e and e's sign.  A value whose binary
+    exponent exceeds 3,500 in size, which to_digits_exp first scales by a
+    power of ten, goes to mpmath itself.
+    """
+    if not man:
+        return "0.0"
+    if abs(exp + man.bit_length()) > 3500:
+        from mpmath.libmp import from_man_exp, to_str
+
+        return to_str(from_man_exp(man, exp), 6)
+    fixprec = max(39 - exp - man.bit_length(), 0)
+    fixdps, shift = int(fixprec / math.log(10, 2) + 0.5), exp + fixprec
+    digits = str((man << shift if shift >= 0 else man >> -shift) * 10**fixdps >> fixprec)
+    head = int(digits[:6]) + (digits[6:7] >= "5")
+    point = len(digits) - fixdps - 1 + (head == 10**6)
+    fixed = -5 < point < 6
+    digits = ("0" * -point if fixed else "") + str(head)[:6]
+    split = max(point, 0) + 1 if fixed else 1
+    text = (digits[:split] + "." + digits[split:]).rstrip("0")
+    return text + "0" * text.endswith(".") + ("" if fixed else f"e{point:+d}")
 
 
 def residual(lhs, rhs, ctx: PrecisionContext | None = None) -> tuple[str, bool]:
     """verify's numeric verdict on lhs = rhs: |ln lhs - ln rhs| as printed, and whether it passes.
 
-    Both sides are evaluated at ctx, the word by eval_word_ln and the
-    constant by const_ln, and their difference is rounded to nearest at
-    RESIDUAL_BITS, whatever the caller's workprec (mpf_abs with no
-    precision does not round).  It stays a raw mpf: the string is
-    to_str(raw, 6) and the test mpf_le(raw, 10^(10 - decimal_digits)),
-    which is what mpmath.nstr and mpf <= call.  This one function is the
-    numeric route's acceptance rule.
+    Both sides are evaluated at ctx as signed pairs, the word by
+    word_ln_pair and the constant by exact.const_ln_pair, and their
+    difference is rounded to nearest at RESIDUAL_BITS, whatever the
+    caller's mpmath precision.  The string is mpmath's to_str of it at 6
+    digits, and it passes when it is at most _bound's 10^(10 -
+    decimal_digits): the sign of one more correctly rounded difference.
+    This one function is the numeric route's acceptance rule.
     """
     ctx = ctx or PrecisionContext.for_digits()
-    lhs_ln, rhs_ln = eval_word_ln(lhs, ctx)._mpf_, const_ln(rhs, ctx.decimal_digits)._mpf_
-    raw = mpf_abs(mpf_sub(lhs_ln, rhs_ln, RESIDUAL_BITS, round_nearest))
-    return to_str(raw, 6), mpf_le(raw, _residual_bound(ctx.decimal_digits)._mpf_)
+    rhs_ln, rhs_exp = const_ln_pair(rhs, ctx.decimal_digits)
+    man, exp = _sum(*word_ln_pair(lhs, ctx), -rhs_ln, rhs_exp, RESIDUAL_BITS)
+    slack = _sum(-abs(man), exp, *_bound(ctx.decimal_digits), RESIDUAL_BITS)[0]
+    return _six_digits(abs(man), exp), slack >= 0

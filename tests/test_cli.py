@@ -769,6 +769,31 @@ def test_exact_verify_leaves_the_numeric_route_unloaded():
     assert out.stdout.splitlines()[-1] == "[]"
 
 
+def test_verify_loads_no_mpmath_in_any_mode(tmp_path):
+    """cmd_verify in modes both, numeric and exact, in one fresh interpreter, never imports mpmath.
+
+    The numeric route's logarithms, pi, right-side logarithms and residual
+    are integer code; mpmath is left to the public mpf returns.  The JSON
+    of each run keeps its pinned digest.
+    """
+    code = (
+        "import hashlib, sys\n"
+        "from gammaroots import cli\n"
+        f"path = {str(tmp_path / 'out.json')!r}\n"
+        "for mode in ('both', 'numeric', 'exact'):\n"
+        "    assert cli.main(['verify', '--mode', mode, '--format', 'json', '--output', path]) == 0\n"
+        "    print(hashlib.sha256(open(path, 'rb').read()).hexdigest())\n"
+        "print('mpmath' in sys.modules, 'gammaroots.numeric' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(gammaroots.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, check=True,
+    )
+    digests = [DEFAULT_JSON_SHA256, NUMERIC_JSON_SHA256, EXACT_JSON_SHA256]
+    assert out.stdout.splitlines() == [*digests, "False True"]
+
+
 def test_importing_cli_leaves_argparse_unloaded():
     """cli loads argparse only to parse arguments, not to import dumps_canonical."""
     code = (

@@ -647,7 +647,7 @@ def _count_calls(monkeypatch, owner, name, seen):
 def test_verify_all_decides_each_distinct_identity_once(systems, monkeypatch):
     proved, evaluated = [], []
     _count_calls(monkeypatch, fateev, "prove_constant", proved)
-    _count_calls(monkeypatch, numeric, "eval_word_ln", evaluated)
+    _count_calls(monkeypatch, numeric, "word_ln_pair", evaluated)
     ctx = numeric.PrecisionContext.for_digits(60)
     summary = verify_all(systems.values(), mode="both", ctx=ctx)
     assert len(summary.reports) == 842

@@ -6,8 +6,9 @@ route with a wrong copy, runs `gammaroots verify` on a small selection
 through cli.main, and requires exit 1; the same run undoctored, before and
 after, exits 0.  The kernel check and the certificate replay, which verify
 does not run, are run on their own the same way.  The prover's per-grid
-table and the ln gamma ratio table are memoized, so the caches a doctored
-piece would poison are emptied before and after it runs.
+table, the ln gamma ratio table, the right sides' logarithms and the
+Stirling data are memoized, so the caches a doctored piece would poison
+are emptied before and after it runs.
 """
 
 import ast
@@ -15,7 +16,6 @@ import inspect
 import os
 from functools import lru_cache
 
-import mpmath
 import pytest
 
 from gammaroots import cli, exact, fateev, linalg, numeric, prover
@@ -229,20 +229,67 @@ def test_doubled_certificate_column_entries_are_refused_by_the_replay(sweep_side
 
 def test_a_zero_residual_bound_fails_the_run():
     def zero(decimal_digits):
-        return mpmath.mpf(0)
+        return 0, 0
 
-    assert doctored_exit(numeric, "_residual_bound", zero, "numeric") == EXIT_VERIFICATION_FAILED
+    assert doctored_exit(numeric, "_bound", zero, "numeric") == EXIT_VERIFICATION_FAILED
+
+
+def without_ln2_term():
+    """A copy of numeric._ln with its k ln 2 term taken out: ln(m 2^k) read as ln m.
+
+    Compiled from the source in a copy of the module's namespace, as below,
+    so numeric is left as it is.  Every logarithm of an argument outside
+    [2/3, 4/3) is then wrong and still rounds, except at a power of two,
+    where k ln 2 is the whole value: ln 2^k reads 0, and the rounding test
+    never decides.
+    """
+    tree = ast.parse(inspect.getsource(numeric._ln))
+    terms = [node for node in ast.walk(tree)
+             if isinstance(node, ast.BinOp) and ast.unparse(node) == "k * _machin(prec, (2, 3, 1))"]
+    assert len(terms) == 1
+
+    class Dropped(ast.NodeTransformer):
+        def visit_BinOp(self, node):
+            return ast.Constant(0) if node is terms[0] else self.generic_visit(node)
+
+    namespace = dict(vars(numeric))
+    exec(compile(ast.fix_missing_locations(Dropped().visit(tree)), numeric.__file__, "exec"),
+         namespace)
+    return namespace["_ln"]
+
+
+def test_a_logarithm_without_its_ln2_term_fails_the_run(capsys):
+    """ln_gamma's two logarithms and the right side's ln p, all through numeric._ln, read ln m.
+
+    The run fails at ln 2, whose rounding test raises past its ceiling, and
+    cli reports that as a failed verification; with powers of two left
+    right, the residuals alone fail it.  The tables built from the
+    logarithms, the ln gamma ratios, the right sides' logarithms and the
+    per-context Stirling data, are emptied around each doctored run.
+    """
+    dropped, ln = without_ln2_term(), numeric._ln
+    assert dropped(5, -2, 53) == ln(5, -2, 53) != (0, 0)
+    assert dropped(3, 0, 53) != ln(3, 0, 53)
+    caches = (numeric._ln_ratio, exact.const_ln_pair, numeric._stirling_data)
+    assert doctored_exit(numeric, "_ln", dropped, "numeric", caches) == EXIT_VERIFICATION_FAILED
+    assert "rounding test did not decide" in capsys.readouterr().err
+
+    def wrong_off_powers_of_two(man, exp, bits):
+        return (ln if man & (man - 1) == 0 else dropped)(man, exp, bits)
+
+    code = doctored_exit(numeric, "_ln", wrong_off_powers_of_two, "numeric", caches)
+    assert code == EXIT_VERIFICATION_FAILED and capsys.readouterr().err == ""
 
 
 def without_complement_negation():
-    """A copy of numeric.eval_word_ln with the one negation in it, -e of a complement, taken out.
+    """A copy of numeric.word_ln_pair with the one negation in it, -e of a complement, taken out.
 
     The copy is compiled from the source, in a copy of the module's
     namespace, so it reads the same _ln_ratio table and leaves numeric as
     it is.  A point above 1/2 then reads its lower half's entry times e,
     not times -e: the sign of the ratio it fills is wrong, and nothing else.
     """
-    tree = ast.parse(inspect.getsource(numeric.eval_word_ln))
+    tree = ast.parse(inspect.getsource(numeric.word_ln_pair))
     negations = [node for node in ast.walk(tree)
                  if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)]
     assert [ast.unparse(node) for node in negations] == ["-e"]
@@ -254,7 +301,7 @@ def without_complement_negation():
     namespace = dict(vars(numeric))
     exec(compile(ast.fix_missing_locations(Unnegated().visit(tree)), numeric.__file__, "exec"),
          namespace)
-    return namespace["eval_word_ln"]
+    return namespace["word_ln_pair"]
 
 
 @pytest.mark.parametrize("mode", ["numeric", "both"])
@@ -267,26 +314,27 @@ def test_a_complement_filled_with_the_wrong_sign_fails_the_run(mode):
     same_sign = without_complement_negation()
     ctx = numeric.PrecisionContext.for_digits()
     below, above = GammaWord(12, ((1, 2), (5, -1))), GammaWord(12, ((7, 1), (11, -2)))
-    assert same_sign(below, ctx) == numeric.eval_word_ln(below, ctx)
+    assert same_sign(below, ctx) == numeric.word_ln_pair(below, ctx)
     wrong = same_sign(above, ctx)
-    assert wrong != 0 and wrong + numeric.eval_word_ln(above, ctx) == 0
-    exit_code = doctored_exit(numeric, "eval_word_ln", same_sign, mode, (numeric._ln_ratio,))
+    assert wrong[0] != 0 and numeric.word_ln_pair(above, ctx) == (-wrong[0], wrong[1])
+    exit_code = doctored_exit(numeric, "word_ln_pair", same_sign, mode, (numeric._ln_ratio,))
     assert exit_code == EXIT_VERIFICATION_FAILED
 
 
 @pytest.mark.parametrize("mode", ["numeric", "both"])
 def test_a_cached_right_side_log_off_by_twice_the_bound_fails_the_run(mode):
-    """Each cached ln rhs shifted by 2 * 10^(10 - digits), at the working precision.
+    """Each cached ln rhs shifted by twice the bound 10^(10 - digits), at the working precision.
 
     One ulp of a 60-digit log, about 10^-73, lies far inside the 10^-50
     bound, as any rounding error must; twice the bound is the least shift
-    the check has to refuse.
+    the check has to refuse.  The shift reaches the pair residual reads.
     """
-    ln = exact.const_ln.__wrapped__
+    ln = exact.const_ln_pair.__wrapped__
 
     @lru_cache(maxsize=None)
     def shifted(a, decimal_digits):
-        with mpmath.workprec(exact.working_precision_bits(decimal_digits)):
-            return ln(a, decimal_digits) + 2 * mpmath.mpf(10) ** (10 - decimal_digits)
+        bound, bound_exp = numeric._bound(decimal_digits)
+        bits = exact.working_precision_bits(decimal_digits)
+        return numeric._sum(*ln(a, decimal_digits), 2 * bound, bound_exp, bits)
 
-    assert doctored_exit(numeric, "const_ln", shifted, mode) == EXIT_VERIFICATION_FAILED
+    assert doctored_exit(numeric, "const_ln_pair", shifted, mode) == EXIT_VERIFICATION_FAILED

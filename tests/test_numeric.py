@@ -10,6 +10,7 @@ kept below as a reference, and the cached route must equal it bit for bit.
 
 import contextlib
 import math
+import os
 import random
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -21,17 +22,21 @@ from mpmath.libmp import (
     from_int,
     from_man_exp,
     fzero,
+    mpf_abs,
     mpf_add,
     mpf_div,
+    mpf_exp,
+    mpf_le,
     mpf_log,
     mpf_mul,
     mpf_pos,
     mpf_rdiv_int,
     mpf_sub,
     round_nearest,
+    to_str,
 )
 
-from gammaroots import fateev, numeric, prover
+from gammaroots import cli, exact, fateev, numeric, prover
 from gammaroots.exact import MAX_DIGITS, MIN_DIGITS, const_ln, working_precision_bits
 from gammaroots.gammaword import GammaWord
 from gammaroots.numeric import (
@@ -41,6 +46,11 @@ from gammaroots.numeric import (
     ln_gamma,
     stirling_tail_log10,
 )
+
+
+def ln_gamma_mpf(x, ctx):
+    """ln_gamma's signed pair as an mpf, for the checks that do mpf arithmetic on it."""
+    return exact.to_mpf(ln_gamma(x, ctx))
 
 
 @lru_cache(maxsize=None)
@@ -165,7 +175,7 @@ def test_a_context_short_of_the_bounds_raises():
     longer shift or more terms, are all refused on every construction path.
     """
     doctored = unchecked_context(60, 243, 0, 3)
-    assert mpmath.nstr(ln_gamma(Q(1, 2), doctored), 5) == "0.58878"
+    assert mpmath.nstr(ln_gamma_mpf(Q(1, 2), doctored), 5) == "0.58878"
     ctx = PrecisionContext.for_digits(60)
     digits, bits, shift, terms = ctx
     refused = [
@@ -200,7 +210,7 @@ def test_a_context_short_of_the_bounds_raises():
 def test_ln_gamma_half():
     ctx = PrecisionContext.for_digits(60)
     with mpmath.workprec(300):
-        diff = abs(ln_gamma(Q(1, 2), ctx) - mpmath.ln(mpmath.pi) / 2)
+        diff = abs(ln_gamma_mpf(Q(1, 2), ctx) - mpmath.ln(mpmath.pi) / 2)
     assert diff < mpmath.mpf(10) ** -58
 
 
@@ -208,7 +218,7 @@ def test_ln_gamma_frozen_reference():
     ctx = PrecisionContext.for_digits(50)
     with mpmath.workprec(300):
         reference = mpmath.mpf(LN_GAMMA_SIXTH)
-        diff = abs(ln_gamma(Q(1, 6), ctx) - reference)
+        diff = abs(ln_gamma_mpf(Q(1, 6), ctx) - reference)
     assert diff < mpmath.mpf(10) ** -49
 
 
@@ -232,7 +242,7 @@ def test_ln_gamma_refuses_an_argument_that_is_no_int_or_fraction():
     for outside in (0, 1):
         with pytest.raises(ValueError, match=r"must lie in \(0,1\)"):
             ln_gamma(outside, ctx)
-    assert ln_gamma(Q(1, 3), ctx) == reference_ln_gamma(Q(1, 3), ctx)
+    assert from_man_exp(*ln_gamma(Q(1, 3), ctx)) == reference_ln_gamma(Q(1, 3), ctx)._mpf_
 
 
 def test_reflection_functional_equation():
@@ -244,7 +254,7 @@ def test_reflection_functional_equation():
             j = rng.randint(1, n - 1)
             x = Q(j, n)
             xf = mpmath.mpf(j) / n
-            lhs = ln_gamma(x, ctx) + ln_gamma(1 - x, ctx)
+            lhs = ln_gamma_mpf(x, ctx) + ln_gamma_mpf(1 - x, ctx)
             rhs = mpmath.ln(mpmath.pi) - mpmath.ln(mpmath.sin(mpmath.pi * xf))
             assert abs(lhs - rhs) < mpmath.mpf(10) ** -55
 
@@ -255,11 +265,11 @@ def test_multiplication_functional_equation():
     with mpmath.workprec(ctx.bits):
         for d in range(2, 7):
             x = Q(1, 7 * d)
-            lhs = sum(ln_gamma(x + Q(i, d), ctx) for i in range(d))
+            lhs = sum(ln_gamma_mpf(x + Q(i, d), ctx) for i in range(d))
             rhs = (
                 Q(d - 1, 2) * mpmath.ln(2 * mpmath.pi)
                 + (Q(1, 2) - d * x) * mpmath.ln(d)
-                + ln_gamma(d * x, ctx)
+                + ln_gamma_mpf(d * x, ctx)
             )
             assert abs(lhs - rhs) < mpmath.mpf(10) ** -55
 
@@ -269,7 +279,7 @@ def test_gamma_ratio_multiplication_form():
     ctx = PrecisionContext.for_digits(60)
 
     def ln_ratio(x):
-        return ln_gamma(x, ctx) - ln_gamma(1 - x, ctx)
+        return ln_gamma_mpf(x, ctx) - ln_gamma_mpf(1 - x, ctx)
 
     with mpmath.workprec(ctx.bits):
         for d in range(2, 7):
@@ -286,7 +296,7 @@ def test_against_mpmath_loggamma():
         for _ in range(25):
             den = rng.randint(2, 46)
             num = rng.randint(1, den - 1)
-            mine = ln_gamma(Q(num, den), ctx)
+            mine = ln_gamma_mpf(Q(num, den), ctx)
             reference = mpmath.loggamma(mpmath.mpf(num) / den)
             assert abs(mine - reference) < mpmath.mpf(10) ** -39
 
@@ -294,8 +304,8 @@ def test_against_mpmath_loggamma():
 def test_precision_scales_with_digits():
     x = Q(1, 7)
     with mpmath.workprec(600):
-        coarse = ln_gamma(x, PrecisionContext.for_digits(20))
-        fine = ln_gamma(x, PrecisionContext.for_digits(120))
+        coarse = ln_gamma_mpf(x, PrecisionContext.for_digits(20))
+        fine = ln_gamma_mpf(x, PrecisionContext.for_digits(120))
         reference = mpmath.loggamma(mpmath.mpf(1) / 7)
         assert abs(coarse - reference) < mpmath.mpf(10) ** -19
         assert abs(fine - reference) < mpmath.mpf(10) ** -119
@@ -305,7 +315,7 @@ def test_eval_word_ln_matches_direct_sum():
     ctx = PrecisionContext.for_digits(50)
     word = GammaWord(4, ((1, 2),))
     with mpmath.workprec(ctx.bits):
-        direct = 2 * (ln_gamma(Q(1, 4), ctx) - ln_gamma(Q(3, 4), ctx))
+        direct = 2 * (ln_gamma_mpf(Q(1, 4), ctx) - ln_gamma_mpf(Q(3, 4), ctx))
         assert abs(eval_word_ln(word, ctx) - direct) < mpmath.mpf(10) ** -45
 
 
@@ -321,7 +331,7 @@ def _grid_points(max_n):
 def test_ln_gamma_bit_exact_on_every_sweep_grid():
     ctx = PrecisionContext.for_digits(60)
     for x in _grid_points(46):
-        assert ln_gamma(x, ctx) == reference_ln_gamma(x, ctx), x
+        assert from_man_exp(*ln_gamma(x, ctx)) == reference_ln_gamma(x, ctx)._mpf_, x
 
 
 def mpmath_bernoulli_table(n):
@@ -346,7 +356,7 @@ def test_ln_gamma_bit_exact_at_other_precisions(digits):
     ctx = PrecisionContext.for_digits(digits)
     max_n, count, table = OTHER_PRECISIONS[digits]
     for x in random.Random(digits).sample(_grid_points(max_n), count):
-        assert ln_gamma(x, ctx) == reference_ln_gamma(x, ctx, table), x
+        assert from_man_exp(*ln_gamma(x, ctx)) == reference_ln_gamma(x, ctx, table)._mpf_, x
 
 
 def libmp_quotient(q, bits):
@@ -393,7 +403,7 @@ def libmp_ln_gamma(x, ctx):
 def test_integer_stirling_sum_matches_libmp_on_every_grid_to_120():
     ctx = PrecisionContext.for_digits(60)
     for x in _grid_points(120):
-        assert ln_gamma(x, ctx)._mpf_ == libmp_ln_gamma(x, ctx), x
+        assert from_man_exp(*ln_gamma(x, ctx)) == libmp_ln_gamma(x, ctx), x
 
 
 # digits -> seeded random rationals compared.  At 800 digits the last
@@ -408,7 +418,7 @@ def test_integer_stirling_sum_matches_libmp_on_random_rationals(digits):
     for _ in range(RANDOM_RATIONALS[digits]):
         q = rng.randrange(2, 10 ** rng.randrange(2, 40))
         x = Q(rng.randrange(1, q), q)
-        assert ln_gamma(x, ctx)._mpf_ == libmp_ln_gamma(x, ctx), x
+        assert from_man_exp(*ln_gamma(x, ctx)) == libmp_ln_gamma(x, ctx), x
 
 
 def test_numeric_route_matches_references_at_few_bits():
@@ -424,14 +434,14 @@ def test_numeric_route_matches_references_at_few_bits():
     for bits in range(2, 25):
         ctx = unchecked_context(10, bits, 0, 3)
         for x in _grid_points(39):
-            assert ln_gamma(x, ctx)._mpf_ == libmp_ln_gamma(x, ctx), (x, ctx)
+            assert from_man_exp(*ln_gamma(x, ctx)) == libmp_ln_gamma(x, ctx), (x, ctx)
     rng = random.Random(11)
     for bits in range(2, 41):
         ctx = unchecked_context(10, bits, rng.randrange(1, 12), rng.randrange(1, 12))
         for _ in range(12):
             q = rng.randrange(2, 10 ** rng.randrange(1, 6))
             x = Q(rng.randrange(1, q), q)
-            assert ln_gamma(x, ctx)._mpf_ == libmp_ln_gamma(x, ctx), (x, ctx)
+            assert from_man_exp(*ln_gamma(x, ctx)) == libmp_ln_gamma(x, ctx), (x, ctx)
         for _ in range(6):
             n = rng.randrange(2, 40)
             exponents = tuple((j, rng.choice((-1, 1)) * rng.randrange(1, 40))
@@ -596,7 +606,7 @@ def _assert_complements_bit_exact(ctx, max_n=96):
         patch.setattr(numeric, "ln_gamma", cached_ln_gamma)
         for n in range(2, max_n + 1):
             for j in range((n + 1) // 2, n):
-                left, right = (cached_ln_gamma(Q(k, n), ctx)._mpf_ for k in (j, n - j))
+                left, right = (from_man_exp(*cached_ln_gamma(Q(k, n), ctx)) for k in (j, n - j))
                 expected = mpf_sub(left, right, ctx.bits, round_nearest)
                 assert eval_word_ln(GammaWord(n, ((j, 1),)), ctx)._mpf_ == expected, (n, j, ctx)
 
@@ -629,7 +639,7 @@ def test_numeric_route_bit_exact_on_sampled_sweep_sides(sweep_sides, digits):
     for prec in (12, ctx.bits):
         _assert_numeric_route_bit_exact(sample[:10], ctx, prec)
         with mpmath.workprec(prec):
-            assert numeric._residual_bound(digits) == bound
+            assert from_man_exp(*numeric._bound(digits)) == bound._mpf_
     _assert_complements_bit_exact(ctx)
     for bits in TIE_BITS[digits]:
         tie_ctx = unchecked_context(10, bits, 0, 3)
@@ -682,3 +692,199 @@ def test_ln_gamma_runs_once_per_distinct_argument(monkeypatch, systems, sweep_si
     assert len(lookups) == sum(2 * j != n for n, j in factors)
     assert all(math.gcd(p, q) == 1 and 2 * p < q for p, q in lookups)
     assert {Q(p, q) for p, q in lookups} | {Q(q - p, q) for p, q in lookups} == set(seen)
+
+
+# The pinned runs whose numeric route the checks below replay, as verify
+# arguments: the default sweep, --digits 10, 200-digit G/F/E/B and 800-digit
+# E/F/G, at 243, 77, 708 and 2,701 bits.
+PINNED_RUNS = (
+    (),
+    ("--digits", "10"),
+    ("--family", "G", "--family", "F", "--family", "E", "--family", "B", "--digits", "200"),
+    ("--family", "E", "--family", "F", "--family", "G", "--mode", "numeric", "--digits", "800"),
+)
+NUMERIC_TABLES = (numeric._ln_ratio, exact.const_ln_pair, numeric._stirling_data)
+
+
+@pytest.fixture(scope="module")
+def pinned_numeric_route():
+    """Every _ln argument and every residual of the pinned runs, the tables emptied before each.
+
+    (arguments, ln_gamma calls, residuals): the (man, exp, bits) of each
+    _ln call, ln_gamma's two per call, the right sides' ln p and ln(2 pi)
+    once per context, in call order; the number of ln_gamma calls; and the
+    (man, exp) of each residual verify formats.
+    """
+    ln, ln_gamma_of, six_digits = numeric._ln, numeric.ln_gamma, numeric._six_digits
+    arguments, gamma_calls, residuals = [], [], []
+
+    def recorded_ln(man, exp, bits):
+        arguments.append((man, exp, bits))
+        return ln(man, exp, bits)
+
+    def counted_ln_gamma(x, ctx):
+        gamma_calls.append(x)
+        return ln_gamma_of(x, ctx)
+
+    def recorded_six_digits(man, exp):
+        residuals.append((man, exp))
+        return six_digits(man, exp)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numeric, "_ln", recorded_ln)
+        patch.setattr(numeric, "ln_gamma", counted_ln_gamma)
+        patch.setattr(numeric, "_six_digits", recorded_six_digits)
+        for args in PINNED_RUNS:
+            for table in NUMERIC_TABLES:
+                table.cache_clear()
+            assert cli.main(["verify", *args, "--output", os.devnull]) == cli.EXIT_OK
+    for table in NUMERIC_TABLES:
+        table.cache_clear()
+    return arguments, len(gamma_calls), residuals
+
+
+def test_ln_is_mpf_log_on_every_pinned_argument(pinned_numeric_route):
+    """_ln equals libmp's mpf_log to the bit on every logarithm the pinned runs take.
+
+    2,036 arguments: the 1,688 of ln_gamma (844 calls), the right sides' ln
+    p and each context's ln(2 pi).
+    """
+    arguments, gamma_calls, _ = pinned_numeric_route
+    assert (len(arguments), gamma_calls) == (2036, 844)
+    assert {bits for _, _, bits in arguments} == {77, 243, 708, 2701}
+    for man, exp, bits in arguments:
+        expected = mpf_log(from_man_exp(man, exp), bits, round_nearest)
+        assert from_man_exp(*numeric._ln(man, exp, bits)) == expected, (man, exp, bits)
+
+
+def test_ln_is_correctly_rounded_on_seeded_arguments():
+    """Seeded arguments at the bits of 24 sampled digit counts in 10..1000, some near 1.
+
+    Per digit count: mantissas of up to three times the bits with any
+    exponent, small integers, powers of two, 1 itself, and 1 +- r 2^-L
+    for L up to three times the bits.  _ln must equal the correctly rounded
+    logarithm, mpf_log at 120 more bits rounded to the bits, and mpf_log
+    itself off the arguments near 1.  Near 1 mpf_log is not always
+    correctly rounded (about one near-1 argument in a thousand, at 234
+    digits for one), so there only the correct rounding binds.
+    """
+    rng = random.Random(31)
+    for digits in sorted(rng.sample(range(MIN_DIGITS, MAX_DIGITS + 1), 24)):
+        bits = working_precision_bits(digits)
+        far = [(rng.getrandbits(rng.randrange(1, 3 * bits)) | 1, rng.randrange(-5000, 5000))
+               for _ in range(10)]
+        far += [(rng.randrange(2, 1000), 0) for _ in range(4)] + [(1, rng.randrange(-900, 900))]
+        near = [(1, 0)]
+        for _ in range(8):
+            length = rng.randrange(2, 3 * bits)
+            offset = rng.choice((1, -1)) * rng.getrandbits(rng.randrange(1, length))
+            near.append(((1 << length) + offset, -length))
+        for man, exp in far + near:
+            x = from_man_exp(man, exp)
+            got = from_man_exp(*numeric._ln(man, exp, bits))
+            assert got == mpf_pos(mpf_log(x, bits + 120, round_nearest), bits, round_nearest)
+            if (man, exp) in far:
+                assert got == mpf_log(x, bits, round_nearest), (man, exp, bits)
+
+
+def test_half_ln_2pi_is_mpmaths_at_every_context():
+    """ln(2 pi)/2 of _stirling_data equals mpmath.ln(2 * mpmath.pi) / 2 at every digit count.
+
+    At the bits of each digit count 10..1000, 991 contexts: pi correctly
+    rounded, doubled, its logarithm correctly rounded and halved.  Built
+    with no Stirling terms, so only pi and its logarithm are formed.
+    """
+    build = numeric._stirling_data.__wrapped__
+    for digits in range(MIN_DIGITS, MAX_DIGITS + 1):
+        bits = working_precision_bits(digits)
+        half_ln_2pi, terms = build(unchecked_context(digits, bits, 0, 0))
+        with mpmath.workprec(bits):
+            expected = (mpmath.ln(2 * mpmath.pi) / 2)._mpf_
+        assert terms == () and from_man_exp(*half_ln_2pi) == expected, digits
+
+
+def test_an_undecided_rounding_test_raises_at_the_guard_ceiling(monkeypatch):
+    """ln x for x = exp(y) at 600 bits, y halfway between two 53-bit values.
+
+    ln x lies within about 2^-600 of a rounding boundary at 53 bits, so the
+    rounding test decides only once the guard nears 600 bits.  With the
+    stated ceiling the retries reach the correctly rounded value; with the
+    ceiling set to the first guard the test cannot decide, and the call
+    raises instead of guessing.
+    """
+    bits, y = 53, from_man_exp((1 << 53) | (0x5A5A5A5A5A5A5 << 1) | 1, -54)
+    _, man, exp, _ = mpf_exp(y, 600, round_nearest)
+    expected = mpf_pos(mpf_log(from_man_exp(man, exp), 900, round_nearest), bits, round_nearest)
+    assert from_man_exp(*numeric._ln(man, exp, bits)) == expected
+    monkeypatch.setattr(numeric, "GUARD_CEILING", numeric.FIRST_GUARD)
+    with pytest.raises(exact.UndecidedRounding, match="did not decide"):
+        numeric._ln(man, exp, bits)
+    assert numeric._ln(3, 0, bits) == numeric._ln(6, -1, bits)
+
+
+def test_six_digits_is_to_str_on_every_pinned_residual(pinned_numeric_route):
+    """Every residual the pinned runs print: zeros, which print 0.0, and the 800-digit ones near 1e-807.
+
+    Those lie far outside a double's range, so float formatting could not
+    stand in for to_str.
+    """
+    residuals = pinned_numeric_route[2]
+    assert len(residuals) == 349 + 349 + 178 + 27
+    assert any(man == 0 for man, _ in residuals)
+    assert min(exp + man.bit_length() for man, exp in residuals if man) < -2670
+    for man, exp in residuals:
+        assert numeric._six_digits(man, exp) == to_str(from_man_exp(man, exp), 6), (man, exp)
+
+
+def test_six_digits_is_to_str_at_the_seventh_digit_and_the_carry():
+    """Seeded 53-bit values at the seventh digit's rounding and the 9...9 carry.
+
+    Around h 10^(e - 6) for a random 7-digit h ending in 5, for 9999995
+    and for 9999994, at every decimal exponent e from -1,100 to 20, two
+    units either side: fixed and exponent forms, the carry into a new
+    leading digit, and the values past 2^-3500 that go to mpmath; and 53-bit
+    values at random binary exponents.
+    """
+    rng = random.Random(6)
+    for e in range(-1100, 21):
+        for head in (rng.randrange(10**5, 10**6) * 10 + 5, 9999995, 9999994):
+            value = Q(head) * Q(10) ** (e - 6)
+            man, exp = numeric._quotient(value.numerator, value.denominator, 53)
+            for ulps in range(-2, 3):
+                text = to_str(from_man_exp(man + ulps, exp), 6)
+                assert numeric._six_digits(man + ulps, exp) == text, (man + ulps, exp)
+    for _ in range(3000):
+        man, exp = rng.getrandbits(53) | 1 << 52, rng.randrange(-3700, 80)
+        assert numeric._six_digits(man, exp) == to_str(from_man_exp(man, exp), 6), (man, exp)
+
+
+def test_residual_compares_and_prints_as_mpmath_at_every_digit_count(monkeypatch):
+    """residual's bound, pass flag and string against mpmath's, for digits 10..1000.
+
+    The bound is mpf(10) ** (10 - digits) at 53 bits, and the flag is
+    mpf_le against it.  word_ln_pair and const_ln_pair give chosen pairs,
+    whose difference is the bound, one or two units of 53 bits either side
+    of it, twice or half of it, plus low bits that the rounding at
+    RESIDUAL_BITS must take into account, either way round.
+    """
+    sides = {}
+    monkeypatch.setattr(numeric, "word_ln_pair", lambda word, ctx: sides["lhs"])
+    monkeypatch.setattr(numeric, "const_ln_pair", lambda a, digits: sides["rhs"])
+    rng = random.Random(53)
+    for digits in range(MIN_DIGITS, MAX_DIGITS + 1):
+        with mpmath.workprec(53):
+            bound = (mpmath.mpf(10) ** (10 - digits))._mpf_
+        assert from_man_exp(*numeric._bound(digits)) == bound, digits
+        _, man, exp, _ = bound
+        ctx = PrecisionContext.for_digits(digits)
+        gaps = [(man + k, exp) for k in (-2, -1, 0, 1, 2)] + [(man, exp + 1), (man, exp - 1)]
+        for gap, gap_exp in gaps:
+            gap, gap_exp = (gap << 10) + rng.randrange(-3, 4), gap_exp - 10
+            rhs, rhs_exp = rng.getrandbits(ctx.bits), rng.randrange(-ctx.bits - 4, -ctx.bits + 4)
+            low = min(rhs_exp, gap_exp)
+            lhs = (rhs << (rhs_exp - low)) + rng.choice((1, -1)) * (gap << (gap_exp - low))
+            sides["lhs"], sides["rhs"] = (lhs, low), (rhs, rhs_exp)
+            raw = mpf_abs(mpf_sub(from_man_exp(lhs, low), from_man_exp(rhs, rhs_exp), 53,
+                                  round_nearest))
+            expected = to_str(raw, 6), mpf_le(raw, bound)
+            assert numeric.residual(None, None, ctx) == expected, (digits, gap, gap_exp)
