@@ -57,8 +57,9 @@ def dumps_canonical(obj) -> str:
     return _encode(obj)
 
 
-def system_ids(families: Sequence[str], rank_min: Optional[int],
-               rank_max: Optional[int]) -> List[RootSystemId]:
+def system_ids(
+    families: Sequence[str], rank_min: Optional[int], rank_max: Optional[int]
+) -> List[RootSystemId]:
     """The systems of the families within the rank bounds, family by family."""
     out = []
     for family in families:
@@ -122,8 +123,7 @@ def cmd_word(args) -> int:
 def cmd_relations(args) -> int:
     relations = relations_for(args.denominator)
     if args.format == "json":
-        payload = [{"tag": r.tag, "vector": [{"j": j, "exponent": e} for j, e in r.vector],
-                    "value": r.value.to_json_obj()} for r in relations]
+        payload = [r.to_json_obj() for r in relations]
         print(dumps_canonical(payload))
         return EXIT_OK
     lines = [f"{len(relations)} relations on the 1/{args.denominator} grid"]
@@ -144,8 +144,12 @@ def cmd_verify(args) -> int:
     idents = system_ids(families, rank_min, rank_max)
     # Whether some selected system admits some selected variant; builds nothing.
     if not any(fateev.admissible_family(i.family, v) for i in idents for v in variants):
-        if (rank_max is None and rank_min is not None and rank_min > DEFAULT_RANK_CAP
-                and any(RANK_RANGE[family][1] is None for family in families)):
+        if (
+            rank_max is None
+            and rank_min is not None
+            and rank_min > DEFAULT_RANK_CAP
+            and any(RANK_RANGE[family][1] is None for family in families)
+        ):
             raise ValueError(
                 f"nothing to verify: --rank-min {rank_min} is above the default "
                 f"rank cap {DEFAULT_RANK_CAP} of the infinite families; "
@@ -192,29 +196,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
+    def add_command(name, help_text, func):
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--format", choices=("text", "json"), default="text")
+        p.set_defaults(func=func)
+        return p
 
-    p_table = sub.add_parser("table", help="print the root data of one system")
+    p_table = add_command("table", "print the root data of one system", cmd_table)
     p_table.add_argument("family", choices=FAMILIES)
     p_table.add_argument("rank", type=int)
-    add_format(p_table)
-    p_table.set_defaults(func=cmd_table)
 
-    p_word = sub.add_parser("word", help="print one left-side gamma word")
+    p_word = add_command("word", "print one left-side gamma word", cmd_word)
     p_word.add_argument("family", choices=FAMILIES)
     p_word.add_argument("rank", type=int)
     p_word.add_argument("index", type=int)
     p_word.add_argument("variant", choices=fateev.VARIANTS)
-    add_format(p_word)
-    p_word.set_defaults(func=cmd_word)
 
-    p_rel = sub.add_parser("relations", help="dump the relation lattice of one grid")
+    p_rel = add_command("relations", "dump the relation lattice of one grid", cmd_relations)
     p_rel.add_argument("denominator", type=int)
-    add_format(p_rel)
-    p_rel.set_defaults(func=cmd_relations)
 
-    p_verify = sub.add_parser("verify", help="run identity checks")
+    p_verify = add_command("verify", "run identity checks", cmd_verify)
     p_verify.add_argument("--family", action="append", choices=FAMILIES)
     p_verify.add_argument("--rank", type=int)
     p_verify.add_argument("--rank-min", type=int, dest="rank_min")
@@ -223,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--mode", choices=fateev.MODES, default="both")
     p_verify.add_argument("--digits", type=int, default=DEFAULT_DIGITS)
     p_verify.add_argument("--output", help="write the report here instead of stdout")
-    add_format(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
 
     return parser
 

@@ -194,45 +194,14 @@ def const_pow(a: FactoredConstant, exponent: RationalLike) -> FactoredConstant:
     return FactoredConstant(tuple((p, n * numerator, d * denominator) for p, n, d in a.powers))
 
 
-@lru_cache(maxsize=None)
-def const_ln_pair(a: FactoredConstant, decimal_digits: int) -> tuple[int, int]:
-    """ln(a) as a signed (mantissa, exponent) pair, absolute error well below 10^-decimal_digits.
-
-    sum_p e_p ln p at the working precision, rounded where the mpf operator
-    form mpf(e_num) / e_den * ln p, summed from mpf(0), rounds: the quotient
-    by numeric's _quotient, ln p correctly rounded by its _ln, the product
-    by _round and the sum by _sum, so the bits are that form's.  Memoized: each
-    distinct (constant, digits) is summed once, though many identities
-    share a right side (83 distinct ones among the sweep's 349).  numeric
-    is imported here, not at module level, so the exact core loads without
-    it.
-    """
-    from .numeric import _ln, _quotient, _round, _sum
-
-    bits, total, total_exp = working_precision_bits(decimal_digits), 0, 0
-    for base, numerator, denominator in a.powers:
-        (e, e_exp), (ln, ln_exp) = _quotient(numerator, denominator, bits), _ln(base, 0, bits)
-        term = _round(e * ln, e_exp + ln_exp, bits)
-        total, total_exp = _sum(total, total_exp, *term, bits)
-    return total, total_exp
-
-
 def const_ln(a: FactoredConstant, decimal_digits: int) -> mpmath.mpf:
-    """const_ln_pair(a, decimal_digits) as an mpf, for callers that do mpf arithmetic.
+    """ln(a) with absolute error well below 10^-decimal_digits, as an mpf.
 
-    The acceptance gate subtracts and prints these; mpmath loads only
-    here, through to_mpf.  verify reads const_ln_pair and loads none.
+    numeric.const_ln_pair's pair, for callers that do mpf arithmetic: the
+    acceptance gate subtracts and prints these.  numeric and mpmath are
+    imported here, not at module level, so the exact core loads neither;
+    verify reads the pair and loads no mpmath.
     """
+    from .numeric import const_ln_pair, to_mpf
+
     return to_mpf(const_ln_pair(a, decimal_digits))
-
-
-def to_mpf(pair: tuple[int, int]) -> mpmath.mpf:
-    """A signed (mantissa, exponent) pair as an mpmath.mpf, mpmath imported here, not at load.
-
-    The public functions that return an mpf, const_ln and
-    numeric.eval_word_ln (and gammaword.eval_ln through it), call it;
-    verify never does.
-    """
-    import mpmath.libmp
-
-    return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(*pair))

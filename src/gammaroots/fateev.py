@@ -203,9 +203,15 @@ class VerificationReport(namedtuple("VerificationReport", (
         )
 
 
-def verify(system: RootSystem, index: int, variant: str, mode: str = "both",
-           ctx: Optional[PrecisionContext] = None, k: Optional[VariantTable] = None,
-           verdicts: Optional[dict] = None) -> VerificationReport:
+def verify(
+    system: RootSystem,
+    index: int,
+    variant: str,
+    mode: str = "both",
+    ctx: Optional[PrecisionContext] = None,
+    k: Optional[VariantTable] = None,
+    verdicts: Optional[dict] = None,
+) -> VerificationReport:
     """Check one identity instance by the stages its mode runs (see _verdict).
 
     Whether a numeric cross-check passes is numeric.residual's to decide.
@@ -306,8 +312,12 @@ class VerificationSummary(namedtuple("VerificationSummary", "reports")):
         return {"reports": reports, "counts": self.counts, "passed": self.all_passed}
 
 
-def verify_all(systems: Iterable[RootSystem], variants: Optional[Sequence[str]] = None,
-               mode: str = "both", ctx: Optional[PrecisionContext] = None) -> VerificationSummary:
+def verify_all(
+    systems: Iterable[RootSystem],
+    variants: Optional[Sequence[str]] = None,
+    mode: str = "both",
+    ctx: Optional[PrecisionContext] = None,
+) -> VerificationSummary:
     """Every admissible (system, index, variant) combination, deterministically.
 
     k_root is built once per (system, variant), and the variants of a

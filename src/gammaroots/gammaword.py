@@ -31,13 +31,11 @@ class GammaWord(namedtuple("GammaWord", "denominator exponents")):
     def __new__(cls, denominator: int, exponents: Iterable[Tuple[int, int]] = ()) -> GammaWord:
         if type(denominator) is not int or denominator < 1:
             raise ValueError(f"denominator must be a positive integer, got {denominator}")
-        if type(exponents) is not tuple:
-            exponents = tuple(exponents)
+        # A tuple is kept as the same object; any other iterable is copied.
+        exponents = tuple(exponents)
         previous = 0
-        copy = False
         for pair in exponents:
             j, e = pair
-            copy = copy or type(pair) is not tuple
             if type(j) is not int or type(e) is not int:
                 raise ValueError("indices and exponents must be integers")
             if j <= previous:
@@ -47,7 +45,7 @@ class GammaWord(namedtuple("GammaWord", "denominator exponents")):
             if e == 0:
                 raise ValueError("zero exponents must be dropped")
             previous = j
-        if copy:
+        if any(type(pair) is not tuple for pair in exponents):
             exponents = tuple(map(tuple, exponents))
         return tuple.__new__(cls, (denominator, exponents))
 
@@ -99,9 +97,7 @@ def brace_str(w: GammaWord) -> str:
             continue
         target, magnitude = (num, e) if e > 0 else (den, -e)
         target.append("{%d}" % j if magnitude == 1 else "{%d}^%d" % (j, magnitude))
-    if not num and not den:
-        return "1"
     if not den:
-        return "".join(num)
+        return "".join(num) or "1"
     tail = den[0] if len(den) == 1 else "(%s)" % "".join(den)
     return "%s/%s" % ("".join(num) or "1", tail)

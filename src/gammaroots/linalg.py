@@ -24,21 +24,15 @@ Column = Sequence[int]
 Row = Dict[int, int]
 
 
-def _check_columns(columns: Sequence[Column]) -> int:
+def _integer_rows(columns: Sequence[Column]) -> List[Row]:
+    """Sparse rows of the matrix whose columns are given: at least one, all of one length."""
     if not columns:
         raise ValueError("at least one column required")
     nrows = len(columns[0])
-    for col in columns:
-        if len(col) != nrows:
-            raise ValueError("dimension mismatch")
-    return nrows
-
-
-def _integer_rows(columns: Sequence[Column]) -> List[Row]:
-    """Sparse rows of the matrix whose columns are given."""
-    nrows = len(columns[0])
     rows: List[Row] = [{} for _ in range(nrows)]
     for j, col in enumerate(columns):
+        if len(col) != nrows:
+            raise ValueError("dimension mismatch")
         for i in compress(range(nrows), col):
             rows[i][j] = col[i]
     return rows
@@ -114,9 +108,8 @@ def nullspace(columns: Sequence[Column]) -> List[List[Tuple[int, int, int]]]:
     value, positive, and (f, 1, 1) last.  Row r of the eliminated matrix R is
     zero before its pivot column, so only pivots before f can have an entry.
     """
-    _check_columns(columns)
-    ncols = len(columns)
     rows = _integer_rows(columns)
+    ncols = len(columns)
     pivots = _eliminate(rows, ncols)
     free = sorted(set(range(ncols)).difference(pivots))
     return [[(c, -row[f], row[c]) for row, c in zip(rows, pivots) if f in row] + [(f, 1, 1)]
@@ -135,9 +128,8 @@ class PreparedSolver:
     """
 
     def __init__(self, columns: Sequence[Column]):
-        nrows = _check_columns(columns)
-        ncols = len(columns)
         rows = _integer_rows(columns)
+        ncols = len(columns)
         for i, row in enumerate(rows):
             row[ncols + i] = 1
         pivots = _eliminate(rows, ncols)
@@ -146,7 +138,7 @@ class PreparedSolver:
         self.pivot_values = tuple(rows[r][c] for r, c in enumerate(pivots))
         # Column i of T as (transform row, entry) pairs, so a sparse target
         # touches only the columns it needs.
-        transform: List[List[Tuple[int, int]]] = [[] for _ in range(nrows)]
+        transform: List[List[Tuple[int, int]]] = [[] for _ in rows]
         for r, row in enumerate(rows):
             for k, v in row.items():
                 if k >= ncols:

@@ -26,13 +26,15 @@ handling.  The logarithms are integer code too: _ln is the correctly
 rounded logarithm, by a fixed-point series and Ziv's rounding test
 (Brent & Zimmermann, Modern Computer Arithmetic, ch. 3-4), and equals
 mpf_log on every argument the pinned runs take; pi, for ln(2 pi)/2, is
-correctly rounded the same way.  exact.const_ln_pair sums the right side
-from these primitives, and residual subtracts, compares and prints with
-integers alone, so verify loads no mpmath in any mode.  mpmath is left to
-the public mpf returns, eval_word_ln and exact.const_ln, built from the
-pairs by exact.to_mpf for the acceptance gate's mpf arithmetic, and to
-the tests that compare against it.  The operator form's closing +a is
-left out, as every result is already rounded to ctx.bits.
+correctly rounded the same way.  const_ln_pair sums the right side from
+these primitives, and residual subtracts, compares and prints with
+integers alone, so verify loads no mpmath in any mode, with one exception:
+a residual below 2^-3,500, which _six_digits hands to mpmath's to_str; no
+pinned run comes near one.  mpmath is otherwise left to the public mpf
+returns, eval_word_ln and exact.const_ln, built from the pairs by to_mpf
+for the acceptance gate's mpf arithmetic, and to the tests that compare
+against it.  The operator form's closing +a is left out, as every result
+is already rounded to ctx.bits.
 
 For x = p/q in lowest terms, z = (p + mq)/q and the descent prod_k (p +
 kq)/q^m are already in lowest terms, since gcd(p + kq, q) = gcd(p, q) = 1,
@@ -54,11 +56,14 @@ from fractions import Fraction as Q
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .exact import DEFAULT_DIGITS, UndecidedRounding, check_digits, const_ln_pair, ratio, to_mpf
-from .exact import validated_make, working_precision_bits
+from .exact import (
+    DEFAULT_DIGITS, UndecidedRounding, check_digits, ratio, validated_make, working_precision_bits
+)
 
 if TYPE_CHECKING:
     import mpmath
+
+    from .exact import FactoredConstant
 
 # B_2, B_4, ... (B_2k at index k - 1); grown on demand, read-only thereafter.
 _EVEN_BERNOULLI: list[Q] = []
@@ -107,9 +112,15 @@ def bernoulli(n: int) -> Q:
 
 def stirling_tail_log10(shift: int, terms: int) -> float:
     """log10 of the tail bound |B_{2K+2}| / ((2K+1)(2K+2) z^(2K+1)) at z = shift."""
-    k, b = terms, bernoulli(2 * terms + 2)
-    return (math.log10(abs(b.numerator)) - math.log10(b.denominator) - math.log10(2 * k + 1)
-            - math.log10(2 * k + 2) - (2 * k + 1) * math.log10(shift))
+    k = terms
+    b = bernoulli(2 * k + 2)
+    return (
+        math.log10(abs(b.numerator))
+        - math.log10(b.denominator)
+        - math.log10(2 * k + 1)
+        - math.log10(2 * k + 2)
+        - (2 * k + 1) * math.log10(shift)
+    )
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -235,28 +246,24 @@ def _arctan(t: int, prec: int, sign: int, divisor: int = 0) -> tuple[int, int]:
     return total, j >> 1
 
 
-def _machin(prec: int, *terms: tuple[int, int, int]) -> int:
+@lru_cache(maxsize=None)
+def _machin(prec: int, terms: tuple[tuple[int, int, int], ...]) -> int:
     """sum c arctan(1/q) over the (c, q, sign) terms, at prec bits within 2 units of 2^-prec.
 
-    The terms are summed at the least power of two of at least prec + 20
-    bits, once per power, and floored to prec: below 65,536 bits their
-    _arctan bounds, with 1/q floored, stay under 2^20 units there.  ln 2 is
-    2 atanh(1/3), (2, 3, 1), and pi 16 atan(1/5) - 4 atan(1/239), PI.
+    The terms are summed at prec + 20 bits and floored to prec: below
+    65,536 bits their _arctan bounds, with 1/q floored, stay under 2^20
+    units there.  ln 2 is 2 atanh(1/3), LN2, and pi 16 atan(1/5) - 4
+    atan(1/239), PI.  Memoized: _ln rounds its precision up to a multiple
+    of 32, so its calls at one digit count share a few values of ln 2.
     """
-    fine = 1 << (prec + 20).bit_length()
-    return _machin_sum(fine, terms) >> fine - prec
+    fine = prec + 20
+    return sum(c * _arctan((1 << fine) // q, fine, sign, q * q)[0] for c, q, sign in terms) >> 20
 
 
-@lru_cache(maxsize=None)
-def _machin_sum(fine: int, terms: tuple[tuple[int, int, int], ...]) -> int:
-    return sum(c * _arctan((1 << fine) // q, fine, sign, q * q)[0] for c, q, sign in terms)
+LN2, PI = ((2, 3, 1),), ((16, 5, -1), (-4, 239, -1))
 
-
-PI = ((16, 5, -1), (-4, 239, -1))
-
-# Guard bits of the first try of _correctly_rounded, doubled on each retry
-# while they stay at or below the ceiling.
-FIRST_GUARD, GUARD_CEILING = 24, 1 << 14
+# The guard bits of each try of _correctly_rounded, doubling from 24 to 12,288.
+GUARDS = tuple(24 << i for i in range(10))
 
 
 def _correctly_rounded(approx, bits: int) -> tuple[int, int]:
@@ -265,19 +272,19 @@ def _correctly_rounded(approx, bits: int) -> tuple[int, int]:
     approx(guard) gives (v, error, prec): the value lies within error units
     of v 2^-prec, with about guard bits beyond bits.  When v - error and v +
     error round to the same pair, so does every point between them, the
-    value included; otherwise the guard doubles.  A value on a rounding
-    boundary would never decide, and none of the transcendental values
-    here is one; past GUARD_CEILING this raises, so it never guesses.
+    value included; otherwise the next guard is tried.  A value on a
+    rounding boundary would never decide, and none of the transcendental
+    values here is one; past the last guard this raises, so it never
+    guesses.
     """
-    guard = FIRST_GUARD
-    while guard <= GUARD_CEILING:
+    for guard in GUARDS:
         v, error, prec = approx(guard)
         if (rounded := _round(v - error, -prec, bits)) == _round(v + error, -prec, bits):
             return rounded
-        guard *= 2
-    raise UndecidedRounding(f"the rounding test did not decide within {GUARD_CEILING} guard bits")
+    raise UndecidedRounding(f"the rounding test did not decide within {GUARDS[-1]} guard bits")
 
 
+@lru_cache(maxsize=None)
 def _ln(man: int, exp: int, bits: int) -> tuple[int, int]:
     """ln(man * 2^exp) for man > 0, correctly rounded to bits, as a signed pair.
 
@@ -290,23 +297,30 @@ def _ln(man: int, exp: int, bits: int) -> tuple[int, int]:
     stated error below bounds the sum.  |ln x| is at least 2^-2 when k !=
     0, and 2^(-near-2) when k = 0, |m - 1| being about 2^-near; prec counts
     those bits too, so that the result has bits + guard of them, plus what
-    the error bound takes.  ln 1 is exactly zero.
+    the error bound takes.  ln 1 is exactly zero.  The root count, a
+    quarter of sqrt(bits), is about the cheapest: on the arguments of the
+    pinned runs, each set timed in a fresh process (Xeon, Python 3.11,
+    mpmath 1.3), it beats a cold mpf_log by about a third at 243 bits, is
+    level at 708 and 2,701 bits, and trails by about 2 us a call at 77.
+    Memoized, as the right sides share primes: 40 of the 136 calls of the
+    800-digit E/F/G cross-check, about 1 ms each, are ln p again.
     """
     c = (n := man.bit_length()) - (3 * man < 2 << n)
     k, d = exp + c, man - (1 << c)
     if not k and not d:
         return 0, 0
     near = 0 if k else c - abs(d).bit_length()
-    roots = max(0, math.isqrt(bits) // 3 - near)
+    roots = max(0, math.isqrt(bits) // 4 - near)
 
     def approx(guard):
-        prec = bits + guard + roots + k.bit_length() + near + 2
+        # Rounded up to a multiple of 32, so that calls share ln 2 (see _machin).
+        prec = (bits + guard + roots + k.bit_length() + near + 33) >> 5 << 5
         one, y = 1 << prec, (man << prec) >> c
         for _ in range(roots):
             y = math.isqrt(y << prec)
         series, terms = _arctan((abs(y - one) << prec) // (y + one), prec, 1)
         ln_m = (series if y >= one else -series) << roots + 1
-        ln_2k = k * _machin(prec, (2, 3, 1)) if k else 0
+        ln_2k = k * _machin(prec, LN2) if k else 0
         return ln_2k + ln_m, 2 * abs(k) + (4 * terms + 12 << roots + 1), prec
 
     return _correctly_rounded(approx, bits)
@@ -321,7 +335,7 @@ def _stirling_data(ctx: PrecisionContext) -> tuple[tuple[int, int], tuple[tuple[
     workprec(ctx.bits): pi rounded, doubled, its logarithm rounded, halved.
     """
     bits = ctx.bits
-    pi, pi_exp = _correctly_rounded(lambda g: (_machin(bits + g, *PI), 2, bits + g), bits)
+    pi, pi_exp = _correctly_rounded(lambda g: (_machin(bits + g, PI), 2, bits + g), bits)
     ln, ln_exp = _ln(pi, pi_exp + 1, bits)
     terms = (bernoulli(2 * k) / ((2 * k) * (2 * k - 1)) for k in range(1, ctx.stirling_terms + 1))
     return (ln, ln_exp - 1), tuple(_quotient(c.numerator, c.denominator, bits) for c in terms)
@@ -348,7 +362,8 @@ def ln_gamma(x, ctx: PrecisionContext) -> tuple[int, int]:
     (p, q), m = ratio(x), ctx.shift_count
     if not 0 < p < q:
         raise ValueError(f"argument must lie in (0,1), got {x}")
-    (half_ln_2pi, coefficients), bits = _stirling_data(ctx), ctx.bits
+    half_ln_2pi, coefficients = _stirling_data(ctx)
+    bits = ctx.bits
     z, z_exp = _quotient(p + m * q, q, bits)
     ln_z, ln_z_exp = _ln(z, z_exp, bits)
     acc, acc_exp = _sum(z, z_exp, -1, -1, bits)
@@ -393,6 +408,14 @@ def _ln_ratio(p: int, q: int, ctx: PrecisionContext) -> tuple[int, int]:
     return _sum(*lower, -upper, upper_exp, ctx.bits)
 
 
+def _dot(terms, bits: int) -> tuple[int, int]:
+    """sum a * b over the (a, b) pairs of signed pairs from 0, each product and each sum rounded."""
+    acc, acc_exp = 0, 0
+    for (a, a_exp), (b, b_exp) in terms:
+        acc, acc_exp = _sum(acc, acc_exp, *_round(a * b, a_exp + b_exp, bits), bits)
+    return acc, acc_exp
+
+
 def word_ln_pair(word, ctx: PrecisionContext) -> tuple[int, int]:
     """ln of a word's value as a signed pair: sum_j e_j (ln Gamma(j/N) - ln Gamma((N-j)/N)).
 
@@ -404,22 +427,47 @@ def word_ln_pair(word, ctx: PrecisionContext) -> tuple[int, int]:
     serves every grid and every word.
     Worst-case absolute error 2 sum_j |e_j| * 10^-decimal_digits.
     """
-    n, bits = word.denominator, ctx.bits
-    acc, acc_exp = 0, 0
+    n, terms = word.denominator, []
     for j, e in word.exponents:
         p, q = j // (g := math.gcd(j, n)), n // g
         if 2 * p != q:
             if 2 * p > q:
                 p, e = q - p, -e
-            man, exp = _ln_ratio(p, q, ctx)
-            man, exp = _round(e * man, exp, bits)
-            acc, acc_exp = _sum(acc, acc_exp, man, exp, bits)
-    return acc, acc_exp
+            terms.append(((e, 0), _ln_ratio(p, q, ctx)))
+    return _dot(terms, ctx.bits)
 
 
 def eval_word_ln(word, ctx: PrecisionContext) -> mpmath.mpf:
     """word_ln_pair(word, ctx) as an mpf."""
     return to_mpf(word_ln_pair(word, ctx))
+
+
+@lru_cache(maxsize=None)
+def const_ln_pair(a: FactoredConstant, decimal_digits: int) -> tuple[int, int]:
+    """ln(a) as a signed pair, absolute error well below 10^-decimal_digits.
+
+    sum_p e_p ln p at the working precision, rounded where the mpf operator
+    form mpf(e_num) / e_den * ln p, summed from mpf(0), rounds: the quotient
+    by _quotient, ln p correctly rounded by _ln, the product by _round and
+    the sum by _sum, so the bits are that form's.  Memoized: each distinct
+    (constant, digits) is summed once, though many identities share a right
+    side (83 distinct ones among the sweep's 349).  exact.const_ln is its
+    mpf.
+    """
+    bits = working_precision_bits(decimal_digits)
+    return _dot(((_quotient(n, d, bits), _ln(p, 0, bits)) for p, n, d in a.powers), bits)
+
+
+def to_mpf(pair: tuple[int, int]) -> mpmath.mpf:
+    """A signed (mantissa, exponent) pair as an mpmath.mpf, mpmath imported here, not at load.
+
+    The public functions that return an mpf for the acceptance gate's mpf
+    arithmetic, eval_word_ln and exact.const_ln (and gammaword.eval_ln
+    through eval_word_ln), call it; verify never does.
+    """
+    import mpmath.libmp
+
+    return mpmath.mp.make_mpf(mpmath.libmp.from_man_exp(*pair))
 
 
 @lru_cache(maxsize=None)
@@ -443,7 +491,10 @@ def _six_digits(man: int, exp: int) -> str:
     seventh, and prints the leading digit's exponent e in fixed point for
     -5 < e < 6, else as digits, e and e's sign.  A value whose binary
     exponent exceeds 3,500 in size, which to_digits_exp first scales by a
-    power of ten, goes to mpmath itself.
+    power of ten, goes to mpmath itself, and only then is mpmath loaded.
+    A nonzero residual is a multiple of the least ulp among the terms of
+    the two sums, so one that small needs a term below about 2^-134 at
+    1,000 digits, and no pinned run has one.
     """
     if not man:
         return "0.0"
@@ -467,7 +518,7 @@ def residual(lhs, rhs, ctx: PrecisionContext | None = None) -> tuple[str, bool]:
     """verify's numeric verdict on lhs = rhs: |ln lhs - ln rhs| as printed, and whether it passes.
 
     Both sides are evaluated at ctx as signed pairs, the word by
-    word_ln_pair and the constant by exact.const_ln_pair, and their
+    word_ln_pair and the constant by const_ln_pair, and their
     difference is rounded to nearest at RESIDUAL_BITS, whatever the
     caller's mpmath precision.  The string is mpmath's to_str of it at 6
     digits, and it passes when it is at most _bound's 10^(10 -

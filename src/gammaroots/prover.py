@@ -71,6 +71,14 @@ class Relation(namedtuple("Relation", "tag vector value")):
 
     __slots__ = ()
 
+    def to_json_obj(self) -> dict:
+        """The tag, the (j, exponent) entries and the value, as `relations --format json` prints."""
+        return {
+            "tag": self.tag,
+            "vector": [{"j": j, "exponent": e} for j, e in self.vector],
+            "value": self.value.to_json_obj(),
+        }
+
 
 def _check_grid(n: int) -> None:
     if not isinstance(n, int) or n < 2:
@@ -150,11 +158,6 @@ def relations_for(n: int) -> Tuple[Relation, ...]:
     return tuple(reflection_relations(n) + multiplication_relations(n))
 
 
-def relation_word(relation: Relation, n: int) -> GammaWord:
-    """The relation's gamma product as a word; its value must equal relation.value."""
-    return GammaWord(n, relation.vector)
-
-
 class Certificate(namedtuple("Certificate", "terms derived_constant")):
     """Rational relation coefficients reproducing a word's exponent vector.
 
@@ -166,7 +169,7 @@ class Certificate(namedtuple("Certificate", "terms derived_constant")):
     entry with ValueError: it checks each numerator and denominator itself
     (an int, not a bool, Fraction or float, over an int >= 1) and reduces
     it with one gcd.  It is the only construction path, _make and _replace
-    included.  coefficients reads the (tag, Fraction) pairs.
+    included.
     """
 
     __slots__ = ()
@@ -185,10 +188,6 @@ class Certificate(namedtuple("Certificate", "terms derived_constant")):
         return tuple.__new__(cls, (tuple(reduced), derived_constant))
 
     _make = classmethod(validated_make)
-
-    @property
-    def coefficients(self) -> Tuple[Tuple[str, Q], ...]:
-        return tuple((tag, Q(n, d)) for tag, n, d in self.terms)
 
     def to_json_obj(self) -> dict:
         return {

@@ -315,9 +315,6 @@ class RootSystem(namedtuple("RootSystem", (
         They are sorted on their integer planche sums, which are the ambient
         coordinates times one positive scale, so the order is the same.
         """
-        def strs(v):
-            return [str(x) for x in v]
-
         by_height = [v for _, v in sorted(zip(self.heights, _root_sums(self)))]
         return {
             "family": self.family,
@@ -326,13 +323,13 @@ class RootSystem(namedtuple("RootSystem", (
             "coxeter_number": self.coxeter_number,
             "comark_sum": str(self.comark_sum),
             "marks": list(self.marks),
-            "comarks": strs(self.comarks),
-            "double_comarks": strs(self.double_comarks),
+            "comarks": list(map(str, self.comarks)),
+            "double_comarks": list(map(str, self.double_comarks)),
             "simply_laced": self.simply_laced,
-            "alpha0": strs(self.alpha0),
-            "rho": strs(self.rho),
-            "rho_check": strs(self.rho_check),
-            "simple_roots": list(map(strs, self.simple_roots)),
+            "alpha0": list(map(str, self.alpha0)),
+            "rho": list(map(str, self.rho)),
+            "rho_check": list(map(str, self.rho_check)),
+            "simple_roots": [list(map(str, root)) for root in self.simple_roots],
             "positive_roots": _over(by_height, _planche(self.ident)[0], lambda x, d: str(Q(x, d))),
         }
 
@@ -428,6 +425,9 @@ _F4_ROWS: Tuple[Tuple[int, ...], ...] = (
     _row(4, {1: 2, 2: -2}), _row(4, {2: 2, 3: -2}), _row(4, {3: 2}), (1, -1, -1, -1),
 )
 _G2_ROWS: Tuple[Tuple[int, ...], ...] = ((1, -1, 0), (-2, 1, 1))
+# The exceptional families' scales and rows: a system of rank n takes the
+# first n rows, all of them for F4 and G2.
+_EXCEPTIONAL = {"E": (2, _E8_ROWS), "F": (2, _F4_ROWS), "G": (1, _G2_ROWS)}
 
 
 def _planche(ident: RootSystemId) -> Tuple[int, Sequence[Tuple[int, ...]]]:
@@ -443,11 +443,8 @@ def _planche(ident: RootSystemId) -> Tuple[int, Sequence[Tuple[int, ...]]]:
         chain = [_row(n, {i: 1, i + 1: -1}) for i in range(n - 1)]
         last = {"B": {n - 1: 1}, "C": {n - 1: 2}, "D": {n - 2: 1, n - 1: 1}}[family]
         return 1, chain + [_row(n, last)]
-    if family == "E":
-        return 2, _E8_ROWS[:n]
-    if family == "F":
-        return 2, _F4_ROWS
-    return 1, _G2_ROWS
+    scale, rows = _EXCEPTIONAL[family]
+    return scale, rows[:n]
 
 
 def _root_sums(system: RootSystem) -> List[Coeffs]:

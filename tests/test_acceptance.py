@@ -20,9 +20,9 @@ from gammaroots.fateev import (
     verify,
     verify_all,
 )
-from gammaroots.gammaword import eval_ln
+from gammaroots.gammaword import GammaWord, eval_ln
 from gammaroots.numeric import PrecisionContext, eval_word_ln
-from gammaroots.prover import kernel_consistency, relation_word, relations_for
+from gammaroots.prover import kernel_consistency, relations_for
 from gammaroots.rootsys import RootSystemId, build
 
 SIMPLY_LACED = (
@@ -52,7 +52,8 @@ def _certificate_replays(report) -> bool:
     relations = {r.tag: r for r in relations_for(n)}
     dense = [Q(0)] * (n - 1)
     value = ONE
-    for tag, coefficient in report.certificate.coefficients:
+    for tag, numerator, denominator in report.certificate.terms:
+        coefficient = Q(numerator, denominator)
         relation = relations[tag]
         for j, e in relation.vector:
             dense[j - 1] += coefficient * e
@@ -150,7 +151,7 @@ def test_criterion_5_relation_validity():
     count = 0
     for n in range(2, SWEEP_GRID_MAX + 1):
         for relation in relations_for(n):
-            word = relation_word(relation, n)
+            word = GammaWord(n, relation.vector)
             residual = abs(eval_ln(word, ctx.decimal_digits) - const_ln(relation.value, ctx.decimal_digits))
             worst = max(worst, residual)
             count += 1

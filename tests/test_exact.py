@@ -179,7 +179,7 @@ def test_integer_path_matches_the_pair_constructor_and_a_fraction_reference():
         if tags:
             with pytest.raises(ValueError):
                 Certificate(tags, by_ints)
-        assert certificate.coefficients == tuple((tag, Q(e)) for tag, e in tags)
+        assert [(tag, Q(n, d)) for tag, n, d in certificate.terms] == [(tag, Q(e)) for tag, e in tags]
         assert certificate.to_json_obj()["relations"] == [
             {"tag": tag, "coefficient": str(Q(e))} for tag, e in tags
         ]

@@ -245,7 +245,7 @@ def without_ln2_term():
     """
     tree = ast.parse(inspect.getsource(numeric._ln))
     terms = [node for node in ast.walk(tree)
-             if isinstance(node, ast.BinOp) and ast.unparse(node) == "k * _machin(prec, (2, 3, 1))"]
+             if isinstance(node, ast.BinOp) and ast.unparse(node) == "k * _machin(prec, LN2)"]
     assert len(terms) == 1
 
     class Dropped(ast.NodeTransformer):
@@ -270,7 +270,7 @@ def test_a_logarithm_without_its_ln2_term_fails_the_run(capsys):
     dropped, ln = without_ln2_term(), numeric._ln
     assert dropped(5, -2, 53) == ln(5, -2, 53) != (0, 0)
     assert dropped(3, 0, 53) != ln(3, 0, 53)
-    caches = (numeric._ln_ratio, exact.const_ln_pair, numeric._stirling_data)
+    caches = (numeric._ln_ratio, numeric.const_ln_pair, numeric._stirling_data)
     assert doctored_exit(numeric, "_ln", dropped, "numeric", caches) == EXIT_VERIFICATION_FAILED
     assert "rounding test did not decide" in capsys.readouterr().err
 
@@ -329,7 +329,7 @@ def test_a_cached_right_side_log_off_by_twice_the_bound_fails_the_run(mode):
     bound, as any rounding error must; twice the bound is the least shift
     the check has to refuse.  The shift reaches the pair residual reads.
     """
-    ln = exact.const_ln_pair.__wrapped__
+    ln = numeric.const_ln_pair.__wrapped__
 
     @lru_cache(maxsize=None)
     def shifted(a, decimal_digits):

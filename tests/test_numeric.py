@@ -50,7 +50,7 @@ from gammaroots.numeric import (
 
 def ln_gamma_mpf(x, ctx):
     """ln_gamma's signed pair as an mpf, for the checks that do mpf arithmetic on it."""
-    return exact.to_mpf(ln_gamma(x, ctx))
+    return numeric.to_mpf(ln_gamma(x, ctx))
 
 
 @lru_cache(maxsize=None)
@@ -535,7 +535,7 @@ def test_eval_word_ln_bit_exact_on_every_relation_word():
     and the half word gamma(1/2) sum to exactly zero, and a multiplication
     word cancels in part, so the integer sum's zero path runs here.
     """
-    words = [(relation.tag, prover.relation_word(relation, n))
+    words = [(relation.tag, GammaWord(n, relation.vector))
              for n in range(2, 47) for relation in prover.relations_for(n)]
     assert len(words) == 1066
     for digits in (10, 60, 200):
@@ -703,7 +703,7 @@ PINNED_RUNS = (
     ("--family", "G", "--family", "F", "--family", "E", "--family", "B", "--digits", "200"),
     ("--family", "E", "--family", "F", "--family", "G", "--mode", "numeric", "--digits", "800"),
 )
-NUMERIC_TABLES = (numeric._ln_ratio, exact.const_ln_pair, numeric._stirling_data)
+NUMERIC_TABLES = (numeric._ln_ratio, numeric.const_ln_pair, numeric._stirling_data)
 
 
 @pytest.fixture(scope="module")
@@ -808,15 +808,16 @@ def test_an_undecided_rounding_test_raises_at_the_guard_ceiling(monkeypatch):
 
     ln x lies within about 2^-600 of a rounding boundary at 53 bits, so the
     rounding test decides only once the guard nears 600 bits.  With the
-    stated ceiling the retries reach the correctly rounded value; with the
-    ceiling set to the first guard the test cannot decide, and the call
-    raises instead of guessing.
+    stated guards the retries reach the correctly rounded value; with the
+    first guard as the last, the test cannot decide, and the call raises
+    instead of guessing.
     """
     bits, y = 53, from_man_exp((1 << 53) | (0x5A5A5A5A5A5A5 << 1) | 1, -54)
     _, man, exp, _ = mpf_exp(y, 600, round_nearest)
     expected = mpf_pos(mpf_log(from_man_exp(man, exp), 900, round_nearest), bits, round_nearest)
     assert from_man_exp(*numeric._ln(man, exp, bits)) == expected
-    monkeypatch.setattr(numeric, "GUARD_CEILING", numeric.FIRST_GUARD)
+    monkeypatch.setattr(numeric, "GUARDS", numeric.GUARDS[:1])
+    numeric._ln.cache_clear()
     with pytest.raises(exact.UndecidedRounding, match="did not decide"):
         numeric._ln(man, exp, bits)
     assert numeric._ln(3, 0, bits) == numeric._ln(6, -1, bits)

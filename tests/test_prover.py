@@ -37,7 +37,6 @@ from gammaroots.prover import (
     multiplication_relations,
     prove_constant,
     reflection_relations,
-    relation_word,
     relations_for,
 )
 from test_linalg import reference_nullspace, reference_solve_many
@@ -231,7 +230,7 @@ def test_relations_hold_numerically(n):
     bound = mpmath.mpf(10) ** -40
     for rel in relations_for(n):
         residual = abs(
-            eval_word_ln(relation_word(rel, n), ctx) - const_ln(rel.value, 50)
+            eval_word_ln(GammaWord(n, rel.vector), ctx) - const_ln(rel.value, 50)
         )
         assert residual < bound, rel.tag
 
@@ -241,7 +240,8 @@ def _replay(word, certificate):
     relations = {r.tag: r for r in relations_for(word.denominator)}
     combined: dict[int, Q] = {}
     value = ONE
-    for tag, c in certificate.coefficients:
+    for tag, numerator, denominator in certificate.terms:
+        c = Q(numerator, denominator)
         relation = relations[tag]
         value = const_mul(value, const_pow(relation.value, c))
         for j, e in relation.vector:
@@ -281,7 +281,7 @@ def test_prove_constant_outside_span():
 def test_prove_constant_empty_word():
     certificate = prove_constant(GammaWord(1))
     assert certificate is not None
-    assert certificate.coefficients == ()
+    assert certificate.terms == ()
     assert certificate.derived_constant is ONE
 
 
