@@ -74,9 +74,7 @@ def system_ids(
 
 
 def _relation_text(relation: Relation, n: int) -> str:
-    factors = []
-    for j, e in relation.vector:
-        factors.append(f"gamma({j}/{n})" if e == 1 else f"gamma({j}/{n})^({e})")
+    factors = (f"gamma({j}/{n})" if e == 1 else f"gamma({j}/{n})^({e})" for j, e in relation.vector)
     return f"{relation.tag}: {'*'.join(factors)} = {relation.value}"
 
 

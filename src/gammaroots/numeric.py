@@ -17,35 +17,36 @@ word sum is a signed (mantissa, exponent) pair, and each operation is
 formed exactly and rounded by one primitive.  _round rounds a product (a * b
 is mpf_mul, e * a mpf_mul_int), _quotient is mpf(n) / m and 1 / a (mpf_div
 of from_int(n) rounded and from_int(m)), and _sum is a + b and a - b
-(mpf_add, mpf_sub); the Stirling loop writes its three roundings per term
-out inline, where a call per operation would cost more than the operation.
+(mpf_add, mpf_sub); the Stirling loop and _dot, which sums the words and
+the right sides, write those roundings out inline in one form, where a
+call per operation would cost more than the operation.
 libmp's operations are correctly rounded, and a value has one canonical
 mpf, so the same sequence of correctly rounded operations gives the same
 bits in either form; the integer form only drops libmp's per-call tuple
 handling.  The logarithms are integer code too: _ln is the correctly
-rounded logarithm, by a fixed-point series and Ziv's rounding test
-(Brent & Zimmermann, Modern Computer Arithmetic, ch. 3-4), and equals
-mpf_log on every argument the pinned runs take; pi, for ln(2 pi)/2, is
-correctly rounded the same way.  const_ln_pair sums the right side from
-these primitives, and residual subtracts, compares and prints with
-integers alone, so verify loads no mpmath in any mode, with one exception:
-a residual below 2^-3,500, which _six_digits hands to mpmath's to_str; no
-pinned run comes near one.  mpmath is otherwise left to the public mpf
-returns, eval_word_ln and exact.const_ln, built from the pairs by to_mpf
-for the acceptance gate's mpf arithmetic, and to the tests that compare
-against it.  The operator form's closing +a is left out, as every result
-is already rounded to ctx.bits.
+rounded logarithm, by a table reduction, a short fixed-point series and
+Ziv's rounding test (Brent & Zimmermann, Modern Computer Arithmetic, ch.
+3-4), and equals mpf_log on every argument the pinned runs take; pi, for
+ln(2 pi)/2, is correctly rounded the same way.  const_ln_pair sums the
+right side from these primitives, and residual subtracts, compares and
+prints with integers alone, so verify loads no mpmath in any mode, with
+one exception: a residual below 2^-3,500, which _six_digits hands to
+mpmath's to_str; no pinned run comes near one.  mpmath is otherwise left
+to the public mpf returns, eval_word_ln and exact.const_ln, built from
+the pairs by to_mpf for the acceptance gate's mpf arithmetic, and to the
+tests that compare against it.  The operator form's closing +a is left
+out, as every result is already rounded to ctx.bits.
 
 For x = p/q in lowest terms, z = (p + mq)/q and the descent prod_k (p +
 kq)/q^m are already in lowest terms, since gcd(p + kq, q) = gcd(p, q) = 1,
 so their integer numerators and denominators go to _quotient as they are:
 the same operands a reduced Fraction would give, without building one.
-ln gamma(p/q) = ln Gamma(p/q) - ln Gamma((q-p)/q) is one _sum for p/q <
-1/2, and a factor gamma((q-p)/q)^e reads it times -e: rounding to nearest
-with ties to even is symmetric under negation, so the rounded -e * (a - b)
-has exactly the bits of e * (b - a), the subtraction done the other way
-round.  ln gamma(1/2) is exactly zero, the subtraction of one value from
-itself.
+ln gamma(p/q) = ln Gamma(p/q) - ln Gamma((q-p)/q) is one rounded
+difference for p/q < 1/2, and a factor gamma((q-p)/q)^e reads it times
+-e: rounding to nearest with ties to even is symmetric under negation, so
+the rounded -e * (a - b) has exactly the bits of e * (b - a), the
+subtraction done the other way round.  ln gamma(1/2) is exactly zero,
+the subtraction of one value from itself.
 """
 
 from __future__ import annotations
@@ -111,16 +112,10 @@ def bernoulli(n: int) -> Q:
 
 
 def stirling_tail_log10(shift: int, terms: int) -> float:
-    """log10 of the tail bound |B_{2K+2}| / ((2K+1)(2K+2) z^(2K+1)) at z = shift."""
-    k = terms
-    b = bernoulli(2 * k + 2)
-    return (
-        math.log10(abs(b.numerator))
-        - math.log10(b.denominator)
-        - math.log10(2 * k + 1)
-        - math.log10(2 * k + 2)
-        - (2 * k + 1) * math.log10(shift)
-    )
+    """log10 of the tail bound |B_{2K+2}| / ((2K+1)(2K+2) z^(2K+1)) at z = shift, K = terms."""
+    b, n = bernoulli(2 * terms + 2), 2 * terms + 1
+    below = b.denominator * n * (n + 1)
+    return math.log10(abs(b.numerator)) - math.log10(below) - n * math.log10(shift)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -213,9 +208,7 @@ def _quotient(a: int, b: int, bits: int) -> tuple[int, int]:
     a, exp = _round(a, 0, bits)
     extra = bits + b.bit_length() - a.bit_length() + 2
     quot, rem = divmod(a << extra, b)
-    if rem:
-        quot, extra = 2 * quot + 1, extra + 1
-    return _round(quot, exp - extra, bits)
+    return _round(2 * quot + (rem > 0), exp - extra - 1, bits)
 
 
 def _sum(a: int, a_exp: int, b: int, b_exp: int, bits: int) -> tuple[int, int]:
@@ -223,9 +216,8 @@ def _sum(a: int, a_exp: int, b: int, b_exp: int, bits: int) -> tuple[int, int]:
 
     An exact zero sum is (0, exponent), which reads as libmp's fzero.
     """
-    if a_exp > b_exp:
-        a, a_exp, b, b_exp = b, b_exp, a, a_exp
-    return _round(a + (b << (b_exp - a_exp)), a_exp, bits)
+    low = min(a_exp, b_exp)
+    return _round((a << a_exp - low) + (b << b_exp - low), low, bits)
 
 
 def _arctan(t: int, prec: int, sign: int, divisor: int = 0) -> tuple[int, int]:
@@ -241,7 +233,7 @@ def _arctan(t: int, prec: int, sign: int, divisor: int = 0) -> tuple[int, int]:
     """
     total, power, square, j = 0, t, t * t >> prec, 1
     while power:
-        total += sign ** (j >> 1) * (power // j)
+        total += power // j if sign > 0 or not j & 2 else -(power // j)
         power, j = power // divisor if divisor else power * square >> prec, j + 2
     return total, j >> 1
 
@@ -253,7 +245,8 @@ def _machin(prec: int, terms: tuple[tuple[int, int, int], ...]) -> int:
     The terms are summed at prec + 20 bits and floored to prec: below
     65,536 bits their _arctan bounds, with 1/q floored, stay under 2^20
     units there.  ln 2 is 2 atanh(1/3), LN2, and pi 16 atan(1/5) - 4
-    atan(1/239), PI.  Memoized: _ln rounds its precision up to a multiple
+    atan(1/239), PI; each step of _ln_table is one term, 2 atanh(1/q)
+    with its sign.  Memoized: _ln rounds its precision up to a multiple
     of 32, so its calls at one digit count share a few values of ln 2.
     """
     fine = prec + 20
@@ -285,43 +278,70 @@ def _correctly_rounded(approx, bits: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
+def _ln_table(r: int, t: int, prec: int) -> int:
+    """ln(r / 2^t) at prec bits, within 2 |r - 2^t| units of 2^-prec, for r near 2^t.
+
+    A chain from ln 1 = 0: ln(r / (r - 1)) = 2 atanh(1 / (2r - 1)) on the
+    way up and ln(r / (r + 1)) = -2 atanh(1 / (2r + 1)) on the way down,
+    each step one _machin term within 2 units, and the steps' bounds add.
+    A step's series gains about 2t bits a term and divides by q^2 alone.
+    Memoized, so a working precision builds each entry once, from its
+    neighbour, and only the entries its arguments reach: about 0.7 2^(t -
+    roots) at most (see _ln), 171 ints at 243 bits, about 40 KB with the
+    memo.
+    """
+    if r == 1 << t:
+        return 0
+    step = 1 if r >> t else -1
+    # _machin's memo is bypassed: this memo keeps the sum, and each step is read once.
+    return _ln_table(r - step, t, prec) + _machin.__wrapped__(prec, ((2 * step, 2 * r - step, 1),))
+
+
+@lru_cache(maxsize=None)
 def _ln(man: int, exp: int, bits: int) -> tuple[int, int]:
     """ln(man * 2^exp) for man > 0, correctly rounded to bits, as a signed pair.
 
-    x = m 2^k with m = man / 2^c in [2/3, 4/3), and ln x = k ln 2 + 2^(s+1)
-    atanh(t) with t = (y - 1) / (y + 1), y = m^(1/2^s) from s = roots
-    integer square roots: more roots shorten the series, and fewer are
-    taken the closer x lies to 1.  In fixed point at prec bits, y errs by
-    under 3 units (each floored root multiplies the error before it by at
-    most 0.62 and adds under one), t by under 4, ln 2 by under 2, so the
+    x = m 2^k with m = man / 2^c in [2/3, 4/3).  y = m^(1/2^s), from s =
+    roots integer square roots, lies near r / 2^t for the integer r =
+    round(y 2^t), and ln x = k ln 2 + 2^s (ln(r / 2^t) + 2 atanh(u)) with
+    u = (y - r/2^t) / (y + r/2^t), |u| < 2^-(t+2): _ln_table holds ln(r /
+    2^t), and the series gains 2t + 4 bits a term.  Both parameters follow
+    from bits alone, roots = bits // 600 and t = 8 + roots // 2: square
+    roots pay at high precision, where a series term costs a long product,
+    and keep the table to about 0.7 2^(t - roots) entries, 171 at 243 bits.
+    In fixed point at prec bits, y errs by under 3 units (each floored root
+    multiplies the error before it by at most 0.62 and adds under one), u
+    by under 4, the table entry by 2 units a step, ln 2 by under 2, so the
     stated error below bounds the sum.  |ln x| is at least 2^-2 when k !=
     0, and 2^(-near-2) when k = 0, |m - 1| being about 2^-near; prec counts
     those bits too, so that the result has bits + guard of them, plus what
-    the error bound takes.  ln 1 is exactly zero.  The root count, a
-    quarter of sqrt(bits), is about the cheapest: on the arguments of the
-    pinned runs, each set timed in a fresh process (Xeon, Python 3.11,
-    mpmath 1.3), it beats a cold mpf_log by about a third at 243 bits, is
-    level at 708 and 2,701 bits, and trails by about 2 us a call at 77.
-    Memoized, as the right sides share primes: 40 of the 136 calls of the
-    800-digit E/F/G cross-check, about 1 ms each, are ln p again.
+    the error bound takes.  ln 1 is exactly zero.  On the arguments of the
+    pinned runs, each set timed in a fresh process (shared 2-core x86-64,
+    Python 3.11, medians of 9), the set takes 2.9 ms at 77 bits, 4.6 at
+    243, 16.9 at 708 and 52.3 at 2,701, where a cold mpf_log takes 3.4,
+    11.8, 26.9 and 63.6 and the quarter-sqrt(bits) square roots alone took
+    4.2, 8.0, 25.3 and 55.0.  Memoized, as the right sides share primes:
+    40 of the 136 calls of the 800-digit E/F/G cross-check are ln p again.
     """
     c = (n := man.bit_length()) - (3 * man < 2 << n)
     k, d = exp + c, man - (1 << c)
     if not k and not d:
         return 0, 0
     near = 0 if k else c - abs(d).bit_length()
-    roots = max(0, math.isqrt(bits) // 4 - near)
+    roots, t = bits // 600, 8 + bits // 1200
 
     def approx(guard):
-        # Rounded up to a multiple of 32, so that calls share ln 2 (see _machin).
+        # Rounded up to a multiple of 32, so that calls share ln 2 and the table.
         prec = (bits + guard + roots + k.bit_length() + near + 33) >> 5 << 5
-        one, y = 1 << prec, (man << prec) >> c
+        y = (man << prec) >> c
         for _ in range(roots):
             y = math.isqrt(y << prec)
+        r = (y >> prec - t - 1) + 1 >> 1
+        one = r << prec - t
         series, terms = _arctan((abs(y - one) << prec) // (y + one), prec, 1)
-        ln_m = (series if y >= one else -series) << roots + 1
+        ln_m = _ln_table(r, t, prec) + 2 * (series if y >= one else -series) << roots
         ln_2k = k * _machin(prec, LN2) if k else 0
-        return ln_2k + ln_m, 2 * abs(k) + (4 * terms + 12 << roots + 1), prec
+        return ln_2k + ln_m, 2 * abs(k) + (2 * abs(r - (1 << t)) + 8 * terms + 24 << roots), prec
 
     return _correctly_rounded(approx, bits)
 
@@ -365,32 +385,28 @@ def ln_gamma(x, ctx: PrecisionContext) -> tuple[int, int]:
     half_ln_2pi, coefficients = _stirling_data(ctx)
     bits = ctx.bits
     z, z_exp = _quotient(p + m * q, q, bits)
-    ln_z, ln_z_exp = _ln(z, z_exp, bits)
-    acc, acc_exp = _sum(z, z_exp, -1, -1, bits)
-    acc, acc_exp = _round(acc * ln_z, acc_exp + ln_z_exp, bits)
-    acc, acc_exp = _sum(acc, acc_exp, -z, z_exp, bits)
-    acc, acc_exp = _sum(acc, acc_exp, *half_ln_2pi, bits)
+    # (z - 1/2) ln z - z + ln(2 pi)/2 through _dot, where x * 1 rounds to x.
+    head = (_sum(z, z_exp, -1, -1, bits), _ln(z, z_exp, bits)), ((-z, z_exp), (1, 0))
+    acc, acc_exp = _dot((*head, (half_ln_2pi, (1, 0))), bits)
     pw, pw_exp = _quotient(1, z, bits)
     pw_exp -= z_exp
     sq, sq_exp = _round(pw * pw, 2 * pw_exp, bits)
-    # pw *= sq from the second term on, then acc += c * pw: each product and
-    # sum formed exactly and rounded as _round rounds, written out, which
-    # saves a call per operation.  No power is formed past the last term.
-    for k, (c, c_exp) in enumerate(coefficients):
-        if k:
-            pw, pw_exp = pw * sq, pw_exp + sq_exp
-            if (shift := pw.bit_length() - bits) > 0:
-                t, pw_exp = pw >> (shift - 1), pw_exp + shift
-                pw = (t + 1) >> 1 if t & 1 and (t & 2 or pw & ((1 << (shift - 1)) - 1)) else t >> 1
+    # acc += c * pw, then pw *= sq, in _dot's written-out rounding form; the
+    # power after the last term is formed and not read.
+    for c, c_exp in coefficients:
         man, exp = c * pw, c_exp + pw_exp
         if (shift := man.bit_length() - bits) > 0:
-            t, exp = man >> (shift - 1), exp + shift
-            man = (t + 1) >> 1 if t & 1 and (t & 2 or man & ((1 << (shift - 1)) - 1)) else t >> 1
+            t, exp = man >> shift - 1, exp + shift
+            man = t + 1 >> 1 if t & 1 and (t & 2 or man & (1 << shift - 1) - 1) else t >> 1
         low = exp if exp < acc_exp else acc_exp
-        acc, acc_exp = (acc << (acc_exp - low)) + (man << (exp - low)), low
+        acc, acc_exp = (acc << acc_exp - low) + (man << exp - low), low
         if (shift := acc.bit_length() - bits) > 0:
-            t, acc_exp = acc >> (shift - 1), acc_exp + shift
-            acc = (t + 1) >> 1 if t & 1 and (t & 2 or acc & ((1 << (shift - 1)) - 1)) else t >> 1
+            t, acc_exp = acc >> shift - 1, acc_exp + shift
+            acc = t + 1 >> 1 if t & 1 and (t & 2 or acc & (1 << shift - 1) - 1) else t >> 1
+        pw, pw_exp = pw * sq, pw_exp + sq_exp
+        if (shift := pw.bit_length() - bits) > 0:
+            t, pw_exp = pw >> shift - 1, pw_exp + shift
+            pw = t + 1 >> 1 if t & 1 and (t & 2 or pw & (1 << shift - 1) - 1) else t >> 1
     descent, descent_exp = _quotient(math.prod(range(p, p + m * q, q)), q**m, bits)
     ln_descent, ln_descent_exp = _ln(descent, descent_exp, bits)
     return _sum(acc, acc_exp, -ln_descent, ln_descent_exp, bits)
@@ -403,16 +419,29 @@ def _ln_ratio(p: int, q: int, ctx: PrecisionContext) -> tuple[int, int]:
     Keyed on ints and the context, hashed in C; ln_gamma is reached through
     the module attribute, two calls per miss.
     """
-    lower = ln_gamma(Q(p, q), ctx)
-    upper, upper_exp = ln_gamma(Q(q - p, q), ctx)
-    return _sum(*lower, -upper, upper_exp, ctx.bits)
+    terms = ((1, 0), ln_gamma(Q(p, q), ctx)), ((-1, 0), ln_gamma(Q(q - p, q), ctx))
+    return _dot(terms, ctx.bits)
 
 
 def _dot(terms, bits: int) -> tuple[int, int]:
-    """sum a * b over the (a, b) pairs of signed pairs from 0, each product and each sum rounded."""
-    acc, acc_exp = 0, 0
+    """sum a * b over the (a, b) pairs of signed pairs from 0, each product and each sum rounded.
+
+    The bits of _sum(acc, *_round(a * b)) per pair, with _round written
+    out, which saves two calls a pair; ln_gamma's Stirling loop has the
+    same form.  Each sum is formed exactly at the lower exponent, as _sum
+    forms it, so an exact zero sum is (0, exponent) here too.
+    """
+    acc = acc_exp = 0
     for (a, a_exp), (b, b_exp) in terms:
-        acc, acc_exp = _sum(acc, acc_exp, *_round(a * b, a_exp + b_exp, bits), bits)
+        man, exp = a * b, a_exp + b_exp
+        if (shift := man.bit_length() - bits) > 0:
+            t, exp = man >> shift - 1, exp + shift
+            man = t + 1 >> 1 if t & 1 and (t & 2 or man & (1 << shift - 1) - 1) else t >> 1
+        low = exp if exp < acc_exp else acc_exp
+        acc, acc_exp = (acc << acc_exp - low) + (man << exp - low), low
+        if (shift := acc.bit_length() - bits) > 0:
+            t, acc_exp = acc >> shift - 1, acc_exp + shift
+            acc = t + 1 >> 1 if t & 1 and (t & 2 or acc & (1 << shift - 1) - 1) else t >> 1
     return acc, acc_exp
 
 

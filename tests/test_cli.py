@@ -4,6 +4,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -423,6 +424,48 @@ def test_verify_exact_json_golden_digest_under_optimized_mode():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.split() == ["raised"] * 10
+
+
+def sibling_interpreters():
+    """(version, executable) of each CPython 3.10 or later installed beside this one.
+
+    The directories next to sys.base_prefix, as pyenv lays its versions
+    out, whose name is a CPython version X.Y.Z and which hold bin/python3;
+    the running interpreter's own prefix is left out.
+    """
+    home, found = os.path.dirname(sys.base_prefix), []
+    for name in sorted(os.listdir(home)):
+        version = re.fullmatch(r"(\d+)\.(\d+)\.\d+", name)
+        executable = os.path.join(home, name, "bin", "python3")
+        prefix = os.path.join(home, name)
+        if version and (int(version[1]), int(version[2])) >= (3, 10) and os.path.isfile(executable):
+            if os.path.realpath(prefix) != os.path.realpath(sys.base_prefix):
+                found.append((name, executable))
+    return found
+
+
+def test_verify_golden_digests_under_every_sibling_python():
+    """Each CPython >= 3.10 beside this one prints the pinned default and --mode exact JSON.
+
+    pyproject.toml declares requires-python >= 3.10; this checks it on the
+    interpreters at hand, with src/ on PYTHONPATH and nothing else.  verify
+    loads no mpmath, so an interpreter without it runs both.  Where no such
+    interpreter is installed, the test is skipped.
+    """
+    siblings = sibling_interpreters()
+    if not siblings:
+        pytest.skip(f"no other CPython >= 3.10 beside {sys.base_prefix}")
+    src = os.path.dirname(os.path.dirname(gammaroots.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.update(PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
+    for version, executable in siblings:
+        for mode, digest in (((), DEFAULT_JSON_SHA256), (("--mode", "exact"), EXACT_JSON_SHA256)):
+            out = subprocess.run(
+                [executable, "-m", "gammaroots.cli", "verify", *mode, "--format", "json"],
+                env=env, capture_output=True,
+            )
+            assert out.returncode == EXIT_OK, (version, mode, out.stderr[-2000:])
+            assert hashlib.sha256(out.stdout).hexdigest() == digest, (version, mode)
 
 
 # sha256 of `relations N --format json` concatenated over N = 2..96, taken

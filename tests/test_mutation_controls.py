@@ -21,6 +21,7 @@ import pytest
 from gammaroots import cli, exact, fateev, linalg, numeric, prover
 from gammaroots.cli import EXIT_OK, EXIT_VERIFICATION_FAILED
 from gammaroots.gammaword import GammaWord
+import test_numeric
 from test_prover import grid_and_folds, refused_certificates
 
 # G2, F4 and B2..B4: 30 cases, some proved with multiplication relations.
@@ -279,6 +280,53 @@ def test_a_logarithm_without_its_ln2_term_fails_the_run(capsys):
 
     code = doctored_exit(numeric, "_ln", wrong_off_powers_of_two, "numeric", caches)
     assert code == EXIT_VERIFICATION_FAILED and capsys.readouterr().err == ""
+
+
+def with_single_table_steps():
+    """A copy of numeric._ln_table whose chain steps add atanh(1/q), not 2 atanh(1/q).
+
+    Compiled from the source in a copy of the module's namespace, so its
+    recursion walks the doctored chain and numeric is left as it is.  Each
+    entry r != 2^t then holds half of ln(r / 2^t) within the same error
+    bound, so every logarithm whose reduction reads such an entry is wrong
+    and still rounds.
+    """
+    tree = ast.parse(inspect.getsource(numeric._ln_table))
+    factors = [node for node in ast.walk(tree)
+               if isinstance(node, ast.BinOp) and ast.unparse(node) == "2 * step"]
+    assert len(factors) == 1
+
+    class Single(ast.NodeTransformer):
+        def visit_BinOp(self, node):
+            return node.right if node is factors[0] else self.generic_visit(node)
+
+    namespace = dict(vars(numeric))
+    exec(compile(ast.fix_missing_locations(Single().visit(tree)), numeric.__file__, "exec"),
+         namespace)
+    return namespace["_ln_table"]
+
+
+def test_a_table_step_without_its_factor_2_fails_the_run(pinned_numeric_route):
+    """ln(r / 2^t) chained by single atanh steps: the pinned logarithms and the run both fail.
+
+    test_ln_is_mpf_log_on_every_pinned_argument, replayed with the doctored
+    table, refuses the pinned arguments, and verify --mode numeric exits 1.
+    _ln is memoized, so its memo is emptied around each doctored run with
+    the tables built from it.
+    """
+    single, honest = with_single_table_steps(), numeric._ln_table
+    assert single(1 << 8, 8, 288) == honest(1 << 8, 8, 288) == 0
+    assert 2 * single(257, 8, 288) - honest(257, 8, 288) in range(-4, 5)
+    caches = (numeric._ln, numeric._ln_ratio, numeric.const_ln_pair, numeric._stirling_data)
+    empty(caches)
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(numeric, "_ln_table", single)
+            with pytest.raises(AssertionError):
+                test_numeric.test_ln_is_mpf_log_on_every_pinned_argument(pinned_numeric_route)
+    finally:
+        empty(caches)
+    assert doctored_exit(numeric, "_ln_table", single, "numeric", caches) == EXIT_VERIFICATION_FAILED
 
 
 def without_complement_negation():

@@ -9,8 +9,8 @@ kept below as a reference, and the cached route must equal it bit for bit.
 """
 
 import contextlib
+import inspect
 import math
-import os
 import random
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -36,7 +36,7 @@ from mpmath.libmp import (
     to_str,
 )
 
-from gammaroots import cli, exact, fateev, numeric, prover
+from gammaroots import exact, fateev, numeric, prover
 from gammaroots.exact import MAX_DIGITS, MIN_DIGITS, const_ln, working_precision_bits
 from gammaroots.gammaword import GammaWord
 from gammaroots.numeric import (
@@ -528,6 +528,66 @@ def test_sum_is_libmp_mpf_add():
     assert from_man_exp(*numeric._sum(5, -3, -5, -3, 2)) == fzero
 
 
+def round_and_sum_fold(terms, bits):
+    """sum a * b over the (a, b) pairs of signed pairs from (0, 0), by a _round and a _sum a pair."""
+    acc = (0, 0)
+    for (a, a_exp), (b, b_exp) in terms:
+        acc = numeric._sum(*acc, *numeric._round(a * b, a_exp + b_exp, bits), bits)
+    return acc
+
+
+def seeded_dot_terms(rng, bits):
+    """Term lists for _dot at bits: random signed pairs and the edge cases of its alignment.
+
+    Random terms whose exponents lie far apart and near, above and below the
+    running sum's; exact zero sums, a term then its negation, with equal
+    and with unequal exponents, and zero operands; cancellations that leave
+    a few bits, then more terms; and carries into a power of two, of the
+    sum (2^bits - 1 plus half an ulp) and of a product ((2^bits - 1)(2^bits
+    + 1) rounds to 2^(2 bits)), each followed by a term that reads it.
+    """
+    def pair(width, spread=3 * bits):
+        return _signed_operand(rng, width), rng.randrange(-spread, spread)
+
+    one, cases = (1, 0), []
+    for _ in range(30):
+        count = rng.randrange(1, 9)
+        cases.append([(pair(bits + 1), pair(rng.randrange(1, 12), 8)) for _ in range(count)])
+    for _ in range(6):
+        (a, exp), b, c = pair(bits), pair(6, 4), pair(bits + 1)
+        cases.append([((a, exp), b), ((-a, exp), b), (c, one)])
+        cases.append([((a << 3, exp - 3), b), ((-a, exp), b), ((0, exp + 5), c), (c, b)])
+        cases.append([((a, exp), one), ((-a - rng.choice((1, -1)), exp), one), (c, one), (c, b)])
+    for sign in (1, -1):
+        top = (1 << bits) - 1
+        cases.append([((sign * top, 0), one), ((sign, -1), one), ((sign, -bits), one)])
+        cases.append([((sign * top, 3), (top + 2, -bits)), ((-sign, 3 - bits), one)])
+    return cases
+
+
+def test_dot_is_the_round_and_sum_fold():
+    """_dot, with its roundings written out, equals the _round and _sum fold to the pair.
+
+    On seeded_dot_terms at 53, 77, 243 and 2,701 bits, the pairs themselves
+    are compared, not only their values: _dot forms each sum at the lower
+    exponent, as _sum does.  A copy whose alignment shifts the sum by the
+    term's offset and the term by the sum's, the two exponents swapped,
+    fails the same comparison.
+    """
+    source = inspect.getsource(numeric._dot)
+    aligned = "(acc << acc_exp - low) + (man << exp - low)"
+    assert source.count(aligned) == 1
+    namespace = dict(vars(numeric))
+    exec(source.replace(aligned, "(acc << exp - low) + (man << acc_exp - low)"), namespace)
+    swapped, rng, wrong = namespace["_dot"], random.Random(32), 0
+    for bits in (53, 77, 243, 2701):
+        for terms in seeded_dot_terms(rng, bits):
+            expected = round_and_sum_fold(terms, bits)
+            assert numeric._dot(terms, bits) == expected, (terms, bits)
+            wrong += swapped(terms, bits) != expected
+    assert wrong > 100
+
+
 def test_eval_word_ln_bit_exact_on_every_relation_word():
     """Every relation word on the grids N <= 46 against the mpf-operator reference.
 
@@ -694,55 +754,6 @@ def test_ln_gamma_runs_once_per_distinct_argument(monkeypatch, systems, sweep_si
     assert {Q(p, q) for p, q in lookups} | {Q(q - p, q) for p, q in lookups} == set(seen)
 
 
-# The pinned runs whose numeric route the checks below replay, as verify
-# arguments: the default sweep, --digits 10, 200-digit G/F/E/B and 800-digit
-# E/F/G, at 243, 77, 708 and 2,701 bits.
-PINNED_RUNS = (
-    (),
-    ("--digits", "10"),
-    ("--family", "G", "--family", "F", "--family", "E", "--family", "B", "--digits", "200"),
-    ("--family", "E", "--family", "F", "--family", "G", "--mode", "numeric", "--digits", "800"),
-)
-NUMERIC_TABLES = (numeric._ln_ratio, numeric.const_ln_pair, numeric._stirling_data)
-
-
-@pytest.fixture(scope="module")
-def pinned_numeric_route():
-    """Every _ln argument and every residual of the pinned runs, the tables emptied before each.
-
-    (arguments, ln_gamma calls, residuals): the (man, exp, bits) of each
-    _ln call, ln_gamma's two per call, the right sides' ln p and ln(2 pi)
-    once per context, in call order; the number of ln_gamma calls; and the
-    (man, exp) of each residual verify formats.
-    """
-    ln, ln_gamma_of, six_digits = numeric._ln, numeric.ln_gamma, numeric._six_digits
-    arguments, gamma_calls, residuals = [], [], []
-
-    def recorded_ln(man, exp, bits):
-        arguments.append((man, exp, bits))
-        return ln(man, exp, bits)
-
-    def counted_ln_gamma(x, ctx):
-        gamma_calls.append(x)
-        return ln_gamma_of(x, ctx)
-
-    def recorded_six_digits(man, exp):
-        residuals.append((man, exp))
-        return six_digits(man, exp)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numeric, "_ln", recorded_ln)
-        patch.setattr(numeric, "ln_gamma", counted_ln_gamma)
-        patch.setattr(numeric, "_six_digits", recorded_six_digits)
-        for args in PINNED_RUNS:
-            for table in NUMERIC_TABLES:
-                table.cache_clear()
-            assert cli.main(["verify", *args, "--output", os.devnull]) == cli.EXIT_OK
-    for table in NUMERIC_TABLES:
-        table.cache_clear()
-    return arguments, len(gamma_calls), residuals
-
-
 def test_ln_is_mpf_log_on_every_pinned_argument(pinned_numeric_route):
     """_ln equals libmp's mpf_log to the bit on every logarithm the pinned runs take.
 
@@ -757,16 +768,45 @@ def test_ln_is_mpf_log_on_every_pinned_argument(pinned_numeric_route):
         assert from_man_exp(*numeric._ln(man, exp, bits)) == expected, (man, exp, bits)
 
 
-def test_ln_is_correctly_rounded_on_seeded_arguments():
+# The bits of --digits 10, 60, 200, 800 and 1000, where the reduction's
+# square roots and table differ (see numeric._ln).
+REDUCTION_BITS = (77, 243, 708, 2701, 3367)
+
+
+def reduction_boundaries(bits, rng):
+    """(man, exp) arguments at the edges of _ln's reduction, with 40 more mantissa bits than bits.
+
+    m = x / 2^k at 2/3 and just under 4/3, the ends of its range, whose
+    roots round to the table's first and last r, and one step past each
+    end, where k moves by one; 1 + 1 ulp and 1 - 1 ulp, where near is
+    about bits; powers of two, where ln m is zero; and |k| up to 3,500.
+    """
+    width = bits + 40
+    low, high = -(-(2 << width) // 3), -(-(4 << width) // 3)
+    arguments = [(low + step, -width) for step in (-1, 0, 1)]
+    arguments += [(high + step, -width) for step in (-2, -1, 0)]
+    arguments += [((1 << bits - 1) + 1, 1 - bits), ((1 << bits) - 1, -bits)]
+    arguments += [(1, e) for e in (1, -1, 2, -2, 600, -600, 3500, -3500)]
+    for k in (3500, -3500, 1750, -1750):
+        man = rng.getrandbits(bits) | 1 << bits
+        arguments.append((man, k - bits))
+    return arguments
+
+
+def test_ln_is_correctly_rounded_on_seeded_arguments(monkeypatch):
     """Seeded arguments at the bits of 24 sampled digit counts in 10..1000, some near 1.
 
     Per digit count: mantissas of up to three times the bits with any
     exponent, small integers, powers of two, 1 itself, and 1 +- r 2^-L
-    for L up to three times the bits.  _ln must equal the correctly rounded
+    for L up to three times the bits.  Then, at each of REDUCTION_BITS,
+    reduction_boundaries.  _ln must equal the correctly rounded
     logarithm, mpf_log at 120 more bits rounded to the bits, and mpf_log
     itself off the arguments near 1.  Near 1 mpf_log is not always
     correctly rounded (about one near-1 argument in a thousand, at 234
-    digits for one), so there only the correct rounding binds.
+    digits for one), so there only the correct rounding binds.  The
+    boundaries reach the table's first and last r, round(2^t (2/3)^(2^-s))
+    and round(2^t (4/3)^(2^-s)) for s roots, as _ln's docstring derives
+    them; they are read off the table's calls, _ln's memo bypassed.
     """
     rng = random.Random(31)
     for digits in sorted(rng.sample(range(MIN_DIGITS, MAX_DIGITS + 1), 24)):
@@ -785,6 +825,23 @@ def test_ln_is_correctly_rounded_on_seeded_arguments():
             assert got == mpf_pos(mpf_log(x, bits + 120, round_nearest), bits, round_nearest)
             if (man, exp) in far:
                 assert got == mpf_log(x, bits, round_nearest), (man, exp, bits)
+    table, rows = numeric._ln_table, []
+
+    def recorded_table(r, t, prec):
+        rows.append((r, t))
+        return table(r, t, prec)
+
+    monkeypatch.setattr(numeric, "_ln_table", recorded_table)
+    for bits in REDUCTION_BITS:
+        rows.clear()
+        for man, exp in reduction_boundaries(bits, rng):
+            x = from_man_exp(man, exp)
+            got = from_man_exp(*numeric._ln.__wrapped__(man, exp, bits))
+            assert got == mpf_pos(mpf_log(x, bits + 120, round_nearest), bits, round_nearest), (
+                man, exp, bits)
+        roots, t = bits // 600, 8 + bits // 1200
+        first, last = (round(2**t * m ** 0.5**roots) for m in (2 / 3, 4 / 3))
+        assert {t} == {t for _, t in rows} and (min(rows), max(rows)) == ((first, t), (last, t))
 
 
 def test_half_ln_2pi_is_mpmaths_at_every_context():
