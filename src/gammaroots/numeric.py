@@ -113,9 +113,9 @@ def bernoulli(n: int) -> Q:
 
 def stirling_tail_log10(shift: int, terms: int) -> float:
     """log10 of the tail bound |B_{2K+2}| / ((2K+1)(2K+2) z^(2K+1)) at z = shift, K = terms."""
-    b, n = bernoulli(2 * terms + 2), 2 * terms + 1
-    below = b.denominator * n * (n + 1)
-    return math.log10(abs(b.numerator)) - math.log10(below) - n * math.log10(shift)
+    b = bernoulli(2 * terms + 2)
+    below = b.denominator * (2 * terms + 1) * (2 * terms + 2)
+    return math.log10(abs(b.numerator)) - math.log10(below) - (2 * terms + 1) * math.log10(shift)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -304,8 +304,9 @@ def _ln(man: int, exp: int, bits: int) -> tuple[int, int]:
     x = m 2^k with m = man / 2^c in [2/3, 4/3).  y = m^(1/2^s), from s =
     roots integer square roots, lies near r / 2^t for the integer r =
     round(y 2^t), and ln x = k ln 2 + 2^s (ln(r / 2^t) + 2 atanh(u)) with
-    u = (y - r/2^t) / (y + r/2^t), |u| < 2^-(t+2): _ln_table holds ln(r /
-    2^t), and the series gains 2t + 4 bits a term.  Both parameters follow
+    u = (y - r/2^t) / (y + r/2^t): _ln_table holds ln(r / 2^t), and as
+    |y - r/2^t| <= 2^-(t+1) and y + r/2^t > 4/3, |u| < 2^-(t+1) and the
+    series gains over 2t + 2 bits a term.  Both parameters follow
     from bits alone, roots = bits // 600 and t = 8 + roots // 2: square
     roots pay at high precision, where a series term costs a long product,
     and keep the table to about 0.7 2^(t - roots) entries, 171 at 243 bits.
