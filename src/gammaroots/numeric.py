@@ -287,7 +287,7 @@ def _ln_table(r: int, t: int, prec: int) -> int:
     A step's series gains about 2t bits a term and divides by q^2 alone.
     Memoized, so a working precision builds each entry once, from its
     neighbour, and only the entries its arguments reach: about 0.7 2^(t -
-    roots) at most (see _ln), 171 ints at 243 bits, about 40 KB with the
+    roots) at most (see _ln), 171 ints at 243 bits, 34 KB with the
     memo.
     """
     if r == 1 << t:
@@ -306,8 +306,8 @@ def _ln(man: int, exp: int, bits: int) -> tuple[int, int]:
     round(y 2^t), and ln x = k ln 2 + 2^s (ln(r / 2^t) + 2 atanh(u)) with
     u = (y - r/2^t) / (y + r/2^t): _ln_table holds ln(r / 2^t), and as
     |y - r/2^t| <= 2^-(t+1) and y + r/2^t > 4/3, |u| < 2^-(t+1) and the
-    series gains over 2t + 2 bits a term.  Both parameters follow
-    from bits alone, roots = bits // 600 and t = 8 + roots // 2: square
+    series gains over 2t + 2 bits a term.  Both parameters follow from
+    bits alone, roots = bits // 600 and t = 8 + roots // 2: square
     roots pay at high precision, where a series term costs a long product,
     and keep the table to about 0.7 2^(t - roots) entries, 171 at 243 bits.
     In fixed point at prec bits, y errs by under 3 units (each floored root
@@ -318,11 +318,13 @@ def _ln(man: int, exp: int, bits: int) -> tuple[int, int]:
     those bits too, so that the result has bits + guard of them, plus what
     the error bound takes.  ln 1 is exactly zero.  On the arguments of the
     pinned runs, each set timed in a fresh process (shared 2-core x86-64,
-    Python 3.11, medians of 9), the set takes 2.9 ms at 77 bits, 4.6 at
-    243, 16.9 at 708 and 52.3 at 2,701, where a cold mpf_log takes 3.4,
-    11.8, 26.9 and 63.6 and the quarter-sqrt(bits) square roots alone took
-    4.2, 8.0, 25.3 and 55.0.  Memoized, as the right sides share primes:
-    40 of the 136 calls of the 800-digit E/F/G cross-check are ln p again.
+    Python 3.11, medians of 9), the set takes 2.7 ms at 77 bits, 4.4 at
+    243, 15.8 at 708 and 48.5 at 2,701, where a cold mpf_log takes 3.3,
+    11.1, 25.9 and 61.0 and the quarter-sqrt(bits) square roots alone took
+    4.0, 7.7, 24.6 and 53.3.  Of the other square-root counts and table
+    sizes tried, none was faster by more than the noise at any of the
+    four.  Memoized, as the right sides share primes: 40 of the 136 calls
+    of the 800-digit E/F/G cross-check are ln p again.
     """
     c = (n := man.bit_length()) - (3 * man < 2 << n)
     k, d = exp + c, man - (1 << c)
