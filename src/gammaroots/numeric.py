@@ -388,15 +388,18 @@ def ln_gamma(x, ctx: PrecisionContext) -> tuple[int, int]:
     half_ln_2pi, coefficients = _stirling_data(ctx)
     bits = ctx.bits
     z, z_exp = _quotient(p + m * q, q, bits)
-    # (z - 1/2) ln z - z + ln(2 pi)/2 through _dot, where x * 1 rounds to x.
-    head = (_sum(z, z_exp, -1, -1, bits), _ln(z, z_exp, bits)), ((-z, z_exp), (1, 0))
-    acc, acc_exp = _dot((*head, (half_ln_2pi, (1, 0))), bits)
     pw, pw_exp = _quotient(1, z, bits)
     pw_exp -= z_exp
     sq, sq_exp = _round(pw * pw, 2 * pw_exp, bits)
-    # acc += c * pw, then pw *= sq, in _dot's written-out rounding form; the
-    # power after the last term is formed and not read.
-    for c, c_exp in coefficients:
+    # (z - 1/2) ln z - z + ln(2 pi)/2 + c_1 / z through _dot, where x * 1 rounds to x.
+    head = (_sum(z, z_exp, -1, -1, bits), _ln(z, z_exp, bits)), ((-z, z_exp), (1, 0))
+    acc, acc_exp = _dot((*head, (half_ln_2pi, (1, 0)), (coefficients[0], (pw, pw_exp))), bits)
+    # Then pw *= sq and acc += c * pw per term, in _dot's written-out rounding form.
+    for c, c_exp in coefficients[1:]:
+        pw, pw_exp = pw * sq, pw_exp + sq_exp
+        if (shift := pw.bit_length() - bits) > 0:
+            t, pw_exp = pw >> shift - 1, pw_exp + shift
+            pw = t + 1 >> 1 if t & 1 and (t & 2 or pw & (1 << shift - 1) - 1) else t >> 1
         man, exp = c * pw, c_exp + pw_exp
         if (shift := man.bit_length() - bits) > 0:
             t, exp = man >> shift - 1, exp + shift
@@ -406,10 +409,6 @@ def ln_gamma(x, ctx: PrecisionContext) -> tuple[int, int]:
         if (shift := acc.bit_length() - bits) > 0:
             t, acc_exp = acc >> shift - 1, acc_exp + shift
             acc = t + 1 >> 1 if t & 1 and (t & 2 or acc & (1 << shift - 1) - 1) else t >> 1
-        pw, pw_exp = pw * sq, pw_exp + sq_exp
-        if (shift := pw.bit_length() - bits) > 0:
-            t, pw_exp = pw >> shift - 1, pw_exp + shift
-            pw = t + 1 >> 1 if t & 1 and (t & 2 or pw & (1 << shift - 1) - 1) else t >> 1
     descent, descent_exp = _quotient(math.prod(range(p, p + m * q, q)), q**m, bits)
     ln_descent, ln_descent_exp = _ln(descent, descent_exp, bits)
     return _sum(acc, acc_exp, -ln_descent, ln_descent_exp, bits)
