@@ -13,6 +13,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import starmap
 from typing import TYPE_CHECKING, Iterable, Tuple, Union
 
 if TYPE_CHECKING:
@@ -149,9 +150,12 @@ class FactoredConstant(namedtuple("FactoredConstant", "powers")):
         return not self.powers
 
     def to_json_obj(self) -> list[dict]:
-        """Base/exponent entries in increasing base order."""
-        keys = ("base", "exponent_numerator", "exponent_denominator")
-        return [dict(zip(keys, triple)) for triple in self.powers]
+        """Base/exponent entries in increasing base order.
+
+        The list is new on each call; each entry is _power_json's shared
+        record, one per distinct (p, n, d) in a process, so it is read-only.
+        """
+        return list(starmap(_power_json, self.powers))
 
     def __str__(self) -> str:
         text = (str(p) if n == d == 1 else f"{p}^({fraction_str(n, d)})" for p, n, d in self.powers)
@@ -159,6 +163,26 @@ class FactoredConstant(namedtuple("FactoredConstant", "powers")):
 
 
 ONE = FactoredConstant()
+
+
+# The JSON records of the values, one dict per distinct record in a process
+# (hash-consing; Filliatre and Conchon, "Type-Safe Modular Hash-Consing",
+# ML Workshop 2006).  Each is memoized on the raw values it is built from,
+# and every to_json_obj that holds such a record hands out the memoized
+# dict, so all JSON trees of a process share it.  A record, and so any tree
+# holding one, is read-only: a caller that needs a changed tree copies it.
+
+
+@lru_cache(maxsize=None)
+def term_json(j: int, e: int) -> dict:
+    """The record of the factor gamma(j/N)^e of a word or a relation vector."""
+    return {"j": j, "exponent": e}
+
+
+@lru_cache(maxsize=None)
+def _power_json(p: int, n: int, d: int) -> dict:
+    """The record of the prime power p^(n/d) of a FactoredConstant."""
+    return {"base": p, "exponent_numerator": n, "exponent_denominator": d}
 
 
 def valuations(numerator: int, denominator: int) -> list[tuple[int, int]]:

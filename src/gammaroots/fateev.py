@@ -294,6 +294,10 @@ class VerificationSummary(namedtuple("VerificationSummary", "reports")):
         memoized by id, and the report dicts that hold it share the result:
         on a verify_all run the cases of one identity share those objects
         (see verify), so a repeated identity adds no JSON of its own.
+        Within those, each term, cited coefficient and prime power is the
+        one record exact.term_json, exact._power_json or
+        prover._citation_json builds per distinct value in the process, so
+        the tree shares records with every other tree and is read-only.
         """
         distinct = {id(p): p for r in self.reports for p in (r.lhs, r.rhs, r.certificate)}
         json_of = {key: None if p is None else p.to_json_obj() for key, p in distinct.items()}

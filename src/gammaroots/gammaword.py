@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import starmap
 from typing import TYPE_CHECKING, Iterable, Tuple
 
-from .exact import DEFAULT_DIGITS, validated_make
+from .exact import DEFAULT_DIGITS, term_json, validated_make
 
 if TYPE_CHECKING:
     import mpmath
@@ -52,10 +53,15 @@ class GammaWord(namedtuple("GammaWord", "denominator exponents")):
     _make = classmethod(validated_make)
 
     def to_json_obj(self) -> dict:
-        """JSON form; "coeff" is always [], the JSON of the constant 1, kept in the format."""
+        """JSON form; "coeff" is always [], the JSON of the constant 1, kept in the format.
+
+        The dict and its lists are new on each call, but each term is
+        exact.term_json's record, shared by every tree in the process, so the
+        tree is read-only.
+        """
         return {
             "N": self.denominator,
-            "terms": [{"j": j, "exponent": e} for j, e in self.exponents],
+            "terms": list(starmap(term_json, self.exponents)),
             "coeff": [],
         }
 

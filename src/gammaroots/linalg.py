@@ -56,7 +56,6 @@ def _eliminate(rows: List[Row], ncols: int) -> List[int]:
     of 1, which divides every entry, needs no gcd and scales no row.
     """
     pivots: List[int] = []
-    nrows = len(rows)
     for c in range(ncols):
         r = len(pivots)
         holders = [i for i, row in enumerate(rows) if c in row]
@@ -95,8 +94,6 @@ def _eliminate(rows: List[Row], ncols: int) -> List[int]:
                     for k, v in row.items():
                         row[k] = v // common
         pivots.append(c)
-        if len(pivots) == nrows:
-            break
     return pivots
 
 

@@ -55,10 +55,11 @@ from bisect import bisect_right, insort
 from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
+from itertools import starmap
 from typing import List, Optional, Sequence, Tuple
 
 from . import linalg
-from .exact import ONE, FactoredConstant, factorize, fraction_str, validated_make
+from .exact import ONE, FactoredConstant, factorize, fraction_str, term_json, validated_make
 from .gammaword import GammaWord
 
 
@@ -72,10 +73,15 @@ class Relation(namedtuple("Relation", "tag vector value")):
     __slots__ = ()
 
     def to_json_obj(self) -> dict:
-        """The tag, the (j, exponent) entries and the value, as `relations --format json` prints."""
+        """The tag, the (j, exponent) entries and the value, as `relations --format json` prints.
+
+        The dict and its lists are new on each call; the entries are the
+        shared, read-only records of exact.term_json and of the value's
+        to_json_obj.
+        """
         return {
             "tag": self.tag,
-            "vector": [{"j": j, "exponent": e} for j, e in self.vector],
+            "vector": list(starmap(term_json, self.vector)),
             "value": self.value.to_json_obj(),
         }
 
@@ -190,19 +196,27 @@ class Certificate(namedtuple("Certificate", "terms derived_constant")):
     _make = classmethod(validated_make)
 
     def to_json_obj(self) -> dict:
+        """The cited relations with their coefficients, then the derived constant's entries.
+
+        The dict and its lists are new on each call, but each entry is a
+        shared, read-only record: _citation_json's, one per distinct (tag,
+        n, d), and the constant's, one per distinct prime power.  So the
+        trees of all certificates in a process hold each record once.
+        """
         return {
-            "relations": [
-                {"tag": tag, "coefficient": fraction_str(n, d)} for tag, n, d in self.terms
-            ],
+            "relations": list(starmap(_citation_json, self.terms)),
             "derived_constant": self.derived_constant.to_json_obj(),
         }
 
 
-def _dense(pairs: Sequence[Tuple[int, int]], n: int) -> List[int]:
-    vector = [0] * (n - 1)
-    for j, e in pairs:
-        vector[j - 1] = e
-    return vector
+@lru_cache(maxsize=None)
+def _citation_json(tag: str, n: int, d: int) -> dict:
+    """The record of the relation tag cited with coefficient n/d, once per distinct triple.
+
+    Memoized as exact.term_json is, and read-only as its records are; so
+    fraction_str runs once per distinct coefficient in a process.
+    """
+    return {"tag": tag, "coefficient": fraction_str(n, d)}
 
 
 def _fold(pairs: Sequence[Tuple[int, int]], n: int) -> List[int]:
@@ -321,7 +335,7 @@ def kernel_consistency(n: int) -> tuple[bool, Optional[Tuple[Tuple[str, Q], ...]
     relations_for(n), read through the module attribute.
     """
     relations = relations_for(n)
-    columns = [_dense(r.vector, n) for r in relations]
+    columns = [[v.get(j, 0) for j in range(1, n)] for v in (dict(r.vector) for r in relations)]
     for vector in linalg.nullspace(columns):
         powers = [(p, e * x, d * y) for c, x, y in vector for p, e, d in relations[c].value.powers]
         if not FactoredConstant(powers).is_one:

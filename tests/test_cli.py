@@ -18,6 +18,7 @@ from gammaroots.exact import ONE
 from gammaroots.fateev import VerificationReport, VerificationSummary, verify_all
 from gammaroots.gammaword import GammaWord
 from gammaroots.rootsys import FAMILIES, RANK_RANGE, RootSystemId
+from test_prover import LATTICE_SEED_1_SHA256, REPLAY
 
 
 def run(capsys, *argv):
@@ -466,6 +467,47 @@ def test_verify_golden_digests_under_every_sibling_python():
             )
             assert out.returncode == EXIT_OK, (version, mode, out.stderr[-2000:])
             assert hashlib.sha256(out.stdout).hexdigest() == digest, (version, mode)
+
+
+# Prints the seed-1 lattice certificates as the benchmark's lattice child
+# does: perfbench/replay.py's words, prove_constant, json.dumps.
+LATTICE_CERTIFICATES_CODE = (
+    "import json, sys\n"
+    "from replay import lattice_words\n"
+    "from gammaroots.gammaword import GammaWord\n"
+    "from gammaroots.prover import prove_constant\n"
+    "words = [GammaWord(w['N'], tuple(map(tuple, w['terms']))) for w in lattice_words(1)]\n"
+    "certificates = [prove_constant(word) for word in words]\n"
+    "sys.stdout.write(json.dumps([None if c is None else c.to_json_obj() for c in certificates],\n"
+    "                            separators=(',', ':')))\n"
+)
+
+
+def test_relations_and_lattice_golden_digests_under_every_sibling_python():
+    """Each CPython >= 3.10 beside this one prints the pinned JSON of relations and certificates.
+
+    `relations 840 --format json` and the seed-1 lattice certificates are
+    built from to_json_obj trees outside verify, whose two digests the
+    test above checks.  Neither loads mpmath.  perfbench/ is on PYTHONPATH
+    beside src/ for replay.py's words, which import nothing from gammaroots.
+    Where no such interpreter is installed, the test is skipped.
+    """
+    siblings = sibling_interpreters()
+    if not siblings:
+        pytest.skip(f"no other CPython >= 3.10 beside {sys.base_prefix}")
+    src = os.path.dirname(os.path.dirname(gammaroots.__file__))
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.update(PYTHONPATH=os.pathsep.join([src, str(REPLAY.parent)]), PYTHONDONTWRITEBYTECODE="1")
+    runs = (
+        (["-m", "gammaroots.cli", "relations", "840", "--format", "json"],
+         RELATIONS_840_JSON_SHA256),
+        (["-c", LATTICE_CERTIFICATES_CODE], LATTICE_SEED_1_SHA256),
+    )
+    for version, executable in siblings:
+        for argv, digest in runs:
+            out = subprocess.run([executable, *argv], env=env, capture_output=True)
+            assert out.returncode == EXIT_OK, (version, argv[1], out.stderr[-2000:])
+            assert hashlib.sha256(out.stdout).hexdigest() == digest, (version, argv[1])
 
 
 # sha256 of `relations N --format json` concatenated over N = 2..96, taken

@@ -8,7 +8,8 @@ after, exits 0.  The kernel check and the certificate replay, which verify
 does not run, are run on their own the same way.  The prover's per-grid
 table, the ln gamma ratio table, the right sides' logarithms and the
 Stirling data are memoized, so the caches a doctored piece would poison
-are emptied before and after it runs.
+are emptied before and after it runs.  The certificates' JSON records are
+memoized too, and their control replaces the memo with a wrong one.
 """
 
 import ast
@@ -22,6 +23,7 @@ from gammaroots import cli, exact, fateev, linalg, numeric, prover
 from gammaroots.cli import EXIT_OK, EXIT_VERIFICATION_FAILED
 from gammaroots.gammaword import GammaWord
 import test_numeric
+import test_prover
 from test_prover import grid_and_folds, refused_certificates
 
 # G2, F4 and B2..B4: 30 cases, some proved with multiplication relations.
@@ -386,3 +388,37 @@ def test_a_cached_right_side_log_off_by_twice_the_bound_fails_the_run(mode):
         return numeric._sum(*ln(a, decimal_digits), 2 * bound, bound_exp, bits)
 
     assert doctored_exit(numeric, "const_ln_pair", shifted, mode) == EXIT_VERIFICATION_FAILED
+
+
+def test_a_certificate_record_memo_keyed_without_the_denominator_fails_the_replay(sweep_sides):
+    """A copy of prover._citation_json keyed on (tag, n): n/d and n/d' share the first one's record.
+
+    A certificate that cites a tag with n/d' after another cited it with
+    n/d then prints n/d.  No verdict of verify reads the JSON, so this
+    control runs the checks that do: the seed-1 lattice certificates'
+    pinned digest and the benchmark's replay of the sweep and lattice
+    certificates must both fail, and pass undoctored, before and after.
+    The doctored memo is its own dict, so the product's memo is left as
+    it is.
+    """
+    honest = prover._citation_json.__wrapped__
+    records, denominators = {}, {}
+
+    def collided(tag, n, d):
+        denominators.setdefault((tag, n), set()).add(d)
+        if (tag, n) not in records:
+            records[tag, n] = honest(tag, n, d)
+        return records[tag, n]
+
+    checks = (
+        test_prover.test_lattice_certificates_golden_digest,
+        lambda: test_prover.test_every_sweep_and_lattice_certificate_replays(sweep_sides),
+    )
+    for check in checks:
+        check()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(prover, "_citation_json", collided)
+            with pytest.raises(AssertionError):
+                check()
+        check()
+    assert any(len(seen) > 1 for seen in denominators.values())
