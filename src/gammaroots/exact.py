@@ -10,7 +10,7 @@ ratio; nothing here hands a Fraction back.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
 from itertools import starmap
@@ -191,9 +191,8 @@ def valuations(numerator: int, denominator: int) -> list[tuple[int, int]]:
     The pair need not be in lowest terms: a prime that divides both appears
     once, with its exponents summed as ints.
     """
-    exponents = factorize(numerator)
-    for p, m in factorize(denominator).items():
-        exponents[p] = exponents.get(p, 0) - m
+    exponents = Counter(factorize(numerator))
+    exponents.subtract(factorize(denominator))
     return [(p, m) for p, m in exponents.items() if m]
 
 

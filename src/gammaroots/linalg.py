@@ -25,14 +25,14 @@ Row = Dict[int, int]
 
 
 def _integer_rows(columns: Sequence[Column]) -> List[Row]:
-    """Sparse rows of the matrix whose columns are given: at least one, all of one length."""
-    if not columns:
-        raise ValueError("at least one column required")
-    nrows = len(columns[0])
+    """Sparse rows of the matrix whose columns are given: at least one, all of one length.
+
+    No columns, or columns of more than one length, leave the set of lengths
+    without exactly one member, and its unpacking raises ValueError.
+    """
+    [nrows] = {len(col) for col in columns}
     rows: List[Row] = [{} for _ in range(nrows)]
     for j, col in enumerate(columns):
-        if len(col) != nrows:
-            raise ValueError("dimension mismatch")
         for i in compress(range(nrows), col):
             rows[i][j] = col[i]
     return rows
@@ -113,6 +113,25 @@ def nullspace(columns: Sequence[Column]) -> List[List[Tuple[int, int, int]]]:
             for f in free]
 
 
+# One (i, v) tuple per index i and value v with 0 < |v| <= 2, for the whole
+# process: _PAIRS[v][i] is (i, v), the rows of v = -1, -2 at Python's negative
+# positions.  The rows grow in place and never shrink or change, so a tuple
+# once handed out stays the one object for its pair.  Read-only.
+_PAIRS: List[List[Tuple[int, int]]] = [[] for _ in range(5)]
+
+
+def shared_pairs(size: int) -> List[List[Tuple[int, int]]]:
+    """The shared pair table, grown so that each row holds the pairs (i, v) for all i < size.
+
+    A caller reads a pair by two list indexings, table[v][i], and keeps no
+    hash or call per pair; it must not change the table or its rows.
+    """
+    for i in range(len(_PAIRS[1]), size):
+        for v in (-2, -1, 1, 2):
+            _PAIRS[v].append((i, v))
+    return _PAIRS
+
+
 class PreparedSolver:
     """Factored form of a fixed column set, for solving many right-hand sides.
 
@@ -122,6 +141,12 @@ class PreparedSolver:
     target b is consistent iff the transform rows below the rank annihilate
     it, and the particular solution with free variables zero is x[c_r] =
     (T b)_r / p_r.
+
+    transform holds column i of T as a tuple of (transform row, entry)
+    pairs in row order.  Each pair with an entry of size at most 2, 97% of
+    them on the grids N = 2..96, is shared_pairs' tuple, shared by every
+    solver and relation vector in the process, so the transform is
+    read-only.
     """
 
     def __init__(self, columns: Sequence[Column]):
@@ -134,12 +159,14 @@ class PreparedSolver:
         self.rank = len(pivots)
         self.pivot_values = tuple(rows[r][c] for r, c in enumerate(pivots))
         # Column i of T as (transform row, entry) pairs, so a sparse target
-        # touches only the columns it needs.
+        # touches only the columns it needs; a small entry's pair is the
+        # table's, read by index, and only a larger one builds its own.
+        pairs = shared_pairs(len(rows))
         transform: List[List[Tuple[int, int]]] = [[] for _ in rows]
         for r, row in enumerate(rows):
             for k, v in row.items():
                 if k >= ncols:
-                    transform[k - ncols].append((r, v))
+                    transform[k - ncols].append(pairs[v][r] if -3 < v < 3 else (r, v))
         self.transform = tuple(tuple(col) for col in transform)
 
     def solve(self, target: Sequence[int]) -> Optional[List[Tuple[int, int, int]]]:
@@ -152,10 +179,9 @@ class PreparedSolver:
         reduced, as the consumer reduces it once; every column not listed
         is zero.
         """
-        if len(target) != len(self.transform):
-            raise ValueError("dimension mismatch")
-        transformed = [0] * len(target)
-        for b, column in zip(target, self.transform):
+        transformed = [0] * len(self.transform)
+        # strict: a target of another length raises ValueError.
+        for b, column in zip(target, self.transform, strict=True):
             if b:
                 for r, t in column:
                     transformed[r] += t * b

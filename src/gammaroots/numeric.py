@@ -75,11 +75,9 @@ def _tangent_numbers(n: int) -> list[int]:
 
     Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
     numbers" (2011), Algorithm TangentNumbers: O(n^2) small-by-big products,
-    no divisions.
+    no divisions, from the start values T_k = (k - 1)!.
     """
-    t = [0, 1] + [0] * (n - 1)
-    for k in range(2, n + 1):
-        t[k] = (k - 1) * t[k - 1]
+    t = [0, *map(math.factorial, range(n))]
     for k in range(2, n + 1):
         for j in range(k, n + 1):
             t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]

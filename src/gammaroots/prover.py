@@ -51,7 +51,7 @@ no tag and scans no relation's full vector.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right, insort
+from bisect import bisect_right
 from collections import namedtuple
 from fractions import Fraction as Q
 from functools import lru_cache
@@ -102,11 +102,16 @@ def _reflection_tag(j: int) -> str:
 
 
 def reflection_relations(n: int) -> List[Relation]:
-    """gamma(j/N) gamma((N-j)/N) = 1 for j < N/2, plus gamma(1/2) = 1 for even N."""
+    """gamma(j/N) gamma((N-j)/N) = 1 for j < N/2, plus gamma(1/2) = 1 for even N.
+
+    The vectors' (j, 1) entries are linalg.shared_pairs' tuples, read-only.
+    """
     _check_grid(n)
-    out = [Relation(_reflection_tag(j), ((j, 1), (n - j, 1)), ONE) for j in range(1, (n + 1) // 2)]
+    ones = linalg.shared_pairs(n)[1]
+    out = [Relation(_reflection_tag(j), (ones[j], ones[n - j]), ONE)
+           for j in range(1, (n + 1) // 2)]
     if n % 2 == 0:
-        out.append(Relation("half", ((n // 2, 1),), ONE))
+        out.append(Relation("half", (ones[n // 2],), ONE))
     return out
 
 
@@ -116,14 +121,20 @@ def _multiplication_tag(d: int, k: int) -> str:
 
 
 def _multiplication_vector(n: int, d: int, k: int) -> Tuple[Tuple[int, int], ...]:
-    """The exponent vector of multiplication(d, k) on the 1/N grid."""
+    """The exponent vector of multiplication(d, k) on the 1/N grid, sorted by j.
+
+    Each entry (j, +-1) is linalg.shared_pairs' tuple, read by index: every
+    vector, every _grid column and every relation of a process shares it,
+    so a vector is read-only.
+    """
+    pairs = linalg.shared_pairs(n)
     step = n // d
-    # gamma(dk/N) cancels one of the d factors k + i N/d when dk = k mod N/d;
-    # otherwise it joins the ascending factors at its place.
-    top = d * k
-    vector = [(j, 1) for j in range(k, n, step) if j != top]
-    if (top - k) % step:
-        insort(vector, (top, -1))
+    # The d factors k + i N/d, each with exponent 1: a slice of the table.
+    vector = pairs[1][k:n:step]
+    # dk = k + i N/d + rest: gamma(dk/N) cancels factor i when rest is 0, and
+    # otherwise joins the ascending factors, with exponent -1, right after it.
+    i, rest = divmod((d - 1) * k, step)
+    vector[i : i + 1] = [vector[i], pairs[-1][d * k]] if rest else []
     return tuple(vector)
 
 
@@ -241,10 +252,13 @@ def _grid(n: int) -> tuple:
     reason), and each gives one column (tag, p, N - 2pk, entries at
     j <= N/2): multiplication(p, k) has the value p^((N - 2pk)/N).  A vector
     is sorted by j, so its entries at j <= N/2 are a prefix, and the slice
-    holds the vector's own (j, e) pair objects.  The tags are the memoized
-    ones, shared by all grids and by the certificates.  The solver is the
-    linalg.PreparedSolver on the relations' folds, or None where there are
-    none; no full vector is kept.
+    holds the vector's (j, e) pair objects, linalg.shared_pairs' tuples.
+    The tags are the memoized ones, shared by all grids and by the
+    certificates.  The solver is the linalg.PreparedSolver on the relations'
+    folds, or None where there are none; no full vector is kept.  Its
+    transform's entries of size at most 2 are the same table's tuples, so
+    every grid in the process shares one tuple per (index, value) pair,
+    and the table is read-only.
 
     The solver's rank must be (N - 1)//2 - phi(N)//2, phi Euler's totient,
     and any other rank raises RankError, so every grid a run proves on is

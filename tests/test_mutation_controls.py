@@ -9,7 +9,9 @@ does not run, are run on their own the same way.  The prover's per-grid
 table, the ln gamma ratio table, the right sides' logarithms and the
 Stirling data are memoized, so the caches a doctored piece would poison
 are emptied before and after it runs.  The certificates' JSON records are
-memoized too, and their control replaces the memo with a wrong one.
+memoized too, and their control replaces the memo with a wrong one; the
+solvers' and relation vectors' shared pairs come from one table, and its
+control hands out a doctored copy of it.
 """
 
 import ast
@@ -422,3 +424,44 @@ def test_a_certificate_record_memo_keyed_without_the_denominator_fails_the_repla
                 check()
         check()
     assert any(len(seen) > 1 for seen in denominators.values())
+
+
+def test_a_shared_pair_table_off_by_one_in_its_index_fails_the_digest_and_the_replay(
+    sweep_sides,
+):
+    """A copy of linalg's pair table whose row for the value 2 holds (i + 1, 2) at i.
+
+    One wrong shared tuple poisons every grid that reads it: each transform
+    entry 2 is booked one transform row down, and where it sits in the last
+    row a solve indexes past the end and raises IndexError instead of
+    giving a wrong answer.  So this control runs the checks that read the
+    transform itself: the pinned digest of the solvers' integer form must
+    fail, with an AssertionError, and so must the benchmark's replay of the
+    sweep and lattice certificates, whose solves reach such a last row;
+    both pass undoctored, before and after.  The doctored table is a copy,
+    so the product's is left as it is, and the grid cache is emptied around
+    each doctored check.
+    """
+    honest = linalg.shared_pairs
+
+    def shifted(size):
+        table = list(honest(size))
+        table[2] = [(i + 1, 2) for i in range(len(table[2]))]
+        return table
+
+    checks = (
+        (test_prover.test_solver_integer_form_golden_digest, AssertionError),
+        (lambda: test_prover.test_every_sweep_and_lattice_certificate_replays(sweep_sides),
+         IndexError),
+    )
+    for check, failure in checks:
+        check()
+        empty(RELATION_CACHES)
+        try:
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(linalg, "shared_pairs", shifted)
+                with pytest.raises(failure):
+                    check()
+        finally:
+            empty(RELATION_CACHES)
+        check()
