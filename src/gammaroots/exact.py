@@ -185,15 +185,18 @@ def _power_json(p: int, n: int, d: int) -> dict:
     return {"base": p, "exponent_numerator": n, "exponent_denominator": d}
 
 
-def valuations(numerator: int, denominator: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def valuations(numerator: int, denominator: int) -> tuple[tuple[int, int], ...]:
     """The (prime, nonzero integer exponent) pairs of numerator / denominator.
 
     The pair need not be in lowest terms: a prime that divides both appears
-    once, with its exponents summed as ints.
+    once, with its exponents summed as ints.  Memoized for the process, so
+    each distinct pair, such as a node key of fateev.k_root, is factored
+    once; the tuple is shared and read-only.
     """
     exponents = Counter(factorize(numerator))
     exponents.subtract(factorize(denominator))
-    return [(p, m) for p, m in exponents.items() if m]
+    return tuple((p, m) for p, m in exponents.items() if m)
 
 
 def factor_power(base: RationalLike, exponent: RationalLike) -> FactoredConstant:

@@ -130,10 +130,9 @@ def k_root(system: RootSystem, variant: str) -> VariantTable:
     if not 0 < min(numerators) <= max(numerators) < denominator:
         raise ValueError(f"{system.ident}: an argument x/{denominator} lies outside (0,1)")
     g = math.gcd(denominator, *numerators)
-    powers = {key: valuations(*key) for key in set(keys)}
     total = sum(weights)
-    k = [(p, -m * weight) for key, weight in zip(keys, weights) for p, m in powers[key]]
-    node = {key: [(p, m * total) for p, m in powers[key]] for key in set(keys[1:])}
+    k = [(p, -m * weight) for key, weight in zip(keys, weights) for p, m in valuations(*key)]
+    node = {key: [(p, m * total) for p, m in valuations(*key)] for key in set(keys[1:])}
     rhs = {key: FactoredConstant.over(node[key] + k, total) for key in node}
     arguments = tuple(x // g for x in numerators)
     return VariantTable(denominator // g, arguments, divisors, tuple(rhs[key] for key in keys[1:]))
@@ -159,7 +158,7 @@ def _word(system: RootSystem, index: int, table: VariantTable) -> GammaWord:
             )
         x = arguments[position]
         exponents[x] = exponents.get(x, 0) + exponent
-    return GammaWord(grid, tuple(sorted((x, e) for x, e in exponents.items() if e)))
+    return GammaWord(grid, sorted((x, e) for x, e in exponents.items() if e))
 
 
 def lhs_word(system: RootSystem, index: int, variant: str) -> GammaWord:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from itertools import starmap
+from operator import is_not
 from typing import TYPE_CHECKING, Iterable, Tuple
 
 from .exact import DEFAULT_DIGITS, term_json, validated_make
@@ -17,14 +18,22 @@ from .exact import DEFAULT_DIGITS, term_json, validated_make
 if TYPE_CHECKING:
     import mpmath
 
+# One (j, e) tuple per distinct exponent pair for the whole process, held by
+# every word's exponents.  Keyed by value, not indexed by j, so a word on a
+# grid no solver prepares costs O(terms).  Entries are never changed or removed.
+_PAIRS: dict = {}
+
 
 class GammaWord(namedtuple("GammaWord", "denominator exponents")):
     """prod over stored indices j of gamma(j/denominator)^e_j.
 
     Indices satisfy 1 <= j <= denominator - 1, appear at most once, in
     increasing order, and never carry exponent zero.  A bool is no integer here.
-    exponents is stored as a tuple of pairs: other containers and pairs are
-    copied into tuples, and a tuple of tuples is kept as given.
+    exponents is stored as a tuple of pairs, each pair the one (j, e) tuple
+    the process keeps for its value, shared by every word and read-only: a
+    pair is checked, made a tuple if it is not one, and then swapped for
+    the shared one.  A tuple whose pairs already are the shared ones is
+    kept as given; any other exponents are copied into a new tuple.
     """
 
     __slots__ = ()
@@ -32,9 +41,7 @@ class GammaWord(namedtuple("GammaWord", "denominator exponents")):
     def __new__(cls, denominator: int, exponents: Iterable[Tuple[int, int]] = ()) -> GammaWord:
         if type(denominator) is not int or denominator < 1:
             raise ValueError(f"denominator must be a positive integer, got {denominator}")
-        # A tuple is kept as the same object; any other iterable is copied.
-        exponents = tuple(exponents)
-        previous = 0
+        shared, previous = [], 0
         for pair in exponents:
             j, e = pair
             if type(j) is not int or type(e) is not int:
@@ -46,8 +53,11 @@ class GammaWord(namedtuple("GammaWord", "denominator exponents")):
             if e == 0:
                 raise ValueError("zero exponents must be dropped")
             previous = j
-        if any(type(pair) is not tuple for pair in exponents):
-            exponents = tuple(map(tuple, exponents))
+            # Interned only once checked: (1, True) == (1, 1) as a dict key.
+            pair = pair if type(pair) is tuple else (j, e)
+            shared.append(_PAIRS.setdefault(pair, pair))
+        if type(exponents) is not tuple or any(map(is_not, shared, exponents)):
+            exponents = tuple(shared)
         return tuple.__new__(cls, (denominator, exponents))
 
     _make = classmethod(validated_make)
@@ -81,7 +91,7 @@ def word_from_terms(terms: Iterable[Tuple[int, int]], denominator: int) -> Gamma
     merged: dict[int, int] = {}
     for x, e in items:
         merged[x // g] = merged.get(x // g, 0) + e
-    return GammaWord(denominator // g, tuple(sorted((j, e) for j, e in merged.items() if e)))
+    return GammaWord(denominator // g, sorted((j, e) for j, e in merged.items() if e))
 
 
 def eval_ln(w: GammaWord, decimal_digits: int = DEFAULT_DIGITS) -> mpmath.mpf:

@@ -124,7 +124,11 @@ def shared_pairs(size: int) -> List[List[Tuple[int, int]]]:
     """The shared pair table, grown so that each row holds the pairs (i, v) for all i < size.
 
     A caller reads a pair by two list indexings, table[v][i], and keeps no
-    hash or call per pair; it must not change the table or its rows.
+    hash or call per pair; it must not change the table or its rows.  The
+    solvers read this table, not gammaword's word-pair intern, because it
+    costs no hash per transform entry.  It grows to the largest grid a
+    solver is prepared on, so words, which may sit on any grid, use the
+    intern, keyed by value, instead.
     """
     for i in range(len(_PAIRS[1]), size):
         for v in (-2, -1, 1, 2):

@@ -11,7 +11,8 @@ Stirling data are memoized, so the caches a doctored piece would poison
 are emptied before and after it runs.  The certificates' JSON records are
 memoized too, and their control replaces the memo with a wrong one; the
 solvers' and relation vectors' shared pairs come from one table, and its
-control hands out a doctored copy of it.
+control hands out a doctored copy of it; the words' pairs come from one
+intern, and its control seeds a doctored copy of it.
 """
 
 import ast
@@ -21,9 +22,10 @@ from functools import lru_cache
 
 import pytest
 
-from gammaroots import cli, exact, fateev, linalg, numeric, prover
+from gammaroots import cli, exact, fateev, gammaword, linalg, numeric, prover
 from gammaroots.cli import EXIT_OK, EXIT_VERIFICATION_FAILED
 from gammaroots.gammaword import GammaWord
+from gammaroots.rootsys import RootSystemId, build
 import test_numeric
 import test_prover
 from test_prover import grid_and_folds, refused_certificates
@@ -465,3 +467,21 @@ def test_a_shared_pair_table_off_by_one_in_its_index_fails_the_digest_and_the_re
         finally:
             empty(RELATION_CACHES)
         check()
+
+
+@pytest.mark.parametrize("mode", ["exact", "numeric"])
+def test_a_word_pair_interned_with_its_exponent_negated_fails_the_run(mode):
+    """A copy of gammaword's pair intern seeded so that one (j, 1) comes back as (j, -1).
+
+    One wrong shared pair poisons every word built to hold it: each word
+    of the run with the factor gamma(j/N) at exponent 1, on any grid, is
+    built with exponent -1 there, so its proof and its cross-check both
+    answer for another word.  The j is the first of G2's alpha_2 Fprime
+    word with exponent 1.  The doctored intern is a copy, so the product's
+    is left as it is, and no word outlives the run.
+    """
+    word = fateev.lhs_word(build(RootSystemId("G", 2)), 2, fateev.F_PRIME)
+    j = next(j for j, e in word.exponents if e == 1)
+    doctored = {**gammaword._PAIRS, (j, 1): (j, -1)}
+    exit_code = doctored_exit(gammaword, "_PAIRS", doctored, mode)
+    assert exit_code == EXIT_VERIFICATION_FAILED

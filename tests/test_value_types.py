@@ -134,7 +134,7 @@ def test_no_value_type_has_a_dict(systems):
 
 
 def test_word_stores_its_exponents_as_tuples():
-    kept = ((1, 1), (3, -1))
+    kept = GammaWord(4, [(1, 1), (3, -1)]).exponents
     assert GammaWord(4, kept).exponents is kept
     for given in ([(1, 1), (3, -1)], [[1, 1], [3, -1]], ([1, 1], [3, -1]), ((1, 1), [3, -1])):
         word = GammaWord(4, given)
