@@ -31,30 +31,22 @@ _encode = JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 RECORD_BATCH = 16
 
 
-def _plain(value) -> bool:
-    """Whether value is neither a dict nor a list holding one, so the encoder takes it whole."""
-    return not isinstance(value, dict) and not (isinstance(value, list) and dict in map(type, value))
-
-
 def dumps_canonical(obj) -> str:
     """Canonical JSON: sorted keys, no whitespace; byte-stable across runs.
 
     The text equals json.dumps(obj, sort_keys=True, separators=(",", ":")),
-    but a list of records is never handed to the encoder whole, which would
-    buffer it as about one chunk per token.  A list of dicts, such as the
-    reports of a verify run or the relations of a grid, is encoded
-    RECORD_BATCH records at a time, each batch's brackets stripped.  A dict
-    with a value that is a dict or a list holding one, or with a key that
-    is no string, is written here: its keys sorted, each value through
-    dumps_canonical.  Anything else, a list of lists or a dict of plain
-    values such as a table's included, is one encoder call, which copies
-    no value twice.
+    but a dict or a list of records is never handed to the encoder whole,
+    which would buffer it as about one chunk per token.  A dict is written
+    here: its keys sorted, each value through dumps_canonical.  A list of
+    dicts, such as the reports of a verify run or the relations of a grid,
+    is encoded RECORD_BATCH records at a time, each batch's brackets
+    stripped.  Anything else, a list of lists included, is one encoder call.
 
     Keys must be strings.  A dict written here raises TypeError for any
     other key, where json.dumps would write {1: 2} as {"1":2}; the records
     of a list are the encoder's, which converts such keys as json.dumps does.
     """
-    if isinstance(obj, dict) and not all(isinstance(k, str) and _plain(v) for k, v in obj.items()):
+    if isinstance(obj, dict):
         # Comma, key, colon and value per member, the first comma dropped: the
         # one join copies each value once, however large.
         pieces = [p for k in sorted(obj) for p in (",", _quote(k), ":", dumps_canonical(obj[k]))]
@@ -129,7 +121,8 @@ def cmd_word(args) -> int:
 def cmd_relations(args) -> int:
     relations = relations_for(args.denominator)
     if args.format == "json":
-        print(dumps_canonical([r.to_json_obj() for r in relations]))
+        payload = [r.to_json_obj() for r in relations]
+        print(dumps_canonical(payload))
         return EXIT_OK
     lines = [f"{len(relations)} relations on the 1/{args.denominator} grid"]
     lines.extend(_relation_text(r, args.denominator) for r in relations)
@@ -176,7 +169,9 @@ def cmd_verify(args) -> int:
         # none, so one system is held at a time.
         summary = fateev.verify_all((build(i) for i in idents), variants, args.mode, ctx)
         if args.format == "json":
-            payload = {**summary.to_json_obj(), "mode": args.mode, "digits": args.digits}
+            payload = summary.to_json_obj()
+            payload["mode"] = args.mode
+            payload["digits"] = args.digits
             print(dumps_canonical(payload), file=out)
         else:
             lines = [r.text_line() for r in summary.reports]

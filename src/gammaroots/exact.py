@@ -192,7 +192,9 @@ def valuations(numerator: int, denominator: int) -> tuple[tuple[int, int], ...]:
     The pair need not be in lowest terms: a prime that divides both appears
     once, with its exponents summed as ints.  Memoized for the process, so
     each distinct pair, such as a node key of fateev.k_root, is factored
-    once; the tuple is shared and read-only.
+    once; the tuple is shared and read-only.  The memo grows with the
+    distinct pairs the process asks for and is never emptied: 21 node keys
+    on the sweep, one per distinct base on factor_power's calls.
     """
     exponents = Counter(factorize(numerator))
     exponents.subtract(factorize(denominator))

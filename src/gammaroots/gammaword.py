@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from itertools import starmap
-from operator import is_not
 from typing import TYPE_CHECKING, Iterable, Tuple
 
 from .exact import DEFAULT_DIGITS, term_json, validated_make
@@ -20,7 +19,10 @@ if TYPE_CHECKING:
 
 # One (j, e) tuple per distinct exponent pair for the whole process, held by
 # every word's exponents.  Keyed by value, not indexed by j, so a word on a
-# grid no solver prepares costs O(terms).  Entries are never changed or removed.
+# grid no solver prepares costs O(terms).  Entries are never changed or
+# removed: the dict grows with the distinct pairs the process ever builds a
+# word from, and keeps each after its last word is freed (784 entries for
+# the seed-1 lattice words, 440 for A-D at ranks 13-64).
 _PAIRS: dict = {}
 
 
@@ -33,7 +35,9 @@ class GammaWord(namedtuple("GammaWord", "denominator exponents")):
     the process keeps for its value, shared by every word and read-only: a
     pair is checked, made a tuple if it is not one, and then swapped for
     the shared one.  A tuple whose pairs already are the shared ones is
-    kept as given; any other exponents are copied into a new tuple.
+    kept as given; any other exponents are copied into a new tuple.  The
+    shared pairs live in _PAIRS for the rest of the process, so its size is
+    the number of distinct pairs the process has ever built a word from.
     """
 
     __slots__ = ()
@@ -41,22 +45,22 @@ class GammaWord(namedtuple("GammaWord", "denominator exponents")):
     def __new__(cls, denominator: int, exponents: Iterable[Tuple[int, int]] = ()) -> GammaWord:
         if type(denominator) is not int or denominator < 1:
             raise ValueError(f"denominator must be a positive integer, got {denominator}")
-        shared, previous = [], 0
+        shared = []
         for pair in exponents:
             j, e = pair
             if type(j) is not int or type(e) is not int:
                 raise ValueError("indices and exponents must be integers")
-            if j <= previous:
+            # The last pair kept holds the previous index; before the first, 0.
+            if j <= (shared[-1][0] if shared else 0):
                 raise ValueError("indices must be strictly increasing")
             if not 1 <= j <= denominator - 1:
                 raise ValueError(f"index {j} outside 1..{denominator - 1}")
             if e == 0:
                 raise ValueError("zero exponents must be dropped")
-            previous = j
             # Interned only once checked: (1, True) == (1, 1) as a dict key.
-            pair = pair if type(pair) is tuple else (j, e)
-            shared.append(_PAIRS.setdefault(pair, pair))
-        if type(exponents) is not tuple or any(map(is_not, shared, exponents)):
+            # The key is built from the checked ints, so a list pair becomes a tuple.
+            shared.append(_PAIRS.setdefault((j, e), (j, e)))
+        if type(exponents) is not tuple or any(a is not b for a, b in zip(shared, exponents)):
             exponents = tuple(shared)
         return tuple.__new__(cls, (denominator, exponents))
 

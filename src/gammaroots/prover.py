@@ -310,8 +310,11 @@ def prove_constant(word: GammaWord) -> Optional[Certificate]:
     n = word.denominator
     folded = _fold(word.exponents, n)
     tags, columns, solver = _grid(n)
-    # With no relation to eliminate (N prime, or N = 4) the fold must vanish.
-    solution = solver.solve(folded) if solver else None if any(folded) else []
+    if solver is None:
+        # No relation to eliminate (N prime, or N = 4): the fold must vanish.
+        solution = None if any(folded) else []
+    else:
+        solution = solver.solve(folded)
     if solution is None:
         return None
     # The residual v - sum_m x_m M_m at j <= N/2, in integers over the common

@@ -17,7 +17,7 @@ from gammaroots.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILED, dumps_
 from gammaroots.exact import ONE
 from gammaroots.fateev import VerificationReport, VerificationSummary, verify_all
 from gammaroots.gammaword import GammaWord
-from gammaroots.rootsys import FAMILIES, RANK_RANGE, RootSystemId, build
+from gammaroots.rootsys import FAMILIES, RANK_RANGE, RootSystemId
 from test_prover import LATTICE_SEED_1_SHA256, REPLAY
 
 
@@ -816,22 +816,6 @@ def test_dumps_canonical_equals_json_dumps_on_random_payloads():
     for n in (0, *RECORD_LENGTHS):
         for payload in (records[:n], {"r": records[:n], "x": {"y": records[:n]}}):
             assert dumps_canonical(payload) == _json_dumps(payload)
-
-
-def test_dumps_canonical_encodes_a_dict_of_plain_values_in_one_call(monkeypatch):
-    """A table's dict goes to the encoder whole; a dict holding a dict or records is split."""
-    table = build(RootSystemId("B", 64)).to_json_obj()
-    mixed = {"roots": table["positive_roots"], "n": 3, "text": "p/q", "empty": [],
-             "records": [{"b": 1}, {"a": [2]}], "sub": {"c": None, "d": [1, 2]}}
-    encoded = []
-    encode = cli._encode
-    monkeypatch.setattr(cli, "_encode", lambda obj: encoded.append(obj) or encode(obj))
-    assert dumps_canonical(table) == _json_dumps(table)
-    assert len(encoded) == 1 and encoded[0] is table
-    encoded.clear()
-    assert dumps_canonical(mixed) == _json_dumps(mixed)
-    assert any(obj is mixed["sub"] for obj in encoded)
-    assert not any(obj is mixed or obj is mixed["records"] for obj in encoded)
 
 
 @pytest.mark.parametrize("payload", [{1: 2}, {"a": {1: 2}}, {"a": 1, 2: 3}, {None: 1}])

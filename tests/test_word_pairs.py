@@ -77,3 +77,10 @@ def test_a_refused_pair_is_not_interned(j, exponent):
     assert (j, exponent) not in gammaword._PAIRS
     (shared,) = GammaWord(n, ((j, 1),)).exponents
     assert list(map(type, shared)) == [int, int] and shared is gammaword._PAIRS[j, 1]
+
+
+@pytest.mark.parametrize("exponents", [[(0, 1)], [(-3, 1)], [(2, 1), (2, -1)], [(3, 1), (2, 1)]])
+def test_an_index_not_above_the_last_kept_is_refused_as_out_of_order(exponents):
+    """The order check reads the last interned pair's index, and 0 before the first pair."""
+    with pytest.raises(ValueError, match="^indices must be strictly increasing$"):
+        GammaWord(5, exponents)
