@@ -7,8 +7,12 @@ Stirling series with exact Bernoulli coefficients and an explicit tail bound.
 The whole cross-check lives here, and one number sets it: the digit count,
 from which PrecisionContext derives every other field, and against which
 residual accepts or refuses an identity.  What does not depend on the
-argument is built once per context, and each ln gamma ratio once per
-reduced point below 1/2, so repeated words cost table lookups.
+argument is built once per context, ln p once per prime of a right side
+and precision, and each ln gamma ratio once per reduced point below 1/2,
+so repeated words cost table lookups.  Each memo here keeps what it is
+given for the life of the process, so each is kept for its measured hits
+and states its growth bound; _ln itself keeps nothing, as its other
+arguments, ln_gamma's two per call and ln(2 pi), never recur.
 
 The arithmetic is the operation sequence of the mpf operator form under
 workprec(ctx.bits), rounded to nearest with ties to even after every
@@ -67,6 +71,9 @@ if TYPE_CHECKING:
     from .exact import FactoredConstant
 
 # B_2, B_4, ... (B_2k at index k - 1); grown on demand, read-only thereafter.
+# bernoulli at least doubles it, so it holds up to twice the largest index
+# asked, which _context_fields keeps at 3 shift + 1 or below: 64 entries at
+# 60 digits, 512 (0.24 MB) at 800.
 _EVEN_BERNOULLI: list[Q] = []
 
 
@@ -128,6 +135,11 @@ def _context_fields(decimal_digits: int) -> tuple[int, int, int, int]:
     meets the bound for every admissible digit count, and up to K = 3z <
     pi z the series terms still decrease.  Typed, so a float or a bool is
     a key of its own, refused here, never read as the equal int's entry.
+    Memoized, as every context construction and every right side reads
+    it: contexts are built per call, and a Tier-1 run hits it over 6,000
+    times; without the memo a warm gammaword.eval_ln takes about 57 us
+    instead of 8.  One entry per admissible digit count, 991 at most; a
+    refused key raises and is not kept.
     """
     # A bool is no int here, and a float would truncate.
     if type(decimal_digits) is not int:
@@ -245,7 +257,10 @@ def _machin(prec: int, terms: tuple[tuple[int, int, int], ...]) -> int:
     units there.  ln 2 is 2 atanh(1/3), LN2, and pi 16 atan(1/5) - 4
     atan(1/239), PI; each step of _ln_table is one term, 2 atanh(1/q)
     with its sign.  Memoized: _ln rounds its precision up to a multiple
-    of 32, so its calls at one digit count share a few values of ln 2.
+    of 32, so its calls at one digit count share a few values of ln 2
+    (535 hits, 2 misses on the default sweep).  One entry per (precision,
+    formula): ln 2 at the few rounded precisions of each working
+    precision, and pi once per context.
     """
     fine = prec + 20
     return sum(c * _arctan((1 << fine) // q, fine, sign, q * q)[0] for c, q, sign in terms) >> 20
@@ -285,8 +300,8 @@ def _ln_table(r: int, t: int, prec: int) -> int:
     A step's series gains about 2t bits a term and divides by q^2 alone.
     Memoized, so a working precision builds each entry once, from its
     neighbour, and only the entries its arguments reach: about 0.7 2^(t -
-    roots) at most (see _ln), 171 ints at 243 bits, 34 KB with the
-    memo.
+    roots) at most per precision (see _ln), 171 ints at 243 bits, 34 KB
+    with the memo, read 535 times on the default sweep.
     """
     if r == 1 << t:
         return 0
@@ -295,7 +310,6 @@ def _ln_table(r: int, t: int, prec: int) -> int:
     return _ln_table(r - step, t, prec) + _machin.__wrapped__(prec, ((2 * step, 2 * r - step, 1),))
 
 
-@lru_cache(maxsize=None)
 def _ln(man: int, exp: int, bits: int) -> tuple[int, int]:
     """ln(man * 2^exp) for man > 0, correctly rounded to bits, as a signed pair.
 
@@ -321,8 +335,11 @@ def _ln(man: int, exp: int, bits: int) -> tuple[int, int]:
     11.1, 25.9 and 61.0 and the quarter-sqrt(bits) square roots alone took
     4.0, 7.7, 24.6 and 53.3.  Of the other square-root counts and table
     sizes tried, none was faster by more than the noise at any of the
-    four.  Memoized, as the right sides share primes: 40 of the 136 calls
-    of the 800-digit E/F/G cross-check are ln p again.
+    four.  Not memoized: only ln p of a right side's prime recurs, and
+    _ln_prime keeps those.  The other calls, ln_gamma's ln z and ln of its
+    descent and each context's ln(2 pi), never repeat: 533 on the default
+    sweep, 93 on the 800-digit E/F/G cross-check and 5,901 on A-D 13-40
+    --mode numeric, where a memo of them held 2.1 MB read by no one.
     """
     c = (n := man.bit_length()) - (3 * man < 2 << n)
     k, d = exp + c, man - (1 << c)
@@ -354,6 +371,9 @@ def _stirling_data(ctx: PrecisionContext) -> tuple[tuple[int, int], tuple[tuple[
     Each a (signed mantissa, exponent) pair rounded to ctx.bits, for
     ln_gamma's integer arithmetic.  ln(2 pi)/2 is as mpmath forms it under
     workprec(ctx.bits): pi rounded, doubled, its logarithm rounded, halved.
+    Memoized per context, as ln_gamma reads it on every call (265 hits on
+    the default sweep): one entry per context, 991 at most, 5.7 KB at 60
+    digits and 0.19 MB at 800.
     """
     bits = ctx.bits
     pi, pi_exp = _correctly_rounded(lambda g: (_machin(bits + g, PI), 2, bits + g), bits)
@@ -417,7 +437,10 @@ def _ln_ratio(p: int, q: int, ctx: PrecisionContext) -> tuple[int, int]:
     """ln gamma(p/q) = ln Gamma(p/q) - ln Gamma((q-p)/q), a signed pair, p/q < 1/2 in lowest terms.
 
     Keyed on ints and the context, hashed in C; ln_gamma is reached through
-    the module attribute, two calls per miss.
+    the module attribute, two calls per miss.  Words share their points:
+    1,319 hits and 133 misses on the default sweep, 36,000 and 3,761 on A-D
+    13-64 --mode numeric, where it holds 0.93 MB.  One entry per reduced
+    point p/q < 1/2 and context, under 0.17 M^2 for denominators up to M.
     """
     terms = ((1, 0), ln_gamma(Q(p, q), ctx)), ((-1, 0), ln_gamma(Q(q - p, q), ctx))
     return _dot(terms, ctx.bits)
@@ -471,20 +494,33 @@ def eval_word_ln(word, ctx: PrecisionContext) -> mpmath.mpf:
     return to_mpf(word_ln_pair(word, ctx))
 
 
-@lru_cache(maxsize=None)
+# ln p for const_ln_pair, the one logarithm the runs take again, as right
+# sides share primes: 102 hits and 3 misses on the default sweep, 40 and 3
+# on the 800-digit E/F/G cross-check, where an 800-digit ln p costs about
+# 1 ms.  One entry per (prime, bits).  _ln is read through the module, so
+# a replaced _ln is reached once this memo is emptied.
+_ln_prime = lru_cache(maxsize=None)(lambda p, bits: _ln(p, 0, bits))
+
+
+@lru_cache(maxsize=None, typed=True)
 def const_ln_pair(a: FactoredConstant, decimal_digits: int) -> tuple[int, int]:
     """ln(a) as a signed pair, absolute error well below 10^-decimal_digits.
 
     sum_p e_p ln p at the working precision, rounded where the mpf operator
     form mpf(e_num) / e_den * ln p, summed from mpf(0), rounds: the quotient
-    by _quotient, ln p correctly rounded by _ln, the product by _round and
-    the sum by _sum, so the bits are that form's.  Memoized: each distinct
-    (constant, digits) is summed once, though many identities share a right
-    side (83 distinct ones among the sweep's 349).  exact.const_ln is its
-    mpf.
+    by _quotient, ln p correctly rounded by _ln and kept once per prime and
+    precision by _ln_prime, the product by _round and the sum by _sum, so
+    the bits are that form's.  The bits are those of the digit count's
+    context, from _context_fields, so a digit count for_digits refuses
+    raises ValueError here too.  Memoized: each distinct (constant, digits)
+    is summed once, though many identities share a right side (266 hits
+    and 83 misses on the default sweep); one entry per distinct right side
+    and digit count, 367 on A-D 13-64 --mode numeric.  Typed, so a float
+    or a bool is a key of its own and reaches that check, never the equal
+    int's entry.  exact.const_ln is its mpf.
     """
-    bits = working_precision_bits(decimal_digits)
-    return _dot(((_quotient(n, d, bits), _ln(p, 0, bits)) for p, n, d in a.powers), bits)
+    bits = _context_fields(decimal_digits)[1]
+    return _dot(((_quotient(n, d, bits), _ln_prime(p, bits)) for p, n, d in a.powers), bits)
 
 
 def to_mpf(pair: tuple[int, int]) -> mpmath.mpf:
@@ -507,6 +543,9 @@ def _bound(decimal_digits: int) -> tuple[int, int]:
     inverts it, and 1 over that is rounded to RESIDUAL_BITS.  Past 10^333 it
     truncates partial products at more bits instead of rounding the exact
     power; both give the same bound at every digit count 10..1000.
+    Memoized, as residual reads it once per identity (348 hits on the
+    default sweep) and it costs 1.5 to 3 us a call unmemoized, up to 1 ms
+    per sweep.  One entry per digit count, 991 at most.
     """
     power, exp = _round(10 ** (decimal_digits - 10), 0, RESIDUAL_BITS + 5)
     return _quotient(1, power << exp, RESIDUAL_BITS)

@@ -52,7 +52,9 @@ PINNED_RUNS = (
     ("--family", "G", "--family", "F", "--family", "E", "--family", "B", "--digits", "200"),
     ("--family", "E", "--family", "F", "--family", "G", "--mode", "numeric", "--digits", "800"),
 )
-NUMERIC_TABLES = (numeric._ln_ratio, numeric.const_ln_pair, numeric._stirling_data)
+NUMERIC_TABLES = (
+    numeric._ln_ratio, numeric.const_ln_pair, numeric._ln_prime, numeric._stirling_data
+)
 
 
 @pytest.fixture(scope="session")
@@ -60,10 +62,11 @@ def pinned_numeric_route():
     """Every _ln argument and every residual of the pinned runs, the tables emptied before each.
 
     (arguments, ln_gamma calls, residuals): the (man, exp, bits) of each
-    _ln call, ln_gamma's two per call, the right sides' ln p and ln(2 pi)
-    once per context, in call order; the number of ln_gamma calls; and the
-    (man, exp) of each residual verify formats.  Shared by the numeric
-    tests and the mutation controls, which replay it with a doctored table.
+    _ln call, ln_gamma's two per call, the right sides' ln p once per
+    prime, through the prime memo, and ln(2 pi) once per context, in call
+    order; the number of ln_gamma calls; and the (man, exp) of each
+    residual verify formats.  Shared by the numeric tests and the mutation
+    controls, which replay it with a doctored table.
     """
     ln, ln_gamma_of, six_digits = numeric._ln, numeric.ln_gamma, numeric._six_digits
     arguments, gamma_calls, residuals = [], [], []

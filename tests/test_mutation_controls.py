@@ -6,13 +6,14 @@ route with a wrong copy, runs `gammaroots verify` on a small selection
 through cli.main, and requires exit 1; the same run undoctored, before and
 after, exits 0.  The kernel check and the certificate replay, which verify
 does not run, are run on their own the same way.  The prover's per-grid
-table, the ln gamma ratio table, the right sides' logarithms and the
-Stirling data are memoized, so the caches a doctored piece would poison
-are emptied before and after it runs.  The certificates' JSON records are
-memoized too, and their control replaces the memo with a wrong one; the
-solvers' and relation vectors' shared pairs come from one table, and its
-control hands out a doctored copy of it; the words' pairs come from one
-intern, and its control seeds a doctored copy of it.
+table, the ln gamma ratio table, the right sides' logarithms, the primes'
+logarithms and the Stirling data are memoized, so the caches a doctored
+piece would poison are emptied before and after it runs.  The
+certificates' JSON records are memoized too, and their control replaces
+the memo with a wrong one; the solvers' and relation vectors' shared pairs
+come from one table, and its control hands out a doctored copy of it; the
+words' pairs come from one intern, and its control seeds a doctored copy
+of it.
 """
 
 import ast
@@ -272,12 +273,14 @@ def test_a_logarithm_without_its_ln2_term_fails_the_run(capsys):
     cli reports that as a failed verification; with powers of two left
     right, the residuals alone fail it.  The tables built from the
     logarithms, the ln gamma ratios, the right sides' logarithms and the
-    per-context Stirling data, are emptied around each doctored run.
+    per-context Stirling data, are emptied around each doctored run, and so
+    is the prime memo, which would otherwise hand out the honest ln 2.
     """
     dropped, ln = without_ln2_term(), numeric._ln
     assert dropped(5, -2, 53) == ln(5, -2, 53) != (0, 0)
     assert dropped(3, 0, 53) != ln(3, 0, 53)
-    caches = (numeric._ln_ratio, numeric.const_ln_pair, numeric._stirling_data)
+    caches = (numeric._ln_ratio, numeric.const_ln_pair, numeric._ln_prime,
+              numeric._stirling_data)
     assert doctored_exit(numeric, "_ln", dropped, "numeric", caches) == EXIT_VERIFICATION_FAILED
     assert "rounding test did not decide" in capsys.readouterr().err
 
@@ -317,13 +320,13 @@ def test_a_table_step_without_its_factor_2_fails_the_run(pinned_numeric_route):
 
     test_ln_is_mpf_log_on_every_pinned_argument, replayed with the doctored
     table, refuses the pinned arguments, and verify --mode numeric exits 1.
-    _ln is memoized, so its memo is emptied around each doctored run with
-    the tables built from it.
+    The prime memo keeps ln p, so it is emptied around each doctored run
+    with the tables built from the logarithms.
     """
     single, honest = with_single_table_steps(), numeric._ln_table
     assert single(1 << 8, 8, 288) == honest(1 << 8, 8, 288) == 0
     assert 2 * single(257, 8, 288) - honest(257, 8, 288) in range(-4, 5)
-    caches = (numeric._ln, numeric._ln_ratio, numeric.const_ln_pair, numeric._stirling_data)
+    caches = (numeric._ln_prime, numeric._ln_ratio, numeric.const_ln_pair, numeric._stirling_data)
     empty(caches)
     try:
         with pytest.MonkeyPatch.context() as patch:

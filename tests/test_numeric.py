@@ -150,6 +150,26 @@ def test_precision_context_meets_tail_bound():
         PrecisionContext.for_digits(1001)
 
 
+def test_the_right_side_logarithm_refuses_the_digit_counts_for_digits_refuses():
+    """const_ln_pair and exact.const_ln take their bits from the digit count's context.
+
+    60.5, True, 5, 5000 and '60' raise ValueError there as in for_digits,
+    where they once gave 245, 47, 60 and 16,653 bits and a TypeError.  The
+    memo is typed, so 60.0 reaches the check even after 60's entry exists.
+    """
+    constant = exact.FactoredConstant(((2, Q(1, 2)), (3, -1)))
+    bits = PrecisionContext.for_digits(60).bits
+    assert numeric.const_ln_pair(constant, 60)[1] == -bits
+    for digits in (60.5, True, 5, 5000, "60", 60.0):
+        for call in (
+            lambda: PrecisionContext.for_digits(digits),
+            lambda: numeric.const_ln_pair(constant, digits),
+            lambda: const_ln(constant, digits),
+        ):
+            with pytest.raises(ValueError):
+                call()
+
+
 def test_the_first_shift_has_a_series_for_every_digit_count():
     """for_digits tries one shift: at every admissible digit count some K <= 3 shift will do."""
     for digits in range(MIN_DIGITS, MAX_DIGITS + 1):
@@ -757,11 +777,12 @@ def test_ln_gamma_runs_once_per_distinct_argument(monkeypatch, systems, sweep_si
 def test_ln_is_mpf_log_on_every_pinned_argument(pinned_numeric_route):
     """_ln equals libmp's mpf_log to the bit on every logarithm the pinned runs take.
 
-    2,036 arguments: the 1,688 of ln_gamma (844 calls), the right sides' ln
-    p and each context's ln(2 pi).
+    1,704 arguments, each taken once: the 1,688 of ln_gamma (844 calls),
+    the right sides' ln p once per prime and run (12), through the prime
+    memo, and each context's ln(2 pi) (4).
     """
     arguments, gamma_calls, _ = pinned_numeric_route
-    assert (len(arguments), gamma_calls) == (2036, 844)
+    assert (len(arguments), len(set(arguments)), gamma_calls) == (1704, 1704, 844)
     assert {bits for _, _, bits in arguments} == {77, 243, 708, 2701}
     for man, exp, bits in arguments:
         expected = mpf_log(from_man_exp(man, exp), bits, round_nearest)
@@ -806,7 +827,7 @@ def test_ln_is_correctly_rounded_on_seeded_arguments(monkeypatch):
     digits for one), so there only the correct rounding binds.  The
     boundaries reach the table's first and last r, round(2^t (2/3)^(2^-s))
     and round(2^t (4/3)^(2^-s)) for s roots, as _ln's docstring derives
-    them; they are read off the table's calls, _ln's memo bypassed.
+    them; they are read off the table's calls.
     """
     rng = random.Random(31)
     for digits in sorted(rng.sample(range(MIN_DIGITS, MAX_DIGITS + 1), 24)):
@@ -836,7 +857,7 @@ def test_ln_is_correctly_rounded_on_seeded_arguments(monkeypatch):
         rows.clear()
         for man, exp in reduction_boundaries(bits, rng):
             x = from_man_exp(man, exp)
-            got = from_man_exp(*numeric._ln.__wrapped__(man, exp, bits))
+            got = from_man_exp(*numeric._ln(man, exp, bits))
             assert got == mpf_pos(mpf_log(x, bits + 120, round_nearest), bits, round_nearest), (
                 man, exp, bits)
         roots, t = bits // 600, 8 + bits // 1200
@@ -874,7 +895,6 @@ def test_an_undecided_rounding_test_raises_at_the_guard_ceiling(monkeypatch):
     expected = mpf_pos(mpf_log(from_man_exp(man, exp), 900, round_nearest), bits, round_nearest)
     assert from_man_exp(*numeric._ln(man, exp, bits)) == expected
     monkeypatch.setattr(numeric, "GUARDS", numeric.GUARDS[:1])
-    numeric._ln.cache_clear()
     with pytest.raises(exact.UndecidedRounding, match="did not decide"):
         numeric._ln(man, exp, bits)
     assert numeric._ln(3, 0, bits) == numeric._ln(6, -1, bits)
